@@ -18,24 +18,12 @@
 // DESIGN.md §5e) and emits the speedup as JSON; on the small bench scale
 // the minibatch step should clear 2x.
 //
-// `micro_kernels --fusion_json` times a representative captured
-// elementwise→L2-normalize→softmax chain (DESIGN.md §5i) eager vs fused at
-// 1, 2 and 4 threads — forward-only and a full forward+backward tape step —
-// and writes the speedup table to stdout AND BENCH_fusion.json. Fused
-// execution is bit-identical to eager, so the table is pure perf: the
-// single-thread forward speedup should clear 1.3x (fusion removes one full
-// memory round-trip per captured op).
-//
 // `micro_kernels --pipeline_json` times a full GARCIA Fit (pretrain +
 // finetune, sampled mode) barriered (pipeline_depth 0) against pipelined
 // (depth 1) at 1, 2 and 4 threads and writes the step-speedup table to
 // stdout AND BENCH_pipeline.json. The table carries a bit-identity gate:
 // every run's test scores must match the serial barriered reference
 // exactly (DESIGN.md §5j); the exit code is non-zero if any cell diverges.
-//
-// `micro_kernels --dump_dot` runs one fusion-enabled GARCIA encoder step
-// and prints the captured op graph as Graphviz dot (OpGraph::DumpDot),
-// chains colored by fusion group.
 
 #include <benchmark/benchmark.h>
 
@@ -57,7 +45,6 @@
 #include "models/garcia_model.h"
 #include "models/gnn_encoder.h"
 #include "nn/loss.h"
-#include "nn/op_graph.h"
 #include "nn/ops.h"
 #include "serving/ranking_service.h"
 
@@ -480,104 +467,6 @@ int RunSampleJson() {
   return 0;
 }
 
-// ----- --fusion_json: eager vs fused elementwise→reduction chain -----
-
-/// Builds the representative GARCIA-style chain over leaves h, g — the
-/// cheap elementwise ops of the attention/gating paths (gate product,
-/// residual add, scaling, masking shift, leaky-relu scoring):
-/// Mul→Add→Scale→AddScalar→LeakyRelu fused into the L2-normalize head,
-/// then Relu→Scale→AddScalar fused into the softmax head. Returns the
-/// softmax output (forced).
-nn::Tensor FusionBenchChain(const nn::Tensor& h, const nn::Tensor& g) {
-  nn::Tensor z = nn::L2NormalizeRows(nn::LeakyRelu(
-      nn::AddScalar(nn::Scale(nn::Add(nn::Mul(h, g), h), 1.7159f), 0.1f)));
-  nn::Tensor p = nn::SoftmaxRows(
-      nn::AddScalar(nn::Scale(nn::Relu(z), 0.5f), -0.25f));
-  p.value();  // force the flush inside the timed region
-  return p;
-}
-
-int RunFusionJson() {
-  const int repeats = BenchRepeats();
-  const size_t n = 4096, d = 64;  // GARCIA encoder activation shape
-  core::Rng rng(14);
-  const core::Matrix hm = core::Matrix::Randn(n, d, &rng);
-  const core::Matrix gm = core::Matrix::Randn(n, d, &rng);
-
-  // Shared leaves, built once: constants for the forward-only rows, grad
-  // leaves for the tape-step rows (ZeroGrad between runs, like training).
-  nn::Tensor hc = nn::Tensor::Constant(hm), gc = nn::Tensor::Constant(gm);
-  nn::Tensor hl = nn::Tensor::Leaf(hm, true), gl = nn::Tensor::Leaf(gm, true);
-
-  auto forward_secs = [&](size_t threads, bool fuse) {
-    core::ExecutionContext ctx(threads);
-    ctx.set_fusion(fuse);
-    core::ScopedExecution scope(&ctx);
-    return TimeMedianSeconds(repeats, [&] { FusionBenchChain(hc, gc); });
-  };
-  auto step_secs = [&](size_t threads, bool fuse) {
-    core::ExecutionContext ctx(threads);
-    ctx.set_fusion(fuse);
-    core::ScopedExecution scope(&ctx);
-    return TimeMedianSeconds(repeats, [&] {
-      hl.ZeroGrad();
-      gl.ZeroGrad();
-      nn::Tensor loss = nn::MeanAll(FusionBenchChain(hl, gl));
-      loss.Backward();
-    });
-  };
-
-  // The contract behind the table: fused output is bit-identical to eager.
-  bool bit_identical = true;
-  {
-    core::ExecutionContext ctx(1);
-    core::ScopedExecution scope(&ctx);
-    const core::Matrix eager_p = FusionBenchChain(hc, gc).value();
-    ctx.set_fusion(true);
-    const core::Matrix fused_p = FusionBenchChain(hc, gc).value();
-    bit_identical =
-        std::memcmp(eager_p.data(), fused_p.data(),
-                    eager_p.rows() * eager_p.cols() * sizeof(float)) == 0;
-  }
-
-  std::string json = core::StrFormat(
-      "{\n  \"benchmark\": \"fusion_chain\",\n"
-      "  \"chain\": \"mul.add.scale.add_scalar.leaky_relu->l2normalize;"
-      "relu.scale.add_scalar->softmax\",\n"
-      "  \"shape\": \"%zux%zu\",\n  \"bit_identical\": %s,\n"
-      "  \"results\": [\n",
-      n, d, bit_identical ? "true" : "false");
-  double single_thread_forward_speedup = 0.0;
-  const std::vector<size_t> counts = {1, 2, 4};
-  for (size_t i = 0; i < counts.size(); ++i) {
-    const size_t t = counts[i];
-    const double fe = forward_secs(t, false), ff = forward_secs(t, true);
-    const double se = step_secs(t, false), sf = step_secs(t, true);
-    if (t == 1) single_thread_forward_speedup = fe / ff;
-    json += core::StrFormat(
-        "    {\"threads\": %zu, "
-        "\"forward\": {\"eager_seconds\": %.6f, \"fused_seconds\": %.6f, "
-        "\"speedup\": %.2f}, "
-        "\"train_step\": {\"eager_seconds\": %.6f, \"fused_seconds\": %.6f, "
-        "\"speedup\": %.2f}}%s\n",
-        t, fe, ff, fe / ff, se, sf, se / sf,
-        i + 1 == counts.size() ? "" : ",");
-  }
-  json += core::StrFormat(
-      "  ],\n  \"single_thread_forward_speedup\": %.2f\n}\n",
-      single_thread_forward_speedup);
-
-  std::fputs(json.c_str(), stdout);
-  if (std::FILE* f = std::fopen("BENCH_fusion.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "Wrote BENCH_fusion.json\n");
-  } else {
-    std::fprintf(stderr, "Could not write BENCH_fusion.json\n");
-  }
-  return bit_identical ? 0 : 1;
-}
-
 // ----- --pipeline_json: barriered vs pipelined training step time -----
 
 /// Small-but-real GARCIA training run for the pipeline sweep: large enough
@@ -686,20 +575,6 @@ int RunPipelineJson() {
   return bit_identical ? 0 : 1;
 }
 
-// ----- --dump_dot: Graphviz dump of a fused GARCIA encoder step -----
-
-int RunDumpDot() {
-  core::Rng rng(15);
-  graph::SearchGraph g = MakeBenchGraph(120, 30, 480);
-  core::ExecutionContext ctx(0);
-  ctx.set_fusion(true);
-  core::ScopedExecution scope(&ctx);
-  models::GarciaGnnEncoder enc(g.num_nodes(), g.attr_dim(), 16, 2, &rng);
-  nn::Tensor loss = nn::MeanAll(enc.Encode(g).readout);
-  std::fputs(nn::OpGraph::DumpDot({loss}).c_str(), stdout);
-  return 0;
-}
-
 }  // namespace
 }  // namespace garcia
 
@@ -711,14 +586,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--sample_json") == 0) {
       return garcia::RunSampleJson();
     }
-    if (std::strcmp(argv[i], "--fusion_json") == 0) {
-      return garcia::RunFusionJson();
-    }
     if (std::strcmp(argv[i], "--pipeline_json") == 0) {
       return garcia::RunPipelineJson();
-    }
-    if (std::strcmp(argv[i], "--dump_dot") == 0) {
-      return garcia::RunDumpDot();
     }
   }
   benchmark::Initialize(&argc, argv);

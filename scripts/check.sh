@@ -35,13 +35,6 @@ echo "==> ASan smoke: micro_kernels --speedup_json"
 (cd "$ROOT/build-asan/bench" && \
   GARCIA_BENCH_REPEATS=1 ./micro_kernels --speedup_json > /dev/null)
 
-echo "==> ASan smoke: micro_kernels --fusion_json"
-# The fused elementwise→reduction chain (capture, flush, spills, chain
-# backward) under ASan/UBSan at bench shapes; exits nonzero if fused
-# output is not bit-identical to eager.
-(cd "$ROOT/build-asan/bench" && \
-  GARCIA_BENCH_REPEATS=1 ./micro_kernels --fusion_json > /dev/null)
-
 echo "==> ASan smoke: micro_kernels --pipeline_json"
 # One barriered-vs-pipelined GARCIA Fit sweep under ASan/UBSan; exits
 # nonzero if any pipelined run's scores diverge from the serial barriered
@@ -59,24 +52,15 @@ echo "==> ASan smoke: retrieval_recall --json"
 (cd "$ROOT/build-asan/bench" && \
   GARCIA_BENCH_REPEATS=1 ./retrieval_recall --json > /dev/null)
 
-echo "==> ASan smoke: micro_kernels --dump_dot"
-# OpGraph::DumpDot over a fusion-enabled GARCIA encoder step must emit a
-# well-formed digraph with at least one fused chain.
-DOT_OUT="$("$ROOT/build-asan/bench/micro_kernels" --dump_dot)"
-echo "$DOT_OUT" | grep -q '^digraph op_graph' || {
-  echo "dump_dot smoke: missing digraph header" >&2; exit 1; }
-echo "$DOT_OUT" | grep -q 'chain' || {
-  echo "dump_dot smoke: no fused chain in GARCIA step graph" >&2; exit 1; }
-
 echo "==> Sanitizer build (thread)"
 # TSan and ASan are mutually exclusive, so this is a third tree. Only the
 # threaded suites run here: they exercise every ShardedFor dispatch, the
-# destination-sharded reduction kernels, the fused-chain kernels and their
-# thread-count bit-parity contract, the block sampler's
-# thread-count-invariance contract, the task-graph countdown/release races
-# (core_taskgraph_test), the pipelined training loops' lookahead handoff
-# (models_pipeline_test), the concurrent batched serving path
-# (BatchRanker + ResilientRanker's sequenced resolve phase), and the
+# destination-sharded reduction kernels and their thread-count bit-parity
+# contract, the block sampler's thread-count-invariance contract, the
+# task-graph countdown/release races (core_taskgraph_test), the pipelined
+# training loops' lookahead handoff (models_pipeline_test), the concurrent
+# batched serving path (BatchRanker + ResilientRanker's sequenced resolve
+# phase), and the
 # shared immutable IvfIndex — float and SQ8-quantized, including the
 # sharded asymmetric scan + exact re-rank — probed from many threads
 # (serving_retrieval_test).
@@ -84,9 +68,14 @@ TSAN_DIR="$ROOT/build-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DGARCIA_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target core_kernels_test core_gemm_test core_threadpool_test nn_ops_test \
-  nn_fusion_test graph_sampler_test core_taskgraph_test models_pipeline_test \
+  graph_sampler_test core_taskgraph_test models_pipeline_test \
   serving_concurrency_test serving_resilience_test serving_retrieval_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|nn_fusion_test|graph_sampler_test|core_taskgraph_test|models_pipeline_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
+  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|graph_sampler_test|core_taskgraph_test|models_pipeline_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
+
+echo "==> Lifecycle benchmark smoke: perfbench/test_bench.py"
+# The benchmark builds straight from src/ into .bench_build/, so a library
+# change that breaks it fails here rather than in a later benchmark run.
+python3 "$ROOT/perfbench/test_bench.py"
 
 echo "==> All checks passed"

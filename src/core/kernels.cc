@@ -304,8 +304,8 @@ inline void AddRow(float* dst, const float* src, size_t cols) {
 }
 
 // One segment's max-stabilized softmax over positions [p0, p1) of a
-// destination-major order list — the per-destination body shared by the
-// sharded SegmentSoftmax kernel and the fused-chain per-shard head release.
+// destination-major order list — the per-destination body of the sharded
+// SegmentSoftmax kernel.
 inline void SegmentSoftmaxOneSegment(const Matrix& scores,
                                      const uint32_t* order, size_t p0,
                                      size_t p1, Matrix* out) {
@@ -910,387 +910,6 @@ std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
   result.resize(k);
   return result;
 }
-
-// ----- Fused elementwise→reduction chains -----
-
-namespace fused {
-namespace {
-
-/// Elements per block in the range evaluator: wide enough that each step's
-/// loop vectorizes and amortizes its dispatch, small enough that the whole
-/// block register file (kMaxProgramSteps rows) stays L1-resident.
-constexpr size_t kEvalBlock = 128;
-
-// Evaluates the straight-line program over elements [lo, hi) in blocks:
-// one tight per-step loop per block, so each op's loop vectorizes exactly
-// like its eager kernel would (a switch per element would defeat that).
-// Intermediates live in the block register file (never in memory unless a
-// step spills); every scalar expression is the one the eager kernel for
-// that op applies, so chain values are bit-identical to what the eager
-// path would round-trip through intermediate matrices. When dst is
-// non-null, dst[i - lo] receives element i's final chain value.
-inline void EvalRange(const Step* steps, size_t num_steps, size_t lo,
-                      size_t hi, float* dst) {
-  float regs[kMaxProgramSteps][kEvalBlock];
-  for (size_t b = lo; b < hi; b += kEvalBlock) {
-    const size_t m = std::min(kEvalBlock, hi - b);
-    for (size_t s = 0; s < num_steps; ++s) {
-      const Step& st = steps[s];
-      float* o = regs[s];
-      const float* va = regs[st.a];
-      const float* vb = regs[st.b];
-      switch (st.op) {
-        case EltOp::kInput: {
-          const float* in = st.in + b;
-          for (size_t j = 0; j < m; ++j) o[j] = in[j];
-          break;
-        }
-        case EltOp::kAdd:
-          for (size_t j = 0; j < m; ++j) o[j] = va[j] + vb[j];
-          break;
-        case EltOp::kSub:
-          for (size_t j = 0; j < m; ++j) o[j] = va[j] - vb[j];
-          break;
-        case EltOp::kMul:
-          for (size_t j = 0; j < m; ++j) o[j] = va[j] * vb[j];
-          break;
-        case EltOp::kScale:
-          for (size_t j = 0; j < m; ++j) o[j] = va[j] * st.attr;
-          break;
-        case EltOp::kAddScalar:
-          for (size_t j = 0; j < m; ++j) o[j] = va[j] + st.attr;
-          break;
-        case EltOp::kRelu:
-          for (size_t j = 0; j < m; ++j) {
-            o[j] = va[j] > 0.0f ? va[j] : 0.0f;
-          }
-          break;
-        case EltOp::kTanh:
-          for (size_t j = 0; j < m; ++j) o[j] = std::tanh(va[j]);
-          break;
-        case EltOp::kLeakyRelu:
-          for (size_t j = 0; j < m; ++j) {
-            o[j] = va[j] > 0.0f ? va[j] : st.attr * va[j];
-          }
-          break;
-        case EltOp::kSigmoid:
-          for (size_t j = 0; j < m; ++j) {
-            const float x = va[j];
-            o[j] = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                             : std::exp(x) / (1.0f + std::exp(x));
-          }
-          break;
-      }
-      if (st.spill != nullptr) {
-        float* sp = st.spill + b;
-        for (size_t j = 0; j < m; ++j) sp[j] = o[j];
-      }
-    }
-    if (dst != nullptr) {
-      const float* last = regs[num_steps - 1];
-      float* d = dst + (b - lo);
-      for (size_t j = 0; j < m; ++j) d[j] = last[j];
-    }
-  }
-}
-
-inline void CheckProgram(const Program& prog) {
-  GARCIA_CHECK(!prog.empty());
-  GARCIA_CHECK_LE(prog.size(), kMaxProgramSteps);
-}
-
-}  // namespace
-
-void EltwiseForward(const ExecutionContext& ctx, const Program& prog,
-                    size_t n) {
-  CheckProgram(prog);
-  GARCIA_CHECK(prog.back().spill != nullptr)
-      << "headless chain must materialize its output";
-  const Step* steps = prog.data();
-  const size_t num_steps = prog.size();
-  ctx.ShardedFor(0, n, ctx.tuning().min_elems_per_shard,
-                 [=](size_t lo, size_t hi) {
-                   EvalRange(steps, num_steps, lo, hi, nullptr);
-                 });
-}
-
-void L2NormalizeRowsForward(const ExecutionContext& ctx, const Program& prog,
-                            float eps, Matrix* out,
-                            std::vector<float>* norms) {
-  CheckProgram(prog);
-  const Step* steps = prog.data();
-  const size_t num_steps = prog.size();
-  const size_t d = out->cols();
-  norms->resize(out->rows());
-  ForEachRow(ctx, out->rows(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
-    // Chain values land in the output row, then the eager L2NormalizeRows
-    // body runs on them in place (o[j] holds exactly the eager r[j]).
-    float* o = out->row(i);
-    const size_t base = i * d;
-    EvalRange(steps, num_steps, base, base + d, o);
-    double s = 0.0;
-    for (size_t j = 0; j < d; ++j) s += static_cast<double>(o[j]) * o[j];
-    const float norm = static_cast<float>(std::sqrt(s));
-    (*norms)[i] = std::max(norm, eps);
-    const float inv = norm > eps ? 1.0f / norm : 0.0f;
-    for (size_t j = 0; j < d; ++j) o[j] = o[j] * inv;
-  });
-}
-
-void SoftmaxRowsForward(const ExecutionContext& ctx, const Program& prog,
-                        Matrix* out) {
-  CheckProgram(prog);
-  const Step* steps = prog.data();
-  const size_t num_steps = prog.size();
-  const size_t cols = out->cols();
-  ForEachRow(ctx, out->rows(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
-    float* r = out->row(i);
-    const size_t base = i * cols;
-    EvalRange(steps, num_steps, base, base + cols, r);
-    // The eager SoftmaxRows body (kernels::SoftmaxRows), in place.
-    float mx = r[0];
-    for (size_t j = 1; j < cols; ++j) mx = std::max(mx, r[j]);
-    double sum = 0.0;
-    for (size_t j = 0; j < cols; ++j) {
-      r[j] = std::exp(r[j] - mx);
-      sum += r[j];
-    }
-    const float inv = static_cast<float>(1.0 / sum);
-    for (size_t j = 0; j < cols; ++j) r[j] *= inv;
-  });
-}
-
-double CrossEntropyForward(const ExecutionContext& ctx, const Program& prog,
-                           const std::vector<uint32_t>& targets,
-                           Matrix* softmax) {
-  CheckProgram(prog);
-  const Step* steps = prog.data();
-  const size_t num_steps = prog.size();
-  const size_t n = softmax->rows(), m = softmax->cols();
-  GARCIA_CHECK_EQ(targets.size(), n);
-  GARCIA_CHECK_GT(n, 0u);
-  std::vector<double> row_loss(n);
-  // Ascending-row-order total via the ordered merge, exactly as in the
-  // eager kernel: backend-independent, and each row shard folds into the
-  // total without waiting for the whole pass.
-  double loss = 0.0;
-  OrderedShardMerge(
-      ctx, n, ctx.tuning().min_loss_rows_per_shard,
-      [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          GARCIA_CHECK_LT(targets[i], m);
-          float* r = softmax->row(i);
-          const size_t base = i * m;
-          EvalRange(steps, num_steps, base, base + m, r);
-          // The eager kernels::CrossEntropyForward row body, on chain
-          // values.
-          float mx = r[0];
-          for (size_t j = 1; j < m; ++j) mx = std::max(mx, r[j]);
-          double sum = 0.0;
-          for (size_t j = 0; j < m; ++j) {
-            sum += std::exp(static_cast<double>(r[j]) - mx);
-          }
-          const double lse = mx + std::log(sum);
-          row_loss[i] = lse - r[targets[i]];
-          for (size_t j = 0; j < m; ++j) {
-            r[j] =
-                static_cast<float>(std::exp(static_cast<double>(r[j]) - lse));
-          }
-        }
-      },
-      [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) loss += row_loss[i];
-      });
-  return loss;
-}
-
-void SegmentSoftmaxForward(const ExecutionContext& ctx, const Program& prog,
-                           const std::vector<uint32_t>& seg,
-                           size_t num_segments, Matrix* out) {
-  CheckProgram(prog);
-  GARCIA_CHECK_EQ(out->cols(), 1u);
-  GARCIA_CHECK_EQ(out->rows(), seg.size());
-  const Step* steps = prog.data();
-  const size_t num_steps = prog.size();
-  // Segment softmax needs every element's value in both its max and its exp
-  // pass, so the chain lands in an Ex1 scratch first (still one chain pass;
-  // the head consumes the scratch per destination segment).
-  const size_t e_count = seg.size();
-  Matrix scores(e_count, 1);
-  float* sd = scores.data();
-  // Fast path: segment ids ascending (block layers emit destination-sorted
-  // edges), a parallel context, and enough sources to beat the index
-  // build. Then each destination shard's sources occupy one contiguous
-  // element range, so the reduction head can be released PER DESTINATION
-  // SHARD: a TaskGraph where head node h depends only on the chain-eval
-  // nodes covering its element range, instead of the whole chain pass
-  // joining before any head work starts. Chain values and the per-segment
-  // head arithmetic are unchanged, and segments never straddle a head
-  // node, so the result is bit-identical to the barriered path.
-  if (ctx.parallel() && e_count >= ctx.tuning().min_scatter_sources &&
-      std::is_sorted(seg.begin(), seg.end())) {
-    const DestIndex di = BuildDestIndex(seg, num_segments);
-    const auto eval_shards =
-        ShardRanges(e_count, ctx.num_threads(), ctx.tuning().min_elems_per_shard);
-    const auto head_shards = ShardRanges(num_segments, ctx.num_threads(),
-                                         ctx.tuning().min_segments_per_shard);
-    TaskGraph graph(ctx.pool());
-    std::vector<TaskGraph::NodeId> eval_ids;
-    eval_ids.reserve(eval_shards.size());
-    for (const auto& r : eval_shards) {
-      const size_t lo = r.first, hi = r.second;
-      eval_ids.push_back(graph.Add(
-          [=] { EvalRange(steps, num_steps, lo, hi, sd + lo); }));
-    }
-    const uint32_t* order = di.order.data();
-    const size_t* offsets = di.offsets.data();
-    const Matrix& scores_ref = scores;
-    for (const auto& r : head_shards) {
-      const size_t s0 = r.first, s1 = r.second;
-      // Ascending seg: the sources of segments [s0, s1) are exactly the
-      // contiguous elements [offsets[s0], offsets[s1]).
-      const size_t elo = offsets[s0], ehi = offsets[s1];
-      std::vector<TaskGraph::NodeId> deps;
-      for (size_t e = 0; e < eval_shards.size(); ++e) {
-        if (eval_shards[e].first < ehi && eval_shards[e].second > elo) {
-          deps.push_back(eval_ids[e]);
-        }
-      }
-      graph.Add(
-          [&scores_ref, order, offsets, s0, s1, out] {
-            for (size_t s = s0; s < s1; ++s) {
-              SegmentSoftmaxOneSegment(scores_ref, order, offsets[s],
-                                       offsets[s + 1], out);
-            }
-          },
-          deps);
-    }
-    graph.WaitAll();
-    return;
-  }
-  ctx.ShardedFor(0, e_count, ctx.tuning().min_elems_per_shard,
-                 [=](size_t lo, size_t hi) {
-                   EvalRange(steps, num_steps, lo, hi, sd + lo);
-                 });
-  SegmentSoftmax(ctx, scores, seg, num_segments, out);
-}
-
-void ChainBackward(const ExecutionContext& ctx, const BackwardStep* steps,
-                   size_t num_steps, const float* d_top, float* d_base,
-                   size_t n) {
-  GARCIA_CHECK_GT(num_steps, 0u);
-  // Block-vectorized like EvalRange: dv holds the running spine gradient d,
-  // cv this step's contribution c to its spine operand — each computed with
-  // the exact scalar expression of the eager backward closure.
-  ctx.ShardedFor(
-      0, n, ctx.tuning().min_elems_per_shard, [=](size_t lo, size_t hi) {
-        float dv[kEvalBlock], cv[kEvalBlock];
-        for (size_t b = lo; b < hi; b += kEvalBlock) {
-          const size_t m = std::min(kEvalBlock, hi - b);
-          for (size_t j = 0; j < m; ++j) dv[j] = d_top[b + j];
-          for (size_t s = 0; s < num_steps; ++s) {
-            const BackwardStep& st = steps[s];
-            bool relu = false;
-            switch (st.op) {
-              case EltOp::kAdd:
-                if (st.d_side != nullptr) {
-                  float* ds = st.d_side + b;
-                  for (size_t j = 0; j < m; ++j) ds[j] = dv[j];
-                }
-                for (size_t j = 0; j < m; ++j) cv[j] = dv[j];
-                break;
-              case EltOp::kSub:
-                if (st.spine_is_b) {
-                  if (st.d_side != nullptr) {
-                    float* ds = st.d_side + b;
-                    for (size_t j = 0; j < m; ++j) ds[j] = dv[j];
-                  }
-                  for (size_t j = 0; j < m; ++j) cv[j] = dv[j] * -1.0f;
-                } else {
-                  if (st.d_side != nullptr) {
-                    float* ds = st.d_side + b;
-                    for (size_t j = 0; j < m; ++j) ds[j] = dv[j] * -1.0f;
-                  }
-                  for (size_t j = 0; j < m; ++j) cv[j] = dv[j];
-                }
-                break;
-              case EltOp::kMul: {
-                const float* ot = st.other + b;
-                if (st.d_side != nullptr) {
-                  const float* sp = st.spine + b;
-                  float* ds = st.d_side + b;
-                  for (size_t j = 0; j < m; ++j) ds[j] = dv[j] * sp[j];
-                }
-                for (size_t j = 0; j < m; ++j) cv[j] = dv[j] * ot[j];
-                break;
-              }
-              case EltOp::kScale:
-                for (size_t j = 0; j < m; ++j) cv[j] = dv[j] * st.attr;
-                break;
-              case EltOp::kAddScalar:
-                for (size_t j = 0; j < m; ++j) cv[j] = dv[j];
-                break;
-              case EltOp::kRelu: {
-                // The eager closure adds nothing at all where x <= 0; the
-                // inter-step normalization below must replay that, not 0+c.
-                const float* x = st.x + b;
-                for (size_t j = 0; j < m; ++j) {
-                  cv[j] = x[j] > 0.0f ? dv[j] : 0.0f;
-                }
-                relu = true;
-                break;
-              }
-              case EltOp::kLeakyRelu: {
-                const float* x = st.x + b;
-                for (size_t j = 0; j < m; ++j) {
-                  cv[j] = dv[j] * (x[j] > 0.0f ? 1.0f : st.attr);
-                }
-                break;
-              }
-              case EltOp::kTanh: {
-                const float* y = st.y + b;
-                for (size_t j = 0; j < m; ++j) {
-                  cv[j] = dv[j] * (1.0f - y[j] * y[j]);
-                }
-                break;
-              }
-              case EltOp::kSigmoid: {
-                const float* y = st.y + b;
-                for (size_t j = 0; j < m; ++j) {
-                  cv[j] = dv[j] * (y[j] * (1.0f - y[j]));
-                }
-                break;
-              }
-              case EltOp::kInput:
-                GARCIA_CHECK(false) << "kInput in a backward chain";
-                break;
-            }
-            if (s + 1 == num_steps) {
-              if (d_base != nullptr) {
-                float* db = d_base + b;
-                for (size_t j = 0; j < m; ++j) db[j] = cv[j];
-              }
-            } else if (relu) {
-              // Where the eager kRelu closure skipped its add, the next
-              // node's scratch gradient stays exactly 0.0f.
-              const float* x = st.x + b;
-              for (size_t j = 0; j < m; ++j) {
-                dv[j] = x[j] > 0.0f ? 0.0f + cv[j] : 0.0f;
-              }
-            } else {
-              // In eager execution the next step's node receives this
-              // contribution as its FIRST accumulation into a zeroed
-              // scratch gradient: fl(0 + c). Replaying that addition keeps
-              // the register spine bit-identical (it normalizes -0 to +0
-              // exactly as the eager round-trip does).
-              for (size_t j = 0; j < m; ++j) dv[j] = 0.0f + cv[j];
-            }
-          }
-        }
-      });
-}
-
-}  // namespace fused
 
 // ----- SQ8 scalar quantization -----
 

@@ -111,17 +111,6 @@ class ExecutionContext {
   const KernelTuning& tuning() const { return tuning_; }
   void set_tuning(const KernelTuning& tuning) { tuning_ = tuning; }
 
-  /// Eager-vs-fused switch for the nn op layer: when set, nn::ops / nn::loss
-  /// capture elementwise ops as lazy op-graph nodes and the fusion pass
-  /// (nn/op_graph.h) executes linearized chains through the kernels in
-  /// kernels::fused below. Off by default (including SerialExecution()), so
-  /// code that never opts in keeps the historical eager dispatch. Fused
-  /// execution is bit-identical to eager for any thread count, so this knob
-  /// — like the tuning — never changes results. Set before sharing the
-  /// context across threads.
-  bool fusion() const { return fusion_; }
-  void set_fusion(bool on) { fusion_ = on; }
-
   /// Runs fn(lo, hi) over contiguous, non-overlapping shards covering
   /// [begin, end): one inline call on the serial backend, pool-sharded
   /// otherwise. min_shard bounds the smallest shard so tiny ranges stay
@@ -137,7 +126,6 @@ class ExecutionContext {
  private:
   std::unique_ptr<ThreadPool> pool_;  // null = serial backend
   KernelTuning tuning_;
-  bool fusion_ = false;
 };
 
 /// The process-default serial context.
@@ -335,122 +323,6 @@ std::vector<std::pair<uint32_t, float>> TopKDot(const ExecutionContext& ctx,
                                                 const float* query, size_t dim,
                                                 const Matrix& candidates,
                                                 size_t k);
-
-// ----- Fused elementwise→reduction chains -----
-//
-// Execution backend of the lazy op-graph fusion pass (nn/op_graph.h). A
-// linearized producer–consumer chain of elementwise ops is compiled into a
-// Program — a straight-line sequence of Steps evaluated per element, with
-// operand buffers loaded by kInput steps and intermediate values living in
-// registers — and run in ONE sharded pass, optionally terminated by a
-// reduction head (L2 normalize, row softmax, segment softmax, softmax
-// cross-entropy) that consumes the chain values in place of a materialized
-// input matrix.
-//
-// Bit-identity argument (the contract fused execution inherits): every Step
-// applies exactly the scalar expression of the eager kernel it replaces, in
-// the same order; a float store/load is exact, so a chain value kept in a
-// register equals the value the eager path would round-trip through an
-// intermediate matrix. The reduction heads re-run the eager head algorithms
-// verbatim on those values (double row sums, per-segment ascending-source
-// order, serial row-order loss total). Builds use no FMA contraction
-// (baseline x86-64, no -march), so register residency cannot re-round.
-// ChainBackward mirrors the eager backward closures the same way, including
-// the fl(0 + g) normalization an eager gradient picks up when it is first
-// accumulated into a zeroed scratch buffer.
-namespace fused {
-
-/// Elementwise opcodes a fused program can contain. kInput loads from a
-/// materialized buffer; the rest mirror nn::ops one for one.
-enum class EltOp : uint8_t {
-  kInput,
-  kAdd,
-  kSub,
-  kMul,
-  kScale,      // attr = factor
-  kAddScalar,  // attr = addend
-  kRelu,
-  kTanh,
-  kLeakyRelu,  // attr = negative slope
-  kSigmoid,
-};
-
-/// One straight-line instruction. `a`/`b` index earlier steps (the value
-/// registers); `in` is the source buffer of a kInput step; a non-null
-/// `spill` materializes this step's value (used for backward caches and for
-/// interior nodes another consumer reads later).
-struct Step {
-  EltOp op = EltOp::kInput;
-  int a = -1;
-  int b = -1;
-  float attr = 0.0f;
-  const float* in = nullptr;
-  float* spill = nullptr;
-};
-
-/// Straight-line chain program; the last step's value is the chain output.
-using Program = std::vector<Step>;
-
-/// Longest program the per-element register file accepts; the fusion pass
-/// stops extending chains at this depth.
-inline constexpr size_t kMaxProgramSteps = 32;
-
-/// Evaluates the program for all n elements in one sharded pass; every
-/// materialization happens through Step::spill (the last step must spill —
-/// this is the headless flush of a captured chain).
-void EltwiseForward(const ExecutionContext& ctx, const Program& prog,
-                    size_t n);
-
-/// Chain values fed to kernels::L2NormalizeRows semantics: out->row(i) =
-/// chain.row(i) / max(||chain.row(i)||, eps), norms as in the eager kernel.
-void L2NormalizeRowsForward(const ExecutionContext& ctx, const Program& prog,
-                            float eps, Matrix* out, std::vector<float>* norms);
-
-/// Chain values fed to the eager SoftmaxRows algorithm, one pass per row.
-void SoftmaxRowsForward(const ExecutionContext& ctx, const Program& prog,
-                        Matrix* out);
-
-/// Chain values fed to kernels::CrossEntropyForward: *softmax receives the
-/// row softmax of the chain values, the return value is the summed loss
-/// (serial row-order total, backend-independent).
-double CrossEntropyForward(const ExecutionContext& ctx, const Program& prog,
-                           const std::vector<uint32_t>& targets,
-                           Matrix* softmax);
-
-/// Chain values (Ex1 scores) fed to kernels::SegmentSoftmax.
-void SegmentSoftmaxForward(const ExecutionContext& ctx, const Program& prog,
-                           const std::vector<uint32_t>& seg,
-                           size_t num_segments, Matrix* out);
-
-/// One backward step of a fused chain, ordered head-side first: steps[0]
-/// produced the head (or flush) input, steps[num_steps-1] consumes the
-/// chain base. The gradient flows along the "spine" (the in-chain operand)
-/// in registers; each step assigns its side operand's contribution — the
-/// exact expression of the eager backward closure — into d_side for the
-/// caller to apply at that op's own tape position.
-struct BackwardStep {
-  EltOp op = EltOp::kInput;   // must be an elementwise op, never kInput
-  float attr = 0.0f;
-  bool spine_is_b = false;    // binary ops: chain continues through operand b
-  const float* x = nullptr;      // spine input values (kRelu / kLeakyRelu)
-  const float* y = nullptr;      // this step's output values (kTanh / kSigmoid)
-  const float* spine = nullptr;  // spine operand values (kMul side factor)
-  const float* other = nullptr;  // non-spine operand values (kMul spine factor)
-  float* d_side = nullptr;       // side contribution, assigned; may be null
-};
-
-/// Runs the whole backward chain in one sharded pass. d_top is the head's
-/// gradient into the chain (already carrying the fl(0 + g) normalization of
-/// a first accumulation, as the head backward kernels produce by writing
-/// into zeroed scratch). d_base, if non-null, is ASSIGNED the raw final
-/// contribution to the chain base; a kRelu bottom step assigns 0 where its
-/// input was <= 0 and the caller must replay the eager conditional add
-/// (skip, not add zero) when applying it.
-void ChainBackward(const ExecutionContext& ctx, const BackwardStep* steps,
-                   size_t num_steps, const float* d_top, float* d_base,
-                   size_t n);
-
-}  // namespace fused
 
 // ----- SQ8 scalar quantization (the IVF list-storage codec) -----
 //

@@ -11,9 +11,7 @@ GnnBaseline::GnnBaseline(const TrainConfig& config)
     : cfg_(config),
       rng_(config.seed),
       sample_rng_(config.sample_seed),
-      exec_(config.num_threads) {
-  exec_.set_fusion(config.fuse_ops);
-}
+      exec_(config.num_threads) {}
 
 GnnBaseline::~GnnBaseline() = default;
 

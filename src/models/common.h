@@ -44,15 +44,6 @@ struct TrainConfig {
   /// through ExecutionContext. The parallel backend is bit-identical to
   /// serial, so this changes wall-clock only, never losses or embeddings.
   size_t num_threads = 0;
-  /// Lazy op-graph capture + elementwise→reduction fusion in the nn layer
-  /// (nn/op_graph.h, DESIGN.md §5i). When true (the default), models run
-  /// the forward/backward tape through linearized fused chains — one
-  /// sharded kernel pass per producer–consumer chain — instead of one
-  /// kernel dispatch per op. Fused execution is bit-identical to eager for
-  /// any thread count, so this knob, like num_threads, changes wall-clock
-  /// only, never losses or embeddings, and is excluded from
-  /// TrainFingerprint.
-  bool fuse_ops = true;
   /// Per-destination neighbor fanout for minibatch sampled-subgraph
   /// training (graph::NeighborSampler, DESIGN.md §5e). 0 = full-graph
   /// training (every step encodes the whole graph, the pre-sampling
@@ -73,8 +64,8 @@ struct TrainConfig {
   /// compute phase never reads (rng streams, batch iterator), and both rng
   /// streams see the exact draw sequence of the barriered loop, so the
   /// trajectory — parameters, losses, checkpoint bytes — is bit-identical
-  /// for any depth and thread count. Like num_threads and fuse_ops, this
-  /// changes wall-clock only and is excluded from TrainFingerprint.
+  /// for any depth and thread count. Like num_threads, this changes
+  /// wall-clock only and is excluded from TrainFingerprint.
   /// (Models whose compute phase itself draws rng — SGL / SimGCL auxiliary
   /// views — ignore the knob and always run barriered.)
   size_t pipeline_depth = 0;
@@ -127,10 +118,11 @@ struct TrainConfig {
 /// trajectory, plus the model name and the scenario dimensions. Stored in
 /// each checkpoint; resume under a different fingerprint is refused
 /// because the replayed trajectory would silently diverge. Excludes
-/// num_threads, fuse_ops, and pipeline_depth (parallel, fused, and
-/// pipelined execution are all bit-identical to the serial eager
-/// reference) and the checkpoint/fault knobs themselves (cadence may
-/// change across restarts).
+/// num_threads and pipeline_depth (parallel and pipelined execution are
+/// bit-identical to the serial reference) and the checkpoint/fault knobs
+/// themselves (cadence may change across restarts). The hash depends only
+/// on the values mixed in, not on TrainConfig's layout; any change to what
+/// is mixed in orphans every checkpoint generation already on disk.
 uint64_t TrainFingerprint(const TrainConfig& cfg, const std::string& model_name,
                           const data::Scenario& scenario);
 

@@ -15,9 +15,7 @@ GarciaModel::GarciaModel(const TrainConfig& config)
     : cfg_(config),
       rng_(config.seed),
       sample_rng_(config.sample_seed),
-      exec_(config.num_threads) {
-  exec_.set_fusion(config.fuse_ops);
-}
+      exec_(config.num_threads) {}
 
 GarciaModel::~GarciaModel() = default;
 

@@ -11,9 +11,7 @@ using core::Matrix;
 using nn::Tensor;
 
 WideDeep::WideDeep(const TrainConfig& config)
-    : cfg_(config), rng_(config.seed), exec_(config.num_threads) {
-  exec_.set_fusion(config.fuse_ops);
-}
+    : cfg_(config), rng_(config.seed), exec_(config.num_threads) {}
 
 WideDeep::~WideDeep() = default;
 

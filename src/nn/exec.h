@@ -10,15 +10,10 @@ namespace garcia::nn::internal {
 
 /// The execution context the hot ops dispatch through (serial unless the
 /// caller installed one via core::ScopedExecution). Looked up at op
-/// construction (forward), at chain flush time (fused execution), and
-/// inside backward closures, which run later under Backward() — still
-/// inside the caller's scope. Shared by nn/ops.cc, nn/loss.cc and
-/// nn/op_graph.cc so the lookup policy cannot drift between them.
+/// construction (forward) and inside backward closures, which run later
+/// under Backward() — still inside the caller's scope. Shared by nn/ops.cc
+/// and nn/loss.cc so the lookup policy cannot drift between them.
 inline const core::ExecutionContext& Exec() { return core::CurrentExecution(); }
-
-/// True when the current context opted the op layer into lazy capture +
-/// fusion (core::ExecutionContext::set_fusion).
-inline bool CaptureEnabled() { return Exec().fusion(); }
 
 }  // namespace garcia::nn::internal
 

@@ -4,7 +4,6 @@
 
 #include "core/kernels.h"
 #include "nn/exec.h"
-#include "nn/op_graph.h"
 #include "nn/ops.h"
 
 namespace garcia::nn {
@@ -12,7 +11,6 @@ namespace garcia::nn {
 namespace kernels = core::kernels;
 
 using core::Matrix;
-using internal::CaptureEnabled;
 using internal::Exec;
 using internal::TensorNode;
 
@@ -21,11 +19,6 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
   const size_t n = logits.rows();
   GARCIA_CHECK_EQ(targets.size(), n);
   GARCIA_CHECK_GT(n, 0u);
-  // A pending captured logits chain (e.g. the Scale/Add producing InfoNCE
-  // similarities) fuses straight into the softmax cross-entropy pass.
-  if (CaptureEnabled() && internal::FusiblePending(logits)) {
-    return internal::FusedCrossEntropyWithLogits(logits, targets);
-  }
   // Forward: softmax rows in place (kernel), cached for the backward pass.
   Matrix softmax = logits.value();
   const double loss = kernels::CrossEntropyForward(Exec(), &softmax, targets);

@@ -6,12 +6,9 @@
 // training steps (the tape is rebuilt every forward pass but leaves are
 // shared).
 //
-// Modules are fusion-transparent (DESIGN.md §5i): their forwards are built
-// from nn::ops, so under a fusion-enabled ExecutionContext the elementwise
-// pieces (activations, residual adds, gates) are captured lazily, while
-// eager ops (MatMul, broadcasts, gathers) force any pending operands. No
-// module code changes with the fuse_ops knob, and parameters see
-// bit-identical gradients.
+// Module forwards are built from nn::ops and run eagerly on the autograd
+// tape; every op dispatches through the caller's ExecutionContext, so a
+// module trained at any thread count sees bit-identical gradients.
 
 #ifndef GARCIA_NN_MODULE_H_
 #define GARCIA_NN_MODULE_H_

@@ -6,7 +6,6 @@
 #include "core/kernels.h"
 #include "core/rng.h"
 #include "nn/exec.h"
-#include "nn/op_graph.h"
 
 namespace garcia::nn {
 
@@ -14,28 +13,20 @@ using core::Matrix;
 using internal::TensorNode;
 
 namespace kernels = core::kernels;
-namespace fused = core::kernels::fused;
 
 namespace {
 
 /// Parent node i of an op output.
 TensorNode* Parent(TensorNode* out, size_t i) { return out->parents[i].get(); }
 
-using internal::CaptureEnabled;  // fusion-mode lazy capture (nn/op_graph.h)
-using internal::Exec;            // shared context lookup (nn/exec.h)
-
-/// Tags an eager op output for OpGraph::DumpDot.
-Tensor Named(Tensor t, const char* name) {
-  t.node()->op_name = name;
-  return t;
-}
+using internal::Exec;  // shared context lookup (nn/exec.h)
 
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   GARCIA_CHECK_EQ(a.cols(), b.rows());
   Matrix out = Matrix::Matmul(a.value(), b.value());
-  return Named(Tensor::FromOp(std::move(out), {a, b}, [](TensorNode* n) {
+  return Tensor::FromOp(std::move(out), {a, b}, [](TensorNode* n) {
     TensorNode* pa = Parent(n, 0);
     TensorNode* pb = Parent(n, 1);
     if (pa->requires_grad) {
@@ -50,14 +41,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       Matrix::Gemm(true, false, 1.0f, pa->value, n->grad, 1.0f,
                    &pb->EnsureGrad());
     }
-  }), "matmul");
+  });
 }
 
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {
   GARCIA_CHECK_EQ(a.cols(), b.cols());
   Matrix out(a.rows(), b.rows());
   Matrix::Gemm(false, true, 1.0f, a.value(), b.value(), 0.0f, &out);
-  return Named(Tensor::FromOp(std::move(out), {a, b}, [](TensorNode* n) {
+  return Tensor::FromOp(std::move(out), {a, b}, [](TensorNode* n) {
     TensorNode* pa = Parent(n, 0);
     TensorNode* pb = Parent(n, 1);
     if (pa->requires_grad) {
@@ -70,7 +61,7 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
       Matrix::Gemm(true, false, 1.0f, n->grad, pa->value, 1.0f,
                    &pb->EnsureGrad());
     }
-  }), "matmul_nt");
+  });
 }
 
 Tensor Transpose(const Tensor& x) {
@@ -93,9 +84,6 @@ Tensor Transpose(const Tensor& x) {
 Tensor Add(const Tensor& a, const Tensor& b) {
   GARCIA_CHECK_EQ(a.rows(), b.rows());
   GARCIA_CHECK_EQ(a.cols(), b.cols());
-  if (CaptureEnabled()) {
-    return internal::RecordBinary(fused::EltOp::kAdd, "add", a, b);
-  }
   Matrix out = a.value();
   out.Add(b.value());
   return Tensor::FromOp(std::move(out), {a, b}, [](TensorNode* n) {
@@ -109,9 +97,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 Tensor Sub(const Tensor& a, const Tensor& b) {
   GARCIA_CHECK_EQ(a.rows(), b.rows());
   GARCIA_CHECK_EQ(a.cols(), b.cols());
-  if (CaptureEnabled()) {
-    return internal::RecordBinary(fused::EltOp::kSub, "sub", a, b);
-  }
   Matrix out = a.value();
   out.Sub(b.value());
   return Tensor::FromOp(std::move(out), {a, b}, [](TensorNode* n) {
@@ -129,9 +114,6 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   GARCIA_CHECK_EQ(a.rows(), b.rows());
   GARCIA_CHECK_EQ(a.cols(), b.cols());
-  if (CaptureEnabled()) {
-    return internal::RecordBinary(fused::EltOp::kMul, "mul", a, b);
-  }
   Matrix out = a.value();
   out.Hadamard(b.value());
   return Tensor::FromOp(std::move(out), {a, b}, [](TensorNode* n) {
@@ -151,9 +133,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Scale(const Tensor& x, float s) {
-  if (CaptureEnabled()) {
-    return internal::RecordUnary(fused::EltOp::kScale, "scale", x, s);
-  }
   Matrix out = x.value();
   out.Scale(s);
   return Tensor::FromOp(std::move(out), {x}, [s](TensorNode* n) {
@@ -166,9 +145,6 @@ Tensor Scale(const Tensor& x, float s) {
 }
 
 Tensor AddScalar(const Tensor& x, float c) {
-  if (CaptureEnabled()) {
-    return internal::RecordUnary(fused::EltOp::kAddScalar, "add_scalar", x, c);
-  }
   Matrix out = x.value();
   for (size_t i = 0; i < out.rows(); ++i) {
     for (size_t j = 0; j < out.cols(); ++j) out.at(i, j) += c;
@@ -295,39 +271,23 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
 Tensor GatherRows(const Tensor& x, std::vector<uint32_t> indices) {
   Matrix out(indices.size(), x.cols());
   kernels::GatherRows(Exec(), x.value(), indices, &out);
-  return Named(
-      Tensor::FromOp(std::move(out), {x},
-                     [idx = std::move(indices)](TensorNode* n) {
-                       TensorNode* p = Parent(n, 0);
-                       if (!p->requires_grad) return;
-                       // Scatter-add adjoint: sharded by destination row, so
-                       // the parallel backend accumulates repeated indices in
-                       // the serial order.
-                       kernels::ScatterAddRows(Exec(), n->grad, idx,
-                                               &p->EnsureGrad());
-                     }),
-      "gather_rows");
+  return Tensor::FromOp(std::move(out), {x},
+                        [idx = std::move(indices)](TensorNode* n) {
+                          TensorNode* p = Parent(n, 0);
+                          if (!p->requires_grad) return;
+                          // Scatter-add adjoint: sharded by destination row,
+                          // so the parallel backend accumulates repeated
+                          // indices in the serial order.
+                          kernels::ScatterAddRows(Exec(), n->grad, idx,
+                                                  &p->EnsureGrad());
+                        });
 }
 
 namespace {
 
 /// Shared body of the four activations: forward and backward both dispatch
-/// through the elementwise kernels of the execution layer; under fusion
-/// they record into the lazy op graph instead.
+/// through the elementwise kernels of the execution layer.
 Tensor UnaryEltwise(const Tensor& x, kernels::UnaryOp op, float slope) {
-  if (CaptureEnabled()) {
-    switch (op) {
-      case kernels::UnaryOp::kRelu:
-        return internal::RecordUnary(fused::EltOp::kRelu, "relu", x);
-      case kernels::UnaryOp::kTanh:
-        return internal::RecordUnary(fused::EltOp::kTanh, "tanh", x);
-      case kernels::UnaryOp::kLeakyRelu:
-        return internal::RecordUnary(fused::EltOp::kLeakyRelu, "leaky_relu", x,
-                                     slope);
-      case kernels::UnaryOp::kSigmoid:
-        return internal::RecordUnary(fused::EltOp::kSigmoid, "sigmoid", x);
-    }
-  }
   Matrix out(x.rows(), x.cols());
   kernels::UnaryForward(Exec(), op, slope, x.value().data(), out.data(),
                         out.size());
@@ -360,40 +320,28 @@ Tensor Sigmoid(const Tensor& x) {
 }
 
 Tensor L2NormalizeRows(const Tensor& x, float eps) {
-  // A pending captured input fuses the chain into the normalize pass.
-  if (CaptureEnabled() && internal::FusiblePending(x)) {
-    return internal::FusedL2NormalizeRows(x, eps);
-  }
   Matrix out(x.rows(), x.cols());
   std::vector<float> norms;
   kernels::L2NormalizeRows(Exec(), x.value(), eps, &out, &norms);
-  return Named(
-      Tensor::FromOp(std::move(out), {x},
-                     [norms = std::move(norms), eps](TensorNode* n) {
-                       TensorNode* p = Parent(n, 0);
-                       if (!p->requires_grad) return;
-                       kernels::L2NormalizeRowsBackwardAdd(
-                           Exec(), n->value, n->grad, norms, eps,
-                           &p->EnsureGrad());
-                     }),
-      "l2normalize");
+  return Tensor::FromOp(std::move(out), {x},
+                        [norms = std::move(norms), eps](TensorNode* n) {
+                          TensorNode* p = Parent(n, 0);
+                          if (!p->requires_grad) return;
+                          kernels::L2NormalizeRowsBackwardAdd(
+                              Exec(), n->value, n->grad, norms, eps,
+                              &p->EnsureGrad());
+                        });
 }
 
 Tensor SoftmaxRows(const Tensor& x) {
-  if (CaptureEnabled() && internal::FusiblePending(x)) {
-    return internal::FusedSoftmaxRows(x);
-  }
   Matrix out = x.value();
   kernels::SoftmaxRows(Exec(), &out);
-  return Named(Tensor::FromOp(std::move(out), {x},
-                              [](TensorNode* n) {
-                                TensorNode* p = Parent(n, 0);
-                                if (!p->requires_grad) return;
-                                kernels::SoftmaxRowsBackwardAdd(
-                                    Exec(), n->value, n->grad,
+  return Tensor::FromOp(std::move(out), {x}, [](TensorNode* n) {
+    TensorNode* p = Parent(n, 0);
+    if (!p->requires_grad) return;
+    kernels::SoftmaxRowsBackwardAdd(Exec(), n->value, n->grad,
                                     &p->EnsureGrad());
-                              }),
-               "softmax");
+  });
 }
 
 Tensor SumAll(const Tensor& x) {
@@ -484,41 +432,34 @@ Tensor SegmentSum(const Tensor& x, std::vector<uint32_t> seg,
   GARCIA_CHECK_EQ(seg.size(), x.rows());
   Matrix out(num_segments, x.cols());
   kernels::SegmentSum(Exec(), x.value(), seg, num_segments, &out);
-  return Named(Tensor::FromOp(std::move(out), {x},
-                              [seg = std::move(seg)](TensorNode* n) {
-                                TensorNode* p = Parent(n, 0);
-                                if (!p->requires_grad) return;
-                                // Adjoint of segment-sum is a row gather: row
-                                // e of dx reads row seg[e] of the upstream
-                                // gradient.
-                                kernels::GatherAddRows(Exec(), n->grad, seg,
-                                                       &p->EnsureGrad());
-                              }),
-               "segment_sum");
+  return Tensor::FromOp(std::move(out), {x},
+                        [seg = std::move(seg)](TensorNode* n) {
+                          TensorNode* p = Parent(n, 0);
+                          if (!p->requires_grad) return;
+                          // Adjoint of segment-sum is a row gather: row e of
+                          // dx reads row seg[e] of the upstream gradient.
+                          kernels::GatherAddRows(Exec(), n->grad, seg,
+                                                 &p->EnsureGrad());
+                        });
 }
 
 Tensor SegmentSoftmax(const Tensor& scores, std::vector<uint32_t> seg,
                       size_t num_segments) {
   GARCIA_CHECK_EQ(scores.cols(), 1u);
   GARCIA_CHECK_EQ(seg.size(), scores.rows());
-  if (CaptureEnabled() && internal::FusiblePending(scores)) {
-    return internal::FusedSegmentSoftmax(scores, std::move(seg), num_segments);
-  }
   Matrix out(seg.size(), 1);
   kernels::SegmentSoftmax(Exec(), scores.value(), seg, num_segments, &out);
   const size_t ns = num_segments;
-  return Named(
-      Tensor::FromOp(std::move(out), {scores},
-                     [seg = std::move(seg), ns](TensorNode* n) {
-                       TensorNode* p = Parent(n, 0);
-                       if (!p->requires_grad) return;
-                       // dscore_e = α_e (dα_e − Σ_{e' in same segment}
-                       // dα_{e'} α_{e'})
-                       kernels::SegmentSoftmaxBackwardAdd(
-                           Exec(), n->value, n->grad, seg, ns,
-                           &p->EnsureGrad());
-                     }),
-      "segment_softmax");
+  return Tensor::FromOp(std::move(out), {scores},
+                        [seg = std::move(seg), ns](TensorNode* n) {
+                          TensorNode* p = Parent(n, 0);
+                          if (!p->requires_grad) return;
+                          // dscore_e = α_e (dα_e − Σ_{e' in same segment}
+                          // dα_{e'} α_{e'})
+                          kernels::SegmentSoftmaxBackwardAdd(
+                              Exec(), n->value, n->grad, seg, ns,
+                              &p->EnsureGrad());
+                        });
 }
 
 }  // namespace garcia::nn

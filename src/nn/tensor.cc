@@ -2,27 +2,18 @@
 
 #include <unordered_set>
 
-#include "nn/op_graph.h"
-
 namespace garcia::nn {
 
 namespace internal {
 
-TensorNode::TensorNode() = default;
-TensorNode::~TensorNode() = default;
-
 core::Matrix& TensorNode::EnsureGrad() {
-  if (grad.empty()) {
-    // Logical shape: a pending captured node can receive gradient before
-    // (or without) ever materializing its value.
-    grad = core::Matrix(logical_rows(), logical_cols());
-  }
+  if (grad.empty()) grad = core::Matrix(value.rows(), value.cols());
   return grad;
 }
 
 void TensorNode::AccumulateGrad(const core::Matrix& g) {
-  GARCIA_CHECK_EQ(g.rows(), logical_rows());
-  GARCIA_CHECK_EQ(g.cols(), logical_cols());
+  GARCIA_CHECK_EQ(g.rows(), value.rows());
+  GARCIA_CHECK_EQ(g.cols(), value.cols());
   EnsureGrad().Add(g);
 }
 
@@ -69,9 +60,6 @@ void Tensor::Backward() {
   GARCIA_CHECK_EQ(rows(), 1u);
   GARCIA_CHECK_EQ(cols(), 1u);
   internal::TensorNode* root = node();
-  // A pending captured root flushes first: the fusion pass installs the
-  // plan-based backward closures the traversal below fires.
-  if (!root->materialized) internal::EnsureMaterialized(root);
   GARCIA_CHECK(root->requires_grad)
       << "Backward() on a graph with no grad-requiring leaves";
 
@@ -108,14 +96,10 @@ void Tensor::Backward() {
   root->grad.at(0, 0) = 1.0f;
 
   // topo is post-order: parents before children; iterate in reverse so each
-  // node's grad is complete before it propagates. Fused-plan closures fire
-  // even without an accumulated grad: the chain gradient reaching them
-  // traveled through kernel registers, not through `grad`.
+  // node's grad is complete before it propagates.
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     internal::TensorNode* n = *it;
-    if (n->backward_fn && (n->has_grad() || n->fused_backward)) {
-      n->backward_fn(n);
-    }
+    if (n->backward_fn && n->has_grad()) n->backward_fn(n);
   }
 }
 

@@ -9,15 +9,6 @@
 // Matches the training loop shape of PyTorch: leaf parameters persist across
 // steps, intermediate nodes are released when the last handle drops, and the
 // optimizer zeroes parameter gradients between steps.
-//
-// Lazy capture: when the current ExecutionContext has fusion enabled,
-// elementwise ops do not compute their value at construction. They attach
-// an OpRecord (nn/op_graph.h) to the node and leave `value` empty until a
-// reduction head, a non-elementwise consumer, or an explicit value() read
-// forces the pending chain — at which point the fusion pass linearizes it
-// and runs one fused kernel pass (bit-identical to eager execution). The
-// logical shape of a pending node lives in lazy_rows/lazy_cols so shape
-// checks work without materializing.
 
 #ifndef GARCIA_NN_TENSOR_H_
 #define GARCIA_NN_TENSOR_H_
@@ -35,51 +26,21 @@ class Tensor;
 
 namespace internal {
 
-struct OpRecord;  // lazy-capture record, defined in nn/op_graph.h
-
 /// One node of the autograd tape.
 struct TensorNode {
-  TensorNode();
-  ~TensorNode();  // out of line: OpRecord is incomplete here
-
   core::Matrix value;
   core::Matrix grad;  // allocated on first accumulation
   bool requires_grad = false;
   std::vector<std::shared_ptr<TensorNode>> parents;
   /// Propagates this node's grad into parents' grads. Null for leaves.
-  /// Captured nodes receive theirs at flush time (nn/op_graph.cc).
   std::function<void(TensorNode*)> backward_fn;
 
-  // ----- Lazy capture (nn/op_graph.h) -----
-  /// Pending/captured elementwise op; null for eager nodes and leaves.
-  std::unique_ptr<OpRecord> lazy;
-  /// False while a captured node's value has not been computed yet; value
-  /// is empty exactly then and the logical shape lives below.
-  bool materialized = true;
-  /// Marks a backward_fn that applies fused-plan contributions: Backward()
-  /// must fire it even when no gradient was accumulated into this node
-  /// (the chain gradient flows through registers, not through `grad`).
-  bool fused_backward = false;
-  size_t lazy_rows = 0;
-  size_t lazy_cols = 0;
-  /// Opcode label for OpGraph::DumpDot; static storage only.
-  const char* op_name = nullptr;
-
-  /// Shape regardless of materialization state.
-  size_t logical_rows() const { return materialized ? value.rows() : lazy_rows; }
-  size_t logical_cols() const { return materialized ? value.cols() : lazy_cols; }
-
   bool has_grad() const { return !grad.empty(); }
-  /// Returns grad, allocating zeros of the logical shape on first use.
+  /// Returns grad, allocating zeros of the value's shape on first use.
   core::Matrix& EnsureGrad();
   /// grad += g (allocating if needed).
   void AccumulateGrad(const core::Matrix& g);
 };
-
-/// Forces a pending captured node: linearizes its producer chain, runs one
-/// fused kernel pass and installs the plan-based backward closures. No-op
-/// for materialized nodes. Defined in nn/op_graph.cc.
-void EnsureMaterialized(TensorNode* node);
 
 }  // namespace internal
 
@@ -100,27 +61,12 @@ class Tensor {
                        std::vector<Tensor> parents,
                        std::function<void(internal::TensorNode*)> backward_fn);
 
-  /// Internal (lazy capture): wraps a node built by nn/op_graph.cc.
-  static Tensor FromNode(std::shared_ptr<internal::TensorNode> node) {
-    return Tensor(std::move(node));
-  }
-
   bool defined() const { return node_ != nullptr; }
-  size_t rows() const { return node()->logical_rows(); }
-  size_t cols() const { return node()->logical_cols(); }
+  size_t rows() const { return node()->value.rows(); }
+  size_t cols() const { return node()->value.cols(); }
 
-  /// The node's value; forces a pending captured chain first, so callers
-  /// always see a materialized matrix.
-  const core::Matrix& value() const {
-    internal::TensorNode* n = node();
-    if (!n->materialized) internal::EnsureMaterialized(n);
-    return n->value;
-  }
-  core::Matrix& mutable_value() {
-    internal::TensorNode* n = node();
-    if (!n->materialized) internal::EnsureMaterialized(n);
-    return n->value;
-  }
+  const core::Matrix& value() const { return node()->value; }
+  core::Matrix& mutable_value() { return node()->value; }
 
   bool requires_grad() const { return node()->requires_grad; }
   /// Gradient matrix; CHECK-fails if no gradient has been accumulated yet.

@@ -38,8 +38,8 @@ RankedList TextRanker::Rank(uint32_t query, size_t k) const {
                       if (a.second != b.second) return a.second > b.second;
                       return a.first < b.first;
                     });
-  scored.resize(k);
-  return scored;
+  // An answer-sized copy, so the catalog-sized scratch is not kept alive.
+  return RankedList(scored.begin(), scored.begin() + k);
 }
 
 // ---------------------------------------------------------- PopularityRanker
@@ -58,9 +58,10 @@ PopularityRanker::PopularityRanker(const std::vector<double>& popularity) {
 }
 
 RankedList PopularityRanker::Rank(uint32_t /*query*/, size_t k) const {
-  RankedList out = ranked_;
-  out.resize(std::min(k, out.size()));
-  return out;
+  // Copy only the answer: callers may hold many answers at once, and each
+  // must not carry the catalog-sized capacity of ranked_.
+  return RankedList(ranked_.begin(),
+                    ranked_.begin() + std::min(k, ranked_.size()));
 }
 
 // ----------------------------------------------------------- ResilientRanker

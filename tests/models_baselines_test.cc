@@ -104,27 +104,24 @@ TEST(BaselineEmbeddingsTest, WideDeepHasNoEmbeddingSpace) {
   EXPECT_TRUE(model->ExportQueryEmbeddings(Tiny()).empty());
 }
 
-TEST(BaselineFusionTest, FusedTrainingMatchesEagerExactly) {
-  // The fusion pass's bit-identity contract (DESIGN.md §5i) holds for the
-  // baselines too: LightGCN exercises the GNN propagate + normalize path,
-  // Wide&Deep the pure MLP/BCE path. Fused predictions must match eager
-  // bit for bit.
+TEST(BaselineThreadingTest, ThreadedTrainingMatchesSerialExactly) {
+  // The kernel layer's thread-count invariance holds for the baselines too:
+  // LightGCN exercises the GNN propagate + normalize path, Wide&Deep the
+  // pure MLP/BCE path. Predictions at 4 threads must match serial bit for
+  // bit.
   for (const std::string name : {"LightGCN", "Wide&Deep"}) {
-    TrainConfig eager_cfg = FastTrainConfig();
-    eager_cfg.fuse_ops = false;
-    TrainConfig fused_cfg = FastTrainConfig();
-    fused_cfg.fuse_ops = true;
-    fused_cfg.num_threads = 4;
+    TrainConfig threaded_cfg = FastTrainConfig();
+    threaded_cfg.num_threads = 4;
 
-    auto eager = CreateModel(name, eager_cfg);
-    auto fused = CreateModel(name, fused_cfg);
-    eager->Fit(Tiny());
-    fused->Fit(Tiny());
-    auto se = eager->Predict(Tiny(), Tiny().test);
-    auto sf = fused->Predict(Tiny(), Tiny().test);
-    ASSERT_EQ(se.size(), sf.size()) << name;
-    for (size_t i = 0; i < se.size(); ++i) {
-      ASSERT_EQ(se[i], sf[i]) << name << " prediction " << i;
+    auto serial = CreateModel(name, FastTrainConfig());
+    auto threaded = CreateModel(name, threaded_cfg);
+    serial->Fit(Tiny());
+    threaded->Fit(Tiny());
+    auto ss = serial->Predict(Tiny(), Tiny().test);
+    auto st = threaded->Predict(Tiny(), Tiny().test);
+    ASSERT_EQ(ss.size(), st.size()) << name;
+    for (size_t i = 0; i < ss.size(); ++i) {
+      ASSERT_EQ(ss[i], st[i]) << name << " prediction " << i;
     }
   }
 }

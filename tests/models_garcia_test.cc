@@ -176,68 +176,6 @@ TEST(GarciaModelTest, ThreadedTrainingMatchesSerialExactly) {
   }
 }
 
-TEST(GarciaModelTest, FusedTrainingMatchesEagerExactly) {
-  // Fusion bit-identity contract (DESIGN.md §5i): training with lazy
-  // op-graph capture and fused elementwise→reduction kernels must
-  // reproduce the eager loss trajectory and predictions bit for bit,
-  // at every thread count, through both phases.
-  TrainConfig eager_cfg = FastTrainConfig();
-  eager_cfg.fuse_ops = false;
-  eager_cfg.num_threads = 0;
-  GarciaModel eager(eager_cfg);
-  eager.Fit(Tiny());
-  auto eager_scores = eager.Predict(Tiny(), Tiny().test);
-
-  for (size_t threads : {size_t{0}, size_t{4}}) {
-    TrainConfig fused_cfg = FastTrainConfig();
-    fused_cfg.fuse_ops = true;
-    fused_cfg.num_threads = threads;
-    GarciaModel fused(fused_cfg);
-    fused.Fit(Tiny());
-
-    EXPECT_EQ(eager.first_pretrain_loss(), fused.first_pretrain_loss())
-        << "threads=" << threads;
-    EXPECT_EQ(eager.last_pretrain_loss(), fused.last_pretrain_loss())
-        << "threads=" << threads;
-    EXPECT_EQ(eager.last_finetune_loss(), fused.last_finetune_loss())
-        << "threads=" << threads;
-
-    auto fused_scores = fused.Predict(Tiny(), Tiny().test);
-    ASSERT_EQ(eager_scores.size(), fused_scores.size());
-    for (size_t i = 0; i < eager_scores.size(); ++i) {
-      ASSERT_EQ(eager_scores[i], fused_scores[i])
-          << "prediction " << i << " threads=" << threads;
-    }
-  }
-}
-
-TEST(GarciaModelTest, SampledFusedTrainingMatchesEagerExactly) {
-  // Same bit-identity requirement on the sampled-subgraph path: a finite
-  // fanout changes block shapes every step, so capture/flush boundaries
-  // shift constantly — parity must still hold exactly.
-  TrainConfig eager_cfg = FastTrainConfig();
-  eager_cfg.sample_fanout = 8;
-  eager_cfg.fuse_ops = false;
-  TrainConfig fused_cfg = eager_cfg;
-  fused_cfg.fuse_ops = true;
-
-  GarciaModel eager(eager_cfg);
-  GarciaModel fused(fused_cfg);
-  eager.Fit(Tiny());
-  fused.Fit(Tiny());
-
-  EXPECT_EQ(eager.first_pretrain_loss(), fused.first_pretrain_loss());
-  EXPECT_EQ(eager.last_pretrain_loss(), fused.last_pretrain_loss());
-  EXPECT_EQ(eager.last_finetune_loss(), fused.last_finetune_loss());
-
-  auto se = eager.Predict(Tiny(), Tiny().test);
-  auto sf = fused.Predict(Tiny(), Tiny().test);
-  ASSERT_EQ(se.size(), sf.size());
-  for (size_t i = 0; i < se.size(); ++i) {
-    ASSERT_EQ(se[i], sf[i]) << "prediction " << i;
-  }
-}
-
 TEST(GarciaModelTest, PredictionsStableAcrossRepeatedCalls) {
   // Predict/Export reuse one cached post-Fit encoding; repeated calls must
   // agree with each other and with the export hooks exactly.

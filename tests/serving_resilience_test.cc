@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -940,6 +941,50 @@ TEST(PopularityRankerTest, FixedOrderingForEveryQuery) {
   EXPECT_EQ(a[0].first, 1u);  // ties broken by id
   EXPECT_EQ(a[1].first, 3u);
   EXPECT_EQ(a[2].first, 2u);
+}
+
+TEST(FallbackRankerTest, AnswersHoldOnlyTheirKEntriesOverLargeCatalog) {
+  // A 20k-service catalog: an answer must not keep the catalog-sized
+  // scratch (or a resized copy of the full ranking) alive as capacity, and
+  // its entries must be exactly the head of the full ranking.
+  constexpr size_t kCatalog = 20000;
+  core::Rng rng(77);
+  std::vector<double> popularity(kCatalog);
+  std::vector<std::string> names(kCatalog);
+  const char* words[] = {"coffee", "laundry", "taxi", "pizza", "cinema",
+                         "hotel",  "bank",    "gym",  "florist", "bakery"};
+  for (size_t s = 0; s < kCatalog; ++s) {
+    popularity[s] = static_cast<double>(rng.UniformInt(uint64_t{500}));
+    names[s] = std::string(words[s % 10]) + " " + words[(s / 10) % 10] +
+               " " + std::to_string(s % 37);
+  }
+  PopularityRanker popular(popularity);
+  TextRanker text({"coffee bakery", "late night taxi"}, names);
+
+  // Reference popularity order: score descending, ties by ascending id.
+  std::vector<uint32_t> order(kCatalog);
+  for (size_t s = 0; s < kCatalog; ++s) order[s] = static_cast<uint32_t>(s);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return popularity[a] > popularity[b];
+  });
+
+  const RankedList text_full = text.Rank(1, kCatalog);
+  ASSERT_EQ(text_full.size(), kCatalog);
+  for (size_t k : {size_t{1}, size_t{10}, size_t{100}}) {
+    const RankedList p = popular.Rank(0, k);
+    ASSERT_EQ(p.size(), k);
+    EXPECT_LE(p.capacity(), k);
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(p[i].first, order[i]) << "k=" << k << " rank " << i;
+      EXPECT_EQ(p[i].second, static_cast<float>(popularity[order[i]]));
+    }
+
+    const RankedList t = text.Rank(1, k);
+    ASSERT_EQ(t.size(), k);
+    EXPECT_LE(t.capacity(), k);
+    EXPECT_EQ(t, RankedList(text_full.begin(), text_full.begin() + k))
+        << "k=" << k;
+  }
 }
 
 }  // namespace

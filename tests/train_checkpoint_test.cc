@@ -570,6 +570,9 @@ TEST(CrashResumeTest, FingerprintSeparatesModelsAndConfigs) {
   threads.checkpoint_every_steps = 17;
   threads.checkpoint_dir = "/elsewhere";
   EXPECT_EQ(garcia, models::TrainFingerprint(threads, "GARCIA", Tiny()));
+  // Pinned value: GCK1 generations already on disk carry this hash, so
+  // adding, removing or reordering TrainConfig fields must not change it.
+  EXPECT_EQ(garcia, 0x862ff92a40f36be2ULL);
 }
 
 }  // namespace
