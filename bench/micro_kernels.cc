@@ -17,13 +17,7 @@
 // graph against the block-sampled step (TrainConfig::sample_fanout,
 // DESIGN.md §5e) and emits the speedup as JSON; on the small bench scale
 // the minibatch step should clear 2x.
-//
-// `micro_kernels --pipeline_json` times a full GARCIA Fit (pretrain +
-// finetune, sampled mode) barriered (pipeline_depth 0) against pipelined
-// (depth 1) at 1, 2 and 4 threads and writes the step-speedup table to
-// stdout AND BENCH_pipeline.json. The table carries a bit-identity gate:
-// every run's test scores must match the serial barriered reference
-// exactly (DESIGN.md §5j); the exit code is non-zero if any cell diverges.
+
 
 #include <benchmark/benchmark.h>
 
@@ -41,8 +35,6 @@
 #include "core/kernels.h"
 #include "core/matrix.h"
 #include "core/rng.h"
-#include "data/scenario.h"
-#include "models/garcia_model.h"
 #include "models/gnn_encoder.h"
 #include "nn/loss.h"
 #include "nn/ops.h"
@@ -467,114 +459,6 @@ int RunSampleJson() {
   return 0;
 }
 
-// ----- --pipeline_json: barriered vs pipelined training step time -----
-
-/// Small-but-real GARCIA training run for the pipeline sweep: large enough
-/// that a step's planning/sampling work (the part the lookahead overlaps
-/// with the previous step's GEMMs) is measurable, small enough to fit the
-/// median-of-N loop.
-data::ScenarioConfig PipelineBenchScenarioConfig() {
-  data::ScenarioConfig cfg;
-  cfg.num_queries = 1200;
-  cfg.num_services = 300;
-  cfg.num_intentions = 60;
-  cfg.num_trees = 4;
-  cfg.num_impressions = 25000;
-  cfg.head_fraction = 0.06;
-  return cfg;
-}
-
-models::TrainConfig PipelineBenchTrainConfig(size_t threads, size_t depth) {
-  models::TrainConfig cfg;
-  cfg.embedding_dim = 32;
-  cfg.pretrain_epochs = 1;
-  cfg.finetune_epochs = 2;
-  cfg.max_batches_per_epoch = 10;
-  cfg.batch_size = 512;
-  cfg.cl_batch_size = 256;
-  cfg.sample_fanout = 8;  // sampled mode: planning has real work to hide
-  cfg.num_threads = threads;
-  cfg.pipeline_depth = depth;
-  return cfg;
-}
-
-int RunPipelineJson() {
-  const int repeats = BenchRepeats();
-  const data::Scenario scenario =
-      data::GenerateScenario(PipelineBenchScenarioConfig());
-
-  // One (threads, depth) cell: median-of-repeats Fit wall-clock plus the
-  // trained model's test scores from the final run, for the identity gate.
-  // Every run constructs a fresh model so the rng trajectory is the same.
-  struct Cell {
-    double seconds = 0.0;
-    std::vector<float> scores;
-  };
-  auto run_cell = [&](size_t threads, size_t depth) {
-    const models::TrainConfig cfg = PipelineBenchTrainConfig(threads, depth);
-    Cell cell;
-    std::vector<double> secs;
-    for (int r = 0; r < repeats + 1; ++r) {  // first iteration is warmup
-      models::GarciaModel model(cfg);
-      const auto t0 = std::chrono::steady_clock::now();
-      model.Fit(scenario);
-      const double s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (r > 0) secs.push_back(s);
-      if (r == repeats) cell.scores = model.Predict(scenario, scenario.test);
-    }
-    std::sort(secs.begin(), secs.end());
-    cell.seconds = secs[secs.size() / 2];
-    return cell;
-  };
-
-  // The gate behind the table: at every thread count the pipelined run must
-  // score bit-identically to the serial barriered reference — the overlap
-  // is pure scheduling, never arithmetic.
-  const Cell reference = run_cell(0, 0);
-  bool bit_identical = true;
-
-  std::string json = core::StrFormat(
-      "{\n  \"benchmark\": \"pipelined_training_step\",\n"
-      "  \"model\": \"garcia\",\n  \"sample_fanout\": 8,\n"
-      "  \"bit_identity_gate\": \"predict scores vs serial barriered\",\n"
-      "  \"results\": [\n");
-  double best_speedup = 0.0;
-  const std::vector<size_t> counts = {1, 2, 4};
-  for (size_t i = 0; i < counts.size(); ++i) {
-    const size_t t = counts[i];
-    const Cell barriered = run_cell(t, 0);
-    const Cell pipelined = run_cell(t, 1);
-    const bool cell_identical =
-        barriered.scores == reference.scores &&
-        pipelined.scores == reference.scores;
-    bit_identical = bit_identical && cell_identical;
-    const double speedup = barriered.seconds / pipelined.seconds;
-    if (t >= 2) best_speedup = std::max(best_speedup, speedup);
-    json += core::StrFormat(
-        "    {\"threads\": %zu, \"barriered_seconds\": %.6f, "
-        "\"pipelined_seconds\": %.6f, \"speedup\": %.2f, "
-        "\"bit_identical\": %s}%s\n",
-        t, barriered.seconds, pipelined.seconds, speedup,
-        cell_identical ? "true" : "false", i + 1 == counts.size() ? "" : ",");
-  }
-  json += core::StrFormat(
-      "  ],\n  \"bit_identical\": %s,\n"
-      "  \"best_speedup_at_2plus_threads\": %.2f\n}\n",
-      bit_identical ? "true" : "false", best_speedup);
-
-  std::fputs(json.c_str(), stdout);
-  if (std::FILE* f = std::fopen("BENCH_pipeline.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "Wrote BENCH_pipeline.json\n");
-  } else {
-    std::fprintf(stderr, "Could not write BENCH_pipeline.json\n");
-  }
-  return bit_identical ? 0 : 1;
-}
-
 }  // namespace
 }  // namespace garcia
 
@@ -585,9 +469,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--sample_json") == 0) {
       return garcia::RunSampleJson();
-    }
-    if (std::strcmp(argv[i], "--pipeline_json") == 0) {
-      return garcia::RunPipelineJson();
     }
   }
   benchmark::Initialize(&argc, argv);

@@ -35,13 +35,6 @@ echo "==> ASan smoke: micro_kernels --speedup_json"
 (cd "$ROOT/build-asan/bench" && \
   GARCIA_BENCH_REPEATS=1 ./micro_kernels --speedup_json > /dev/null)
 
-echo "==> ASan smoke: micro_kernels --pipeline_json"
-# One barriered-vs-pipelined GARCIA Fit sweep under ASan/UBSan; exits
-# nonzero if any pipelined run's scores diverge from the serial barriered
-# reference (the DESIGN.md §5j bit-identity gate).
-(cd "$ROOT/build-asan/bench" && \
-  GARCIA_BENCH_REPEATS=1 ./micro_kernels --pipeline_json > /dev/null)
-
 echo "==> ASan smoke: retrieval_recall --json"
 # The IVF index under ASan/UBSan at bench shapes: k-means build, probe
 # merge, the SQ8 encode/asymmetric-scan/re-rank path, and the GIV1/GIV2
@@ -57,10 +50,8 @@ echo "==> Sanitizer build (thread)"
 # threaded suites run here: they exercise every ShardedFor dispatch, the
 # destination-sharded reduction kernels and their thread-count bit-parity
 # contract, the block sampler's thread-count-invariance contract, the
-# task-graph countdown/release races (core_taskgraph_test), the pipelined
-# training loops' lookahead handoff (models_pipeline_test), the concurrent
-# batched serving path (BatchRanker + ResilientRanker's sequenced resolve
-# phase), and the
+# ticket sequencer (core_ticket_gate_test), the concurrent batched serving
+# path (BatchRanker + ResilientRanker's sequenced resolve phase), and the
 # shared immutable IvfIndex — float and SQ8-quantized, including the
 # sharded asymmetric scan + exact re-rank — probed from many threads
 # (serving_retrieval_test).
@@ -68,10 +59,10 @@ TSAN_DIR="$ROOT/build-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DGARCIA_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target core_kernels_test core_gemm_test core_threadpool_test nn_ops_test \
-  graph_sampler_test core_taskgraph_test models_pipeline_test \
+  graph_sampler_test core_ticket_gate_test \
   serving_concurrency_test serving_resilience_test serving_retrieval_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|graph_sampler_test|core_taskgraph_test|models_pipeline_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
+  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|graph_sampler_test|core_ticket_gate_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
 
 echo "==> Lifecycle benchmark smoke: perfbench/test_bench.py"
 # The benchmark builds straight from src/ into .bench_build/, so a library

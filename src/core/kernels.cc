@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "core/macros.h"
-#include "core/taskgraph.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define GARCIA_SQ8_X86 1
@@ -276,29 +275,6 @@ void DestShardedReduce(const ExecutionContext& ctx,
                  });
 }
 
-// The contiguous shard boundaries ShardedFor would pick for [0, n): used
-// when a pass is laid out as explicit TaskGraph nodes instead of one
-// blocking sharded call. Boundaries never affect results (the kernels are
-// sharding-invariant by construction); they only set node granularity.
-std::vector<std::pair<size_t, size_t>> ShardRanges(size_t n, size_t threads,
-                                                   size_t min_shard) {
-  std::vector<std::pair<size_t, size_t>> ranges;
-  if (n == 0) return ranges;
-  if (threads <= 1 || n < min_shard * 2) {
-    ranges.emplace_back(0, n);
-    return ranges;
-  }
-  const size_t want = std::min(threads, CeilDiv(n, min_shard));
-  const size_t per = CeilDiv(n, want);
-  const size_t shards = CeilDiv(n, per);
-  ranges.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t lo = s * per;
-    ranges.emplace_back(lo, std::min(n, lo + per));
-  }
-  return ranges;
-}
-
 inline void AddRow(float* dst, const float* src, size_t cols) {
   for (size_t j = 0; j < cols; ++j) dst[j] += src[j];
 }
@@ -327,39 +303,6 @@ inline void SegmentSoftmaxOneSegment(const Matrix& scores,
 }
 
 }  // namespace
-
-void OrderedShardMerge(const ExecutionContext& ctx, size_t num_items,
-                       size_t min_shard,
-                       const std::function<void(size_t, size_t)>& compute,
-                       const std::function<void(size_t, size_t)>& merge) {
-  if (num_items == 0) return;
-  const auto ranges = ShardRanges(num_items, ctx.num_threads(), min_shard);
-  if (!ctx.parallel() || ranges.size() <= 1) {
-    // Serial reference: interleave compute and merge per shard, ascending.
-    // The parallel schedule below reproduces exactly this merge order.
-    for (const auto& r : ranges) {
-      compute(r.first, r.second);
-      merge(r.first, r.second);
-    }
-    return;
-  }
-  // merge(s) waits on {compute(s), merge(s-1)}: a dependency chain through
-  // the merges, with all computes free to run concurrently. No barrier —
-  // shard 0's merge can fire while the last shard is still computing.
-  TaskGraph graph(ctx.pool());
-  TaskGraph::NodeId prev_merge = 0;
-  bool has_prev = false;
-  for (const auto& r : ranges) {
-    const size_t lo = r.first, hi = r.second;
-    const TaskGraph::NodeId c =
-        graph.Add([&compute, lo, hi] { compute(lo, hi); });
-    std::vector<TaskGraph::NodeId> deps{c};
-    if (has_prev) deps.push_back(prev_merge);
-    prev_merge = graph.Add([&merge, lo, hi] { merge(lo, hi); }, deps);
-    has_prev = true;
-  }
-  graph.WaitAll();
-}
 
 void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b, float alpha,
           const Matrix& a, const Matrix& b, float beta, Matrix* c) {
@@ -775,34 +718,25 @@ double CrossEntropyForward(const ExecutionContext& ctx, Matrix* logits,
   GARCIA_CHECK_EQ(targets.size(), n);
   GARCIA_CHECK_GT(n, 0u);
   std::vector<double> row_loss(n);
-  // The total is summed in ascending row order regardless of backend so
-  // the scalar loss is backend-independent; OrderedShardMerge lets each
-  // row shard fold into the total as soon as it (and every earlier shard)
-  // is done, instead of joining the whole pass first.
+  ForEachRow(ctx, n, ctx.tuning().min_loss_rows_per_shard, [&](size_t i) {
+    GARCIA_CHECK_LT(targets[i], m);
+    float* r = logits->row(i);
+    float mx = r[0];
+    for (size_t j = 1; j < m; ++j) mx = std::max(mx, r[j]);
+    double sum = 0.0;
+    for (size_t j = 0; j < m; ++j) {
+      sum += std::exp(static_cast<double>(r[j]) - mx);
+    }
+    const double lse = mx + std::log(sum);
+    row_loss[i] = lse - r[targets[i]];
+    for (size_t j = 0; j < m; ++j) {
+      r[j] = static_cast<float>(std::exp(static_cast<double>(r[j]) - lse));
+    }
+  });
+  // The total is summed in ascending row order regardless of backend, so
+  // the scalar loss is backend-independent.
   double loss = 0.0;
-  OrderedShardMerge(
-      ctx, n, ctx.tuning().min_loss_rows_per_shard,
-      [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          GARCIA_CHECK_LT(targets[i], m);
-          float* r = logits->row(i);
-          float mx = r[0];
-          for (size_t j = 1; j < m; ++j) mx = std::max(mx, r[j]);
-          double sum = 0.0;
-          for (size_t j = 0; j < m; ++j) {
-            sum += std::exp(static_cast<double>(r[j]) - mx);
-          }
-          const double lse = mx + std::log(sum);
-          row_loss[i] = lse - r[targets[i]];
-          for (size_t j = 0; j < m; ++j) {
-            r[j] =
-                static_cast<float>(std::exp(static_cast<double>(r[j]) - lse));
-          }
-        }
-      },
-      [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) loss += row_loss[i];
-      });
+  for (double l : row_loss) loss += l;
   return loss;
 }
 
@@ -886,25 +820,17 @@ std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
   }
   const size_t num_blocks = (n + kTopKBlockRows - 1) / kTopKBlockRows;
   std::vector<std::vector<ScoredId>> partial(num_blocks);
+  ForEachRow(ctx, num_blocks, /*min_shard=*/1, [&](size_t b) {
+    const size_t lo = b * kTopKBlockRows;
+    PartialTopKRows(query, dim, candidates, lo,
+                    std::min(n, lo + kTopKBlockRows), k, &partial[b]);
+  });
   // Merge the per-block winners in ascending block order. The k best of
   // the union of block top-k lists are exactly the global top-k, and the
-  // total order makes that selection (and its sort) unique. The ordered
-  // merge releases per block shard: early blocks append to the result
-  // while later blocks are still scanning.
-  OrderedShardMerge(
-      ctx, num_blocks, /*min_shard=*/1,
-      [&](size_t blo, size_t bhi) {
-        for (size_t b = blo; b < bhi; ++b) {
-          const size_t lo = b * kTopKBlockRows;
-          PartialTopKRows(query, dim, candidates, lo,
-                          std::min(n, lo + kTopKBlockRows), k, &partial[b]);
-        }
-      },
-      [&](size_t blo, size_t bhi) {
-        for (size_t b = blo; b < bhi; ++b) {
-          result.insert(result.end(), partial[b].begin(), partial[b].end());
-        }
-      });
+  // total order makes that selection (and its sort) unique.
+  for (const std::vector<ScoredId>& block : partial) {
+    result.insert(result.end(), block.begin(), block.end());
+  }
   std::partial_sort(result.begin(), result.begin() + k, result.end(),
                     RanksBefore);
   result.resize(k);

@@ -118,11 +118,6 @@ class ExecutionContext {
   void ShardedFor(size_t begin, size_t end, size_t min_shard,
                   const std::function<void(size_t, size_t)>& fn) const;
 
-  /// The backing pool (null on the serial backend). Dependency-tracked
-  /// kernels hand this to core::TaskGraph when a phase edge should release
-  /// per shard instead of joining the whole pass.
-  ThreadPool* pool() const { return pool_.get(); }
-
  private:
   std::unique_ptr<ThreadPool> pool_;  // null = serial backend
   KernelTuning tuning_;
@@ -153,26 +148,6 @@ class ScopedExecution {
 };
 
 namespace kernels {
-
-// ----- Ordered shard merge -----
-
-/// The ascending-order join shared by every reduction with a sequential
-/// merge step: split [0, num_items) into contiguous shards, run
-/// compute(lo, hi) for all shards concurrently, and run merge(lo, hi) for
-/// shard s as soon as compute(s) AND merge(s-1) have finished — a
-/// dependency chain, not a barrier, so late compute shards never hold up
-/// the merge of earlier ones. Because merges fire in ascending shard
-/// order, the merged result is bit-identical to the serial interleaving
-/// "for each shard: compute; merge". The serial backend runs exactly that
-/// interleaving inline. Used by TopKDot's per-block winner merge and the
-/// serial row-order loss totals of the cross-entropy kernels; the serving
-/// resolve phase is the dynamic-ticket form of the same pattern
-/// (core::TicketGate), where the merge section is handed from request
-/// index t to t+1 instead of shard s to s+1.
-void OrderedShardMerge(const ExecutionContext& ctx, size_t num_items,
-                       size_t min_shard,
-                       const std::function<void(size_t, size_t)>& compute,
-                       const std::function<void(size_t, size_t)>& merge);
 
 // ----- GEMM -----
 

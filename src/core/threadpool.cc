@@ -54,8 +54,8 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
 namespace {
 
 /// Per-call completion latch for ParallelForShards. Joining on the latch
-/// instead of pool idleness lets unrelated tasks (TaskGraph nodes, batch
-/// serving work) stay in flight across a sharded kernel call.
+/// instead of pool idleness lets unrelated tasks (other requests of a
+/// served batch) stay in flight across a sharded kernel call.
 struct ShardLatch {
   std::mutex m;
   std::condition_variable cv;
@@ -155,11 +155,6 @@ void ThreadPool::WorkerLoop() {
       if (in_flight_ == 0) all_done_.notify_all();
     }
   }
-}
-
-ThreadPool* ThreadPool::Global() {
-  static ThreadPool* pool = new ThreadPool();
-  return pool;
 }
 
 }  // namespace garcia::core

@@ -15,13 +15,12 @@
 namespace garcia::core {
 
 /// Fixed-size worker pool. Tasks are void() closures; Wait() blocks until
-/// every submitted task has finished. Tasks may Submit further tasks
-/// (TaskGraph continuations release consumers from worker threads), and
-/// ParallelFor/ParallelForShards may be called from inside a pool task:
-/// each call joins on its own completion latch — not on pool idleness —
-/// and the calling thread helps drain the queue while it waits, so nested
-/// sharded calls cannot deadlock and never block on unrelated in-flight
-/// work (e.g. a pipelined training step's lookahead node).
+/// every submitted task has finished. ParallelFor/ParallelForShards may be
+/// called from inside a pool task: each call joins on its own completion
+/// latch — not on pool idleness — and the calling thread helps drain the
+/// queue while it waits, so nested sharded calls cannot deadlock and never
+/// block on unrelated in-flight work (e.g. other requests of a batch
+/// being served on the same pool).
 class ThreadPool {
  public:
   /// num_threads == 0 picks hardware_concurrency (at least 1).
@@ -56,9 +55,6 @@ class ThreadPool {
   void ParallelForShards(size_t begin, size_t end,
                          const std::function<void(size_t, size_t)>& fn,
                          size_t min_shard = 256);
-
-  /// Process-wide shared pool (lazily created).
-  static ThreadPool* Global();
 
  private:
   void WorkerLoop();

@@ -99,8 +99,9 @@ void GnnBaseline::Fit(const data::Scenario& s) {
     start_steps = resume->step_in_epoch;
     mid_epoch_resume = true;
   }
-  auto snapshot = [&](uint64_t epoch, uint64_t step_in_epoch,
-                      const PlannedStepState& planned) {
+  // The snapshot reads the live rng/iterator state, after the step's
+  // auxiliary-loss draws (SGL / SimGCL) and before the next batch.
+  auto snapshot = [&](uint64_t epoch, uint64_t step_in_epoch) {
     train::TrainCheckpoint ck;
     ck.phase = 0;
     ck.epoch = epoch;
@@ -110,66 +111,46 @@ void GnnBaseline::Fit(const data::Scenario& s) {
     ck.adam_t = adam.t;
     ck.adam_m = std::move(adam.m);
     ck.adam_v = std::move(adam.v);
-    ck.rng_streams = planned.rng_streams;
+    ck.rng_streams = {rng_.ExportState(), sample_rng_.ExportState()};
     ck.has_iterator = true;
-    ck.iterator_cursor = planned.iterator_cursor;
-    ck.iterator_order = planned.iterator_order;
+    ck.iterator_cursor = it.cursor();
+    ck.iterator_order = it.order();
     return ck;
   };
 
-  // SGL / SimGCL draw their auxiliary views from rng_ during the COMPUTE
-  // phase; lookahead planning would reorder those draws against the next
-  // step's batch shuffle, so they always train barriered.
-  const bool pipelined = cfg_.pipeline_depth > 0 && !AuxiliaryLossDrawsRng();
-  // One step's planned work: batch rows, the sampled block (every
-  // sample_rng_ draw of the step), and the checkpoint state captured when
-  // the step was planned (see PlannedStepState).
-  struct StepWork {
-    std::vector<uint32_t> batch;
-    std::vector<uint32_t> q_rows, s_rows;
-    graph::Block sampled;
-    PlannedStepState state;
-  };
   for (size_t epoch = start_epoch; epoch < epochs; ++epoch) {
-    size_t first = 0;
+    size_t step = 0;
     if (mid_epoch_resume) {
       // Continue from the restored iterator position; a Reset here would
       // burn a shuffle the uninterrupted run never drew.
       mid_epoch_resume = false;
-      first = start_steps;
+      step = start_steps;
     } else {
       it.Reset();
     }
+    const size_t max_steps = cfg_.max_batches_per_epoch;
     double epoch_loss = 0.0;
-    auto produce = [&](size_t) -> std::optional<StepWork> {
-      StepWork w;
-      w.batch = it.Next();
-      if (w.batch.empty()) return std::nullopt;
+    std::vector<uint32_t> batch;
+    while ((max_steps == 0 || step < max_steps) &&
+           !(batch = it.Next()).empty()) {
       // Plan: map the batch's node rows (identity on the full graph,
       // block-local collection when sampling) before encoding.
       graph::SeedSet seeds(!sampling_);
-      w.q_rows.reserve(w.batch.size());
-      w.s_rows.reserve(w.batch.size());
-      for (uint32_t bi : w.batch) {
-        w.q_rows.push_back(seeds.Map(s.graph.QueryNode(s.train[bi].query)));
-        w.s_rows.push_back(
-            seeds.Map(s.graph.ServiceNode(s.train[bi].service)));
+      std::vector<uint32_t> q_rows, s_rows;
+      q_rows.reserve(batch.size());
+      s_rows.reserve(batch.size());
+      for (uint32_t bi : batch) {
+        q_rows.push_back(seeds.Map(s.graph.QueryNode(s.train[bi].query)));
+        s_rows.push_back(seeds.Map(s.graph.ServiceNode(s.train[bi].service)));
       }
-      if (sampling_) w.sampled = sampler_->Sample(seeds.seeds(), &sample_rng_);
-      w.state.rng_streams = {rng_.ExportState(), sample_rng_.ExportState()};
-      w.state.has_iterator = true;
-      w.state.iterator_cursor = it.cursor();
-      if (ckpt.enabled()) w.state.iterator_order = it.order();
-      return w;
-    };
-    auto consume = [&](size_t step, StepWork& w) {
+      graph::Block sampled;
+      if (sampling_) sampled = sampler_->Sample(seeds.seeds(), &sample_rng_);
       opt.ZeroGrad();
-      const graph::Block& block = sampling_ ? w.sampled : full_block_;
-      Tensor emb = ComputeEmbeddings(block);
-      Tensor logits = LogitsFromRows(emb, w.q_rows, w.s_rows);
-      Matrix labels(w.batch.size(), 1);
-      for (size_t i = 0; i < w.batch.size(); ++i) {
-        labels.at(i, 0) = s.train[w.batch[i]].label;
+      Tensor emb = ComputeEmbeddings(sampling_ ? sampled : full_block_);
+      Tensor logits = LogitsFromRows(emb, q_rows, s_rows);
+      Matrix labels(batch.size(), 1);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        labels.at(i, 0) = s.train[batch[i]].label;
       }
       Tensor loss = nn::BceWithLogits(logits, labels);
       Tensor aux = AuxiliaryLoss(&rng_);
@@ -181,14 +162,11 @@ void GnnBaseline::Fit(const data::Scenario& s) {
       opt.Step();
       epoch_loss += loss.scalar();
       ++global_step;
-      ckpt.AtStepEnd(global_step,
-                     [&] { return snapshot(epoch, step + 1, w.state); });
-    };
-    const size_t steps =
-        RunPipelinedSteps(exec_.pool(), pipelined, first,
-                          cfg_.max_batches_per_epoch, produce, consume);
+      ++step;
+      ckpt.AtStepEnd(global_step, [&] { return snapshot(epoch, step); });
+    }
     GARCIA_LOG(Debug) << name() << " epoch " << epoch
-                      << " loss=" << (steps ? epoch_loss / steps : 0.0);
+                      << " loss=" << (step ? epoch_loss / step : 0.0);
   }
   fitted_ = true;
 }

@@ -58,13 +58,6 @@ class GnnBaseline : public RankingModel {
   /// auxiliary views of SGL / SimGCL are not sampled).
   virtual nn::Tensor AuxiliaryLoss(core::Rng* /*rng*/) { return nn::Tensor(); }
 
-  /// True when AuxiliaryLoss draws from the training rng (SGL / SimGCL
-  /// view augmentations). Pipelined lookahead plans step t+1 — which also
-  /// draws rng_ — before step t's compute phase runs, so for such models
-  /// the draw order would differ from the barriered loop; they ignore
-  /// TrainConfig::pipeline_depth and always train barriered.
-  virtual bool AuxiliaryLossDrawsRng() const { return false; }
-
   /// Extra trainable parameters from BuildModules.
   virtual std::vector<nn::Tensor> ExtraParameters() const { return {}; }
 

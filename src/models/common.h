@@ -11,14 +11,10 @@
 #ifndef GARCIA_MODELS_COMMON_H_
 #define GARCIA_MODELS_COMMON_H_
 
-#include <memory>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/rng.h"
-#include "core/taskgraph.h"
 #include "data/scenario.h"
 #include "eval/metrics.h"
 #include "nn/optimizer.h"
@@ -54,21 +50,6 @@ struct TrainConfig {
   /// Seed of the dedicated sampler rng stream. Kept separate from `seed`
   /// so turning sampling on never shifts batch order or negative draws.
   uint64_t sample_seed = 1013;
-  /// Pipelined training (core/taskgraph.h, DESIGN.md §5j). 0 (the default)
-  /// is the legacy barriered loop: each step plans, samples, encodes, and
-  /// steps strictly in sequence. >= 1 runs step t+1's planning — rng
-  /// draws, NeighborSampler expansion, graph::Block packing — as a
-  /// task-graph node overlapping step t's encode/backward GEMMs (the
-  /// implementation looks at most one step ahead, so every value >= 1
-  /// behaves identically). The lookahead touches only loop state the
-  /// compute phase never reads (rng streams, batch iterator), and both rng
-  /// streams see the exact draw sequence of the barriered loop, so the
-  /// trajectory — parameters, losses, checkpoint bytes — is bit-identical
-  /// for any depth and thread count. Like num_threads, this changes
-  /// wall-clock only and is excluded from TrainFingerprint.
-  /// (Models whose compute phase itself draws rng — SGL / SimGCL auxiliary
-  /// views — ignore the knob and always run barriered.)
-  size_t pipeline_depth = 0;
 
   // Multi-granularity contrastive learning (Eq. 11).
   float tau = 0.1f;    // temperature (paper: 0.1)
@@ -118,11 +99,11 @@ struct TrainConfig {
 /// trajectory, plus the model name and the scenario dimensions. Stored in
 /// each checkpoint; resume under a different fingerprint is refused
 /// because the replayed trajectory would silently diverge. Excludes
-/// num_threads and pipeline_depth (parallel and pipelined execution are
-/// bit-identical to the serial reference) and the checkpoint/fault knobs
-/// themselves (cadence may change across restarts). The hash depends only
-/// on the values mixed in, not on TrainConfig's layout; any change to what
-/// is mixed in orphans every checkpoint generation already on disk.
+/// num_threads (parallel execution is bit-identical to the serial
+/// reference) and the checkpoint/fault knobs themselves (cadence may
+/// change across restarts). The hash depends only on the values mixed in,
+/// not on TrainConfig's layout; any change to what is mixed in orphans
+/// every checkpoint generation already on disk.
 uint64_t TrainFingerprint(const TrainConfig& cfg, const std::string& model_name,
                           const data::Scenario& scenario);
 
@@ -199,81 +180,6 @@ class BatchIterator {
   size_t cursor_ = 0;
   core::Rng* rng_;
 };
-
-/// Checkpoint-relevant stochastic state captured when a step is PLANNED
-/// rather than read live when its snapshot is written (DESIGN.md §5j).
-/// Under pipelined training the next step's lookahead may already be
-/// advancing the rng streams and the batch iterator by the time
-/// CheckpointManager::AtStepEnd fires, so snapshots read this capture. On
-/// the barriered path nothing draws between a step's planning and its end,
-/// so the capture equals the live state and the checkpoint bytes are
-/// identical either way.
-struct PlannedStepState {
-  std::vector<core::RngState> rng_streams;
-  bool has_iterator = false;
-  uint64_t iterator_cursor = 0;
-  /// Only captured when the loop's CheckpointManager is enabled — it is
-  /// the one per-step copy whose size grows with the training set.
-  std::vector<uint32_t> iterator_order;
-};
-
-/// Runs one epoch's step stream with optional one-step lookahead.
-///
-/// `produce(step)` draws everything stochastic about a step (batches,
-/// negatives, sampled blocks) plus its PlannedStepState and returns
-/// nullopt when the stream is exhausted; `consume(step, work)` runs the
-/// step's encode/loss/backward/optimizer phase. Steps run for
-/// step = first_step, first_step+1, ... while produce yields work and
-/// step < max_steps (0 = unbounded).
-///
-/// Barriered mode (pipelined = false) interleaves them exactly like the
-/// legacy loops: produce(t), consume(t), produce(t+1), ... Pipelined mode
-/// hands produce(t+1) to a core::TaskGraph node on `pool` before
-/// consume(t) starts, so next-step sampling and block packing overlap this
-/// step's GEMMs, and joins it through a core::Promise afterwards — a
-/// two-slot double buffer (one Work being consumed, one being produced).
-/// Lookahead is never launched past max_steps or after an exhausted
-/// produce, so the rng streams see exactly the draws of the barriered
-/// loop: produce draws nothing the barriered path would not also draw.
-/// With a null/absent pool the task-graph node runs inline at launch,
-/// which only moves produce(t+1) before consume(t) — bit-identical as long
-/// as consume draws no rng, which is the precondition for enabling
-/// pipelining at all (see TrainConfig::pipeline_depth).
-///
-/// Returns the index one past the last consumed step. Exception-safe: if
-/// consume throws (e.g. the checkpoint kill-point harness), the in-flight
-/// lookahead is joined before the caller's frame unwinds.
-template <typename ProduceFn, typename ConsumeFn>
-size_t RunPipelinedSteps(core::ThreadPool* pool, bool pipelined,
-                         size_t first_step, size_t max_steps,
-                         ProduceFn&& produce, ConsumeFn&& consume) {
-  const auto runnable = [max_steps](size_t step) {
-    return max_steps == 0 || step < max_steps;
-  };
-  size_t step = first_step;
-  if (!runnable(step)) return step;
-  using Work = typename decltype(produce(step))::value_type;
-  using Slot = core::Promise<std::optional<Work>>;
-  // Joined (WaitAll) before this frame unwinds, so a lookahead launched
-  // right before a consume-thrown exception cannot outlive the loop state
-  // it captures.
-  core::TaskGraph lookahead(pipelined ? pool : nullptr);
-  std::optional<Work> work = produce(step);
-  while (work.has_value()) {
-    std::shared_ptr<Slot> next;
-    if (pipelined && runnable(step + 1)) {
-      next = std::make_shared<Slot>();
-      const size_t next_step = step + 1;
-      lookahead.Add(
-          [&produce, next, next_step] { next->Set(produce(next_step)); });
-    }
-    consume(step, *work);
-    ++step;
-    if (!runnable(step)) break;  // next was never launched past the cap
-    work = next != nullptr ? next->Take() : produce(step);
-  }
-  return step;
-}
 
 }  // namespace garcia::models
 

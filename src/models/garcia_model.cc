@@ -121,31 +121,21 @@ GarciaModel::Encoded GarciaModel::EncodeAll() const {
   return e;
 }
 
-GarciaModel::SampledBlocks GarciaModel::SampleBlocks(
-    const std::vector<uint32_t>& head_seeds,
-    const std::vector<uint32_t>& tail_seeds) {
-  SampledBlocks blocks;
-  if (!head_seeds.empty()) {
-    blocks.has_head = true;
-    blocks.head = head_sampler_->Sample(head_seeds, &sample_rng_);
-  }
-  if (!cfg_.share_encoders && !tail_seeds.empty()) {
-    blocks.has_tail = true;
-    blocks.tail = tail_sampler_->Sample(tail_seeds, &sample_rng_);
-  }
-  return blocks;
-}
-
-GarciaModel::Encoded GarciaModel::EncodeSampled(
-    const SampledBlocks& blocks) const {
+GarciaModel::Encoded GarciaModel::EncodeStep(const graph::SeedSet& head_seeds,
+                                             const graph::SeedSet& tail_seeds) {
+  if (!sampling_) return EncodeAll();
   Encoded e;
-  if (blocks.has_head) {
-    e.head = head_encoder_->EncodeBlock(head_sub_->graph, blocks.head);
+  if (!head_seeds.seeds().empty()) {
+    e.head = head_encoder_->EncodeBlock(
+        head_sub_->graph,
+        head_sampler_->Sample(head_seeds.seeds(), &sample_rng_));
   }
   if (cfg_.share_encoders) {
     e.tail = e.head;
-  } else if (blocks.has_tail) {
-    e.tail = tail_encoder_->EncodeBlock(tail_sub_->graph, blocks.tail);
+  } else if (!tail_seeds.seeds().empty()) {
+    e.tail = tail_encoder_->EncodeBlock(
+        tail_sub_->graph,
+        tail_sampler_->Sample(tail_seeds.seeds(), &sample_rng_));
   }
   return e;
 }
@@ -471,23 +461,10 @@ void GarciaModel::Fit(const data::Scenario& s) {
     rng_.RestoreState(resume->rng_streams[0]);
     sample_rng_.RestoreState(resume->rng_streams[1]);
   };
-  // Rng/iterator state is captured when a step is PLANNED, not when its
-  // snapshot is written: under pipelining the next step's lookahead may
-  // already be advancing both by the time AtStepEnd fires (see
-  // PlannedStepState). Nothing draws between planning and the step end on
-  // the barriered path, so the capture is the same bytes either way.
-  auto capture_state = [&](BatchIterator* it) {
-    PlannedStepState st;
-    st.rng_streams = {rng_.ExportState(), sample_rng_.ExportState()};
-    if (it != nullptr) {
-      st.has_iterator = true;
-      st.iterator_cursor = it->cursor();
-      if (ckpt.enabled()) st.iterator_order = it->order();
-    }
-    return st;
-  };
+  // The snapshot reads the live rng/iterator state: nothing draws between
+  // a step's optimizer update and its AtStepEnd.
   auto snapshot = [&](uint32_t phase, uint64_t epoch, uint64_t step_in_epoch,
-                      nn::Adam* opt, const PlannedStepState& planned) {
+                      nn::Adam* opt, const BatchIterator* it) {
     train::TrainCheckpoint ck;
     ck.phase = phase;
     ck.epoch = epoch;
@@ -499,23 +476,21 @@ void GarciaModel::Fit(const data::Scenario& s) {
     ck.adam_t = adam.t;
     ck.adam_m = std::move(adam.m);
     ck.adam_v = std::move(adam.v);
-    ck.rng_streams = planned.rng_streams;
-    if (planned.has_iterator) {
+    ck.rng_streams = {rng_.ExportState(), sample_rng_.ExportState()};
+    if (it != nullptr) {
       ck.has_iterator = true;
-      ck.iterator_cursor = planned.iterator_cursor;
-      ck.iterator_order = planned.iterator_order;
+      ck.iterator_cursor = it->cursor();
+      ck.iterator_order = it->order();
     }
     return ck;
   };
-  const bool pipelined = cfg_.pipeline_depth > 0;
 
-  // Each step plans (all rng draws), encodes (full graph or a block from
-  // the plan's seed rows), then evaluates the loss against the plan. When
-  // encoders are shared, head and tail rows live in one space, so both
-  // plan sides feed a single seed set.
+  // Each step plans (all rng_ draws), encodes (the full graph, or blocks
+  // sampled from the plan's seed rows), then evaluates the loss against the
+  // plan. When encoders are shared, head and tail rows live in one space,
+  // so both plan sides feed a single seed set.
   auto plan_seeds = [this](graph::SeedSet* head_store,
                            graph::SeedSet* tail_store) -> graph::SeedSet* {
-    (void)head_store;
     return cfg_.share_encoders ? head_store : tail_store;
   };
 
@@ -538,33 +513,18 @@ void GarciaModel::Fit(const data::Scenario& s) {
         start_step = 0;
       }
     }
-    // One pre-training step's planned work: the plan (every rng_ draw of
-    // the step), the sampled blocks (every sample_rng_ draw), and the
-    // checkpoint state captured right after both.
-    struct PretrainWork {
-      PretrainPlan plan;
-      SampledBlocks blocks;
-      PlannedStepState state;
-    };
     for (size_t epoch = start_epoch; epoch < cfg_.pretrain_epochs; ++epoch) {
       double epoch_loss = 0.0;
       const size_t first = (epoch == start_epoch) ? start_step : 0;
-      auto produce = [&](size_t) -> std::optional<PretrainWork> {
-        PretrainWork w;
+      for (size_t step = first; step < steps; ++step) {
         graph::SeedSet head_seeds(!sampling_);
         graph::SeedSet tail_store(!sampling_);
         graph::SeedSet* tail_seeds = plan_seeds(&head_seeds, &tail_store);
-        w.plan = PlanPretrainStep(s, &rng_, &head_seeds, tail_seeds);
-        if (sampling_) {
-          w.blocks = SampleBlocks(head_seeds.seeds(), tail_seeds->seeds());
-        }
-        w.state = capture_state(nullptr);
-        return w;
-      };
-      auto consume = [&](size_t step, PretrainWork& w) {
+        const PretrainPlan plan =
+            PlanPretrainStep(s, &rng_, &head_seeds, tail_seeds);
         opt.ZeroGrad();
-        Encoded e = sampling_ ? EncodeSampled(w.blocks) : EncodeAll();
-        Tensor loss = PretrainLossFromPlan(w.plan, e);
+        Encoded e = EncodeStep(head_seeds, *tail_seeds);
+        Tensor loss = PretrainLossFromPlan(plan, e);
         loss.Backward();
         nn::ClipGradNorm(params, 5.0);
         opt.Step();
@@ -573,11 +533,9 @@ void GarciaModel::Fit(const data::Scenario& s) {
         last_pretrain_loss_ = loss.scalar();
         ++global_step;
         ckpt.AtStepEnd(global_step, [&] {
-          return snapshot(/*phase=*/0, epoch, step + 1, &opt, w.state);
+          return snapshot(/*phase=*/0, epoch, step + 1, &opt, nullptr);
         });
-      };
-      RunPipelinedSteps(exec_.pool(), pipelined, first, steps, produce,
-                        consume);
+      }
       GARCIA_LOG(Debug) << name() << " pretrain epoch " << epoch
                         << " loss=" << epoch_loss / steps;
     }
@@ -601,49 +559,35 @@ void GarciaModel::Fit(const data::Scenario& s) {
     start_steps = resume->step_in_epoch;
     mid_epoch_resume = true;
   }
-  // One fine-tuning step's planned work (see PretrainWork above; the batch
-  // rides along for the label rows).
-  struct FinetuneWork {
-    std::vector<uint32_t> batch;
-    LogitsPlan plan;
-    SampledBlocks blocks;
-    PlannedStepState state;
-  };
   for (size_t epoch = start_epoch; epoch < cfg_.finetune_epochs; ++epoch) {
     // The resumed epoch continues from the restored iterator position; a
     // Reset here would burn an extra shuffle the uninterrupted run never
     // drew. (A snapshot taken on the last step of an epoch re-enters here,
-    // produces an empty batch immediately, and resets for the next epoch —
+    // gets an empty batch immediately, and resets for the next epoch —
     // exactly the uninterrupted order.)
-    size_t first = 0;
+    size_t step = 0;
     if (mid_epoch_resume) {
       mid_epoch_resume = false;
-      first = start_steps;
+      step = start_steps;
     } else {
       it.Reset();
     }
+    const size_t max_steps = cfg_.max_batches_per_epoch;
     double epoch_loss = 0.0;
-    auto produce = [&](size_t) -> std::optional<FinetuneWork> {
-      FinetuneWork w;
-      w.batch = it.Next();
-      if (w.batch.empty()) return std::nullopt;
+    std::vector<uint32_t> batch;
+    while ((max_steps == 0 || step < max_steps) &&
+           !(batch = it.Next()).empty()) {
       graph::SeedSet head_seeds(!sampling_);
       graph::SeedSet tail_store(!sampling_);
       graph::SeedSet* tail_seeds = plan_seeds(&head_seeds, &tail_store);
-      w.plan = PlanBatchLogits(s.train, w.batch, &head_seeds, tail_seeds);
-      if (sampling_) {
-        w.blocks = SampleBlocks(head_seeds.seeds(), tail_seeds->seeds());
-      }
-      w.state = capture_state(&it);
-      return w;
-    };
-    auto consume = [&](size_t step, FinetuneWork& w) {
+      const LogitsPlan plan =
+          PlanBatchLogits(s.train, batch, &head_seeds, tail_seeds);
       opt.ZeroGrad();
-      Encoded e = sampling_ ? EncodeSampled(w.blocks) : EncodeAll();
-      Tensor logits = LogitsFromPlan(w.plan, e);
-      Matrix labels(w.plan.order.size(), 1);
-      for (size_t i = 0; i < w.plan.order.size(); ++i) {
-        labels.at(i, 0) = s.train[w.plan.order[i]].label;
+      Encoded e = EncodeStep(head_seeds, *tail_seeds);
+      Tensor logits = LogitsFromPlan(plan, e);
+      Matrix labels(plan.order.size(), 1);
+      for (size_t i = 0; i < plan.order.size(); ++i) {
+        labels.at(i, 0) = s.train[plan.order[i]].label;
       }
       Tensor loss = nn::BceWithLogits(logits, labels);
       loss.Backward();
@@ -652,15 +596,13 @@ void GarciaModel::Fit(const data::Scenario& s) {
       epoch_loss += loss.scalar();
       last_finetune_loss_ = loss.scalar();
       ++global_step;
+      ++step;
       ckpt.AtStepEnd(global_step, [&] {
-        return snapshot(/*phase=*/1, epoch, step + 1, &opt, w.state);
+        return snapshot(/*phase=*/1, epoch, step, &opt, &it);
       });
-    };
-    const size_t steps =
-        RunPipelinedSteps(exec_.pool(), pipelined, first,
-                          cfg_.max_batches_per_epoch, produce, consume);
+    }
     GARCIA_LOG(Debug) << name() << " finetune epoch " << epoch
-                      << " loss=" << (steps ? epoch_loss / steps : 0.0);
+                      << " loss=" << (step ? epoch_loss / step : 0.0);
   }
   fitted_ = true;
 }

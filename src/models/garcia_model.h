@@ -94,32 +94,19 @@ class GarciaModel : public RankingModel {
     std::vector<uint32_t> hs_other_rows, ts_other_rows;
   };
 
-  /// One step's sampled computation structure: at most one block per
-  /// partition. Produced by SampleBlocks (the planning phase — the only
-  /// part that draws sample_rng_) and consumed by EncodeSampled (the
-  /// compute phase), so pipelined training can pack step t+1's blocks
-  /// while step t's encode runs (DESIGN.md §5j).
-  struct SampledBlocks {
-    bool has_head = false;
-    bool has_tail = false;  // never set when encoders are shared
-    graph::Block head;
-    graph::Block tail;
-  };
-
   /// Builds encoders and partitions for the scenario (first Fit step) and
   /// asserts the encoder/graph shape invariants once.
   void Setup(const data::Scenario& s);
   /// Every trainable parameter, in the fixed optimizer order.
   std::vector<nn::Tensor> CollectParameters() const;
   Encoded EncodeAll() const;
-  /// Samples one block per non-empty partition seed list, head first (the
-  /// fixed sample_rng_ draw order).
-  SampledBlocks SampleBlocks(const std::vector<uint32_t>& head_seeds,
-                             const std::vector<uint32_t>& tail_seeds);
-  /// Encodes the sampled blocks (a partition without a block leaves its
-  /// output undefined — the plan guarantees nothing reads it). Draws no
-  /// rng; safe to overlap with the next step's SampleBlocks.
-  Encoded EncodeSampled(const SampledBlocks& blocks) const;
+  /// One training step's encoding: the full graph when not sampling;
+  /// otherwise each partition with a non-empty seed list samples a
+  /// NeighborSampler block and encodes it, head first (the fixed
+  /// sample_rng_ draw order). A partition without a block leaves its
+  /// output undefined; the step's plan guarantees nothing reads it.
+  Encoded EncodeStep(const graph::SeedSet& head_seeds,
+                     const graph::SeedSet& tail_seeds);
   /// Post-Fit encoding shared by Predict / the export hooks. Encoding is
   /// deterministic given the fitted parameters (no RNG), so the first call
   /// after Fit computes it and later calls reuse the cached pass. Re-Fit

@@ -19,7 +19,6 @@ class Sgl : public LightGcn {
 
  protected:
   nn::Tensor AuxiliaryLoss(core::Rng* rng) override;
-  bool AuxiliaryLossDrawsRng() const override { return true; }
 };
 
 }  // namespace garcia::models

@@ -20,7 +20,6 @@ class SimGcl : public LightGcn {
 
  protected:
   nn::Tensor AuxiliaryLoss(core::Rng* rng) override;
-  bool AuxiliaryLossDrawsRng() const override { return true; }
 
  private:
   /// One noisy propagation pass.

@@ -33,34 +33,23 @@ Matrix WideDeep::WideFeatures(const std::vector<data::Example>& examples,
   return out;
 }
 
-WideDeep::PackedBatch WideDeep::PackBatch(
-    const std::vector<data::Example>& examples,
-    const std::vector<uint32_t>& batch) const {
-  PackedBatch packed;
-  packed.q_ids.reserve(batch.size());
-  packed.s_ids.reserve(batch.size());
+Tensor WideDeep::BatchLogits(const std::vector<data::Example>& examples,
+                             const std::vector<uint32_t>& batch) const {
+  std::vector<uint32_t> q_ids, s_ids;
+  q_ids.reserve(batch.size());
+  s_ids.reserve(batch.size());
   for (uint32_t bi : batch) {
-    packed.q_ids.push_back(examples[bi].query);
-    packed.s_ids.push_back(examples[bi].service);
+    q_ids.push_back(examples[bi].query);
+    s_ids.push_back(examples[bi].service);
   }
-  packed.wide = WideFeatures(examples, batch);
-  return packed;
-}
-
-Tensor WideDeep::LogitsFromPacked(const PackedBatch& packed) const {
-  Tensor wide_in = Tensor::Constant(packed.wide);
+  Tensor wide_in = Tensor::Constant(WideFeatures(examples, batch));
   Tensor wide_logit = wide_->Forward(wide_in);
   Tensor deep_in = nn::ConcatCols(
-      nn::ConcatCols(query_embedding_->Forward(packed.q_ids),
-                     service_embedding_->Forward(packed.s_ids)),
+      nn::ConcatCols(query_embedding_->Forward(q_ids),
+                     service_embedding_->Forward(s_ids)),
       wide_in);
   Tensor deep_logit = deep_->Forward(deep_in);
   return nn::Add(wide_logit, deep_logit);
-}
-
-Tensor WideDeep::BatchLogits(const std::vector<data::Example>& examples,
-                             const std::vector<uint32_t>& batch) const {
-  return LogitsFromPacked(PackBatch(examples, batch));
 }
 
 void WideDeep::Fit(const data::Scenario& s) {
@@ -109,8 +98,7 @@ void WideDeep::Fit(const data::Scenario& s) {
     start_steps = resume->step_in_epoch;
     mid_epoch_resume = true;
   }
-  auto snapshot = [&](uint64_t epoch, uint64_t step_in_epoch,
-                      const PlannedStepState& planned) {
+  auto snapshot = [&](uint64_t epoch, uint64_t step_in_epoch) {
     train::TrainCheckpoint ck;
     ck.phase = 0;
     ck.epoch = epoch;
@@ -120,63 +108,43 @@ void WideDeep::Fit(const data::Scenario& s) {
     ck.adam_t = adam.t;
     ck.adam_m = std::move(adam.m);
     ck.adam_v = std::move(adam.v);
-    ck.rng_streams = planned.rng_streams;
+    ck.rng_streams = {rng_.ExportState()};
     ck.has_iterator = true;
-    ck.iterator_cursor = planned.iterator_cursor;
-    ck.iterator_order = planned.iterator_order;
+    ck.iterator_cursor = it.cursor();
+    ck.iterator_order = it.order();
     return ck;
   };
 
-  const bool pipelined = cfg_.pipeline_depth > 0;
-  // One step's planned work: the packed batch (feature assembly — the
-  // expensive non-tensor part of a Wide&Deep step) plus labels and the
-  // checkpoint state captured at plan time (see PlannedStepState).
-  struct StepWork {
-    PackedBatch packed;
-    Matrix labels;
-    PlannedStepState state;
-  };
   for (size_t epoch = start_epoch; epoch < epochs; ++epoch) {
-    size_t first = 0;
+    size_t step = 0;
     if (mid_epoch_resume) {
       mid_epoch_resume = false;
-      first = start_steps;
+      step = start_steps;
     } else {
       it.Reset();
     }
+    const size_t max_steps = cfg_.max_batches_per_epoch;
     double epoch_loss = 0.0;
-    auto produce = [&](size_t) -> std::optional<StepWork> {
-      std::vector<uint32_t> batch = it.Next();
-      if (batch.empty()) return std::nullopt;
-      StepWork w;
-      w.packed = PackBatch(s.train, batch);
-      w.labels = Matrix(batch.size(), 1);
+    std::vector<uint32_t> batch;
+    while ((max_steps == 0 || step < max_steps) &&
+           !(batch = it.Next()).empty()) {
+      Matrix labels(batch.size(), 1);
       for (size_t i = 0; i < batch.size(); ++i) {
-        w.labels.at(i, 0) = s.train[batch[i]].label;
+        labels.at(i, 0) = s.train[batch[i]].label;
       }
-      w.state.rng_streams = {rng_.ExportState()};
-      w.state.has_iterator = true;
-      w.state.iterator_cursor = it.cursor();
-      if (ckpt.enabled()) w.state.iterator_order = it.order();
-      return w;
-    };
-    auto consume = [&](size_t step, StepWork& w) {
       opt.ZeroGrad();
-      Tensor logits = LogitsFromPacked(w.packed);
-      Tensor loss = nn::BceWithLogits(logits, w.labels);
+      Tensor logits = BatchLogits(s.train, batch);
+      Tensor loss = nn::BceWithLogits(logits, labels);
       loss.Backward();
       nn::ClipGradNorm(params, 5.0);
       opt.Step();
       epoch_loss += loss.scalar();
       ++global_step;
-      ckpt.AtStepEnd(global_step,
-                     [&] { return snapshot(epoch, step + 1, w.state); });
-    };
-    const size_t steps =
-        RunPipelinedSteps(exec_.pool(), pipelined, first,
-                          cfg_.max_batches_per_epoch, produce, consume);
+      ++step;
+      ckpt.AtStepEnd(global_step, [&] { return snapshot(epoch, step); });
+    }
     GARCIA_LOG(Debug) << name() << " epoch " << epoch
-                      << " loss=" << (steps ? epoch_loss / steps : 0.0);
+                      << " loss=" << (step ? epoch_loss / step : 0.0);
   }
   fitted_ = true;
 }

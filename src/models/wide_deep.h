@@ -34,16 +34,6 @@ class WideDeep : public RankingModel {
   core::Matrix WideFeatures(const std::vector<data::Example>& examples,
                             const std::vector<uint32_t>& batch) const;
 
-  /// One batch's packed inputs: id lists plus the dense wide-feature
-  /// matrix. Pure feature assembly (no rng, no tensor ops), so pipelined
-  /// training packs step t+1's batch while step t's GEMMs run.
-  struct PackedBatch {
-    std::vector<uint32_t> q_ids, s_ids;
-    core::Matrix wide;
-  };
-  PackedBatch PackBatch(const std::vector<data::Example>& examples,
-                        const std::vector<uint32_t>& batch) const;
-  nn::Tensor LogitsFromPacked(const PackedBatch& packed) const;
   nn::Tensor BatchLogits(const std::vector<data::Example>& examples,
                          const std::vector<uint32_t>& batch) const;
 

@@ -386,8 +386,8 @@ RankedList IvfIndex::Query(const core::ExecutionContext& ctx,
 
   // Fine stage: exact dots over the probed lists. Selection under the
   // total order is unique, so the shard partitioning cannot change the
-  // answer; the ordered merge releases early shards while later ones are
-  // still scanning (the TopKDot pattern).
+  // answer; per-list winners are merged in ascending probe order (the
+  // TopKDot pattern).
   if (!ctx.parallel() || probes.size() < 2) {
     result.reserve(k);
     for (const auto& [list, score] : probes) {
@@ -396,22 +396,19 @@ RankedList IvfIndex::Query(const core::ExecutionContext& ctx,
     }
   } else {
     std::vector<std::vector<ScoredId>> partial(probes.size());
-    core::kernels::OrderedShardMerge(
-        ctx, probes.size(), /*min_shard=*/1,
-        [&](size_t plo, size_t phi) {
-          for (size_t p = plo; p < phi; ++p) {
-            const uint32_t list = probes[p].first;
-            partial[p].reserve(k);
-            PartialTopKList(query, dim(), vectors_, ids_,
-                            list_offsets_[list], list_offsets_[list + 1], k,
-                            &partial[p]);
-          }
-        },
-        [&](size_t plo, size_t phi) {
-          for (size_t p = plo; p < phi; ++p) {
-            result.insert(result.end(), partial[p].begin(), partial[p].end());
-          }
-        });
+    ctx.ShardedFor(0, probes.size(), /*min_shard=*/1,
+                   [&](size_t plo, size_t phi) {
+                     for (size_t p = plo; p < phi; ++p) {
+                       const uint32_t list = probes[p].first;
+                       partial[p].reserve(k);
+                       PartialTopKList(query, dim(), vectors_, ids_,
+                                       list_offsets_[list],
+                                       list_offsets_[list + 1], k, &partial[p]);
+                     }
+                   });
+    for (const std::vector<ScoredId>& winners : partial) {
+      result.insert(result.end(), winners.begin(), winners.end());
+    }
   }
   std::partial_sort(result.begin(),
                     result.begin() + static_cast<ptrdiff_t>(k), result.end(),

@@ -42,7 +42,7 @@
 #include "core/backoff.h"
 #include "core/clock.h"
 #include "core/rng.h"
-#include "core/taskgraph.h"
+#include "core/ticket_gate.h"
 #include "models/text_encoder.h"
 #include "serving/fault_injector.h"
 #include "serving/ranking_service.h"

@@ -362,6 +362,16 @@ Result<TrainCheckpoint> DecodeCheckpoint(const std::string& bytes,
         if (ck.iterator_cursor > count) {
           return SectionError(origin, id, "cursor is past the end");
         }
+        // Training indexes the example list through this order, so an
+        // entry out of range or repeated must never reach BatchIterator.
+        std::vector<bool> present(count, false);
+        for (uint32_t i : ck.iterator_order) {
+          if (i >= count || present[i]) {
+            return SectionError(origin, id,
+                                "order is not a permutation of [0, count)");
+          }
+          present[i] = true;
+        }
         break;
       }
     }

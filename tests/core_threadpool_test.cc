@@ -63,13 +63,6 @@ TEST(ThreadPoolTest, SingleThreadPool) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPoolTest, GlobalPoolExists) {
-  ThreadPool* g = ThreadPool::Global();
-  ASSERT_NE(g, nullptr);
-  EXPECT_GE(g->num_threads(), 1u);
-  EXPECT_EQ(g, ThreadPool::Global());
-}
-
 TEST(ThreadPoolTest, ReusableAcrossWaves) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};

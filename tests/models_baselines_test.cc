@@ -106,22 +106,30 @@ TEST(BaselineEmbeddingsTest, WideDeepHasNoEmbeddingSpace) {
 
 TEST(BaselineThreadingTest, ThreadedTrainingMatchesSerialExactly) {
   // The kernel layer's thread-count invariance holds for the baselines too:
-  // LightGCN exercises the GNN propagate + normalize path, Wide&Deep the
-  // pure MLP/BCE path. Predictions at 4 threads must match serial bit for
-  // bit.
-  for (const std::string name : {"LightGCN", "Wide&Deep"}) {
-    TrainConfig threaded_cfg = FastTrainConfig();
+  // LightGCN exercises the GNN propagate + normalize path (full graph and
+  // sampled blocks), Wide&Deep the pure MLP/BCE path. Predictions at 4
+  // threads must match serial bit for bit.
+  const struct {
+    std::string name;
+    size_t sample_fanout;
+  } cases[] = {{"LightGCN", 0}, {"LightGCN", 8}, {"Wide&Deep", 0}};
+  for (const auto& c : cases) {
+    const std::string label =
+        c.name + " fanout=" + std::to_string(c.sample_fanout);
+    TrainConfig serial_cfg = FastTrainConfig();
+    serial_cfg.sample_fanout = c.sample_fanout;
+    TrainConfig threaded_cfg = serial_cfg;
     threaded_cfg.num_threads = 4;
 
-    auto serial = CreateModel(name, FastTrainConfig());
-    auto threaded = CreateModel(name, threaded_cfg);
+    auto serial = CreateModel(c.name, serial_cfg);
+    auto threaded = CreateModel(c.name, threaded_cfg);
     serial->Fit(Tiny());
     threaded->Fit(Tiny());
     auto ss = serial->Predict(Tiny(), Tiny().test);
     auto st = threaded->Predict(Tiny(), Tiny().test);
-    ASSERT_EQ(ss.size(), st.size()) << name;
+    ASSERT_EQ(ss.size(), st.size()) << label;
     for (size_t i = 0; i < ss.size(); ++i) {
-      ASSERT_EQ(ss[i], st[i]) << name << " prediction " << i;
+      ASSERT_EQ(ss[i], st[i]) << label << " prediction " << i;
     }
   }
 }

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "models/common.h"
 #include "models/garcia_model.h"
 #include "models/lightgcn.h"
+#include "models/sgl.h"
 #include "models/wide_deep.h"
 
 namespace garcia::train {
@@ -178,6 +181,23 @@ TEST(CheckpointContainerTest, IteratorCursorPastEndRejected) {
   auto decoded = DecodeCheckpoint(EncodeCheckpoint(ck), "test");
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("cursor"), std::string::npos);
+}
+
+TEST(CheckpointContainerTest, IteratorOrderNotAPermutationRejected) {
+  // MakeCheckpoint's order is a permutation of [0, 7).
+  TrainCheckpoint duplicated = MakeCheckpoint(7);
+  duplicated.iterator_order[1] = duplicated.iterator_order[0];
+  TrainCheckpoint out_of_range = MakeCheckpoint(7);
+  out_of_range.iterator_order[3] = 7;
+  for (const TrainCheckpoint& ck : {duplicated, out_of_range}) {
+    auto decoded = DecodeCheckpoint(EncodeCheckpoint(ck), "test");
+    ASSERT_FALSE(decoded.ok());
+    const std::string msg = decoded.status().message();
+    EXPECT_NE(msg.find(CheckpointSectionName(CheckpointSectionId::kIterator)),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("permutation"), std::string::npos) << msg;
+  }
 }
 
 TEST(CheckpointContainerTest, AllZeroRngStateRejected) {
@@ -487,6 +507,17 @@ TEST(CrashResumeTest, LightGcnResumesBitIdentical) {
   fs::remove_all(cfg.checkpoint_dir);
 }
 
+TEST(CrashResumeTest, SglResumesBitIdentical) {
+  // SGL's auxiliary views draw the training rng after the batch is planned,
+  // so a snapshot must carry the stream state from the end of the step.
+  const RunResult reference = FitAndExport<models::Sgl>(FastTrainConfig());
+  models::TrainConfig cfg = CheckpointedConfig("sgl");
+  const RunResult resumed =
+      CrashThenResume<models::Sgl>(cfg, KillPoint::kAfterWrite, 12);
+  ExpectBitIdentical(reference, resumed);
+  fs::remove_all(cfg.checkpoint_dir);
+}
+
 TEST(CrashResumeTest, WideDeepResumesBitIdentical) {
   // WideDeep has no exported embeddings; compare predictions instead.
   models::TrainConfig plain = FastTrainConfig();
@@ -513,6 +544,53 @@ TEST(CrashResumeTest, WideDeepResumesBitIdentical) {
     EXPECT_EQ(want[i], got[i]) << "prediction " << i << " diverged";
   }
   fs::remove_all(cfg.checkpoint_dir);
+}
+
+TEST(CrashResumeTest, CheckpointBytesThreadInvariant) {
+  // Every generation of a sampled GARCIA run (both phases) must carry the
+  // same bytes whether the kernels run serially or on a thread pool.
+  auto read_file = [](const fs::path& p) {
+    std::ifstream f(p, std::ios::binary);
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+  };
+  auto generations = [](const std::string& dir) {
+    std::vector<fs::path> files;
+    for (const auto& e : fs::directory_iterator(dir)) files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+
+  models::TrainConfig cfg = FastTrainConfig();
+  cfg.pretrain_epochs = 2;
+  cfg.finetune_epochs = 3;
+  cfg.max_batches_per_epoch = 6;
+  cfg.sample_fanout = 8;
+  cfg.checkpoint_every_steps = 4;
+  cfg.checkpoint_keep = 0;  // keep every generation
+
+  models::TrainConfig serial = cfg;
+  serial.num_threads = 0;
+  serial.checkpoint_dir = TempDir("threads_serial");
+  models::GarciaModel(serial).Fit(Tiny());
+
+  models::TrainConfig threaded = cfg;
+  threaded.num_threads = 2;
+  threaded.checkpoint_dir = TempDir("threads_two");
+  models::GarciaModel(threaded).Fit(Tiny());
+
+  const std::vector<fs::path> a = generations(serial.checkpoint_dir);
+  const std::vector<fs::path> b = generations(threaded.checkpoint_dir);
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].filename(), b[i].filename());
+    EXPECT_EQ(read_file(a[i]), read_file(b[i]))
+        << "checkpoint " << a[i].filename() << " diverged";
+  }
+  fs::remove_all(serial.checkpoint_dir);
+  fs::remove_all(threaded.checkpoint_dir);
 }
 
 TEST(CrashResumeTest, RepeatedCrashesStillConverge) {
