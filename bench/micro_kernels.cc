@@ -12,6 +12,10 @@
 // 4 threads; a single-core container reports ~1x and the serial wall-clock
 // column is the meaningful axis. GARCIA_BENCH_REPEATS overrides the
 // median-of-5 repeat count (the ASan smoke in scripts/check.sh uses 1).
+// The table's `topk_dot` rows time the serving scan (kernels::TopKDot,
+// 20000 x embedding_dim, k = 10, serial; and 20003 x (embedding_dim + 1)
+// for the vector path's tails) against the scalar reference; the tool
+// exits 1 if the two rankings differ in any byte.
 //
 // `micro_kernels --sample_json` times one GARCIA finetune step on the full
 // graph against the block-sampled step (TrainConfig::sample_fanout,
@@ -28,6 +32,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/string_util.h"
@@ -35,6 +40,7 @@
 #include "core/kernels.h"
 #include "core/matrix.h"
 #include "core/rng.h"
+#include "models/common.h"
 #include "models/gnn_encoder.h"
 #include "nn/loss.h"
 #include "nn/ops.h"
@@ -165,13 +171,16 @@ void BM_InfoNceForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_InfoNceForwardBackward)->Arg(256)->Arg(1024);
 
+/// The served embedding width (TrainConfig::embedding_dim).
+const size_t kServeDim = models::TrainConfig{}.embedding_dim;
+
 void BM_TopKRetrieval(benchmark::State& state) {
   const size_t services = static_cast<size_t>(state.range(0));
   core::Rng rng(8);
-  core::Matrix cands = core::Matrix::Randn(services, 64, &rng);
-  core::Matrix query = core::Matrix::Randn(1, 64, &rng);
+  core::Matrix cands = core::Matrix::Randn(services, kServeDim, &rng);
+  core::Matrix query = core::Matrix::Randn(1, kServeDim, &rng);
   for (auto _ : state) {
-    auto top = serving::TopKInnerProduct(query.row(0), 64, cands, 10);
+    auto top = serving::TopKInnerProduct(query.row(0), kServeDim, cands, 10);
     benchmark::DoNotOptimize(top.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -316,6 +325,45 @@ std::string GemmSweepLine(const char* kernel, size_t m, size_t k, size_t n,
   return SweepJsonLine(kernel, shape, entries, last);
 }
 
+/// One `topk_dot` row: serial TopKDot over a services x dim catalog timed
+/// against the scalar reference (DotRowsScalar + a partial sort under the
+/// same order). Clears *identical if the two top-k lists differ in any
+/// byte.
+std::string TopKDotLine(size_t services, size_t dim, size_t k, int repeats,
+                        core::Rng* rng, bool last, bool* identical) {
+  core::Matrix cands = core::Matrix::Randn(services, dim, rng);
+  core::Matrix query = core::Matrix::Randn(1, dim, rng);
+  std::vector<std::pair<uint32_t, float>> fast, reference;
+  const double fast_secs = TimeMedianSeconds(repeats, [&] {
+    fast = core::kernels::TopKDot(core::SerialExecution(), query.row(0), dim,
+                                  cands, k);
+  });
+  const double scalar_secs = TimeMedianSeconds(repeats, [&] {
+    std::vector<float> scores(services);
+    core::kernels::internal::DotRowsScalar(query.row(0), cands.data(),
+                                           services, dim, scores.data());
+    reference.resize(services);
+    for (size_t i = 0; i < services; ++i) {
+      reference[i] = {static_cast<uint32_t>(i), scores[i]};
+    }
+    std::partial_sort(reference.begin(), reference.begin() + k,
+                      reference.end(), core::kernels::RanksBefore);
+    reference.resize(k);
+  });
+  const bool same = fast.size() == reference.size() &&
+                    std::memcmp(fast.data(), reference.data(),
+                                fast.size() * sizeof(fast[0])) == 0;
+  if (!same) *identical = false;
+  return core::StrFormat(
+      "    {\"kernel\": \"topk_dot\", \"shape\": \"%zux%zu/k%zu\", "
+      "\"threads\": 1, \"avx2\": %s, \"scalar_seconds\": %.6f, "
+      "\"seconds\": %.6f, \"speedup\": %.2f, \"bit_identical\": %s}%s\n",
+      services, dim, k,
+      core::kernels::internal::HasAvx2() ? "true" : "false", scalar_secs,
+      fast_secs, scalar_secs / fast_secs, same ? "true" : "false",
+      last ? "" : ",");
+}
+
 int RunSpeedupJson() {
   const std::vector<int64_t> counts = SweepThreadCounts();
   const int repeats = BenchRepeats();
@@ -377,8 +425,17 @@ int RunSpeedupJson() {
                                                          segments, &out);
                          })});
     }
-    json += SweepJsonLine("segment_softmax", "200000/25000", entries, true);
+    json += SweepJsonLine("segment_softmax", "200000/25000", entries, false);
   }
+
+  // TopKDot against the scalar reference scan: at the serving shape, and
+  // one row and one column past it so the vector path's row and column
+  // tails run as well.
+  bool topk_identical = true;
+  json += TopKDotLine(20000, kServeDim, 10, repeats, &rng, false,
+                      &topk_identical);
+  json += TopKDotLine(20003, kServeDim + 1, 10, repeats, &rng, true,
+                      &topk_identical);
 
   json += "  ]\n}\n";
 
@@ -389,6 +446,11 @@ int RunSpeedupJson() {
     std::fprintf(stderr, "Wrote BENCH_kernels.json\n");
   } else {
     std::fprintf(stderr, "Could not write BENCH_kernels.json\n");
+  }
+  if (!topk_identical) {
+    std::fprintf(stderr,
+                 "topk_dot: TopKDot diverged from the scalar reference\n");
+    return 1;
   }
   return 0;
 }

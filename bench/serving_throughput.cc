@@ -3,7 +3,9 @@
 // the plain EmbeddingRanker (pure top-K scoring, embarrassingly parallel)
 // and the full ResilientRanker degradation chain under a fault profile
 // (sequenced resolve phase + scoring outside the lock) — swept over thread
-// counts, with every threaded run checked bit-identical to the serial pass.
+// counts, with every threaded run checked bit-identical to the serial pass;
+// the tool exits 1, naming the workload and thread count, if any sweep
+// point diverges.
 //
 // `serving_throughput --json` additionally writes the sweep to
 // BENCH_serving.json in the working directory. Speedups are
@@ -254,5 +256,20 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("Wrote BENCH_serving.json\n");
   }
-  return 0;
+
+  bool ok = true;
+  for (const WorkloadResult* w : {&w_embed, &w_res}) {
+    for (const SweepPoint& p : w->sweep) {
+      if (p.bit_identical) continue;
+      const std::string where = p.threads == 0
+                                    ? std::string("serial (across repeats)")
+                                    : core::StrFormat("%zu threads", p.threads);
+      std::fprintf(stderr,
+                   "BIT-IDENTITY GATE FAILED: workload %s diverged from the "
+                   "serial pass at %s\n",
+                   w->name.c_str(), where.c_str());
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 }

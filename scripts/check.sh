@@ -29,9 +29,12 @@ echo "==> Sanitizer build (address;undefined)"
 run_suite "$ROOT/build-asan" -DGARCIA_SANITIZE="address;undefined"
 
 echo "==> ASan smoke: micro_kernels --speedup_json"
-# Exercises the packed GEMM (all four transpose variants) and the segment
-# kernels under ASan/UBSan at bench shapes the unit tests don't reach.
-# One repeat keeps it fast; output goes to the build tree.
+# Exercises the packed GEMM (all four transpose variants), the segment
+# kernels and the TopKDot serving scan (20000 x 32, plus 20003 x 33 for
+# the AVX2 lane-per-row path's row and column tails) under ASan/UBSan at
+# bench shapes the unit tests don't reach; exits nonzero if TopKDot's
+# ranking differs from the scalar reference. One repeat keeps it fast;
+# output goes to the build tree.
 (cd "$ROOT/build-asan/bench" && \
   GARCIA_BENCH_REPEATS=1 ./micro_kernels --speedup_json > /dev/null)
 

@@ -7,7 +7,7 @@
 #include "core/macros.h"
 
 #if defined(__x86_64__) || defined(__i386__)
-#define GARCIA_SQ8_X86 1
+#define GARCIA_KERNELS_X86 1
 #include <immintrin.h>
 #endif
 
@@ -757,6 +757,117 @@ void CrossEntropyBackwardAdd(const ExecutionContext& ctx,
 
 // ----- Top-K retrieval -----
 
+namespace internal {
+
+bool HasAvx2() {
+#if defined(GARCIA_KERNELS_X86)
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has;
+#else
+  return false;
+#endif
+}
+
+void DotRowsScalar(const float* query, const float* rows, size_t n,
+                   size_t dim, float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = DotRowDouble(query, rows + i * dim, dim);
+  }
+}
+
+#if defined(GARCIA_KERNELS_X86)
+namespace {
+
+/// Columns [j, j + 4) of the four rows starting at `rows` (stride dim),
+/// widened to double and transposed: lane r of col[c] is row r's column
+/// j + c. Widening is exact.
+__attribute__((target("avx2"))) inline void LoadColumns4x4(
+    const float* rows, size_t dim, size_t j, __m256d col[4]) {
+  const __m256d a = _mm256_cvtps_pd(_mm_loadu_ps(rows + j));
+  const __m256d b = _mm256_cvtps_pd(_mm_loadu_ps(rows + dim + j));
+  const __m256d c = _mm256_cvtps_pd(_mm_loadu_ps(rows + 2 * dim + j));
+  const __m256d d = _mm256_cvtps_pd(_mm_loadu_ps(rows + 3 * dim + j));
+  const __m256d ab_even = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
+  const __m256d ab_odd = _mm256_unpackhi_pd(a, b);   // a1 b1 a3 b3
+  const __m256d cd_even = _mm256_unpacklo_pd(c, d);  // c0 d0 c2 d2
+  const __m256d cd_odd = _mm256_unpackhi_pd(c, d);   // c1 d1 c3 d3
+  col[0] = _mm256_permute2f128_pd(ab_even, cd_even, 0x20);  // a0 b0 c0 d0
+  col[1] = _mm256_permute2f128_pd(ab_odd, cd_odd, 0x20);    // a1 b1 c1 d1
+  col[2] = _mm256_permute2f128_pd(ab_even, cd_even, 0x31);  // a2 b2 c2 d2
+  col[3] = _mm256_permute2f128_pd(ab_odd, cd_odd, 0x31);    // a3 b3 c3 d3
+}
+
+/// Lane-per-row scoring. Lane r of acc0 (acc1) is row i + r (i + 4 + r)
+/// and receives its columns one at a time in ascending j, starting from
+/// 0.0 — the scalar loop's additions in the scalar loop's order. Each
+/// product of two widened floats is exact in double (24 + 24 <= 53
+/// significand bits), so the separate multiply rounds nowhere and every
+/// add rounds exactly where DotRowDouble's does. The two groups are
+/// independent chains, which hides add latency.
+__attribute__((target("avx2"))) void DotRowsAvx2Impl(const float* query,
+                                                     const float* rows,
+                                                     size_t n, size_t dim,
+                                                     float* out) {
+  const size_t dim4 = dim & ~size_t{3};
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const float* r = rows + i * dim;
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    for (size_t j = 0; j < dim4; j += 4) {
+      __m256d c0[4], c1[4];
+      LoadColumns4x4(r, dim, j, c0);
+      LoadColumns4x4(r + 4 * dim, dim, j, c1);
+      // Unrolled by hand so c0/c1 stay in registers.
+      const __m256d q0 = _mm256_set1_pd(static_cast<double>(query[j]));
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(c0[0], q0));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(c1[0], q0));
+      const __m256d q1 = _mm256_set1_pd(static_cast<double>(query[j + 1]));
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(c0[1], q1));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(c1[1], q1));
+      const __m256d q2 = _mm256_set1_pd(static_cast<double>(query[j + 2]));
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(c0[2], q2));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(c1[2], q2));
+      const __m256d q3 = _mm256_set1_pd(static_cast<double>(query[j + 3]));
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(c0[3], q3));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(c1[3], q3));
+    }
+    if (dim4 == dim) {
+      _mm_storeu_ps(out + i, _mm256_cvtpd_ps(acc0));
+      _mm_storeu_ps(out + i + 4, _mm256_cvtpd_ps(acc1));
+      continue;
+    }
+    // Column tail: each lane continues its own sum in ascending j.
+    alignas(32) double lanes[8];
+    _mm256_store_pd(lanes, acc0);
+    _mm256_store_pd(lanes + 4, acc1);
+    for (size_t l = 0; l < 8; ++l) {
+      const float* row = r + l * dim;
+      double dot = lanes[l];
+      for (size_t j = dim4; j < dim; ++j) {
+        dot += static_cast<double>(query[j]) * row[j];
+      }
+      out[i + l] = static_cast<float>(dot);
+    }
+  }
+  // Row tail.
+  DotRowsScalar(query, rows + i * dim, n - i, dim, out + i);
+}
+
+}  // namespace
+#endif  // GARCIA_KERNELS_X86
+
+void DotRowsAvx2(const float* query, const float* rows, size_t n, size_t dim,
+                 float* out) {
+#if defined(GARCIA_KERNELS_X86)
+  DotRowsAvx2Impl(query, rows, n, dim, out);
+#else
+  DotRowsScalar(query, rows, n, dim, out);
+#endif
+}
+
+}  // namespace internal
+
 namespace {
 
 using ScoredId = std::pair<uint32_t, float>;
@@ -767,39 +878,38 @@ using ScoredId = std::pair<uint32_t, float>;
 // reproducible and give every worker cache-sized chunks.
 constexpr size_t kTopKBlockRows = 1024;
 
-// The retrieval total order: higher score first, ties by ascending id.
-inline bool RanksBefore(const ScoredId& a, const ScoredId& b) {
-  if (a.second != b.second) return a.second > b.second;
-  return a.first < b.first;
-}
-
-inline float DotRowDouble(const float* query, const float* row, size_t dim) {
-  double dot = 0.0;
-  for (size_t j = 0; j < dim; ++j) {
-    dot += static_cast<double>(query[j]) * row[j];
-  }
-  return static_cast<float>(dot);
-}
+// Rows scored per stack-buffer chunk before they enter the heap.
+constexpr size_t kScoreChunkRows = 256;
 
 // Bounded top-k over rows [lo, hi): a k-element heap whose top is the
 // currently-worst kept candidate (std::*_heap with RanksBefore puts the
-// comparator-maximal element — the one ranking LAST — on top). out is left
+// comparator-maximal element — the one ranking LAST — on top). Rows enter
+// the heap in ascending order, a chunk of scores at a time. out is left
 // sorted best-first.
 void PartialTopKRows(const float* query, size_t dim, const Matrix& cands,
                      size_t lo, size_t hi, size_t k,
                      std::vector<ScoredId>* out) {
   out->clear();
   if (k == 0) return;
-  for (size_t i = lo; i < hi; ++i) {
-    const ScoredId cand{static_cast<uint32_t>(i),
-                        DotRowDouble(query, cands.row(i), dim)};
-    if (out->size() < k) {
-      out->push_back(cand);
-      std::push_heap(out->begin(), out->end(), RanksBefore);
-    } else if (RanksBefore(cand, out->front())) {
-      std::pop_heap(out->begin(), out->end(), RanksBefore);
-      out->back() = cand;
-      std::push_heap(out->begin(), out->end(), RanksBefore);
+  const bool avx2 = internal::HasAvx2();
+  float scores[kScoreChunkRows] = {};
+  for (size_t c0 = lo; c0 < hi; c0 += kScoreChunkRows) {
+    const size_t m = std::min(kScoreChunkRows, hi - c0);
+    if (avx2) {
+      internal::DotRowsAvx2(query, cands.row(c0), m, dim, scores);
+    } else {
+      internal::DotRowsScalar(query, cands.row(c0), m, dim, scores);
+    }
+    for (size_t r = 0; r < m; ++r) {
+      const ScoredId cand{static_cast<uint32_t>(c0 + r), scores[r]};
+      if (out->size() < k) {
+        out->push_back(cand);
+        std::push_heap(out->begin(), out->end(), RanksBefore);
+      } else if (RanksBefore(cand, out->front())) {
+        std::pop_heap(out->begin(), out->end(), RanksBefore);
+        out->back() = cand;
+        std::push_heap(out->begin(), out->end(), RanksBefore);
+      }
     }
   }
   std::sort_heap(out->begin(), out->end(), RanksBefore);
@@ -859,7 +969,7 @@ int32_t Sq8BlockDotScalar(const int16_t* qc, const int8_t* codes, size_t n) {
   return acc0 + acc1 + acc2 + acc3;
 }
 
-#if defined(GARCIA_SQ8_X86)
+#if defined(GARCIA_KERNELS_X86)
 /// AVX2 variant of the block dot. vpmaddwd forms int16*int16 products and
 /// sums adjacent pairs into int32 lanes; per-lane peak over a block is
 /// (kDimBlock/16) * 2 * 32767 * 127 < 2^28, and the final cross-lane
@@ -889,15 +999,11 @@ __attribute__((target("avx2"))) int32_t Sq8BlockDotAvx2(const int16_t* qc,
   return total;
 }
 
-bool HasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-}
-#endif  // GARCIA_SQ8_X86
+#endif  // GARCIA_KERNELS_X86
 
 inline int32_t Sq8BlockDot(const int16_t* qc, const int8_t* codes, size_t n) {
-#if defined(GARCIA_SQ8_X86)
-  if (HasAvx2()) return Sq8BlockDotAvx2(qc, codes, n);
+#if defined(GARCIA_KERNELS_X86)
+  if (internal::HasAvx2()) return Sq8BlockDotAvx2(qc, codes, n);
 #endif
   return Sq8BlockDotScalar(qc, codes, n);
 }

@@ -283,21 +283,69 @@ void CrossEntropyBackwardAdd(const ExecutionContext& ctx,
 
 // ----- Top-K retrieval (the online serving hot loop) -----
 
-/// Top-k (row index, score) of score[i] = <query, candidates.row(i)>,
-/// sorted by descending score with ties broken by ascending index.
+/// The retrieval total order: higher score first, ties by ascending id.
+/// Selection and sorting under a total order are unique, which is what
+/// makes every partitioning of a scan (TopKDot blocks, IVF probe lists,
+/// any thread count) agree byte for byte. Scores must not be NaN.
+inline bool RanksBefore(const std::pair<uint32_t, float>& a,
+                        const std::pair<uint32_t, float>& b) {
+  if (a.second != b.second) return a.second > b.second;
+  return a.first < b.first;
+}
+
+/// The exact retrieval score: Σ_j (double)query[j] * (double)row[j],
+/// accumulated from 0.0 in ascending j and cast to float once. TopKDot's
+/// vector path reproduces this expression bit for bit; every other scorer
+/// that must agree with it (the IVF list scan, the SQ8 re-rank) calls it.
+inline float DotRowDouble(const float* query, const float* row, size_t dim) {
+  double dot = 0.0;
+  for (size_t j = 0; j < dim; ++j) {
+    dot += static_cast<double>(query[j]) * row[j];
+  }
+  return static_cast<float>(dot);
+}
+
+/// Top-k (row index, score) of score[i] = DotRowDouble(query,
+/// candidates.row(i)), sorted by descending score with ties broken by
+/// ascending index.
 ///
-/// Every backend accumulates each row's dot product in double over
-/// ascending columns. The serial reference keeps one bounded partial top-k
-/// heap over all rows; the parallel path partitions rows into fixed-size
-/// blocks, keeps a partial heap per block, and merges the per-block
-/// winners. Selection under the (score desc, index asc) TOTAL order is
-/// unique, so the result is bit-identical to the serial reference for any
-/// thread count and any block partitioning. k = 0 returns empty; k >= rows
-/// returns the full sorted ranking. Candidate scores must not be NaN.
+/// Rows are scored a fixed chunk at a time into a stack buffer, then fed
+/// in ascending row order to a bounded partial top-k heap. On AVX2 hosts
+/// the chunk is scored lane-per-row (internal::DotRowsAvx2): each lane
+/// owns one row and adds its columns in ascending order, and a float x
+/// float product is exact in double, so every score is bit-identical to
+/// DotRowDouble. The parallel path partitions rows into fixed-size blocks,
+/// keeps a partial heap per block, and merges the per-block winners.
+/// Selection under RanksBefore is unique, so the result is bit-identical
+/// to the serial reference for any thread count, block partitioning and
+/// dispatch target. k = 0 returns empty; k >= rows returns the full sorted
+/// ranking. Candidate scores must not be NaN.
 std::vector<std::pair<uint32_t, float>> TopKDot(const ExecutionContext& ctx,
                                                 const float* query, size_t dim,
                                                 const Matrix& candidates,
                                                 size_t k);
+
+/// The two scoring paths behind TopKDot, visible so tests can pin them to
+/// DotRowDouble directly. Not a knob: TopKDot always dispatches on
+/// HasAvx2().
+namespace internal {
+
+/// True when the host supports AVX2 (always false off x86).
+bool HasAvx2();
+
+/// out[i] = DotRowDouble(query, rows + i * dim, dim) for i in [0, n), over
+/// n contiguous rows of `dim` floats. The portable scalar path.
+void DotRowsScalar(const float* query, const float* rows, size_t n,
+                   size_t dim, float* out);
+
+/// Same contract, lane-per-row AVX2 path: two 4-row groups in flight, each
+/// 4x4 column block widened to double and transposed so lane r holds row
+/// r; scalar tails for dim % 4 columns and n % 8 rows. Requires HasAvx2();
+/// off x86 it is the scalar path.
+void DotRowsAvx2(const float* query, const float* rows, size_t n, size_t dim,
+                 float* out);
+
+}  // namespace internal
 
 // ----- SQ8 scalar quantization (the IVF list-storage codec) -----
 //

@@ -8,6 +8,7 @@
 
 #include "core/crc32.h"
 #include "core/fileio.h"
+#include "core/kernels.h"
 #include "core/macros.h"
 #include "core/rng.h"
 
@@ -16,25 +17,11 @@ namespace garcia::serving {
 namespace {
 
 using ScoredId = std::pair<uint32_t, float>;
-
-/// The (score desc, id asc) total order shared with kernels::TopKDot.
-/// Selection and sorting under a total order are unique, which is what
-/// makes every probe-scan partitioning — and, at full probe, the index
-/// itself — agree with the brute-force scan byte for byte.
-inline bool RanksBefore(const ScoredId& a, const ScoredId& b) {
-  if (a.second != b.second) return a.second > b.second;
-  return a.first < b.first;
-}
-
-/// Double-accumulated dot over ascending columns — the exact expression
-/// TopKDot evaluates, so index scores equal brute-force scores bitwise.
-inline float DotRowDouble(const float* a, const float* b, size_t dim) {
-  double dot = 0.0;
-  for (size_t j = 0; j < dim; ++j) {
-    dot += static_cast<double>(a[j]) * b[j];
-  }
-  return static_cast<float>(dot);
-}
+// The retrieval total order and the exact dot are kernels::TopKDot's own
+// (core/kernels.h), so index scores and rankings equal the brute-force
+// scan's bitwise.
+using core::kernels::DotRowDouble;
+using core::kernels::RanksBefore;
 
 /// Squared L2 distance in double (k-means assignment metric).
 inline double SquaredL2(const float* a, const float* b, size_t dim) {
@@ -63,7 +50,8 @@ uint32_t NearestCentroid(const float* point, const core::Matrix& centroids) {
 }
 
 /// Bounded top-k merge of candidates [lo, hi) of `cands` into `heap`
-/// (ascending stored-row order), mirroring kernels.cc's PartialTopKRows.
+/// (ascending stored-row order): kernels.cc's PartialTopKRows with the
+/// scalar DotRowDouble per row.
 void PartialTopKList(const float* query, size_t dim,
                      const core::Matrix& vectors,
                      const std::vector<uint32_t>& ids, size_t lo, size_t hi,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/kernels.h"
 #include "serving/ivf_index.h"
 
 namespace garcia::serving {
@@ -34,10 +35,7 @@ RankedList TextRanker::Rank(uint32_t query, size_t k) const {
   }
   k = std::min(k, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                    [](const auto& a, const auto& b) {
-                      if (a.second != b.second) return a.second > b.second;
-                      return a.first < b.first;
-                    });
+                    core::kernels::RanksBefore);
   // An answer-sized copy, so the catalog-sized scratch is not kept alive.
   return RankedList(scored.begin(), scored.begin() + k);
 }
@@ -51,10 +49,7 @@ PopularityRanker::PopularityRanker(const std::vector<double>& popularity) {
         {static_cast<uint32_t>(s), static_cast<float>(popularity[s])});
   }
   std::stable_sort(ranked_.begin(), ranked_.end(),
-                   [](const auto& a, const auto& b) {
-                     if (a.second != b.second) return a.second > b.second;
-                     return a.first < b.first;
-                   });
+                   core::kernels::RanksBefore);
 }
 
 RankedList PopularityRanker::Rank(uint32_t /*query*/, size_t k) const {

@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/matrix.h"
@@ -33,6 +37,16 @@ std::vector<uint32_t> RandIndices(size_t n, size_t max_exclusive, Rng* rng) {
     v = static_cast<uint32_t>(rng->UniformInt(max_exclusive));
   }
   return idx;
+}
+
+/// The exact retrieval score as a plain loop, independent of core/kernels.h:
+/// double products of widened floats summed in ascending column order.
+float ScalarDot(const float* q, const float* r, size_t dim) {
+  double dot = 0.0;
+  for (size_t j = 0; j < dim; ++j) {
+    dot += static_cast<double>(q[j]) * static_cast<double>(r[j]);
+  }
+  return static_cast<float>(dot);
 }
 
 void ExpectBitIdentical(const Matrix& serial, const Matrix& parallel,
@@ -264,6 +278,131 @@ TEST_F(KernelsBitIdentityTest, TopKDotMatchesSerial) {
     for (size_t i = 0; i < serial.size(); ++i) {
       ASSERT_EQ(par[i].first, serial[i].first) << "k=" << k << " rank " << i;
       ASSERT_EQ(par[i].second, serial[i].second) << "k=" << k << " rank " << i;
+    }
+  }
+
+  // k = n at dim 33 over 5003 rows, against a full ranking of test-local
+  // scalar scores: 33 leaves a one-column tail after the 4-column blocks
+  // and 5003 a 3-row tail after the 8-row groups (plus partial final
+  // chunks and blocks), so a lane, group or tail mix-up in the vector
+  // path moves some row's score and shows in the ranking, under both the
+  // serial and a parallel context.
+  const size_t tail_n = 5003, tail_dim = 33;
+  Matrix tail_cands = RandMatrix(tail_n, tail_dim, &rng_);
+  Matrix tail_query = RandMatrix(1, tail_dim, &rng_);
+  std::vector<std::pair<uint32_t, float>> expected(tail_n);
+  for (size_t i = 0; i < tail_n; ++i) {
+    expected[i] = {static_cast<uint32_t>(i),
+                   ScalarDot(tail_query.row(0), tail_cands.row(i), tail_dim)};
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const auto& a, const auto& b) {
+              if (a.second != b.second) return a.second > b.second;
+              return a.first < b.first;
+            });
+  for (const ExecutionContext* ctx :
+       {&SerialExecution(), static_cast<const ExecutionContext*>(&par3_)}) {
+    const auto got = kernels::TopKDot(*ctx, tail_query.row(0), tail_dim,
+                                      tail_cands, tail_n);
+    ASSERT_EQ(got.size(), tail_n);
+    for (size_t i = 0; i < tail_n; ++i) {
+      ASSERT_EQ(got[i].first, expected[i].first)
+          << "threads=" << ctx->num_threads() << " rank " << i;
+      ASSERT_EQ(
+          std::memcmp(&got[i].second, &expected[i].second, sizeof(float)), 0)
+          << "threads=" << ctx->num_threads() << " rank " << i;
+    }
+  }
+}
+
+TEST_F(KernelsBitIdentityTest, ExactDotRowsMatchScalarReference) {
+  // Every TopKDot scoring path against the test-local scalar expression,
+  // memcmp-equal. Row counts straddle the 8-row groups, dims straddle the
+  // 4-column blocks, and the rows are adversarial for a reordered or
+  // fused sum: magnitudes 1e-30..1e30 (some scores overflow to +-inf in
+  // the final cast), subnormals, near-total cancellation, zero rows, and
+  // duplicate rows (exact ties).
+  using RowsFn = void (*)(const float*, const float*, size_t, size_t, float*);
+  std::vector<std::pair<const char*, RowsFn>> paths = {
+      {"scalar", &kernels::internal::DotRowsScalar}};
+  if (kernels::internal::HasAvx2()) {
+    paths.push_back({"avx2", &kernels::internal::DotRowsAvx2});
+  }
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  auto wide = [&] {  // normal draw scaled by 10^[-30, 30]
+    const double e = -30.0 + 60.0 * rng_.Uniform();
+    return static_cast<float>(rng_.Normal() * std::pow(10.0, e));
+  };
+  for (size_t dim : {1, 3, 4, 5, 31, 32, 33, 64}) {
+    // Queries: unit normal, wide-magnitude, and one with subnormal and
+    // zero coordinates.
+    std::vector<std::vector<float>> queries(3, std::vector<float>(dim));
+    for (size_t j = 0; j < dim; ++j) {
+      queries[0][j] = static_cast<float>(rng_.Normal());
+      queries[1][j] = wide();
+      queries[2][j] = j % 3 == 0   ? 0.0f
+                      : j % 3 == 1 ? denorm * static_cast<float>(1 + j)
+                                   : static_cast<float>(rng_.Normal());
+    }
+    for (size_t n : {0, 1, 7, 8, 9, 255, 257, 1025}) {
+      // Exactly n * dim floats, so ASan flags any read past the last row.
+      std::vector<float> rows(n * dim);
+      for (size_t i = 0; i < n; ++i) {
+        float* r = rows.data() + i * dim;
+        switch (i % 6) {
+          case 0:  // unit normal
+            for (size_t j = 0; j < dim; ++j) {
+              r[j] = static_cast<float>(rng_.Normal());
+            }
+            break;
+          case 1:  // wide magnitudes, mixed within the row
+            for (size_t j = 0; j < dim; ++j) r[j] = wide();
+            break;
+          case 2:  // subnormals
+            for (size_t j = 0; j < dim; ++j) {
+              r[j] = (j % 2 ? -1.0f : 1.0f) * denorm *
+                     static_cast<float>(1 + rng_.UniformInt(uint64_t{1000}));
+            }
+            break;
+          case 3: {  // huge term pairs that cancel against queries[0]
+            const std::vector<float>& q0 = queries[0];
+            for (size_t j = 0; j < dim; ++j) {
+              r[j] = static_cast<float>(rng_.Normal());
+            }
+            for (size_t j = 0; j + 1 < dim; j += 2) {
+              r[j] = 1e20f * static_cast<float>(rng_.Normal());
+              const double partner = -static_cast<double>(r[j]) * q0[j] /
+                                     static_cast<double>(q0[j + 1]);
+              if (std::isfinite(static_cast<float>(partner))) {
+                r[j + 1] = static_cast<float>(partner);
+              }
+            }
+            break;
+          }
+          case 4:  // zero row
+            break;
+          default:  // duplicate of an earlier row: an exact tie
+            std::copy(rows.data() + (i / 2) * dim,
+                      rows.data() + (i / 2 + 1) * dim, r);
+            break;
+        }
+      }
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const float* q = queries[qi].data();
+        std::vector<float> expected(n);
+        for (size_t i = 0; i < n; ++i) {
+          expected[i] = ScalarDot(q, rows.data() + i * dim, dim);
+        }
+        for (const auto& [name, fn] : paths) {
+          std::vector<float> got(n, std::numeric_limits<float>::quiet_NaN());
+          fn(q, rows.data(), n, dim, got.data());
+          for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::memcmp(&got[i], &expected[i], sizeof(float)), 0)
+                << name << " dim=" << dim << " n=" << n << " query=" << qi
+                << " row " << i << ": " << got[i] << " vs " << expected[i];
+          }
+        }
+      }
     }
   }
 }
