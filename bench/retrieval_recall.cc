@@ -1,16 +1,18 @@
-// Recall/QPS tradeoff of the IVF retrieval index, float vs SQ8-quantized
-// lists (DESIGN.md §5k / §5l): sweeps mode x nlist x nprobe over a
-// clustered synthetic catalog, reporting recall@10 against the brute-force
-// oracle, single-thread query throughput, and resident index bytes, with
-// three gates enforced (nonzero exit on any failure):
-//   * full-probe oracle gate — at nprobe == nlist every ranked list (both
-//     modes; SQ8 runs with rerank_k >= k) must be BIT-IDENTICAL to
-//     core::kernels::TopKDot;
-//   * re-rank exactness gate — at EVERY sweep point the SQ8 index must
-//     return exactly the float index's ranked lists (the band-guaranteed
-//     re-rank promises identity, not approximation);
-//   * iso-recall speedup gate — at the float frontier's recall >= 0.99
-//     points, SQ8 must deliver >= 2x the float QPS somewhere (skipped
+// Recall/QPS tradeoff of the SQ8 IVF retrieval index (DESIGN.md §5k /
+// §5l): sweeps nlist x nprobe over a clustered synthetic catalog,
+// reporting recall@10 against the brute-force oracle, single-thread query
+// throughput, and resident index bytes, with four gates enforced (nonzero
+// exit on any failure):
+//   * full-probe oracle gate — at nprobe == nlist every ranked list must
+//     be BIT-IDENTICAL to core::kernels::TopKDot;
+//   * re-rank exactness gate — at EVERY sweep point the default-rerank_k
+//     answer must equal the same index queried at rerank_k = size(). At
+//     that depth the re-rank cutoff is -inf, so every probed candidate is
+//     re-scored exactly: the exact float answer over the probed lists
+//     (the band-guaranteed re-rank promises identity, not approximation);
+//   * storage gate — SQ8 list storage >= 3.5x below n * dim float rows;
+//   * iso-recall speedup gate — at the recall >= 0.99 points, the best
+//     SQ8 QPS must reach >= 7.5x the brute-force scan's QPS (skipped
 //     under sanitizers, where timing is meaningless; exactness gates
 //     always run).
 //
@@ -24,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -47,11 +50,17 @@ constexpr size_t kNumQueries = 400;
 constexpr size_t kTopK = 10;
 constexpr uint64_t kSeed = 515;
 constexpr double kIsoRecallFloor = 0.99;
-constexpr double kSpeedupFloor = 2.0;
+// Best SQ8 QPS over brute-force QPS at recall >= kIsoRecallFloor. Set so
+// the gate has no more headroom than the float-IVF gate it replaced
+// (SQ8 >= 2x float QPS): over 5 runs on a 4-vCPU x86 VM that gate read
+// 3.60-4.71x (headroom 1.80-2.36) while this ratio read 12.1-17.1x, i.e.
+// headroom 1.61-2.28 at 7.5x.
+constexpr double kSpeedupFloor = 7.5;
+constexpr double kStorageFloor = 3.5;
 
 // Timing gates are meaningless under a sanitizer (ASan's interceptors
-// distort the int8 scan and the float scan differently); the exactness
-// gates still run there.
+// distort the int8 scan and the float brute-force scan differently); the
+// exactness gates still run there.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr bool kSanitized = true;
 #elif defined(__has_feature)
@@ -68,6 +77,18 @@ int Repeats() {
   const char* env = std::getenv("GARCIA_BENCH_REPEATS");
   if (env != nullptr && std::atoi(env) > 0) return std::atoi(env);
   return 3;
+}
+
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
 }
 
 /// Clustered catalog: services concentrate around intention-tree-like
@@ -110,7 +131,6 @@ double RecallAgainst(const serving::RankedList& truth,
 }
 
 struct SweepPoint {
-  const char* mode = "ivf";
   size_t nlist = 0;
   size_t nprobe = 0;
   double recall = 0.0;
@@ -119,8 +139,7 @@ struct SweepPoint {
   size_t list_bytes = 0;        // list payload only (the 4x story)
   bool full_probe = false;
   bool bit_identical = true;    // vs oracle; evaluated only at full probe
-  bool is_sq8 = false;
-  bool rerank_exact = true;     // sq8 only: equals the float-index point
+  bool rerank_exact = true;     // equals the rerank_k = size() answer
 };
 
 /// nprobe values for one nlist: powers of two up to nlist, nlist included.
@@ -141,9 +160,8 @@ int main(int argc, char** argv) {
   const int repeats = Repeats();
 
   std::printf(
-      "IVF recall/QPS sweep (float vs SQ8 lists): %zu services in %zu "
-      "clusters, dim %zu, %zu queries, recall@%zu vs the brute-force "
-      "oracle.\n",
+      "SQ8 IVF recall/QPS sweep: %zu services in %zu clusters, dim %zu, "
+      "%zu queries, recall@%zu vs the brute-force oracle.\n",
       kNumServices, kNumClusters, kDim, kNumQueries, kTopK);
 
   core::Rng rng(kSeed);
@@ -173,7 +191,7 @@ int main(int argc, char** argv) {
       std::max<size_t>(1, std::thread::hardware_concurrency());
   core::ExecutionContext build_ctx(hw);
 
-  // Times one mode's sweep point and returns its ranked lists.
+  // Times one sweep point (default rerank_k) and returns its ranked lists.
   auto run_point = [&](const serving::IvfIndex& index, size_t nprobe,
                        std::vector<serving::RankedList>* results,
                        double* qps) {
@@ -195,69 +213,53 @@ int main(int argc, char** argv) {
   std::vector<SweepPoint> sweep;
   bool oracle_gate_ok = true;
   bool rerank_gate_ok = true;
-  double best_iso_speedup = 0.0;   // best sq8/float QPS ratio at iso-recall
-  double storage_ratio = 0.0;      // float list bytes / sq8 list bytes
+  double best_iso_speedup = 0.0;   // best sq8/brute QPS ratio at iso-recall
+  double storage_ratio = 0.0;      // float row bytes / sq8 list bytes
   for (size_t nlist : {size_t{64}, size_t{128}, size_t{256}}) {
-    serving::RetrievalConfig cfg;
-    cfg.mode = serving::RetrievalMode::kIvf;
+    serving::RetrievalConfig cfg;  // rerank_k 0 = max(4k, 32)
     cfg.nlist = nlist;
-    const serving::IvfIndex fl =
+    const serving::IvfIndex index =
         serving::IvfIndex::Build(catalog, cfg, build_ctx);
-    cfg.mode = serving::RetrievalMode::kIvfSq8;  // rerank_k 0 = max(4k, 32)
-    const serving::IvfIndex sq =
-        serving::IvfIndex::Build(catalog, cfg, build_ctx);
-    storage_ratio = static_cast<double>(fl.ListStorageBytes()) /
-                    static_cast<double>(sq.ListStorageBytes());
+    storage_ratio = static_cast<double>(kNumServices * kDim * sizeof(float)) /
+                    static_cast<double>(index.ListStorageBytes());
 
-    std::vector<serving::RankedList> fl_results(kNumQueries);
-    std::vector<serving::RankedList> sq_results(kNumQueries);
+    std::vector<serving::RankedList> results(kNumQueries);
     for (size_t nprobe : NprobeSweep(nlist)) {
-      SweepPoint fp, sp;
-      fp.nlist = sp.nlist = nlist;
-      fp.nprobe = sp.nprobe = nprobe;
-      fp.full_probe = sp.full_probe = nprobe == nlist;
-      sp.mode = "ivf-sq8";
-      sp.is_sq8 = true;
-      fp.memory_bytes = fl.MemoryBytes();
-      fp.list_bytes = fl.ListStorageBytes();
-      sp.memory_bytes = sq.MemoryBytes();
-      sp.list_bytes = sq.ListStorageBytes();
-      run_point(fl, nprobe, &fl_results, &fp.qps);
-      run_point(sq, nprobe, &sq_results, &sp.qps);
-      double fl_recall = 0.0, sq_recall = 0.0;
+      SweepPoint p;
+      p.nlist = nlist;
+      p.nprobe = nprobe;
+      p.full_probe = nprobe == nlist;
+      p.memory_bytes = index.MemoryBytes();
+      p.list_bytes = index.ListStorageBytes();
+      run_point(index, nprobe, &results, &p.qps);
+      double recall = 0.0;
       for (size_t q = 0; q < kNumQueries; ++q) {
-        fl_recall += RecallAgainst(truth[q], fl_results[q]);
-        sq_recall += RecallAgainst(truth[q], sq_results[q]);
-        if (fp.full_probe && fl_results[q] != truth[q]) {
-          fp.bit_identical = false;
-        }
-        if (sp.full_probe && sq_results[q] != truth[q]) {
-          sp.bit_identical = false;
-        }
+        recall += RecallAgainst(truth[q], results[q]);
+        if (p.full_probe && results[q] != truth[q]) p.bit_identical = false;
         // The re-rank exactness contract, checked at EVERY point: the
-        // quantized path must reproduce the float index exactly.
-        if (sq_results[q] != fl_results[q]) sp.rerank_exact = false;
+        // default depth must reproduce the re-score-everything answer.
+        const serving::RankedList exact =
+            index.Query(core::SerialExecution(), queries.row(q), kTopK,
+                        nprobe, /*rerank_k=*/index.size());
+        if (results[q] != exact) p.rerank_exact = false;
       }
-      fp.recall = fl_recall / static_cast<double>(kNumQueries);
-      sp.recall = sq_recall / static_cast<double>(kNumQueries);
-      if (fp.full_probe && !fp.bit_identical) oracle_gate_ok = false;
-      if (sp.full_probe && !sp.bit_identical) oracle_gate_ok = false;
-      if (!sp.rerank_exact) rerank_gate_ok = false;
-      if (fp.recall >= kIsoRecallFloor) {
-        best_iso_speedup = std::max(best_iso_speedup, sp.qps / fp.qps);
+      p.recall = recall / static_cast<double>(kNumQueries);
+      if (p.full_probe && !p.bit_identical) oracle_gate_ok = false;
+      if (!p.rerank_exact) rerank_gate_ok = false;
+      if (p.recall >= kIsoRecallFloor) {
+        best_iso_speedup = std::max(best_iso_speedup, p.qps / brute_qps);
       }
-      sweep.push_back(fp);
-      sweep.push_back(sp);
+      sweep.push_back(p);
     }
   }
 
-  core::Table t({"mode", "nlist", "nprobe", "recall@10", "QPS", "vs brute",
+  core::Table t({"nlist", "nprobe", "recall@10", "QPS", "vs brute",
                  "list MiB", "gate"});
   for (const SweepPoint& p : sweep) {
     std::string gate = "-";
     if (p.full_probe) gate = p.bit_identical ? "exact" : "DIVERGED";
-    if (p.is_sq8 && !p.rerank_exact) gate = "RERANK-DIVERGED";
-    t.AddRow({p.mode, core::StrFormat("%zu", p.nlist),
+    if (!p.rerank_exact) gate = "RERANK-DIVERGED";
+    t.AddRow({core::StrFormat("%zu", p.nlist),
               core::StrFormat("%zu", p.nprobe),
               core::StrFormat("%.4f", p.recall),
               core::StrFormat("%.0f", p.qps),
@@ -268,38 +270,36 @@ int main(int argc, char** argv) {
   }
   std::fputs(t.ToAscii().c_str(), stdout);
   std::printf(
-      "SQ8 list storage: %.2fx below float; best iso-recall (>= %.2f) "
-      "speedup over float IVF: %.2fx.\n",
+      "SQ8 list storage: %.2fx below float rows; best iso-recall (>= %.2f) "
+      "speedup over brute force: %.2fx.\n",
       storage_ratio, kIsoRecallFloor, best_iso_speedup);
 
   if (write_json) {
     std::string json = core::StrFormat(
         "{\n  \"benchmark\": \"retrieval_recall\",\n"
+        "  \"hardware\": {\"cpu_model\": \"%s\", \"nproc\": %zu},\n"
+        "  \"repeats\": %d,\n"
         "  \"num_services\": %zu,\n  \"num_clusters\": %zu,\n"
         "  \"dim\": %zu,\n  \"num_queries\": %zu,\n  \"top_k\": %zu,\n"
         "  \"brute_force_qps\": %.1f,\n"
         "  \"sq8_list_storage_ratio\": %.2f,\n"
-        "  \"sq8_iso_recall_speedup\": %.2f,\n  \"sweep\": [\n",
-        kNumServices, kNumClusters, kDim, kNumQueries, kTopK, brute_qps,
-        storage_ratio, best_iso_speedup);
+        "  \"sq8_iso_recall_speedup_vs_brute\": %.2f,\n  \"sweep\": [\n",
+        CpuModel().c_str(), hw, repeats, kNumServices, kNumClusters, kDim,
+        kNumQueries, kTopK, brute_qps, storage_ratio, best_iso_speedup);
     for (size_t i = 0; i < sweep.size(); ++i) {
       const SweepPoint& p = sweep[i];
       json += core::StrFormat(
-          "    {\"mode\": \"%s\", \"nlist\": %zu, \"nprobe\": %zu, "
+          "    {\"nlist\": %zu, \"nprobe\": %zu, "
           "\"recall_at_10\": %.4f, \"qps\": %.1f, "
           "\"speedup_vs_brute\": %.2f, \"index_memory_bytes\": %zu, "
-          "\"list_storage_bytes\": %zu",
-          p.mode, p.nlist, p.nprobe, p.recall, p.qps, p.qps / brute_qps,
-          p.memory_bytes, p.list_bytes);
+          "\"list_storage_bytes\": %zu, \"rerank_exact\": %s",
+          p.nlist, p.nprobe, p.recall, p.qps, p.qps / brute_qps,
+          p.memory_bytes, p.list_bytes, p.rerank_exact ? "true" : "false");
       // Omitted where not evaluated — a non-full-probe row simply has no
-      // bit-identity verdict, and a float row has no re-rank.
+      // bit-identity verdict.
       if (p.full_probe) {
         json += core::StrFormat(", \"full_probe_bit_identical\": %s",
                                 p.bit_identical ? "true" : "false");
-      }
-      if (p.is_sq8) {
-        json += core::StrFormat(", \"rerank_exact\": %s",
-                                p.rerank_exact ? "true" : "false");
       }
       json += core::StrFormat("}%s\n", i + 1 == sweep.size() ? "" : ",");
     }
@@ -323,28 +323,29 @@ int main(int argc, char** argv) {
   }
   if (!rerank_gate_ok) {
     std::fprintf(stderr,
-                 "RERANK EXACTNESS GATE FAILED: SQ8 diverged from the float "
-                 "index at some sweep point\n");
+                 "RERANK EXACTNESS GATE FAILED: the default re-rank depth "
+                 "diverged from re-scoring every probed candidate at some "
+                 "sweep point\n");
     ok = false;
   }
-  if (storage_ratio < 3.5) {
+  if (storage_ratio < kStorageFloor) {
     std::fprintf(stderr,
                  "STORAGE GATE FAILED: SQ8 list storage only %.2fx below "
-                 "float (want ~4x)\n",
-                 storage_ratio);
+                 "float rows (want >= %.1fx)\n",
+                 storage_ratio, kStorageFloor);
     ok = false;
   }
   if (!kSanitized && best_iso_speedup < kSpeedupFloor) {
     std::fprintf(stderr,
-                 "ISO-RECALL SPEEDUP GATE FAILED: best SQ8 speedup %.2fx < "
-                 "%.2fx at recall >= %.2f\n",
+                 "ISO-RECALL SPEEDUP GATE FAILED: best SQ8 speedup over "
+                 "brute force %.2fx < %.2fx at recall >= %.2f\n",
                  best_iso_speedup, kSpeedupFloor, kIsoRecallFloor);
     ok = false;
   }
   if (!ok) return 1;
   std::printf(
-      "Gates passed: full-probe bit-identity (both modes), SQ8 re-rank "
-      "exactness at every point, %.2fx storage%s.\n",
+      "Gates passed: full-probe bit-identity, re-rank exactness at every "
+      "point, %.2fx storage%s.\n",
       storage_ratio,
       kSanitized ? " (speedup gate skipped under sanitizer)"
                  : core::StrFormat(", %.2fx iso-recall speedup",

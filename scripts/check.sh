@@ -39,12 +39,13 @@ echo "==> ASan smoke: micro_kernels --speedup_json"
   GARCIA_BENCH_REPEATS=1 ./micro_kernels --speedup_json > /dev/null)
 
 echo "==> ASan smoke: retrieval_recall --json"
-# The IVF index under ASan/UBSan at bench shapes: k-means build, probe
-# merge, the SQ8 encode/asymmetric-scan/re-rank path, and the GIV1/GIV2
-# serialization arithmetic; exits nonzero if any full-probe sweep point
-# diverges from the brute-force oracle or any SQ8 point diverges from
-# the float index. (The iso-recall speedup gate compiles out under
-# sanitizers — timing there is meaningless; exactness gates still run.)
+# The SQ8 IVF index under ASan/UBSan at bench shapes: k-means build, the
+# SQ8 encode/asymmetric-scan/re-rank path, and the probe-prefix
+# arithmetic; exits nonzero if any full-probe sweep point diverges from
+# the brute-force oracle or any point's default re-rank diverges from
+# re-scoring every probed candidate (rerank_k = size()). (The iso-recall
+# speedup gate compiles out under sanitizers — timing there is
+# meaningless; exactness gates still run.)
 (cd "$ROOT/build-asan/bench" && \
   GARCIA_BENCH_REPEATS=1 ./retrieval_recall --json > /dev/null)
 
@@ -55,9 +56,8 @@ echo "==> Sanitizer build (thread)"
 # contract, the block sampler's thread-count-invariance contract, the
 # ticket sequencer (core_ticket_gate_test), the concurrent batched serving
 # path (BatchRanker + ResilientRanker's sequenced resolve phase), and the
-# shared immutable IvfIndex — float and SQ8-quantized, including the
-# sharded asymmetric scan + exact re-rank — probed from many threads
-# (serving_retrieval_test).
+# shared immutable SQ8 IvfIndex — including the sharded asymmetric scan +
+# exact re-rank — probed from many threads (serving_retrieval_test).
 TSAN_DIR="$ROOT/build-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DGARCIA_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \

@@ -5,13 +5,14 @@
 
 #include "core/crc32.h"
 #include "core/fileio.h"
-#include "core/logging.h"
+#include "core/macros.h"
 
 namespace garcia::serving {
 
 namespace {
 
-constexpr char kMagicV1[4] = {'G', 'E', 'M', 'B'};
+// v1 ("GEMB") carried no checksum; it is recognized only to reject it.
+constexpr char kMagicV1Retired[4] = {'G', 'E', 'M', 'B'};
 constexpr char kMagicV2[4] = {'G', 'E', 'M', '2'};
 constexpr uint32_t kVersion = 2;
 constexpr uint64_t kMaxRows = 1ull << 32;
@@ -67,24 +68,20 @@ core::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
   f.read(magic, 4);
   if (!f) return core::Status::InvalidArgument(path + " is too short");
 
-  uint32_t expected_crc = 0;
-  bool has_crc = false;
-  if (std::memcmp(magic, kMagicV2, 4) == 0) {
-    uint32_t version = 0;
-    if (!ReadPod(f, &version)) {
-      return core::Status::InvalidArgument("truncated header in " + path);
-    }
-    if (version != kVersion) {
-      return core::Status::InvalidArgument(
-          "unsupported embedding store version " + std::to_string(version));
-    }
-    has_crc = true;
-  } else if (std::memcmp(magic, kMagicV1, 4) == 0) {
-    GARCIA_LOG(Warning) << path
-                        << " is a legacy v1 embedding store (no checksum); "
-                           "re-save to upgrade";
-  } else {
+  if (std::memcmp(magic, kMagicV1Retired, 4) == 0) {
+    return core::Status::InvalidArgument(
+        path + ": legacy v1 embedding store has no checksum; re-save");
+  }
+  if (std::memcmp(magic, kMagicV2, 4) != 0) {
     return core::Status::InvalidArgument(path + " is not an embedding store");
+  }
+  uint32_t version = 0;
+  if (!ReadPod(f, &version)) {
+    return core::Status::InvalidArgument("truncated header in " + path);
+  }
+  if (version != kVersion) {
+    return core::Status::InvalidArgument(
+        "unsupported embedding store version " + std::to_string(version));
   }
 
   uint64_t rows = 0, cols = 0;
@@ -102,7 +99,8 @@ core::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
         " payload bytes, over the " + std::to_string(kMaxPayloadBytes) +
         " cap");
   }
-  if (has_crc && !ReadPod(f, &expected_crc)) {
+  uint32_t expected_crc = 0;
+  if (!ReadPod(f, &expected_crc)) {
     return core::Status::InvalidArgument("truncated header in " + path);
   }
   // Validate the claimed payload against the actual file size BEFORE
@@ -121,13 +119,10 @@ core::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
   f.read(reinterpret_cast<char*>(m.data()),
          static_cast<std::streamsize>(payload_bytes));
   if (!f) return core::Status::IoError("truncated embedding store " + path);
-  if (has_crc) {
-    const uint32_t actual_crc = core::Crc32(m.data(), payload_bytes);
-    if (actual_crc != expected_crc) {
-      return core::Status::InvalidArgument(
-          "embedding store checksum mismatch in " + path +
-          " (stored dump is corrupt)");
-    }
+  if (core::Crc32(m.data(), payload_bytes) != expected_crc) {
+    return core::Status::InvalidArgument(
+        "embedding store checksum mismatch in " + path +
+        " (stored dump is corrupt)");
   }
   return EmbeddingStore(std::move(m));
 }

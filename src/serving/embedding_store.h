@@ -1,8 +1,8 @@
 // Copyright (c) 2026 GARCIA reproduction authors.
 // Persistent embedding store: the offline-to-online hand-off of Fig. 9
 // ("embedding inference for queries and services is daily executed for
-// online serving"). Binary format with a small versioned header; v2 adds a
-// CRC-32 payload checksum so a corrupt daily dump is rejected at load time
+// online serving"). Binary format with a small versioned header and a
+// CRC-32 payload checksum, so a corrupt daily dump is rejected at load time
 // instead of silently serving garbage embeddings.
 
 #ifndef GARCIA_SERVING_EMBEDDING_STORE_H_
@@ -40,8 +40,9 @@ class EmbeddingStore {
 
   /// Binary serialization. Save writes format v2: "GEM2" magic, u32
   /// version, u64 rows/cols, CRC-32 of the payload, row-major floats.
-  /// Load also accepts legacy v1 ("GEMB", no checksum) with a warning.
-  /// Both versions reject truncation, trailing garbage, and headers whose
+  /// Load accepts v2 only, so every load is CRC-checked: a legacy v1
+  /// ("GEMB", no checksum) file is rejected with a named InvalidArgument.
+  /// Load also rejects truncation, trailing garbage, and headers whose
   /// claimed payload exceeds the actual file size or the global cap.
   core::Status Save(const std::string& path) const;
   static core::Result<EmbeddingStore> Load(const std::string& path);

@@ -49,47 +49,24 @@ uint32_t NearestCentroid(const float* point, const core::Matrix& centroids) {
   return best;
 }
 
-/// Bounded top-k merge of candidates [lo, hi) of `cands` into `heap`
-/// (ascending stored-row order): kernels.cc's PartialTopKRows with the
-/// scalar DotRowDouble per row.
-void PartialTopKList(const float* query, size_t dim,
-                     const core::Matrix& vectors,
-                     const std::vector<uint32_t>& ids, size_t lo, size_t hi,
-                     size_t k, std::vector<ScoredId>* out) {
-  for (size_t r = lo; r < hi; ++r) {
-    const ScoredId cand{ids[r], DotRowDouble(query, vectors.row(r), dim)};
-    if (out->size() < k) {
-      out->push_back(cand);
-      std::push_heap(out->begin(), out->end(), RanksBefore);
-    } else if (RanksBefore(cand, out->front())) {
-      std::pop_heap(out->begin(), out->end(), RanksBefore);
-      out->back() = cand;
-      std::push_heap(out->begin(), out->end(), RanksBefore);
-    }
-  }
-}
-
 // ------------------------------------------------------------ persistence
 
-// GIV1: float lists (meta, centroids, lists, vectors). GIV2: SQ8 lists
-// (meta, centroids, lists, codes, scales) — the meta section grows a
-// rerank_k field. Same container discipline; Load dispatches on magic.
-constexpr char kMagic[4] = {'G', 'I', 'V', '1'};
+// GIV2: SQ8 lists (meta, centroids, lists, codes, scales). The retired
+// float-list GIV1 magic is recognized only to reject it by name.
 constexpr char kMagicSq8[4] = {'G', 'I', 'V', '2'};
+constexpr char kMagicFloatRetired[4] = {'G', 'I', 'V', '1'};
 constexpr uint32_t kVersion = 1;
 
 enum class SectionId : uint32_t {
   kMeta = 1,
   kCentroids = 2,
   kLists = 3,
-  kVectors = 4,  // GIV1 slot 4
-  kCodes = 4,    // GIV2 slot 4
-  kScales = 5,   // GIV2 slot 5
+  kCodes = 4,
+  kScales = 5,
 };
-constexpr uint32_t kNumSections = 4;
 constexpr uint32_t kNumSectionsSq8 = 5;
 
-const char* SectionName(uint32_t id, bool quantized) {
+const char* SectionName(uint32_t id) {
   switch (id) {
     case 1:
       return "meta";
@@ -98,7 +75,7 @@ const char* SectionName(uint32_t id, bool quantized) {
     case 3:
       return "lists";
     case 4:
-      return quantized ? "codes" : "vectors";
+      return "codes";
     case 5:
       return "scales";
   }
@@ -191,6 +168,7 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
   IvfIndex index;
   index.seed_ = config.seed;
   index.default_nprobe_ = ResolveNprobe(config.nprobe, nlist);
+  index.default_rerank_k_ = config.rerank_k;
   index.centroids_ = core::Matrix(nlist, dim);
   {
     core::Rng rng(config.seed);
@@ -250,8 +228,8 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
 
   // Final assignment against the converged centroids, then the contiguous
   // per-list layout in one pass: ids grouped by list (ascending id within
-  // each list — the counting sort preserves point order) and the catalog
-  // rows copied into the same permutation so a probe scans one contiguous
+  // each list — the counting sort preserves point order), and the catalog
+  // rows encoded into the same permutation so a probe scans one contiguous
   // block.
   ctx.ShardedFor(0, n, min_assign_shard, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
@@ -269,30 +247,21 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
       index.ids_[cursor[assign[i]]++] = static_cast<uint32_t>(i);
     }
   }
-  if (config.mode == RetrievalMode::kIvfSq8) {
-    // SQ8 storage: codes + one scale per stored row, in list order. Each
-    // slot encodes one catalog row independently into disjoint output
-    // ranges, so the shard partitioning cannot change a byte. No float
-    // copy is kept — the exact re-rank reads the caller's catalog.
-    index.quantized_ = true;
-    index.default_rerank_k_ = config.rerank_k;
-    index.codes_.resize(n * dim);
-    index.scales_.resize(n);
-    ctx.ShardedFor(0, n, min_assign_shard, [&](size_t lo, size_t hi) {
-      for (size_t slot = lo; slot < hi; ++slot) {
-        core::kernels::sq8::EncodeRow(catalog.row(index.ids_[slot]), dim,
-                                      index.codes_.data() + slot * dim,
-                                      &index.scales_[slot]);
-      }
-    });
-    index.RecomputeListScaleMax();
-    index.catalog_ = &catalog;
-  } else {
-    index.vectors_ = core::Matrix(n, dim);
-    for (size_t slot = 0; slot < n; ++slot) {
-      index.vectors_.CopyRowFrom(catalog, index.ids_[slot], slot);
+  // SQ8 storage: codes + one scale per stored row, in list order. Each
+  // slot encodes one catalog row independently into disjoint output
+  // ranges, so the shard partitioning cannot change a byte. No float copy
+  // is kept — the exact re-rank reads the caller's catalog.
+  index.codes_.resize(n * dim);
+  index.scales_.resize(n);
+  ctx.ShardedFor(0, n, min_assign_shard, [&](size_t lo, size_t hi) {
+    for (size_t slot = lo; slot < hi; ++slot) {
+      core::kernels::sq8::EncodeRow(catalog.row(index.ids_[slot]), dim,
+                                    index.codes_.data() + slot * dim,
+                                    &index.scales_[slot]);
     }
-  }
+  });
+  index.RecomputeListScaleMax();
+  index.catalog_ = &catalog;
   return index;
 }
 
@@ -306,17 +275,13 @@ void IvfIndex::RecomputeListScaleMax() {
 }
 
 void IvfIndex::AttachRerankCatalog(const core::Matrix& catalog) {
-  GARCIA_CHECK(quantized_);
   GARCIA_CHECK_EQ(catalog.rows(), size());
   GARCIA_CHECK_EQ(catalog.cols(), dim());
   catalog_ = &catalog;
 }
 
 size_t IvfIndex::ListStorageBytes() const {
-  if (quantized_) {
-    return codes_.size() * sizeof(int8_t) + scales_.size() * sizeof(float);
-  }
-  return vectors_.size() * sizeof(float);
+  return codes_.size() * sizeof(int8_t) + scales_.size() * sizeof(float);
 }
 
 size_t IvfIndex::MemoryBytes() const {
@@ -333,8 +298,7 @@ RankedList IvfIndex::Query(const core::ExecutionContext& ctx,
                            size_t rerank_k, QueryStats* stats) const {
   GARCIA_CHECK(!empty());
   nprobe = std::min(std::max<size_t>(nprobe, 1), nlist());
-  RankedList result;
-  if (k == 0) return result;
+  if (k == 0) return {};
 
   // Coarse stage: rank centroids by inner product through the shared
   // top-K kernel (score desc, id asc — the probe order is part of the
@@ -368,41 +332,8 @@ RankedList IvfIndex::Query(const core::ExecutionContext& ctx,
     probes.resize(used);
   }
   k = std::min(k, num_candidates);
-  if (k == 0) return result;
-
-  if (quantized_) return QuerySq8(ctx, query, k, probes, rerank_k, stats);
-
-  // Fine stage: exact dots over the probed lists. Selection under the
-  // total order is unique, so the shard partitioning cannot change the
-  // answer; per-list winners are merged in ascending probe order (the
-  // TopKDot pattern).
-  if (!ctx.parallel() || probes.size() < 2) {
-    result.reserve(k);
-    for (const auto& [list, score] : probes) {
-      PartialTopKList(query, dim(), vectors_, ids_, list_offsets_[list],
-                      list_offsets_[list + 1], k, &result);
-    }
-  } else {
-    std::vector<std::vector<ScoredId>> partial(probes.size());
-    ctx.ShardedFor(0, probes.size(), /*min_shard=*/1,
-                   [&](size_t plo, size_t phi) {
-                     for (size_t p = plo; p < phi; ++p) {
-                       const uint32_t list = probes[p].first;
-                       partial[p].reserve(k);
-                       PartialTopKList(query, dim(), vectors_, ids_,
-                                       list_offsets_[list],
-                                       list_offsets_[list + 1], k, &partial[p]);
-                     }
-                   });
-    for (const std::vector<ScoredId>& winners : partial) {
-      result.insert(result.end(), winners.begin(), winners.end());
-    }
-  }
-  std::partial_sort(result.begin(),
-                    result.begin() + static_cast<ptrdiff_t>(k), result.end(),
-                    RanksBefore);
-  result.resize(k);
-  return result;
+  if (k == 0) return {};
+  return QuerySq8(ctx, query, k, probes, rerank_k, stats);
 }
 
 RankedList IvfIndex::Query(const float* query, size_t k) const {
@@ -417,7 +348,7 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
                               const RankedList& probes, size_t rerank_k,
                               QueryStats* stats) const {
   GARCIA_CHECK(catalog_ != nullptr)
-      << "quantized IvfIndex queried without a re-rank catalog "
+      << "IvfIndex queried without a re-rank catalog "
          "(AttachRerankCatalog after Load)";
   const size_t d = dim();
 
@@ -447,8 +378,9 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
   // approx >= T - 2B is re-scored exactly: a candidate below the cutoff
   // has >= R candidates whose EXACT score is strictly higher (kernels.h
   // band argument), so it provably cannot enter the exact top-k. That
-  // makes the result identical to the float index for every rerank_k —
-  // rerank_k only moves how far below T the guarantee starts paying.
+  // makes the result the exact top-k of the probed candidates for every
+  // rerank_k — rerank_k only moves how far below T the guarantee starts
+  // paying.
   const size_t r_depth = std::min(ResolveRerankK(rerank_k, k), total);
   double cutoff = -std::numeric_limits<double>::infinity();
   if (r_depth < total) {
@@ -518,7 +450,7 @@ core::Status IvfIndex::Save(const std::string& path) const {
   AppendPod(&meta, static_cast<uint64_t>(nlist()));
   AppendPod(&meta, static_cast<uint64_t>(default_nprobe_));
   AppendPod(&meta, seed_);
-  if (quantized_) AppendPod(&meta, static_cast<uint64_t>(default_rerank_k_));
+  AppendPod(&meta, static_cast<uint64_t>(default_rerank_k_));
 
   std::string centroids(reinterpret_cast<const char*>(centroids_.data()),
                         centroids_.size() * sizeof(float));
@@ -530,33 +462,22 @@ core::Status IvfIndex::Save(const std::string& path) const {
   lists.append(reinterpret_cast<const char*>(ids_.data()),
                ids_.size() * sizeof(uint32_t));
 
+  std::string codes(reinterpret_cast<const char*>(codes_.data()),
+                    codes_.size() * sizeof(int8_t));
+  std::string scales(reinterpret_cast<const char*>(scales_.data()),
+                     scales_.size() * sizeof(float));
+
   std::string bytes;
   bytes.reserve(64 + meta.size() + centroids.size() + lists.size() +
                 ListStorageBytes());
-  if (quantized_) {
-    std::string codes(reinterpret_cast<const char*>(codes_.data()),
-                      codes_.size() * sizeof(int8_t));
-    std::string scales(reinterpret_cast<const char*>(scales_.data()),
-                       scales_.size() * sizeof(float));
-    bytes.append(kMagicSq8, 4);
-    AppendPod(&bytes, kVersion);
-    AppendPod(&bytes, kNumSectionsSq8);
-    AppendSection(&bytes, SectionId::kMeta, meta);
-    AppendSection(&bytes, SectionId::kCentroids, centroids);
-    AppendSection(&bytes, SectionId::kLists, lists);
-    AppendSection(&bytes, SectionId::kCodes, codes);
-    AppendSection(&bytes, SectionId::kScales, scales);
-  } else {
-    std::string vectors(reinterpret_cast<const char*>(vectors_.data()),
-                        vectors_.size() * sizeof(float));
-    bytes.append(kMagic, 4);
-    AppendPod(&bytes, kVersion);
-    AppendPod(&bytes, kNumSections);
-    AppendSection(&bytes, SectionId::kMeta, meta);
-    AppendSection(&bytes, SectionId::kCentroids, centroids);
-    AppendSection(&bytes, SectionId::kLists, lists);
-    AppendSection(&bytes, SectionId::kVectors, vectors);
-  }
+  bytes.append(kMagicSq8, 4);
+  AppendPod(&bytes, kVersion);
+  AppendPod(&bytes, kNumSectionsSq8);
+  AppendSection(&bytes, SectionId::kMeta, meta);
+  AppendSection(&bytes, SectionId::kCentroids, centroids);
+  AppendSection(&bytes, SectionId::kLists, lists);
+  AppendSection(&bytes, SectionId::kCodes, codes);
+  AppendSection(&bytes, SectionId::kScales, scales);
   return core::WriteFileAtomic(path, bytes.data(), bytes.size());
 }
 
@@ -568,13 +489,14 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
 
   char magic[4];
   GARCIA_RETURN_IF_ERROR(reader.ReadBytes(magic, 4));
-  bool quantized = false;
-  if (std::memcmp(magic, kMagicSq8, 4) == 0) {
-    quantized = true;
-  } else if (std::memcmp(magic, kMagic, 4) != 0) {
+  if (std::memcmp(magic, kMagicFloatRetired, 4) == 0) {
+    return core::Status::InvalidArgument(
+        "float IVF (GIV1) dumps are no longer supported; rebuild the index "
+        "(" + path + ")");
+  }
+  if (std::memcmp(magic, kMagicSq8, 4) != 0) {
     return core::Status::InvalidArgument(path + " is not an IVF index");
   }
-  const uint32_t want_sections = quantized ? kNumSectionsSq8 : kNumSections;
   uint32_t version = 0, num_sections = 0;
   GARCIA_RETURN_IF_ERROR(reader.Read(&version));
   if (version != kVersion) {
@@ -583,7 +505,7 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
         path);
   }
   GARCIA_RETURN_IF_ERROR(reader.Read(&num_sections));
-  if (num_sections != want_sections) {
+  if (num_sections != kNumSectionsSq8) {
     return core::Status::InvalidArgument("corrupt IVF index header in " +
                                          path);
   }
@@ -591,7 +513,7 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
   // Sections arrive in fixed order; each payload is CRC-checked before it
   // is interpreted, so a bit flip is localized to a named section.
   std::string payloads[kNumSectionsSq8];
-  for (uint32_t s = 0; s < want_sections; ++s) {
+  for (uint32_t s = 0; s < kNumSectionsSq8; ++s) {
     uint32_t id = 0, crc = 0;
     uint64_t size = 0;
     GARCIA_RETURN_IF_ERROR(reader.Read(&id));
@@ -608,7 +530,7 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
     GARCIA_RETURN_IF_ERROR(reader.ReadBytes(payloads[s].data(), size));
     if (core::Crc32(payloads[s].data(), size) != crc) {
       return core::Status::InvalidArgument(
-          std::string("IVF index section '") + SectionName(id, quantized) +
+          std::string("IVF index section '") + SectionName(id) +
           "' checksum mismatch in " + path + " (stored index is corrupt)");
     }
   }
@@ -620,8 +542,7 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
   // Meta: counts first, then every other section's size is implied and
   // verified before any reinterpretation.
   const std::string& meta = payloads[0];
-  const size_t want_meta = (quantized ? 6 : 5) * sizeof(uint64_t);
-  if (meta.size() != want_meta) {
+  if (meta.size() != 6 * sizeof(uint64_t)) {
     return core::Status::InvalidArgument("corrupt IVF meta section in " +
                                          path);
   }
@@ -631,7 +552,7 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
   std::memcpy(&nlist, meta.data() + 16, 8);
   std::memcpy(&nprobe, meta.data() + 24, 8);
   std::memcpy(&seed, meta.data() + 32, 8);
-  if (quantized) std::memcpy(&rerank_k, meta.data() + 40, 8);
+  std::memcpy(&rerank_k, meta.data() + 40, 8);
   if (n == 0 || dim == 0 || nlist == 0 || nlist > n || nprobe == 0 ||
       nprobe > nlist || n > (uint64_t{1} << 32) ||
       dim > (uint64_t{1} << 16) || rerank_k > (uint64_t{1} << 32)) {
@@ -639,13 +560,9 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
                                          path);
   }
   if (payloads[1].size() != nlist * dim * sizeof(float) ||
-      payloads[2].size() != (nlist + 1 + n) * sizeof(uint32_t)) {
-    return core::Status::InvalidArgument(
-        "IVF index section sizes disagree with meta in " + path);
-  }
-  if (quantized ? (payloads[3].size() != n * dim * sizeof(int8_t) ||
-                   payloads[4].size() != n * sizeof(float))
-                : payloads[3].size() != n * dim * sizeof(float)) {
+      payloads[2].size() != (nlist + 1 + n) * sizeof(uint32_t) ||
+      payloads[3].size() != n * dim * sizeof(int8_t) ||
+      payloads[4].size() != n * sizeof(float)) {
     return core::Status::InvalidArgument(
         "IVF index section sizes disagree with meta in " + path);
   }
@@ -653,6 +570,7 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
   IvfIndex index;
   index.seed_ = seed;
   index.default_nprobe_ = static_cast<size_t>(nprobe);
+  index.default_rerank_k_ = static_cast<size_t>(rerank_k);
   index.centroids_ = core::Matrix(nlist, dim);
   std::memcpy(index.centroids_.data(), payloads[1].data(),
               payloads[1].size());
@@ -663,24 +581,15 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
   std::memcpy(index.ids_.data(),
               payloads[2].data() + (nlist + 1) * sizeof(uint32_t),
               n * sizeof(uint32_t));
-  if (quantized) {
-    index.quantized_ = true;
-    index.default_rerank_k_ = static_cast<size_t>(rerank_k);
-    index.codes_.resize(n * dim);
-    std::memcpy(index.codes_.data(), payloads[3].data(), payloads[3].size());
-    index.scales_.resize(n);
-    std::memcpy(index.scales_.data(), payloads[4].data(),
-                payloads[4].size());
-    for (float s : index.scales_) {
-      if (!(s >= 0.0f) || !std::isfinite(s)) {
-        return core::Status::InvalidArgument("corrupt IVF scale table in " +
-                                             path);
-      }
+  index.codes_.resize(n * dim);
+  std::memcpy(index.codes_.data(), payloads[3].data(), payloads[3].size());
+  index.scales_.resize(n);
+  std::memcpy(index.scales_.data(), payloads[4].data(), payloads[4].size());
+  for (float s : index.scales_) {
+    if (!(s >= 0.0f) || !std::isfinite(s)) {
+      return core::Status::InvalidArgument("corrupt IVF scale table in " +
+                                           path);
     }
-  } else {
-    index.vectors_ = core::Matrix(n, dim);
-    std::memcpy(index.vectors_.data(), payloads[3].data(),
-                payloads[3].size());
   }
 
   // Structural validation: offsets must be a monotone cover of [0, n] and
@@ -702,7 +611,7 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
   }
   // The per-list band bound is derived state: rebuild it after the list
   // layout is known-good.
-  if (quantized) index.RecomputeListScaleMax();
+  index.RecomputeListScaleMax();
   return index;
 }
 

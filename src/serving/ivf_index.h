@@ -7,33 +7,14 @@
 // adds the standard sub-linear alternative: a coarse quantizer (seeded
 // k-means over the exported service embeddings) partitions the catalog into
 // nlist inverted lists; a query scores the nlist centroids, probes the
-// nprobe best lists with EXACT dot products, and merges the candidates
-// under the same (score desc, id asc) total order TopKDot uses.
+// nprobe best lists, and ranks the probed candidates under the same
+// (score desc, id asc) total order TopKDot uses.
 //
-// Determinism contract (the same one every kernel in this repo keeps):
-//   * Build is thread-count-invariant. k-means runs a FIXED iteration
-//     count; the assignment step shards over points (each point's nearest
-//     centroid is an independent computation with ties broken by ascending
-//     centroid id); the update step shards over centroids, each centroid
-//     averaging its members in ascending point id with double accumulation
-//     — exactly the serial order, so any ExecutionContext builds the same
-//     index byte for byte.
-//   * Query is thread-count-invariant. Scores are double-accumulated dots
-//     cast to float — the exact expression TopKDot evaluates — and
-//     selection under the (score desc, id asc) TOTAL order is unique, so
-//     any probe-scan partitioning returns the identical ranked list.
-//   * At nprobe == nlist every candidate is probed, so the result is
-//     BYTE-IDENTICAL to TopKDot over the same catalog: the brute-force
-//     scan stays available as the recall oracle behind the
-//     RetrievalConfig::mode knob (serving/ranking_service.h), and the
-//     property harness (tests/serving_retrieval_test.cc) pins the
-//     equivalence per seed, catalog, K and thread count.
-//
-// SQ8 quantized storage (RetrievalMode::kIvfSq8, DESIGN.md §5l): the probe
-// scan above is bandwidth-bound on float32 list rows. In SQ8 mode the index
-// stores each list row as int8 codes with ONE float scale per row
-// (core::kernels::sq8 — symmetric range, |v_j - s*c_j| <= s/2), shrinking
-// resident list storage ~4x, and answers queries in two stages:
+// The probe scan is bandwidth-bound on the stored list rows, so the lists
+// are stored SQ8-quantized (DESIGN.md §5l): int8 codes with ONE float
+// scale per row (core::kernels::sq8 — symmetric range,
+// |v_j - s*c_j| <= s/2), ~4x below float32 rows. A query runs in two
+// stages:
 //   1. quantized scan: the asymmetric sq8::ScanDots kernel scores every
 //      probed candidate (int32 block accumulation, thread-count-invariant);
 //   2. exact re-rank: the top rerank_k candidates by approximate score —
@@ -44,24 +25,43 @@
 //      top k selected under the same (score desc, id asc) total order.
 // The band extension turns the re-rank from a heuristic into a guarantee:
 // any candidate below the cutoff provably ranks behind >= rerank_k >= k
-// re-ranked candidates in EXACT score, so the quantized path returns the
-// exact top-k of the probed candidate set — identical to the float index
-// at every (nprobe, rerank_k >= k) and hence byte-identical to brute force
-// at full probe. Quantization costs memory traffic only, never recall.
-// Exact re-rank reads the original catalog (the index does NOT keep a
-// float copy — that is where the 4x comes from): Build() auto-attaches the
-// catalog it was given, Load() requires AttachRerankCatalog() before the
-// first query. The caller owns the catalog and must keep it alive.
+// re-ranked candidates in EXACT score, so Query returns the exact top-k of
+// the probed candidate set at every (nprobe, rerank_k >= k) — what an
+// exact float scan of the same lists would return — and is byte-identical
+// to brute force at full probe. Quantization costs memory traffic only,
+// never recall. Exact re-rank reads the original catalog (the index keeps
+// no float copy — that is where the 4x comes from): Build() auto-attaches
+// the catalog it was given, Load() requires AttachRerankCatalog() before
+// the first query. The caller owns the catalog and must keep it alive.
 //
-// Persistence: a "GIV1" sectioned container in the GCK1 style
+// Determinism contract (the same one every kernel in this repo keeps):
+//   * Build is thread-count-invariant. k-means runs a FIXED iteration
+//     count; the assignment step shards over points (each point's nearest
+//     centroid is an independent computation with ties broken by ascending
+//     centroid id); the update step shards over centroids, each centroid
+//     averaging its members in ascending point id with double accumulation
+//     — exactly the serial order; each stored row is encoded independently
+//     into disjoint output — so any ExecutionContext builds the same index
+//     byte for byte.
+//   * Query is thread-count-invariant. Re-ranked scores are
+//     double-accumulated dots cast to float — the exact expression TopKDot
+//     evaluates — and selection under the (score desc, id asc) TOTAL order
+//     is unique, so any scan partitioning returns the identical list.
+//   * At nprobe == nlist every candidate is probed, so the result is
+//     BYTE-IDENTICAL to TopKDot over the same catalog: the brute-force
+//     scan stays available as the recall oracle behind the
+//     RetrievalConfig::mode knob (serving/ranking_service.h), and the
+//     property harness (tests/serving_retrieval_test.cc) pins the
+//     equivalence per seed, catalog, K and thread count.
+//
+// Persistence: a "GIV2" sectioned container in the GCK1 style
 // (train/checkpoint.h) — magic + version header, one CRC-32 per section
-// (meta, centroids, lists, vectors), published with
+// (meta, centroids, lists, codes, scales), published with
 // core::WriteFileAtomic. A bit-flipped or truncated dump is rejected at
 // load time with the failing section named; serving then degrades to the
 // brute-force scan (ResilientRanker counts the fallback in ServingHealth).
-// Quantized indexes write a "GIV2" container instead (meta, centroids,
-// lists, codes, scales — same per-section CRC discipline); Load()
-// dispatches on the magic, so float GIV1 dumps stay loadable forever.
+// The retired float-list "GIV1" container is rejected with a named error:
+// indexes are rebuilt at every refresh, so nothing reads an old dump.
 
 #ifndef GARCIA_SERVING_IVF_INDEX_H_
 #define GARCIA_SERVING_IVF_INDEX_H_
@@ -83,7 +83,7 @@ namespace garcia::serving {
 /// synchronization).
 class IvfIndex {
  public:
-  /// Per-query instrumentation for the SQ8 path (ServingHealth feeds).
+  /// Per-query instrumentation (ServingHealth feeds).
   struct QueryStats {
     size_t quantized_rows = 0;  // candidates scored by the int8 scan
     size_t rerank_rows = 0;     // candidates exactly re-scored
@@ -96,9 +96,9 @@ class IvfIndex {
   /// kKmeansIterations sweeps, init sampled from Rng(config.seed)), then
   /// lays every list out contiguously in one pass. Thread-count-invariant
   /// for any `ctx` (see header comment). Requires a non-empty catalog.
-  /// With config.mode == RetrievalMode::kIvfSq8 the lists are stored as
-  /// SQ8 codes + per-row scales instead of floats and `catalog` is
-  /// attached as the re-rank source (caller keeps it alive).
+  /// The lists are stored as SQ8 codes + per-row scales and `catalog` is
+  /// attached as the re-rank source (caller keeps it alive);
+  /// config.mode is not consulted.
   static IvfIndex Build(const core::Matrix& catalog,
                         const RetrievalConfig& config,
                         const core::ExecutionContext& ctx =
@@ -110,16 +110,16 @@ class IvfIndex {
   /// min(k, size()) results: when the nprobe-best lists hold fewer than
   /// min(k, size()) candidates (dead clusters), the probe prefix extends
   /// down the same centroid ranking until it has enough — probe sets stay
-  /// nested in nprobe, so recall stays monotone. A quantized index runs
-  /// the two-stage scan+re-rank with ResolveRerankK(rerank_k, k)
-  /// candidates (the header's band guarantee makes the result identical
-  /// to the float index for every rerank_k).
+  /// nested in nprobe, so recall stays monotone. The two-stage
+  /// scan+re-rank runs with ResolveRerankK(rerank_k, k) candidates (the
+  /// header's band guarantee makes the result the same for every
+  /// rerank_k).
   RankedList Query(const core::ExecutionContext& ctx, const float* query,
                    size_t k, size_t nprobe, size_t rerank_k = 0,
                    QueryStats* stats = nullptr) const;
 
-  /// Same, probing the index's default_nprobe() (and, when quantized, its
-  /// default_rerank_k()) through the ambient core::CurrentExecution().
+  /// Same, probing the index's default_nprobe() and default_rerank_k()
+  /// through the ambient core::CurrentExecution().
   RankedList Query(const float* query, size_t k) const;
 
   size_t size() const { return ids_.size(); }     // catalog rows indexed
@@ -132,8 +132,6 @@ class IvfIndex {
   size_t default_nprobe() const { return default_nprobe_; }
   uint64_t seed() const { return seed_; }
 
-  /// True when the lists are stored as SQ8 codes (two-stage query path).
-  bool quantized() const { return quantized_; }
   /// The raw config.rerank_k captured at build time (0 = auto); resolved
   /// against the request's k by ResolveRerankK at query time.
   size_t default_rerank_k() const { return default_rerank_k_; }
@@ -141,13 +139,13 @@ class IvfIndex {
   /// Points the exact re-rank stage at the original catalog (row r of
   /// `catalog` must be the embedding of service id r used at Build time).
   /// Non-owning: `catalog` must outlive every Query. Required after
-  /// Load() of a quantized index; Build() attaches its own argument.
+  /// Load(); Build() attaches its own argument.
   void AttachRerankCatalog(const core::Matrix& catalog);
   bool has_rerank_catalog() const { return catalog_ != nullptr; }
 
-  /// Resident bytes of the stored list payload only: codes + scales when
-  /// quantized (~4x below float), the float rows otherwise. The SQ8
-  /// headline memory number — excludes the shared centroids/offsets/ids.
+  /// Resident bytes of the stored list payload only: codes + scales, ~4x
+  /// below float rows. The SQ8 headline memory number — excludes the
+  /// shared centroids/offsets/ids.
   size_t ListStorageBytes() const;
   /// Total resident index bytes: centroids + offsets + ids +
   /// ListStorageBytes(). Surfaced on the ServingHealth dashboard.
@@ -159,12 +157,11 @@ class IvfIndex {
   const std::vector<uint32_t>& ids() const { return ids_; }
   const std::vector<uint32_t>& list_offsets() const { return list_offsets_; }
 
-  /// Sectioned "GIV1" container ("GIV2" when quantized — see header
-  /// comment), written atomically.
+  /// Sectioned "GIV2" container (see header comment), written atomically.
   core::Status Save(const std::string& path) const;
   /// Rejects wrong magic/version, truncation, trailing garbage, section
   /// CRC mismatches (naming the section), and inconsistent layout claims.
-  /// Dispatches on the magic: both float GIV1 and quantized GIV2 load.
+  /// A retired float "GIV1" dump is rejected with an error naming GIV1.
   static core::Result<IvfIndex> Load(const std::string& path);
 
   /// nlist == 0 resolves to round(sqrt(rows)), clamped to [1, rows].
@@ -193,10 +190,7 @@ class IvfIndex {
   core::Matrix centroids_;             // nlist x dim coarse quantizer
   std::vector<uint32_t> list_offsets_; // nlist + 1 prefix offsets into ids_
   std::vector<uint32_t> ids_;          // original id of each stored row
-  core::Matrix vectors_;               // rows x dim, grouped by list
-                                       // (float mode only)
-  bool quantized_ = false;
-  std::vector<int8_t> codes_;          // rows x dim SQ8 codes (SQ8 mode)
+  std::vector<int8_t> codes_;          // rows x dim SQ8 codes, by list
   std::vector<float> scales_;          // one scale per stored row
   std::vector<float> list_scale_max_;  // per-list max scale (band bound;
                                        // recomputed, never serialized)

@@ -10,8 +10,6 @@ const char* RetrievalModeName(RetrievalMode mode) {
   switch (mode) {
     case RetrievalMode::kBruteForce:
       return "brute-force";
-    case RetrievalMode::kIvf:
-      return "ivf";
     case RetrievalMode::kIvfSq8:
       return "ivf-sq8";
   }
@@ -45,8 +43,8 @@ EmbeddingRanker::EmbeddingRanker(EmbeddingStore queries,
   GARCIA_CHECK(!services_.empty());
   GARCIA_CHECK_EQ(queries_.dim(), services_.dim());
   if (retrieval_.mode != RetrievalMode::kBruteForce) {
-    // Build from the member store: the SQ8 re-rank catalog pointer refers
-    // to services_.matrix(), which lives exactly as long as this ranker.
+    // Build from the member store: the re-rank catalog pointer refers to
+    // services_.matrix(), which lives exactly as long as this ranker.
     index_ = std::make_shared<const IvfIndex>(
         IvfIndex::Build(services_.matrix(), retrieval_));
   }

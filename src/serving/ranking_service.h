@@ -27,13 +27,11 @@ using RankedList = std::vector<std::pair<uint32_t, float>>;
 enum class RetrievalMode : int {
   /// Exact brute-force scan (core::kernels::TopKDot) — the recall oracle.
   kBruteForce = 0,
-  /// IVF clustered index (serving/ivf_index.h): sub-linear probing,
-  /// byte-identical to brute force at nprobe == nlist.
-  kIvf = 1,
-  /// IVF with SQ8-quantized list storage (~4x smaller, faster probe scans)
-  /// and band-guaranteed exact re-rank: results equal kIvf's bit for bit
-  /// at every (nprobe, rerank_k >= k), so full probe is still
-  /// byte-identical to brute force.
+  /// IVF clustered index with SQ8-quantized list storage
+  /// (serving/ivf_index.h): sub-linear probing, an int8 list scan, and a
+  /// band-guaranteed exact re-rank — the exact top-k of the probed lists
+  /// at every (nprobe, rerank_k >= k), byte-identical to brute force at
+  /// nprobe == nlist.
   kIvfSq8 = 2,
 };
 
@@ -46,7 +44,7 @@ struct RetrievalConfig {
   RetrievalMode mode = RetrievalMode::kBruteForce;
   size_t nlist = 0;    // 0 = round(sqrt(catalog rows))
   size_t nprobe = 0;   // 0 = max(1, nlist / 4)
-  size_t rerank_k = 0; // kIvfSq8 exact re-rank depth; 0 = max(4k, 32),
+  size_t rerank_k = 0; // exact re-rank depth; 0 = max(4k, 32),
                        // nonzero clamps up to k (IvfIndex::ResolveRerankK)
   uint64_t seed = 13;  // k-means init stream
 };
@@ -93,10 +91,10 @@ class Ranker {
 /// Embedding-retrieval ranker: score(q, s) = <z_q, z_s> (the paper's online
 /// inner-product variant of Eq. 12). Default construction scans the whole
 /// service catalog per request; passing a RetrievalConfig with
-/// RetrievalMode::kIvf or kIvfSq8 builds an IvfIndex over the catalog at
+/// RetrievalMode::kIvfSq8 builds an IvfIndex over the catalog at
 /// construction and probes it instead (brute force stays one knob away as
-/// the recall oracle; the SQ8 index re-ranks against the service store's
-/// own matrix, which this ranker owns). The index is immutable and shared:
+/// the recall oracle; the index re-ranks against the service store's own
+/// matrix, which this ranker owns). The index is immutable and shared:
 /// Rank() is safe from any number of threads in every mode.
 class EmbeddingRanker : public Ranker {
  public:
@@ -110,7 +108,7 @@ class EmbeddingRanker : public Ranker {
   size_t num_services() const { return services_.size(); }
 
   const RetrievalConfig& retrieval() const { return retrieval_; }
-  /// Non-null iff retrieval().mode is kIvf or kIvfSq8.
+  /// Non-null iff retrieval().mode is kIvfSq8.
   const IvfIndex* index() const { return index_.get(); }
 
  private:

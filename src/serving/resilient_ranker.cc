@@ -108,11 +108,11 @@ void ResilientRanker::SetRetrievalIndex(std::shared_ptr<const IvfIndex> index,
   // same id space, or probed ids would name different services.
   GARCIA_CHECK_EQ(index->dim(), services_.dim());
   GARCIA_CHECK_EQ(index->size(), services_.size());
-  // A quantized index scores approximately and re-ranks exactly against
-  // the original rows — installing one without its re-rank source would
-  // fail on the first request, so fail here instead.
-  GARCIA_CHECK(!index->quantized() || index->has_rerank_catalog())
-      << "quantized index installed without a re-rank catalog";
+  // The index scores approximately and re-ranks exactly against the
+  // original rows — installing one without its re-rank source would fail
+  // on the first request, so fail here instead.
+  GARCIA_CHECK(index->has_rerank_catalog())
+      << "index installed without a re-rank catalog";
   index_ = std::move(index);
   index_nprobe_ = nprobe;
   index_rerank_k_ = rerank_k;
@@ -133,7 +133,7 @@ core::Status ResilientRanker::LoadRetrievalIndex(const std::string& path,
   // A GIV2 dump carries codes + scales only; the exact re-rank stage reads
   // this ranker's own service catalog (the dump must cover the same
   // catalog — SetRetrievalIndex CHECKs the shape).
-  if (index->quantized()) index->AttachRerankCatalog(services_.matrix());
+  index->AttachRerankCatalog(services_.matrix());
   SetRetrievalIndex(std::move(index), nprobe, rerank_k);
   return core::Status::Ok();
 }
@@ -323,7 +323,7 @@ RankedList ResilientRanker::RankAt(uint64_t request_index, uint32_t query,
     if (!r.embedding.empty()) {
       ++(via_index ? health_.scored_via_index : health_.scored_brute_force);
     }
-    if (via_index && index_->quantized()) {
+    if (via_index) {
       ++health_.quantized_scans;
       health_.rerank_rows += qstats.rerank_rows;
     }

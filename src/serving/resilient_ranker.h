@@ -125,9 +125,9 @@ class ResilientRanker : public Ranker {
   /// probe it with no synchronization — and the choice of scoring path
   /// never perturbs the resolve phase, so the per-request TIER sequence
   /// under a fault profile is identical with and without the index.
-  /// A quantized (SQ8) index must have its re-rank catalog attached
-  /// before installation (CHECKed); `rerank_k` overrides its exact
-  /// re-rank depth per request (0 = the index's build-time default).
+  /// The index must have its re-rank catalog attached before
+  /// installation (CHECKed); `rerank_k` overrides its exact re-rank depth
+  /// per request (0 = the index's build-time default).
   /// Installation also records IvfIndex::MemoryBytes() on ServingHealth.
   void SetRetrievalIndex(std::shared_ptr<const IvfIndex> index,
                          size_t nprobe = 0, size_t rerank_k = 0);
@@ -136,7 +136,7 @@ class ResilientRanker : public Ranker {
   /// dump (bit flip, truncation — rejected by the per-section CRCs) leaves
   /// the brute-force scoring path serving, increments
   /// ServingHealth::index_load_failures, and returns the load error.
-  /// A quantized (GIV2) dump is re-attached to this ranker's own service
+  /// The loaded (GIV2) index is attached to this ranker's own service
   /// catalog for the exact re-rank stage before installation.
   core::Status LoadRetrievalIndex(const std::string& path, size_t nprobe = 0,
                                   size_t rerank_k = 0);
@@ -217,7 +217,7 @@ class ResilientRanker : public Ranker {
   /// traffic, immutable afterwards, like the tiers above.
   std::shared_ptr<const IvfIndex> index_;
   size_t index_nprobe_ = 0;    // 0 = index default
-  size_t index_rerank_k_ = 0;  // 0 = index default (SQ8 only)
+  size_t index_rerank_k_ = 0;  // 0 = index default
 
   /// Guards the shared mutable state below for accessor visibility
   /// (health(), breaker_state(), ...). The resolve phase itself is

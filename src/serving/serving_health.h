@@ -47,7 +47,7 @@ struct ServingHealth {
   uint64_t scored_brute_force = 0;     // embedding requests full-scanned
   uint64_t index_load_failures = 0;    // corrupt/unreadable index dumps
 
-  // SQ8 two-stage path (quantized index only): how many requests ran the
+  // SQ8 two-stage path (every index probe): how many requests ran the
   // int8 scan, and how many candidate rows the exact re-rank touched in
   // total — rerank_rows / quantized_scans is the mean re-rank depth, the
   // knob-tuning number next to rerank_k. index_memory_bytes is the

@@ -200,7 +200,10 @@ TEST(EmbeddingStoreHardeningTest, CraftedHugeHeaderRejectedWithoutAllocating) {
   std::remove(path.c_str());
 }
 
-TEST(EmbeddingStoreHardeningTest, LegacyV1StillLoadsWithWarning) {
+// A well-formed legacy v1 dump ("GEMB", no checksum) is refused by name:
+// every embedding load is CRC-checked, so an unverifiable payload never
+// reaches serving.
+TEST(EmbeddingStoreHardeningTest, LegacyV1RejectedWithNamedError) {
   const std::string path = TempPath("legacy_v1");
   Matrix m({{1, 2}, {3, 4}, {5, 6}});
   {
@@ -213,8 +216,12 @@ TEST(EmbeddingStoreHardeningTest, LegacyV1StillLoadsWithWarning) {
             static_cast<std::streamsize>(rows * cols * sizeof(float)));
   }
   auto r = EmbeddingStore::Load(path);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r.value().matrix().AllClose(m));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("legacy v1"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("checksum"), std::string::npos)
+      << r.status().ToString();
   std::remove(path.c_str());
 }
 
@@ -751,11 +758,9 @@ TEST_F(ChainTest, CorruptIndexDumpDegradesToBruteForceScoring) {
 TEST_F(ChainTest, Sq8IndexCountsScansRerankRowsAndMemoryOnDashboard) {
   auto ranker = MakeRanker();
   RetrievalConfig rcfg;
-  rcfg.mode = RetrievalMode::kIvfSq8;
   rcfg.nlist = 2;
   auto index =
       std::make_shared<const IvfIndex>(IvfIndex::Build(services_, rcfg));
-  ASSERT_TRUE(index->quantized());
   ranker->SetRetrievalIndex(index, /*nprobe=*/index->nlist());
   // Full probe + band re-rank: still the oracle answer.
   auto reference = MakeRanker();
@@ -781,7 +786,6 @@ TEST_F(ChainTest, Sq8DumpLoadsAndReattachesOwnCatalog) {
   const std::string path = "/tmp/garcia_resilience_sq8_dump.ivf";
   {
     RetrievalConfig rcfg;
-    rcfg.mode = RetrievalMode::kIvfSq8;
     rcfg.nlist = 2;
     rcfg.nprobe = 2;
     ASSERT_TRUE(IvfIndex::Build(services_, rcfg).Save(path).ok());

@@ -1,10 +1,11 @@
-// Property-test harness for the IVF retrieval index (ISSUE 9): the index
-// must be EXACTLY the brute-force oracle at full probe — byte-identical
-// ranked lists for seed-swept adversarial catalogs (duplicate rows, zero
-// vectors, near-tie scores), every K shape, and every thread count — with
-// recall monotone in nprobe, a thread-count-invariant build (identical
-// Save() bytes), hardened Save/Load, and bit-identical concurrent serving
-// through the shared-index BatchRanker path.
+// Property-test harness for the SQ8 IVF retrieval index: the index must
+// be EXACTLY the brute-force oracle at full probe — byte-identical ranked
+// lists for seed-swept adversarial catalogs (duplicate rows, zero vectors,
+// near-tie scores), every K shape, and every thread count — and, at every
+// nprobe, exactly an exact float scan of the probed lists; with recall
+// monotone in nprobe, a thread-count-invariant build (identical Save()
+// bytes), hardened Save/Load, and bit-identical concurrent serving through
+// the shared-index BatchRanker path.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/kernels.h"
 #include "core/rng.h"
 #include "core/threadpool.h"
 #include "serving/batch_ranker.h"
@@ -98,52 +100,6 @@ double RecallAgainst(const RankedList& truth, const RankedList& got) {
 }
 
 // ------------------------------------------------------ oracle equivalence
-
-// The acceptance criterion: at nprobe == nlist the index is byte-identical
-// to the brute-force scan — same ids, same float bits — for 24 seeds of
-// adversarial catalogs, queries that include exact catalog rows and the
-// all-zero vector, every K shape, and thread counts 1/2/4/8 on both sides.
-TEST(IvfOracleTest, FullProbeBitIdenticalToBruteForceAcrossSeedsAndThreads) {
-  core::ExecutionContext par2(2), par4(4), par8(8);
-  const std::vector<const core::ExecutionContext*> ctxs = {
-      &core::SerialExecution(), &par2, &par4, &par8};
-  for (uint64_t seed = 0; seed < 24; ++seed) {
-    const Matrix catalog = AdversarialCatalog(seed);
-    const size_t n = catalog.rows(), dim = catalog.cols();
-    RetrievalConfig cfg;
-    cfg.nlist = 1 + seed % 17;  // sweep nlist shapes too
-    cfg.seed = seed;
-    const IvfIndex index = IvfIndex::Build(catalog, cfg);
-    ASSERT_EQ(index.size(), n);
-
-    core::Rng qrng(seed + 99);
-    std::vector<std::vector<float>> queries;
-    Matrix q = Matrix::Randn(2, dim, &qrng);
-    queries.emplace_back(q.row(0), q.row(0) + dim);
-    queries.emplace_back(q.row(1), q.row(1) + dim);
-    queries.emplace_back(catalog.row(seed % n),
-                         catalog.row(seed % n) + dim);  // exact catalog row
-    queries.emplace_back(dim, 0.0f);  // all ties: pure id-order selection
-
-    for (const auto& query : queries) {
-      for (size_t k : {size_t{1}, size_t{10}, n / 2, n, n + 7}) {
-        const RankedList truth = TopKInnerProduct(
-            core::SerialExecution(), query.data(), dim, catalog, k);
-        for (const core::ExecutionContext* ctx : ctxs) {
-          const RankedList got =
-              index.Query(*ctx, query.data(), k, index.nlist());
-          ASSERT_EQ(got.size(), truth.size()) << "seed " << seed << " k " << k;
-          for (size_t i = 0; i < truth.size(); ++i) {
-            ASSERT_EQ(got[i].first, truth[i].first)
-                << "seed " << seed << " k " << k << " rank " << i;
-            ASSERT_EQ(got[i].second, truth[i].second)  // float ==, not near
-                << "seed " << seed << " k " << k << " rank " << i;
-          }
-        }
-      }
-    }
-  }
-}
 
 TEST(IvfOracleTest, KZeroReturnsEmptyInEveryMode) {
   const Matrix catalog = AdversarialCatalog(3);
@@ -241,30 +197,6 @@ TEST(IvfRecallTest, DefaultNprobeRecallFloorOnClusteredData) {
 
 // ------------------------------------------------------ build determinism
 
-// Building under 1/2/4/8-thread execution contexts must produce the same
-// index BYTE FOR BYTE — asserted on the serialized artifact, the strongest
-// form (centroid float bits, list layout, permuted vectors, all of it).
-TEST(IvfBuildTest, BuildIsThreadCountInvariantDownToSaveBytes) {
-  const Matrix catalog = AdversarialCatalog(21);
-  RetrievalConfig cfg;
-  cfg.nlist = 9;
-  core::ExecutionContext par2(2), par4(4), par8(8);
-  const std::string ref_path = TempPath("build_serial");
-  ASSERT_TRUE(
-      IvfIndex::Build(catalog, cfg, core::SerialExecution()).Save(ref_path).ok());
-  const std::string ref_bytes = ReadAllBytes(ref_path);
-  ASSERT_FALSE(ref_bytes.empty());
-  int label = 0;
-  for (const core::ExecutionContext* ctx : {&par2, &par4, &par8}) {
-    const std::string path =
-        TempPath(("build_par" + std::to_string(label++)).c_str());
-    ASSERT_TRUE(IvfIndex::Build(catalog, cfg, *ctx).Save(path).ok());
-    EXPECT_EQ(ReadAllBytes(path), ref_bytes);
-    std::remove(path.c_str());
-  }
-  std::remove(ref_path.c_str());
-}
-
 TEST(IvfBuildTest, StructureIsWellFormed) {
   const Matrix catalog = AdversarialCatalog(33);
   const size_t n = catalog.rows();
@@ -303,57 +235,6 @@ TEST(IvfBuildTest, ResolveKnobDefaults) {
 
 // --------------------------------------------------------- persistence
 
-TEST(IvfPersistenceTest, SaveLoadRoundTripServesIdentically) {
-  const Matrix catalog = AdversarialCatalog(55);
-  RetrievalConfig cfg;
-  cfg.nlist = 11;
-  cfg.nprobe = 3;
-  const IvfIndex index = IvfIndex::Build(catalog, cfg);
-  const std::string path = TempPath("roundtrip");
-  ASSERT_TRUE(index.Save(path).ok());
-  auto loaded = IvfIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const IvfIndex& back = loaded.value();
-  EXPECT_EQ(back.size(), index.size());
-  EXPECT_EQ(back.nlist(), index.nlist());
-  EXPECT_EQ(back.default_nprobe(), index.default_nprobe());
-  EXPECT_EQ(back.seed(), index.seed());
-  core::Rng qrng(56);
-  Matrix q = Matrix::Randn(4, catalog.cols(), &qrng);
-  for (size_t qi = 0; qi < 4; ++qi) {
-    for (size_t nprobe : {size_t{1}, size_t{3}, index.nlist()}) {
-      EXPECT_EQ(index.Query(core::SerialExecution(), q.row(qi), 10, nprobe),
-                back.Query(core::SerialExecution(), q.row(qi), 10, nprobe));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-// Every byte position in the dump is covered by some CRC (or the header
-// checks): flipping ANY single bit must make Load fail. Sampling stride
-// keeps the test fast while still hitting all four sections.
-TEST(IvfPersistenceTest, AnyFlippedBitRejected) {
-  const Matrix catalog = AdversarialCatalog(66);
-  RetrievalConfig cfg;
-  cfg.nlist = 5;
-  const IvfIndex index = IvfIndex::Build(catalog, cfg);
-  const std::string path = TempPath("bitflip");
-  ASSERT_TRUE(index.Save(path).ok());
-  const std::string clean = ReadAllBytes(path);
-  ASSERT_FALSE(clean.empty());
-  for (size_t pos = 0; pos < clean.size(); pos += 97) {
-    std::string corrupt = clean;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x04);
-    {
-      std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      f.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-    }
-    auto r = IvfIndex::Load(path);
-    EXPECT_FALSE(r.ok()) << "flip at byte " << pos << " was accepted";
-  }
-  std::remove(path.c_str());
-}
-
 TEST(IvfPersistenceTest, TruncationAndTrailingGarbageRejected) {
   const Matrix catalog = AdversarialCatalog(67);
   const IvfIndex index = IvfIndex::Build(catalog, RetrievalConfig{});
@@ -377,68 +258,9 @@ TEST(IvfPersistenceTest, TruncationAndTrailingGarbageRejected) {
   std::remove(path.c_str());
 }
 
-TEST(IvfPersistenceTest, CorruptSectionIsNamedInTheError) {
-  const Matrix catalog = AdversarialCatalog(68);
-  const IvfIndex index = IvfIndex::Build(catalog, RetrievalConfig{});
-  const std::string path = TempPath("named");
-  ASSERT_TRUE(index.Save(path).ok());
-  std::string bytes = ReadAllBytes(path);
-  bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0x40);
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  auto r = IvfIndex::Load(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("checksum"), std::string::npos)
-      << r.status().ToString();
-  EXPECT_NE(r.status().message().find("vectors"), std::string::npos)
-      << "failing section not named: " << r.status().ToString();
-  std::remove(path.c_str());
-}
+// ------------------------------------------------- concurrent serving
 
-// ------------------------------------------- concurrent serving (satellite)
-
-// One immutable IvfIndex shared by EmbeddingRanker through BatchRanker at
-// 1/2/4/8 worker threads: every thread count must reproduce the serial
-// pass bit for bit. Runs under TSan in scripts/check.sh — unsynchronized
-// concurrent probes of the shared index are exactly what it would catch.
-TEST(IvfConcurrencyTest, SharedIndexThroughBatchRankerBitIdenticalToSerial) {
-  core::Rng rng(77);
-  const size_t num_queries = 60, n = 500, dim = 16;
-  Matrix query_emb = Matrix::Randn(num_queries, dim, &rng);
-  Matrix service_emb = ClusteredCatalog(78, 10, 50, dim);
-  RetrievalConfig cfg;
-  cfg.mode = RetrievalMode::kIvf;
-  cfg.nlist = 10;
-  cfg.nprobe = 4;
-  auto ranker = std::make_shared<EmbeddingRanker>(
-      EmbeddingStore(query_emb), EmbeddingStore(service_emb), cfg);
-  ASSERT_NE(ranker->index(), nullptr);
-  ASSERT_EQ(ranker->index()->size(), n);
-
-  std::vector<ServeRequest> requests;
-  for (size_t i = 0; i < 400; ++i) {
-    requests.push_back({static_cast<uint32_t>(i % num_queries), 10});
-  }
-  ServeConfig serial_cfg;
-  serial_cfg.num_threads = 0;
-  BatchRanker serial(ranker, serial_cfg);
-  const std::vector<RankedList> ref = serial.RankBatch(requests);
-
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    ServeConfig par_cfg;
-    par_cfg.num_threads = threads;
-    BatchRanker batch(ranker, par_cfg);
-    const std::vector<RankedList> got = batch.RankBatch(requests);
-    ASSERT_EQ(got.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(got[i], ref[i]) << "threads " << threads << " request " << i;
-    }
-  }
-}
-
-// The same index probed concurrently through raw threads with per-thread
+// One index probed concurrently through raw threads with per-thread
 // ExecutionContexts — no facade, maximum overlap — must agree with serial.
 TEST(IvfConcurrencyTest, RawConcurrentProbesMatchSerial) {
   const Matrix catalog = ClusteredCatalog(79, 12, 40, 12);
@@ -471,39 +293,15 @@ TEST(IvfConcurrencyTest, RawConcurrentProbesMatchSerial) {
   }
 }
 
-// ------------------------------------------------- EmbeddingRanker wiring
-
-TEST(EmbeddingRankerIvfTest, FullProbeModeMatchesBruteForceRanker) {
-  core::Rng rng(90);
-  const size_t dim = 8;
-  Matrix query_emb = Matrix::Randn(12, dim, &rng);
-  Matrix service_emb = Matrix::Randn(150, dim, &rng);
-  EmbeddingRanker brute{EmbeddingStore(query_emb),
-                        EmbeddingStore(service_emb)};
-  RetrievalConfig cfg;
-  cfg.mode = RetrievalMode::kIvf;
-  cfg.nlist = 6;
-  cfg.nprobe = 6;  // full probe: oracle-exact
-  EmbeddingRanker ivf(EmbeddingStore(query_emb), EmbeddingStore(service_emb),
-                      cfg);
-  for (uint32_t q = 0; q < 12; ++q) {
-    for (size_t k : {size_t{1}, size_t{10}, service_emb.rows()}) {
-      EXPECT_EQ(ivf.Rank(q, k), brute.Rank(q, k)) << "query " << q;
-    }
-  }
-  EXPECT_EQ(std::string(RetrievalModeName(ivf.retrieval().mode)), "ivf");
-  EXPECT_EQ(std::string(RetrievalModeName(brute.retrieval().mode)),
-            "brute-force");
-}
-
 // ------------------------------------------------------------- SQ8 lane
 //
-// The quantized index must not trade ANY correctness for its 4x storage
-// saving: the band-guaranteed re-rank makes kIvfSq8 identical to the float
-// index at every (nprobe, rerank_k >= k), hence byte-identical to brute
-// force at full probe — over the same adversarial catalogs whose duplicate
-// rows, zero vectors, and 1e-7 near-ties quantize onto IDENTICAL codes,
-// the worst case for any approximate-then-rerank scheme.
+// The quantized lists must not trade ANY correctness for their 4x storage
+// saving: the band-guaranteed re-rank makes the index identical to an
+// exact float scan of the probed lists at every (nprobe, rerank_k >= k),
+// hence byte-identical to brute force at full probe — over the same
+// adversarial catalogs whose duplicate rows, zero vectors, and 1e-7
+// near-ties quantize onto IDENTICAL codes, the worst case for any
+// approximate-then-rerank scheme.
 
 RetrievalConfig Sq8Config(size_t nlist, uint64_t seed, size_t nprobe = 0,
                           size_t rerank_k = 0) {
@@ -528,7 +326,6 @@ TEST(Sq8OracleTest, FullProbeBitIdenticalToBruteForceAcrossSeedsAndThreads) {
     const size_t n = catalog.rows(), dim = catalog.cols();
     const IvfIndex index =
         IvfIndex::Build(catalog, Sq8Config(1 + seed % 17, seed));
-    ASSERT_TRUE(index.quantized());
     ASSERT_TRUE(index.has_rerank_catalog());
 
     core::Rng qrng(seed + 99);
@@ -565,27 +362,55 @@ TEST(Sq8OracleTest, FullProbeBitIdenticalToBruteForceAcrossSeedsAndThreads) {
   }
 }
 
+/// Exact float probe of `index`'s own lists — the answer the SQ8 path must
+/// reproduce. Ranks centroids(), extends the probe prefix exactly as
+/// IvfIndex::Query documents (lists are taken while fewer than nprobe are
+/// used or fewer than min(k, size()) candidates are held), scores every
+/// probed id with the exact TopKDot expression against `catalog`, and
+/// selects the top k under the shared total order.
+RankedList FloatProbe(const IvfIndex& index, const Matrix& catalog,
+                      const float* query, size_t k, size_t nprobe) {
+  nprobe = std::min(std::max<size_t>(nprobe, 1), index.nlist());
+  const RankedList lists =
+      TopKInnerProduct(core::SerialExecution(), query, index.dim(),
+                       index.centroids(), index.nlist());
+  const size_t want = std::min(k, index.size());
+  RankedList cands;
+  for (size_t used = 0;
+       used < lists.size() && (used < nprobe || cands.size() < want);
+       ++used) {
+    const uint32_t list = lists[used].first;
+    for (uint32_t r = index.list_offsets()[list];
+         r < index.list_offsets()[list + 1]; ++r) {
+      const uint32_t id = index.ids()[r];
+      cands.emplace_back(id, core::kernels::DotRowDouble(
+                                 query, catalog.row(id), index.dim()));
+    }
+  }
+  std::sort(cands.begin(), cands.end(), core::kernels::RanksBefore);
+  cands.resize(std::min(k, cands.size()));
+  return cands;
+}
+
 // Stronger than the full-probe gate: the band extension returns the exact
-// top-k of the PROBED candidate set, so SQ8 equals the float index bit for
-// bit at EVERY nprobe and rerank_k — quantization moves bytes, never
-// results.
+// top-k of the PROBED candidate set, so SQ8 equals an exact float scan of
+// the same lists bit for bit at EVERY nprobe and rerank_k — quantization
+// moves bytes, never results.
 TEST(Sq8OracleTest, MatchesFloatIndexAtEveryNprobeAndRerankK) {
   for (uint64_t seed : {3u, 7u, 15u}) {
     const Matrix catalog = AdversarialCatalog(seed);
     const size_t dim = catalog.cols(), nlist = 5 + seed % 7;
-    RetrievalConfig fcfg;
-    fcfg.nlist = nlist;
-    fcfg.seed = seed;
-    const IvfIndex fl = IvfIndex::Build(catalog, fcfg);
     const IvfIndex sq = IvfIndex::Build(catalog, Sq8Config(nlist, seed));
     core::Rng qrng(seed + 5);
     Matrix q = Matrix::Randn(3, dim, &qrng);
     for (size_t qi = 0; qi < 3; ++qi) {
-      for (size_t nprobe = 1; nprobe <= fl.nlist(); ++nprobe) {
+      for (size_t nprobe = 1; nprobe <= sq.nlist(); ++nprobe) {
+        const RankedList truth = FloatProbe(sq, catalog, q.row(qi), 10, nprobe);
+        ASSERT_EQ(truth.size(), 10u);
         for (size_t rerank_k : {size_t{0}, size_t{10}, size_t{31}}) {
           ASSERT_EQ(sq.Query(core::SerialExecution(), q.row(qi), 10, nprobe,
                              rerank_k),
-                    fl.Query(core::SerialExecution(), q.row(qi), 10, nprobe))
+                    truth)
               << "seed " << seed << " nprobe " << nprobe << " rerank "
               << rerank_k;
         }
@@ -655,22 +480,19 @@ TEST(Sq8BuildTest, ResolveRerankKDefaults) {
   EXPECT_EQ(IvfIndex::ResolveRerankK(64, 10), 64u);
 }
 
-// The headline storage claim, asserted: SQ8 list storage is ~4x below the
+// The headline storage claim, asserted: SQ8 list storage is ~4x below
 // float rows (exactly 4d / (d + 4): one int8 code per coordinate plus one
-// float scale per row), and the whole-index footprint shrinks accordingly.
+// float scale per row), and the whole-index footprint stays below them.
 TEST(Sq8MemoryTest, ListStorageIsRoughly4xSmaller) {
   const Matrix catalog = ClusteredCatalog(31, 8, 40, 64);
-  RetrievalConfig fcfg;
-  fcfg.nlist = 8;
-  const IvfIndex fl = IvfIndex::Build(catalog, fcfg);
   const IvfIndex sq = IvfIndex::Build(catalog, Sq8Config(8, 31));
   const size_t n = catalog.rows(), dim = catalog.cols();
-  EXPECT_EQ(fl.ListStorageBytes(), n * dim * sizeof(float));
+  const size_t float_bytes = n * dim * sizeof(float);
   EXPECT_EQ(sq.ListStorageBytes(), n * dim + n * sizeof(float));
-  const double ratio = static_cast<double>(fl.ListStorageBytes()) /
+  const double ratio = static_cast<double>(float_bytes) /
                        static_cast<double>(sq.ListStorageBytes());
   EXPECT_GE(ratio, 3.5) << "dim 64 should be ~3.76x";
-  EXPECT_LT(sq.MemoryBytes(), fl.MemoryBytes());
+  EXPECT_LT(sq.MemoryBytes(), float_bytes);
   EXPECT_GT(sq.MemoryBytes(), sq.ListStorageBytes());  // shared parts counted
 }
 
@@ -686,8 +508,10 @@ TEST(Sq8PersistenceTest, RoundTripRequiresCatalogAttachAndServesIdentically) {
   auto loaded = IvfIndex::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   IvfIndex& back = loaded.value();
-  EXPECT_TRUE(back.quantized());
   EXPECT_FALSE(back.has_rerank_catalog());  // codes travel, catalog doesn't
+  EXPECT_EQ(back.size(), index.size());
+  EXPECT_EQ(back.nlist(), index.nlist());
+  EXPECT_EQ(back.seed(), index.seed());
   EXPECT_EQ(back.default_rerank_k(), 17u);
   EXPECT_EQ(back.default_nprobe(), index.default_nprobe());
   back.AttachRerankCatalog(catalog);
@@ -702,26 +526,26 @@ TEST(Sq8PersistenceTest, RoundTripRequiresCatalogAttachAndServesIdentically) {
   std::remove(path.c_str());
 }
 
-// A float GIV1 dump written before this change must keep loading — and
-// load as a float index, no re-rank catalog required.
-TEST(Sq8PersistenceTest, Giv1FloatDumpStillLoadsAsFloatIndex) {
-  const Matrix catalog = AdversarialCatalog(57);
-  RetrievalConfig fcfg;
-  fcfg.nlist = 6;
-  const IvfIndex fl = IvfIndex::Build(catalog, fcfg);
-  const std::string path = TempPath("giv1_back");
-  ASSERT_TRUE(fl.Save(path).ok());
-  ASSERT_EQ(ReadAllBytes(path).substr(0, 4), "GIV1");
-  auto loaded = IvfIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded.value().quantized());
-  core::Rng qrng(58);
-  Matrix q = Matrix::Randn(2, catalog.cols(), &qrng);
-  for (size_t qi = 0; qi < 2; ++qi) {
-    EXPECT_EQ(loaded.value().Query(core::SerialExecution(), q.row(qi), 10,
-                                   fl.nlist()),
-              fl.Query(core::SerialExecution(), q.row(qi), 10, fl.nlist()));
+// The float-list GIV1 container is retired: a dump carrying its magic is
+// refused with an error that names the format, so an operator knows to
+// rebuild rather than hunt for corruption.
+TEST(Sq8PersistenceTest, Giv1DumpRejectedWithNamedError) {
+  const std::string path = TempPath("giv1_rejected");
+  {
+    // GIV1 header: magic, version 1, four sections (meta, centroids,
+    // lists, vectors) — the body is never reached.
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write("GIV1", 4);
+    const uint32_t version = 1, num_sections = 4;
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    f.write(reinterpret_cast<const char*>(&num_sections),
+            sizeof(num_sections));
   }
+  auto loaded = IvfIndex::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("GIV1"), std::string::npos)
+      << loaded.status().ToString();
   std::remove(path.c_str());
 }
 
@@ -748,8 +572,8 @@ TEST(Sq8PersistenceTest, AnyFlippedBitRejected) {
   std::remove(path.c_str());
 }
 
-// The codes and scales sections are named when their CRC trips, so the
-// on-call log localizes which payload rotted.
+// Every section — meta, centroids, lists, codes and scales — is named when
+// its CRC trips, so the on-call log localizes which payload rotted.
 TEST(Sq8PersistenceTest, CorruptCodesAndScalesSectionsAreNamed) {
   const Matrix catalog = AdversarialCatalog(68);
   const size_t n = catalog.rows(), dim = catalog.cols();
@@ -760,15 +584,21 @@ TEST(Sq8PersistenceTest, CorruptCodesAndScalesSectionsAreNamed) {
   // Container layout: 12-byte header, then per-section 16-byte section
   // header + payload (meta 48, centroids nlist*dim*4, lists (nlist+1+n)*4,
   // codes n*dim, scales n*4).
-  const size_t codes_payload = 12 + (16 + 48) +
-                               (16 + index.nlist() * dim * sizeof(float)) +
-                               (16 + (index.nlist() + 1 + n) * 4) + 16;
+  const size_t meta_payload = 12 + 16;
+  const size_t centroids_payload = meta_payload + 48 + 16;
+  const size_t lists_payload =
+      centroids_payload + index.nlist() * dim * sizeof(float) + 16;
+  const size_t codes_payload =
+      lists_payload + (index.nlist() + 1 + n) * 4 + 16;
   const size_t scales_payload = codes_payload + n * dim + 16;
   ASSERT_EQ(scales_payload + n * sizeof(float), clean.size());
   const struct {
     size_t pos;
     const char* want;
-  } cases[] = {{codes_payload + n * dim / 2, "codes"},
+  } cases[] = {{meta_payload + 3, "meta"},
+               {centroids_payload + 5, "centroids"},
+               {lists_payload + 9, "lists"},
+               {codes_payload + n * dim / 2, "codes"},
                {scales_payload + 1, "scales"}};
   for (const auto& c : cases) {
     std::string corrupt = clean;
@@ -802,7 +632,6 @@ TEST(Sq8ConcurrencyTest, SharedIndexThroughBatchRankerBitIdenticalToSerial) {
   auto ranker = std::make_shared<EmbeddingRanker>(
       EmbeddingStore(query_emb), EmbeddingStore(service_emb), cfg);
   ASSERT_NE(ranker->index(), nullptr);
-  ASSERT_TRUE(ranker->index()->quantized());
 
   std::vector<ServeRequest> requests;
   for (size_t i = 0; i < 400; ++i) {
@@ -840,6 +669,8 @@ TEST(EmbeddingRankerIvfTest, Sq8FullProbeModeMatchesBruteForceRanker) {
     }
   }
   EXPECT_EQ(std::string(RetrievalModeName(sq8.retrieval().mode)), "ivf-sq8");
+  EXPECT_EQ(std::string(RetrievalModeName(brute.retrieval().mode)),
+            "brute-force");
 }
 
 }  // namespace
