@@ -4,9 +4,13 @@
 # concurrency-sensitive suites (kernel execution layer, thread pool, the
 # rewired tensor ops). The full-ctest lanes include the crash-safety
 # suites: train_checkpoint_test (kill-point sweep, checkpoint container
-# corruption matrix — the file-size/offset arithmetic there is exactly
-# what ASan/UBSan should see) and the torn-write EmbeddingStore tests in
-# serving_resilience_test. Usage: scripts/check.sh [extra ctest args].
+# corruption matrix), the torn-write EmbeddingStore tests in
+# serving_resilience_test, and persistence_fuzz_test — seeded mutations
+# of GCK1, GIV2 and GEM2 artifacts through their public decoders, raw
+# and with CRCs resealed. The file-size/offset arithmetic of those
+# decoders is exactly what ASan/UBSan should see, and the fuzz test runs
+# in the ASan/UBSan lane as part of the full ctest, with no extra step.
+# Usage: scripts/check.sh [extra ctest args].
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"

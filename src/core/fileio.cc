@@ -1,6 +1,7 @@
 #include "core/fileio.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -78,7 +79,22 @@ Status WriteFileAtomic(const std::string& path, const void* data,
 Result<std::string> ReadFile(const std::string& path, size_t max_bytes) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return Errno("cannot open", path);
+  auto over_cap = [&] {
+    ::close(fd);
+    return Status::IoError(path + " exceeds the " + std::to_string(max_bytes) +
+                           "-byte read cap");
+  };
+  // Reject an oversized file before reading any of it, and size the buffer
+  // once. The in-loop cap still holds if the file grows during the read.
+  struct stat info;
+  if (::fstat(fd, &info) != 0) {
+    const Status st = Errno("cannot stat", path);
+    ::close(fd);
+    return st;
+  }
+  if (static_cast<uint64_t>(info.st_size) > max_bytes) return over_cap();
   std::string out;
+  out.reserve(static_cast<size_t>(info.st_size));
   char buf[1 << 16];
   while (true) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));
@@ -89,11 +105,7 @@ Result<std::string> ReadFile(const std::string& path, size_t max_bytes) {
       return st;
     }
     if (n == 0) break;
-    if (out.size() + static_cast<size_t>(n) > max_bytes) {
-      ::close(fd);
-      return Status::IoError(path + " exceeds the " +
-                             std::to_string(max_bytes) + "-byte read cap");
-    }
+    if (out.size() + static_cast<size_t>(n) > max_bytes) return over_cap();
     out.append(buf, static_cast<size_t>(n));
   }
   ::close(fd);

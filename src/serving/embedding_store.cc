@@ -1,11 +1,12 @@
 #include "serving/embedding_store.h"
 
+#include <cmath>
 #include <cstring>
-#include <fstream>
 
 #include "core/crc32.h"
 #include "core/fileio.h"
 #include "core/macros.h"
+#include "core/sectioned_file.h"
 
 namespace garcia::serving {
 
@@ -18,11 +19,8 @@ constexpr uint32_t kVersion = 2;
 constexpr uint64_t kMaxRows = 1ull << 32;
 constexpr uint64_t kMaxCols = 1ull << 16;
 
-template <typename T>
-bool ReadPod(std::ifstream& f, T* out) {
-  f.read(reinterpret_cast<char*>(out), sizeof(T));
-  return static_cast<bool>(f);
-}
+// magic + u32 version + u64 rows + u64 cols + u32 crc32.
+constexpr uint64_t kHeaderBytes = 28;
 
 }  // namespace
 
@@ -46,7 +44,7 @@ core::Status EmbeddingStore::Save(const std::string& path) const {
   const uint64_t payload_bytes = rows * cols * sizeof(float);
   const uint32_t crc = core::Crc32(embeddings_.data(), payload_bytes);
   std::string bytes;
-  bytes.reserve(24 + payload_bytes);
+  bytes.reserve(kHeaderBytes + payload_bytes);
   bytes.append(kMagicV2, 4);
   bytes.append(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
   bytes.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
@@ -58,16 +56,14 @@ core::Status EmbeddingStore::Save(const std::string& path) const {
 }
 
 core::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return core::Status::IoError("cannot open " + path);
-  f.seekg(0, std::ios::end);
-  const uint64_t file_size = static_cast<uint64_t>(f.tellg());
-  f.seekg(0, std::ios::beg);
+  auto bytes = core::ReadFile(path, kHeaderBytes + kMaxPayloadBytes);
+  if (!bytes.ok()) return bytes.status();
+  core::ByteReader r(*bytes);
 
   char magic[4];
-  f.read(magic, 4);
-  if (!f) return core::Status::InvalidArgument(path + " is too short");
-
+  if (!r.Bytes(magic, 4)) {
+    return core::Status::InvalidArgument(path + " is too short");
+  }
   if (std::memcmp(magic, kMagicV1Retired, 4) == 0) {
     return core::Status::InvalidArgument(
         path + ": legacy v1 embedding store has no checksum; re-save");
@@ -76,7 +72,7 @@ core::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
     return core::Status::InvalidArgument(path + " is not an embedding store");
   }
   uint32_t version = 0;
-  if (!ReadPod(f, &version)) {
+  if (!r.Pod(&version)) {
     return core::Status::InvalidArgument("truncated header in " + path);
   }
   if (version != kVersion) {
@@ -85,7 +81,7 @@ core::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
   }
 
   uint64_t rows = 0, cols = 0;
-  if (!ReadPod(f, &rows) || !ReadPod(f, &cols)) {
+  if (!r.Pod(&rows) || !r.Pod(&cols)) {
     return core::Status::InvalidArgument("truncated header in " + path);
   }
   if (rows == 0 || cols == 0 || rows > kMaxRows || cols > kMaxCols) {
@@ -100,29 +96,35 @@ core::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
         " cap");
   }
   uint32_t expected_crc = 0;
-  if (!ReadPod(f, &expected_crc)) {
+  if (!r.Pod(&expected_crc)) {
     return core::Status::InvalidArgument("truncated header in " + path);
   }
   // Validate the claimed payload against the actual file size BEFORE
-  // allocating: a crafted 20-byte header must not drive a huge allocation,
+  // allocating: a crafted bare header must not drive a huge allocation,
   // and trailing garbage means the file is not what the header says.
-  const uint64_t header_bytes = static_cast<uint64_t>(f.tellg());
-  if (file_size < header_bytes + payload_bytes) {
+  if (r.remaining() < payload_bytes) {
     return core::Status::IoError("truncated embedding store " + path);
   }
-  if (file_size > header_bytes + payload_bytes) {
+  if (r.remaining() > payload_bytes) {
     return core::Status::InvalidArgument(
         "trailing garbage after embedding payload in " + path);
   }
 
   core::Matrix m(rows, cols);
-  f.read(reinterpret_cast<char*>(m.data()),
-         static_cast<std::streamsize>(payload_bytes));
-  if (!f) return core::Status::IoError("truncated embedding store " + path);
+  r.Bytes(m.data(), payload_bytes);
   if (core::Crc32(m.data(), payload_bytes) != expected_crc) {
     return core::Status::InvalidArgument(
         "embedding store checksum mismatch in " + path +
         " (stored dump is corrupt)");
+  }
+  // Rows feed TopKDot, whose total order needs non-NaN scores: an inf
+  // coordinate times a zero query coordinate is NaN.
+  for (size_t i = 0; i < m.size(); ++i) {
+    if (!std::isfinite(m.data()[i])) {
+      return core::Status::InvalidArgument(
+          "non-finite value in embedding store " + path + " (row " +
+          std::to_string(i / cols) + ")");
+    }
   }
   return EmbeddingStore(std::move(m));
 }

@@ -42,8 +42,11 @@ class EmbeddingStore {
   /// version, u64 rows/cols, CRC-32 of the payload, row-major floats.
   /// Load accepts v2 only, so every load is CRC-checked: a legacy v1
   /// ("GEMB", no checksum) file is rejected with a named InvalidArgument.
-  /// Load also rejects truncation, trailing garbage, and headers whose
-  /// claimed payload exceeds the actual file size or the global cap.
+  /// Load also rejects truncation, trailing garbage, headers whose claimed
+  /// payload exceeds the actual file size or the global cap, and
+  /// non-finite values (the catalog feeds TopKDot, which needs non-NaN
+  /// scores). GEM2 is a flat header, not a sectioned container; Load
+  /// reads it through core::ReadFile and the shared core::ByteReader.
   core::Status Save(const std::string& path) const;
   static core::Result<EmbeddingStore> Load(const std::string& path);
 

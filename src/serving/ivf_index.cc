@@ -5,12 +5,13 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <string_view>
 
-#include "core/crc32.h"
 #include "core/fileio.h"
 #include "core/kernels.h"
 #include "core/macros.h"
 #include "core/rng.h"
+#include "core/sectioned_file.h"
 
 namespace garcia::serving {
 
@@ -51,82 +52,17 @@ uint32_t NearestCentroid(const float* point, const core::Matrix& centroids) {
 
 // ------------------------------------------------------------ persistence
 
-// GIV2: SQ8 lists (meta, centroids, lists, codes, scales). The retired
+// GIV2: SQ8 lists in a core::SectionedFile container. The retired
 // float-list GIV1 magic is recognized only to reject it by name.
-constexpr char kMagicSq8[4] = {'G', 'I', 'V', '2'};
-constexpr char kMagicFloatRetired[4] = {'G', 'I', 'V', '1'};
-constexpr uint32_t kVersion = 1;
-
-enum class SectionId : uint32_t {
-  kMeta = 1,
-  kCentroids = 2,
-  kLists = 3,
-  kCodes = 4,
-  kScales = 5,
-};
-constexpr uint32_t kNumSectionsSq8 = 5;
-
-const char* SectionName(uint32_t id) {
-  switch (id) {
-    case 1:
-      return "meta";
-    case 2:
-      return "centroids";
-    case 3:
-      return "lists";
-    case 4:
-      return "codes";
-    case 5:
-      return "scales";
-  }
-  return "unknown";
-}
+constexpr const char* kSectionNames[] = {"meta", "centroids", "lists",
+                                         "codes", "scales"};
+constexpr core::SectionedFile kFormat{"GIV2", 1, kSectionNames};
+constexpr char kMagicFloatRetired[] = "GIV1";
 
 template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+std::string_view BytesOf(const T* data, size_t count) {
+  return {reinterpret_cast<const char*>(data), count * sizeof(T)};
 }
-
-void AppendSection(std::string* out, SectionId id, const std::string& payload) {
-  AppendPod(out, static_cast<uint32_t>(id));
-  AppendPod(out, static_cast<uint64_t>(payload.size()));
-  AppendPod(out, core::Crc32(payload.data(), payload.size()));
-  out->append(payload);
-}
-
-/// Bounds-checked little cursor over loaded index bytes.
-class ByteReader {
- public:
-  ByteReader(const std::string& bytes, const std::string& origin)
-      : bytes_(bytes), origin_(origin) {}
-
-  template <typename T>
-  core::Status Read(T* out) {
-    if (pos_ + sizeof(T) > bytes_.size()) {
-      return core::Status::InvalidArgument("truncated index " + origin_);
-    }
-    std::memcpy(out, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return core::Status::Ok();
-  }
-
-  core::Status ReadBytes(void* out, size_t n) {
-    if (pos_ + n > bytes_.size()) {
-      return core::Status::InvalidArgument("truncated index " + origin_);
-    }
-    std::memcpy(out, bytes_.data() + pos_, n);
-    pos_ += n;
-    return core::Status::Ok();
-  }
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  const std::string& bytes_;
-  const std::string& origin_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -445,124 +381,52 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
 core::Status IvfIndex::Save(const std::string& path) const {
   GARCIA_CHECK(!empty());
   std::string meta;
-  AppendPod(&meta, static_cast<uint64_t>(size()));
-  AppendPod(&meta, static_cast<uint64_t>(dim()));
-  AppendPod(&meta, static_cast<uint64_t>(nlist()));
-  AppendPod(&meta, static_cast<uint64_t>(default_nprobe_));
-  AppendPod(&meta, seed_);
-  AppendPod(&meta, static_cast<uint64_t>(default_rerank_k_));
+  core::AppendPod(&meta, static_cast<uint64_t>(size()));
+  core::AppendPod(&meta, static_cast<uint64_t>(dim()));
+  core::AppendPod(&meta, static_cast<uint64_t>(nlist()));
+  core::AppendPod(&meta, static_cast<uint64_t>(default_nprobe_));
+  core::AppendPod(&meta, seed_);
+  core::AppendPod(&meta, static_cast<uint64_t>(default_rerank_k_));
 
-  std::string centroids(reinterpret_cast<const char*>(centroids_.data()),
-                        centroids_.size() * sizeof(float));
+  std::string lists(BytesOf(list_offsets_.data(), list_offsets_.size()));
+  lists.append(BytesOf(ids_.data(), ids_.size()));
 
-  std::string lists;
-  lists.reserve((list_offsets_.size() + ids_.size()) * sizeof(uint32_t));
-  lists.append(reinterpret_cast<const char*>(list_offsets_.data()),
-               list_offsets_.size() * sizeof(uint32_t));
-  lists.append(reinterpret_cast<const char*>(ids_.data()),
-               ids_.size() * sizeof(uint32_t));
-
-  std::string codes(reinterpret_cast<const char*>(codes_.data()),
-                    codes_.size() * sizeof(int8_t));
-  std::string scales(reinterpret_cast<const char*>(scales_.data()),
-                     scales_.size() * sizeof(float));
-
-  std::string bytes;
-  bytes.reserve(64 + meta.size() + centroids.size() + lists.size() +
-                ListStorageBytes());
-  bytes.append(kMagicSq8, 4);
-  AppendPod(&bytes, kVersion);
-  AppendPod(&bytes, kNumSectionsSq8);
-  AppendSection(&bytes, SectionId::kMeta, meta);
-  AppendSection(&bytes, SectionId::kCentroids, centroids);
-  AppendSection(&bytes, SectionId::kLists, lists);
-  AppendSection(&bytes, SectionId::kCodes, codes);
-  AppendSection(&bytes, SectionId::kScales, scales);
+  const std::string bytes = kFormat.Encode(
+      {meta, BytesOf(centroids_.data(), centroids_.size()), lists,
+       BytesOf(codes_.data(), codes_.size()),
+       BytesOf(scales_.data(), scales_.size())});
   return core::WriteFileAtomic(path, bytes.data(), bytes.size());
 }
 
 core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
-  auto bytes_or = core::ReadFile(path, kMaxIndexBytes);
-  if (!bytes_or.ok()) return bytes_or.status();
-  const std::string& bytes = bytes_or.value();
-  ByteReader reader(bytes, path);
-
-  char magic[4];
-  GARCIA_RETURN_IF_ERROR(reader.ReadBytes(magic, 4));
-  if (std::memcmp(magic, kMagicFloatRetired, 4) == 0) {
+  auto bytes = core::ReadFile(path, kMaxIndexBytes);
+  if (!bytes.ok()) return bytes.status();
+  if (std::string_view(*bytes).starts_with(kMagicFloatRetired)) {
     return core::Status::InvalidArgument(
         "float IVF (GIV1) dumps are no longer supported; rebuild the index "
         "(" + path + ")");
   }
-  if (std::memcmp(magic, kMagicSq8, 4) != 0) {
-    return core::Status::InvalidArgument(path + " is not an IVF index");
-  }
-  uint32_t version = 0, num_sections = 0;
-  GARCIA_RETURN_IF_ERROR(reader.Read(&version));
-  if (version != kVersion) {
-    return core::Status::InvalidArgument(
-        "unsupported IVF index version " + std::to_string(version) + " in " +
-        path);
-  }
-  GARCIA_RETURN_IF_ERROR(reader.Read(&num_sections));
-  if (num_sections != kNumSectionsSq8) {
-    return core::Status::InvalidArgument("corrupt IVF index header in " +
-                                         path);
-  }
-
-  // Sections arrive in fixed order; each payload is CRC-checked before it
-  // is interpreted, so a bit flip is localized to a named section.
-  std::string payloads[kNumSectionsSq8];
-  for (uint32_t s = 0; s < kNumSectionsSq8; ++s) {
-    uint32_t id = 0, crc = 0;
-    uint64_t size = 0;
-    GARCIA_RETURN_IF_ERROR(reader.Read(&id));
-    GARCIA_RETURN_IF_ERROR(reader.Read(&size));
-    GARCIA_RETURN_IF_ERROR(reader.Read(&crc));
-    if (id != s + 1) {
-      return core::Status::InvalidArgument(
-          "unexpected IVF index section order in " + path);
-    }
-    if (size > reader.remaining()) {
-      return core::Status::InvalidArgument("truncated index " + path);
-    }
-    payloads[s].resize(size);
-    GARCIA_RETURN_IF_ERROR(reader.ReadBytes(payloads[s].data(), size));
-    if (core::Crc32(payloads[s].data(), size) != crc) {
-      return core::Status::InvalidArgument(
-          std::string("IVF index section '") + SectionName(id) +
-          "' checksum mismatch in " + path + " (stored index is corrupt)");
-    }
-  }
-  if (reader.remaining() != 0) {
-    return core::Status::InvalidArgument(
-        "trailing garbage after IVF index payload in " + path);
-  }
+  auto sections = kFormat.Decode(*bytes, path);
+  if (!sections.ok()) return sections.status();
+  const std::string_view centroids = (*sections)[1], lists = (*sections)[2],
+                         codes = (*sections)[3], scales = (*sections)[4];
 
   // Meta: counts first, then every other section's size is implied and
   // verified before any reinterpretation.
-  const std::string& meta = payloads[0];
-  if (meta.size() != 6 * sizeof(uint64_t)) {
-    return core::Status::InvalidArgument("corrupt IVF meta section in " +
-                                         path);
-  }
+  core::ByteReader meta((*sections)[0]);
   uint64_t n = 0, dim = 0, nlist = 0, nprobe = 0, seed = 0, rerank_k = 0;
-  std::memcpy(&n, meta.data(), 8);
-  std::memcpy(&dim, meta.data() + 8, 8);
-  std::memcpy(&nlist, meta.data() + 16, 8);
-  std::memcpy(&nprobe, meta.data() + 24, 8);
-  std::memcpy(&seed, meta.data() + 32, 8);
-  std::memcpy(&rerank_k, meta.data() + 40, 8);
-  if (n == 0 || dim == 0 || nlist == 0 || nlist > n || nprobe == 0 ||
-      nprobe > nlist || n > (uint64_t{1} << 32) ||
+  if (!meta.Pod(&n) || !meta.Pod(&dim) || !meta.Pod(&nlist) ||
+      !meta.Pod(&nprobe) || !meta.Pod(&seed) || !meta.Pod(&rerank_k) ||
+      !meta.exhausted() || n == 0 || dim == 0 || nlist == 0 || nlist > n ||
+      nprobe == 0 || nprobe > nlist || n > (uint64_t{1} << 32) ||
       dim > (uint64_t{1} << 16) || rerank_k > (uint64_t{1} << 32)) {
     return core::Status::InvalidArgument("corrupt IVF meta section in " +
                                          path);
   }
-  if (payloads[1].size() != nlist * dim * sizeof(float) ||
-      payloads[2].size() != (nlist + 1 + n) * sizeof(uint32_t) ||
-      payloads[3].size() != n * dim * sizeof(int8_t) ||
-      payloads[4].size() != n * sizeof(float)) {
+  if (centroids.size() != nlist * dim * sizeof(float) ||
+      lists.size() != (nlist + 1 + n) * sizeof(uint32_t) ||
+      codes.size() != n * dim * sizeof(int8_t) ||
+      scales.size() != n * sizeof(float)) {
     return core::Status::InvalidArgument(
         "IVF index section sizes disagree with meta in " + path);
   }
@@ -572,28 +436,35 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
   index.default_nprobe_ = static_cast<size_t>(nprobe);
   index.default_rerank_k_ = static_cast<size_t>(rerank_k);
   index.centroids_ = core::Matrix(nlist, dim);
-  std::memcpy(index.centroids_.data(), payloads[1].data(),
-              payloads[1].size());
+  std::memcpy(index.centroids_.data(), centroids.data(), centroids.size());
   index.list_offsets_.resize(nlist + 1);
-  std::memcpy(index.list_offsets_.data(), payloads[2].data(),
+  std::memcpy(index.list_offsets_.data(), lists.data(),
               (nlist + 1) * sizeof(uint32_t));
   index.ids_.resize(n);
-  std::memcpy(index.ids_.data(),
-              payloads[2].data() + (nlist + 1) * sizeof(uint32_t),
+  std::memcpy(index.ids_.data(), lists.data() + (nlist + 1) * sizeof(uint32_t),
               n * sizeof(uint32_t));
   index.codes_.resize(n * dim);
-  std::memcpy(index.codes_.data(), payloads[3].data(), payloads[3].size());
+  std::memcpy(index.codes_.data(), codes.data(), codes.size());
   index.scales_.resize(n);
-  std::memcpy(index.scales_.data(), payloads[4].data(), payloads[4].size());
+  std::memcpy(index.scales_.data(), scales.data(), scales.size());
   for (float s : index.scales_) {
     if (!(s >= 0.0f) || !std::isfinite(s)) {
       return core::Status::InvalidArgument("corrupt IVF scale table in " +
                                            path);
     }
   }
+  // Centroids are scored by TopKDot, whose total order needs non-NaN
+  // scores: an inf coordinate times a zero query coordinate is NaN.
+  const float* first = index.centroids_.data();
+  if (!std::all_of(first, first + index.centroids_.size(),
+                   [](float v) { return std::isfinite(v); })) {
+    return core::Status::InvalidArgument("corrupt IVF centroid table in " +
+                                         path + " (non-finite value)");
+  }
 
   // Structural validation: offsets must be a monotone cover of [0, n] and
-  // every stored id must be a valid catalog row.
+  // the stored ids a permutation of the catalog rows (a repeated id would
+  // be served twice in one answer).
   if (index.list_offsets_.front() != 0 || index.list_offsets_.back() != n) {
     return core::Status::InvalidArgument("corrupt IVF list offsets in " +
                                          path);
@@ -604,10 +475,14 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
                                            path);
     }
   }
+  std::vector<bool> present(n, false);
   for (uint32_t id : index.ids_) {
-    if (id >= n) {
-      return core::Status::InvalidArgument("corrupt IVF id table in " + path);
+    if (id >= n || present[id]) {
+      return core::Status::InvalidArgument(
+          "corrupt IVF id table in " + path +
+          " (not a permutation of [0, n))");
     }
+    present[id] = true;
   }
   // The per-list band bound is derived state: rebuild it after the list
   // layout is known-good.

@@ -54,11 +54,14 @@
 //     property harness (tests/serving_retrieval_test.cc) pins the
 //     equivalence per seed, catalog, K and thread count.
 //
-// Persistence: a "GIV2" sectioned container in the GCK1 style
-// (train/checkpoint.h) — magic + version header, one CRC-32 per section
-// (meta, centroids, lists, codes, scales), published with
-// core::WriteFileAtomic. A bit-flipped or truncated dump is rejected at
-// load time with the failing section named; serving then degrades to the
+// Persistence: a "GIV2" core::SectionedFile container
+// (core/sectioned_file.h, the codec GCK1 checkpoints use too) — magic +
+// version header, one CRC-32 per section (meta, centroids, lists, codes,
+// scales), published with core::WriteFileAtomic. Load decodes straight
+// from the file buffer. A bit-flipped or truncated dump is rejected with
+// the failing section named, and so is a dump whose CRCs hold but whose
+// contents could break a query: non-finite centroids or scales, or an id
+// table that is not a permutation of [0, n). Serving then degrades to the
 // brute-force scan (ResilientRanker counts the fallback in ServingHealth).
 // The retired float-list "GIV1" container is rejected with a named error:
 // indexes are rebuilt at every refresh, so nothing reads an old dump.
@@ -160,8 +163,10 @@ class IvfIndex {
   /// Sectioned "GIV2" container (see header comment), written atomically.
   core::Status Save(const std::string& path) const;
   /// Rejects wrong magic/version, truncation, trailing garbage, section
-  /// CRC mismatches (naming the section), and inconsistent layout claims.
-  /// A retired float "GIV1" dump is rejected with an error naming GIV1.
+  /// CRC mismatches (naming the section), inconsistent layout claims,
+  /// non-finite centroids or scales, and an id table that is not a
+  /// permutation. A retired float "GIV1" dump is rejected with an error
+  /// naming GIV1.
   static core::Result<IvfIndex> Load(const std::string& path);
 
   /// nlist == 0 resolves to round(sqrt(rows)), clamped to [1, rows].

@@ -4,15 +4,18 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 
-#include "core/crc32.h"
 #include "core/fileio.h"
 #include "core/logging.h"
+#include "core/sectioned_file.h"
 
 namespace garcia::train {
 
 namespace fs = std::filesystem;
 
+using core::AppendPod;
+using core::ByteReader;
 using core::Matrix;
 using core::Result;
 using core::RngState;
@@ -20,23 +23,18 @@ using core::Status;
 
 namespace {
 
-constexpr char kMagic[4] = {'G', 'C', 'K', '1'};
-constexpr uint32_t kContainerVersion = 1;
+// Section names in id order (CheckpointSectionId 1..6).
+constexpr const char* kSectionNames[] = {"config",    "progress", "params",
+                                         "optimizer", "rng",      "iterator"};
+constexpr core::SectionedFile kFormat{"GCK1", 1, kSectionNames};
 
 // Count/shape bounds: generous for any realistic run, tight enough that a
-// corrupt header cannot drive a pathological allocation before its CRC is
-// even computed.
+// corrupt count cannot drive a pathological allocation.
 constexpr uint64_t kMaxTensors = 1ull << 20;
 constexpr uint64_t kMaxRows = 1ull << 32;
 constexpr uint64_t kMaxCols = 1ull << 16;
 constexpr uint64_t kMaxRngStreams = 64;
 constexpr uint64_t kMaxDiagnostics = 1ull << 16;
-constexpr uint64_t kMaxSections = 64;
-
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
 
 void AppendMatrix(std::string* out, const Matrix& m) {
   AppendPod(out, static_cast<uint64_t>(m.rows()));
@@ -45,42 +43,13 @@ void AppendMatrix(std::string* out, const Matrix& m) {
               m.size() * sizeof(float));
 }
 
-/// Bounds-checked sequential reader over one section payload.
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  bool Pod(T* out) {
-    if (pos_ + sizeof(T) > size_) return false;
-    std::memcpy(out, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool Bytes(void* out, size_t n) {
-    if (pos_ + n > size_) return false;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 Status SectionError(const std::string& origin, CheckpointSectionId id,
                     const std::string& what) {
   return Status::InvalidArgument(origin + ": " + CheckpointSectionName(id) +
                                  " section " + what);
 }
 
-bool ReadMatrix(Reader* r, Matrix* out) {
+bool ReadMatrix(ByteReader* r, Matrix* out) {
   uint64_t rows = 0, cols = 0;
   if (!r->Pod(&rows) || !r->Pod(&cols)) return false;
   if (rows > kMaxRows || cols > kMaxCols) return false;
@@ -91,15 +60,6 @@ bool ReadMatrix(Reader* r, Matrix* out) {
   if (!r->Bytes(m.data(), bytes)) return false;
   *out = std::move(m);
   return true;
-}
-
-std::string EncodeSection(CheckpointSectionId id, const std::string& payload) {
-  std::string out;
-  AppendPod(&out, static_cast<uint32_t>(id));
-  AppendPod(&out, static_cast<uint64_t>(payload.size()));
-  AppendPod(&out, core::Crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
 }
 
 }  // namespace
@@ -117,15 +77,8 @@ const char* KillPointName(KillPoint point) {
 }
 
 const char* CheckpointSectionName(CheckpointSectionId id) {
-  switch (id) {
-    case CheckpointSectionId::kConfig: return "config";
-    case CheckpointSectionId::kProgress: return "progress";
-    case CheckpointSectionId::kParams: return "params";
-    case CheckpointSectionId::kOptimizer: return "optimizer";
-    case CheckpointSectionId::kRng: return "rng";
-    case CheckpointSectionId::kIterator: return "iterator";
-  }
-  return "unknown";
+  const auto index = static_cast<uint32_t>(id) - 1;
+  return index < std::size(kSectionNames) ? kSectionNames[index] : "unknown";
 }
 
 std::string EncodeCheckpoint(const TrainCheckpoint& ck) {
@@ -167,102 +120,18 @@ std::string EncodeCheckpoint(const TrainCheckpoint& ck) {
   iterator.append(reinterpret_cast<const char*>(ck.iterator_order.data()),
                   ck.iterator_order.size() * sizeof(uint32_t));
 
-  std::string out;
-  out.append(kMagic, 4);
-  AppendPod(&out, kContainerVersion);
-  AppendPod(&out, static_cast<uint32_t>(6));
-  out += EncodeSection(CheckpointSectionId::kConfig, config);
-  out += EncodeSection(CheckpointSectionId::kProgress, progress);
-  out += EncodeSection(CheckpointSectionId::kParams, params);
-  out += EncodeSection(CheckpointSectionId::kOptimizer, optimizer);
-  out += EncodeSection(CheckpointSectionId::kRng, rng);
-  out += EncodeSection(CheckpointSectionId::kIterator, iterator);
-  return out;
-}
-
-Result<std::vector<CheckpointSectionSpan>> ListCheckpointSections(
-    const std::string& bytes) {
-  Reader r(bytes.data(), bytes.size());
-  char magic[4];
-  if (!r.Bytes(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::InvalidArgument("not a GCK1 checkpoint container");
-  }
-  uint32_t version = 0, num_sections = 0;
-  if (!r.Pod(&version) || !r.Pod(&num_sections)) {
-    return Status::InvalidArgument("truncated checkpoint header");
-  }
-  if (version != kContainerVersion) {
-    return Status::InvalidArgument("unsupported checkpoint version " +
-                                   std::to_string(version));
-  }
-  if (num_sections == 0 || num_sections > kMaxSections) {
-    return Status::InvalidArgument("corrupt checkpoint section count");
-  }
-  std::vector<CheckpointSectionSpan> spans;
-  size_t pos = 12;  // magic + version + count
-  for (uint32_t i = 0; i < num_sections; ++i) {
-    uint32_t id = 0, crc = 0;
-    uint64_t size = 0;
-    if (!r.Pod(&id) || !r.Pod(&size) || !r.Pod(&crc)) {
-      return Status::InvalidArgument("truncated checkpoint section header");
-    }
-    pos += 16;  // id + size + crc
-    if (size > r.remaining()) {
-      return Status::InvalidArgument("checkpoint section " +
-                                     std::to_string(id) +
-                                     " claims more bytes than the file holds");
-    }
-    spans.push_back({id, pos, static_cast<size_t>(size)});
-    char discard[1 << 12];
-    uint64_t left = size;
-    while (left > 0) {
-      const size_t chunk = std::min<uint64_t>(left, sizeof(discard));
-      if (!r.Bytes(discard, chunk)) {
-        return Status::InvalidArgument("truncated checkpoint section payload");
-      }
-      left -= chunk;
-    }
-    pos += size;
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument("trailing garbage after last section");
-  }
-  return spans;
+  return kFormat.Encode({config, progress, params, optimizer, rng, iterator});
 }
 
 Result<TrainCheckpoint> DecodeCheckpoint(const std::string& bytes,
                                          const std::string& origin) {
-  auto spans = ListCheckpointSections(bytes);
-  if (!spans.ok()) {
-    return Status(spans.status().code(),
-                  origin + ": " + spans.status().message());
-  }
+  auto sections = kFormat.Decode(bytes, origin);
+  if (!sections.ok()) return sections.status();
 
   TrainCheckpoint ck;
-  bool seen[kMaxSections] = {};
-  for (const CheckpointSectionSpan& span : *spans) {
-    const auto id = static_cast<CheckpointSectionId>(span.id);
-    if (span.id == 0 || span.id > 6) {
-      return Status::InvalidArgument(origin + ": unknown section id " +
-                                     std::to_string(span.id));
-    }
-    if (seen[span.id]) {
-      return SectionError(origin, id, "appears twice");
-    }
-    seen[span.id] = true;
-
-    const char* payload = bytes.data() + span.payload_offset;
-    const uint32_t stored_crc = [&] {
-      uint32_t crc;
-      std::memcpy(&crc, bytes.data() + span.payload_offset - 4, sizeof(crc));
-      return crc;
-    }();
-    if (core::Crc32(payload, span.payload_size) != stored_crc) {
-      return SectionError(origin, id,
-                          "failed its CRC-32 check (corrupt bytes)");
-    }
-
-    Reader r(payload, span.payload_size);
+  for (uint32_t s = 0; s < std::size(kSectionNames); ++s) {
+    const auto id = static_cast<CheckpointSectionId>(s + 1);
+    ByteReader r((*sections)[s]);
     switch (id) {
       case CheckpointSectionId::kConfig: {
         if (!r.Pod(&ck.config_fingerprint) || !r.exhausted()) {
@@ -377,14 +246,6 @@ Result<TrainCheckpoint> DecodeCheckpoint(const std::string& bytes,
     }
   }
 
-  for (uint32_t id = 1; id <= 6; ++id) {
-    if (!seen[id]) {
-      return Status::InvalidArgument(
-          origin + ": missing required " +
-          CheckpointSectionName(static_cast<CheckpointSectionId>(id)) +
-          " section");
-    }
-  }
   // Cross-section invariants: Adam moments pair up with parameters.
   if (ck.adam_m.size() != ck.params.size()) {
     return Status::InvalidArgument(

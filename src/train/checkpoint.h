@@ -1,13 +1,16 @@
 // Copyright (c) 2026 GARCIA reproduction authors.
 // Crash-safe training checkpoints (DESIGN.md §5h).
 //
-// A checkpoint is a sectioned, versioned container ("GCK1") holding
-// everything a training loop needs to continue bit-identically to the run
-// that wrote it: parameter tensors, Adam moments, every core::Rng stream
-// position, the epoch/step counters, the mid-epoch batch-iterator
-// position, and a fingerprint of the trajectory-relevant TrainConfig
-// fields. Each section carries its own CRC-32 (core/crc32), so corruption
-// is localized to a named section in the error message.
+// A checkpoint is a "GCK1" core::SectionedFile container
+// (core/sectioned_file.h) holding everything a training loop needs to
+// continue bit-identically to the run that wrote it: parameter tensors,
+// Adam moments, every core::Rng stream position, the epoch/step counters,
+// the mid-epoch batch-iterator position, and a fingerprint of the
+// trajectory-relevant TrainConfig fields. There are exactly six sections,
+// in id order, each with its own CRC-32, so corruption is localized to a
+// named section in the error message. The container layout, its
+// validation and the bounds-checked core::ByteReader are shared with the
+// GIV2 index dumps; this file owns only the six payload codecs.
 //
 // Durability protocol: every generation is written with
 // core::WriteFileAtomic (temp file + fsync + rename + directory fsync) to
@@ -123,7 +126,8 @@ struct TrainCheckpoint {
   std::vector<uint32_t> iterator_order;
 };
 
-/// Container section ids (each serialized with its own CRC-32).
+/// Container section ids, which are also their order in the file (each
+/// serialized with its own CRC-32).
 enum class CheckpointSectionId : uint32_t {
   kConfig = 1,
   kProgress = 2,
@@ -135,27 +139,17 @@ enum class CheckpointSectionId : uint32_t {
 
 const char* CheckpointSectionName(CheckpointSectionId id);
 
-/// Payload span of one section inside encoded checkpoint bytes
-/// (introspection for the corruption-matrix tests and tooling).
-struct CheckpointSectionSpan {
-  uint32_t id = 0;
-  size_t payload_offset = 0;
-  size_t payload_size = 0;
-};
-
 /// Serializes to the container format. Deterministic: equal checkpoints
 /// encode to equal bytes.
 std::string EncodeCheckpoint(const TrainCheckpoint& checkpoint);
 
-/// Parses and validates container bytes: magic/version, section CRCs,
-/// section completeness, shape agreement between params and moments, and
-/// every count/size bound. `origin` names the source in error messages.
+/// Parses and validates container bytes: the container checks of
+/// core::SectionedFile::Decode (magic, version, all six sections in order,
+/// sizes, CRCs, no trailing bytes), then each payload's exact consumption
+/// and count/size bounds, and shape agreement between params and moments.
+/// `origin` names the source in error messages.
 core::Result<TrainCheckpoint> DecodeCheckpoint(const std::string& bytes,
                                                const std::string& origin);
-
-/// Section layout of encoded bytes (header must be intact).
-core::Result<std::vector<CheckpointSectionSpan>> ListCheckpointSections(
-    const std::string& bytes);
 
 /// Atomic write of one checkpoint file (temp + fsync + rename).
 core::Status SaveCheckpoint(const std::string& path,

@@ -10,12 +10,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/clock.h"
+#include "core/crc32.h"
 #include "core/rng.h"
 #include "models/contrastive.h"
 #include "serving/ab_test.h"
@@ -222,6 +224,45 @@ TEST(EmbeddingStoreHardeningTest, LegacyV1RejectedWithNamedError) {
       << r.status().ToString();
   EXPECT_NE(r.status().message().find("checksum"), std::string::npos)
       << r.status().ToString();
+  std::remove(path.c_str());
+}
+
+// The service catalog goes straight into TopKDot, which needs non-NaN
+// scores: an inf coordinate times a zero query coordinate is NaN. A dump
+// whose CRC matches but whose rows are not finite is refused by name.
+TEST(EmbeddingStoreHardeningTest, NonFiniteValueRejected) {
+  const std::string path = TempPath("non_finite");
+  for (float bad : {std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN()}) {
+    core::Rng rng(21);
+    Matrix m = Matrix::Randn(4, 3, &rng);
+    m.at(2, 1) = bad;
+    ASSERT_TRUE(EmbeddingStore(m).Save(path).ok());  // CRC covers the value
+    auto r = EmbeddingStore::Load(path);
+    ASSERT_FALSE(r.ok()) << bad << " was accepted";
+    EXPECT_EQ(r.status().code(), core::StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("non-finite"), std::string::npos)
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("row 2"), std::string::npos)
+        << r.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+// Byte-for-byte pin of the GEM2 encoding: the CRC-32 and size of a fixed
+// small store, recorded when its loader moved to core::ReadFile.
+TEST(EmbeddingStoreHardeningTest, GoldenBytesPinned) {
+  core::Rng rng(23);
+  const std::string path = TempPath("golden");
+  ASSERT_TRUE(EmbeddingStore(Matrix::Randn(5, 3, &rng)).Save(path).ok());
+  std::string bytes;
+  {
+    std::ifstream f(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  EXPECT_EQ(bytes.size(), 88u);  // 28-byte header + 5 * 3 floats
+  EXPECT_EQ(core::Crc32(bytes.data(), bytes.size()), 0x3602636fu);
   std::remove(path.c_str());
 }
 

@@ -13,15 +13,20 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "core/crc32.h"
 #include "core/kernels.h"
 #include "core/rng.h"
+#include "core/sectioned_file.h"
 #include "core/threadpool.h"
 #include "serving/batch_ranker.h"
 #include "serving/embedding_store.h"
@@ -572,6 +577,39 @@ TEST(Sq8PersistenceTest, AnyFlippedBitRejected) {
   std::remove(path.c_str());
 }
 
+constexpr const char* kGiv2Sections[] = {"meta", "centroids", "lists",
+                                         "codes", "scales"};
+constexpr core::SectionedFile kGiv2{"GIV2", 1, kGiv2Sections};
+
+/// The five GIV2 payloads of `bytes` as views, through the core container
+/// reader.
+std::vector<std::string_view> Giv2Sections(const std::string& bytes) {
+  auto sections = kGiv2.Decode(bytes, "test");
+  EXPECT_TRUE(sections.ok()) << sections.status().ToString();
+  return sections.ok() ? *sections : std::vector<std::string_view>{};
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Saves `index`, lets `edit` change section `section` of the dump, and
+/// reseals it with the container writer so every CRC is valid again:
+/// only Load's structural checks stand between the edit and serving.
+template <typename Edit>
+void SaveEditedAndResealed(const IvfIndex& index, const std::string& path,
+                           size_t section, Edit edit) {
+  ASSERT_TRUE(index.Save(path).ok());
+  const std::string clean = ReadAllBytes(path);
+  const std::vector<std::string_view> views = Giv2Sections(clean);
+  ASSERT_EQ(views.size(), 5u);
+  std::vector<std::string> payloads(views.begin(), views.end());
+  edit(&payloads[section]);
+  WriteBytes(path, kGiv2.Encode({payloads[0], payloads[1], payloads[2],
+                                 payloads[3], payloads[4]}));
+}
+
 // Every section — meta, centroids, lists, codes and scales — is named when
 // its CRC trips, so the on-call log localizes which payload rotted.
 TEST(Sq8PersistenceTest, CorruptCodesAndScalesSectionsAreNamed) {
@@ -581,39 +619,86 @@ TEST(Sq8PersistenceTest, CorruptCodesAndScalesSectionsAreNamed) {
   const std::string path = TempPath("sq8_named");
   ASSERT_TRUE(index.Save(path).ok());
   const std::string clean = ReadAllBytes(path);
-  // Container layout: 12-byte header, then per-section 16-byte section
-  // header + payload (meta 48, centroids nlist*dim*4, lists (nlist+1+n)*4,
-  // codes n*dim, scales n*4).
-  const size_t meta_payload = 12 + 16;
-  const size_t centroids_payload = meta_payload + 48 + 16;
-  const size_t lists_payload =
-      centroids_payload + index.nlist() * dim * sizeof(float) + 16;
-  const size_t codes_payload =
-      lists_payload + (index.nlist() + 1 + n) * 4 + 16;
-  const size_t scales_payload = codes_payload + n * dim + 16;
-  ASSERT_EQ(scales_payload + n * sizeof(float), clean.size());
-  const struct {
-    size_t pos;
-    const char* want;
-  } cases[] = {{meta_payload + 3, "meta"},
-               {centroids_payload + 5, "centroids"},
-               {lists_payload + 9, "lists"},
-               {codes_payload + n * dim / 2, "codes"},
-               {scales_payload + 1, "scales"}};
-  for (const auto& c : cases) {
+  const std::vector<std::string_view> sections = Giv2Sections(clean);
+  ASSERT_EQ(sections.size(), 5u);
+  // Payload sizes: meta 48, centroids nlist*dim*4, lists (nlist+1+n)*4,
+  // codes n*dim, scales n*4; scales end the file.
+  EXPECT_EQ(sections[0].size(), 48u);
+  EXPECT_EQ(sections[1].size(), index.nlist() * dim * sizeof(float));
+  EXPECT_EQ(sections[2].size(), (index.nlist() + 1 + n) * 4);
+  EXPECT_EQ(sections[3].size(), n * dim);
+  EXPECT_EQ(sections[4].size(), n * sizeof(float));
+  ASSERT_EQ(sections[4].data() + sections[4].size(),
+            clean.data() + clean.size());
+  const size_t within[] = {3, 5, 9, n * dim / 2, 1};
+  for (size_t s = 0; s < 5; ++s) {
+    const size_t pos =
+        static_cast<size_t>(sections[s].data() - clean.data()) + within[s];
     std::string corrupt = clean;
-    corrupt[c.pos] = static_cast<char>(corrupt[c.pos] ^ 0x10);
-    {
-      std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      f.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-    }
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
+    WriteBytes(path, corrupt);
     auto r = IvfIndex::Load(path);
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.status().message().find("checksum"), std::string::npos)
         << r.status().ToString();
-    EXPECT_NE(r.status().message().find(c.want), std::string::npos)
+    EXPECT_NE(r.status().message().find(kGiv2Sections[s]), std::string::npos)
         << "failing section not named: " << r.status().ToString();
   }
+  std::remove(path.c_str());
+}
+
+// Centroids are ranked by TopKDot, which needs non-NaN scores; an inf
+// centroid coordinate times a zero query coordinate is NaN. A resealed
+// dump carrying one must be refused by name.
+TEST(Sq8PersistenceTest, NonFiniteCentroidRejected) {
+  const Matrix catalog = AdversarialCatalog(69);
+  const IvfIndex index = IvfIndex::Build(catalog, Sq8Config(5, 69));
+  const std::string path = TempPath("sq8_nonfinite_centroid");
+  for (float bad : {std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN()}) {
+    SaveEditedAndResealed(index, path, /*centroids*/ 1,
+                          [&](std::string* centroids) {
+                            std::memcpy(centroids->data() + 4 * 3, &bad, 4);
+                          });
+    auto r = IvfIndex::Load(path);
+    ASSERT_FALSE(r.ok()) << "centroid " << bad << " was accepted";
+    EXPECT_EQ(r.status().code(), core::StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("centroid"), std::string::npos)
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("non-finite"), std::string::npos)
+        << r.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+// Build always stores a permutation of [0, n); a resealed dump that
+// repeats an id would serve that service twice in one answer.
+TEST(Sq8PersistenceTest, IdTableNotAPermutationRejected) {
+  const Matrix catalog = AdversarialCatalog(70);
+  const IvfIndex index = IvfIndex::Build(catalog, Sq8Config(5, 70));
+  const std::string path = TempPath("sq8_repeated_id");
+  const size_t ids_at = (index.nlist() + 1) * sizeof(uint32_t);
+  SaveEditedAndResealed(index, path, /*lists*/ 2, [&](std::string* lists) {
+    // ids[1] = ids[0]: in range, so only the permutation check sees it.
+    std::memcpy(lists->data() + ids_at + 4, lists->data() + ids_at, 4);
+  });
+  auto r = IvfIndex::Load(path);
+  ASSERT_FALSE(r.ok()) << "repeated id was accepted";
+  EXPECT_EQ(r.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("permutation"), std::string::npos)
+      << r.status().ToString();
+  std::remove(path.c_str());
+}
+
+// Byte-for-byte pin of the GIV2 encoding: the CRC-32 and size of a fixed
+// seeded index, recorded when the container moved to core/sectioned_file.
+TEST(Sq8PersistenceTest, GoldenBytesPinned) {
+  const Matrix catalog = AdversarialCatalog(21);
+  const std::string path = TempPath("sq8_golden");
+  ASSERT_TRUE(IvfIndex::Build(catalog, Sq8Config(9, 21)).Save(path).ok());
+  const std::string bytes = ReadAllBytes(path);
+  EXPECT_EQ(bytes.size(), 2388u);
+  EXPECT_EQ(core::Crc32(bytes.data(), bytes.size()), 0x16d3ebefu);
   std::remove(path.c_str());
 }
 

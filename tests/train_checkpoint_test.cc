@@ -16,10 +16,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/crc32.h"
 #include "core/matrix.h"
 #include "core/rng.h"
+#include "core/sectioned_file.h"
 #include "data/scenario.h"
 #include "models/common.h"
 #include "models/garcia_model.h"
@@ -74,6 +77,20 @@ TrainCheckpoint MakeCheckpoint(uint64_t seed) {
   return ck;
 }
 
+/// The six GCK1 payloads as views into `bytes`, through the core
+/// container reader (the offsets the corruption tests aim at).
+core::Result<std::vector<std::string_view>> Sections(const std::string& bytes) {
+  std::vector<const char*> names;
+  for (uint32_t id = 1; id <= 6; ++id) {
+    names.push_back(CheckpointSectionName(static_cast<CheckpointSectionId>(id)));
+  }
+  return core::SectionedFile{"GCK1", 1, names}.Decode(bytes, "test");
+}
+
+size_t OffsetOf(const std::string& bytes, std::string_view payload) {
+  return static_cast<size_t>(payload.data() - bytes.data());
+}
+
 void ExpectEqualCheckpoints(const TrainCheckpoint& a, const TrainCheckpoint& b) {
   EXPECT_EQ(a.config_fingerprint, b.config_fingerprint);
   EXPECT_EQ(a.phase, b.phase);
@@ -115,10 +132,61 @@ TEST(CheckpointContainerTest, EncodingIsDeterministic) {
 }
 
 TEST(CheckpointContainerTest, ListsAllSixSectionsInOrder) {
-  auto spans = ListCheckpointSections(EncodeCheckpoint(MakeCheckpoint(1)));
-  ASSERT_TRUE(spans.ok());
-  ASSERT_EQ((*spans).size(), 6u);
-  for (uint32_t i = 0; i < 6; ++i) EXPECT_EQ((*spans)[i].id, i + 1);
+  const std::string bytes = EncodeCheckpoint(MakeCheckpoint(1));
+  auto sections = Sections(bytes);
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  ASSERT_EQ((*sections).size(), 6u);
+  // 12-byte file header, then per section a 16-byte header (u32 id first)
+  // and the payload, back to back.
+  size_t offset = 12;
+  for (uint32_t i = 0; i < 6; ++i) {
+    offset += 16;
+    ASSERT_EQ(OffsetOf(bytes, (*sections)[i]), offset);
+    uint32_t id = 0;
+    std::memcpy(&id, bytes.data() + offset - 16, sizeof(id));
+    EXPECT_EQ(id, i + 1);
+    offset += (*sections)[i].size();
+  }
+  EXPECT_EQ(offset, bytes.size());
+}
+
+// Byte-for-byte pin of the GCK1 encoding: the CRC-32 and size of fixed
+// checkpoints, recorded when the container moved to core/sectioned_file.
+// A change here breaks every checkpoint already on disk.
+TEST(CheckpointContainerTest, GoldenBytesPinned) {
+  const struct {
+    uint64_t seed;
+    size_t size;
+    uint32_t crc;
+  } cases[] = {{1, 667, 0x6aaa5ec8u}, {4, 667, 0x5dd707f0u}};
+  for (const auto& c : cases) {
+    const std::string bytes = EncodeCheckpoint(MakeCheckpoint(c.seed));
+    EXPECT_EQ(bytes.size(), c.size) << "seed " << c.seed;
+    EXPECT_EQ(core::Crc32(bytes.data(), bytes.size()), c.crc)
+        << "seed " << c.seed;
+  }
+}
+
+// GCK1 is strict: the six sections in id order, nothing else. Swapping two
+// whole sections (headers and payloads) is caught by the id check.
+TEST(CheckpointContainerTest, SectionsOutOfOrderRejected) {
+  const std::string bytes = EncodeCheckpoint(MakeCheckpoint(2));
+  auto sections = Sections(bytes);
+  ASSERT_TRUE(sections.ok());
+  const size_t config_at = OffsetOf(bytes, (*sections)[0]) - 16;
+  const size_t progress_at = OffsetOf(bytes, (*sections)[1]) - 16;
+  const size_t params_at = OffsetOf(bytes, (*sections)[2]) - 16;
+  const std::string swapped =
+      bytes.substr(0, config_at) +
+      bytes.substr(progress_at, params_at - progress_at) +
+      bytes.substr(config_at, progress_at - config_at) +
+      bytes.substr(params_at);
+  ASSERT_EQ(swapped.size(), bytes.size());
+  auto decoded = DecodeCheckpoint(swapped, "test");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("config section has id 2"),
+            std::string::npos)
+      << decoded.status().ToString();
 }
 
 TEST(CheckpointContainerTest, BadMagicRejected) {
@@ -149,18 +217,21 @@ TEST(CheckpointContainerTest, EveryTruncationPointRejected) {
 
 TEST(CheckpointContainerTest, BitFlipInEverySectionIsDetectedAndNamed) {
   const std::string bytes = EncodeCheckpoint(MakeCheckpoint(4));
-  auto spans = ListCheckpointSections(bytes);
-  ASSERT_TRUE(spans.ok());
-  for (const CheckpointSectionSpan& span : *spans) {
+  auto sections = Sections(bytes);
+  ASSERT_TRUE(sections.ok());
+  for (uint32_t i = 0; i < (*sections).size(); ++i) {
+    const std::string_view payload = (*sections)[i];
     std::string corrupt = bytes;
-    corrupt[span.payload_offset + span.payload_size / 2] ^= 0x01;
+    corrupt[OffsetOf(bytes, payload) + payload.size() / 2] ^= 0x01;
     auto decoded = DecodeCheckpoint(corrupt, "test");
     ASSERT_FALSE(decoded.ok())
-        << "flip in section " << span.id << " was accepted";
+        << "flip in section " << i + 1 << " was accepted";
     const char* name =
-        CheckpointSectionName(static_cast<CheckpointSectionId>(span.id));
+        CheckpointSectionName(static_cast<CheckpointSectionId>(i + 1));
     EXPECT_NE(decoded.status().message().find(name), std::string::npos)
         << "error does not name section " << name << ": "
+        << decoded.status().ToString();
+    EXPECT_NE(decoded.status().message().find("checksum"), std::string::npos)
         << decoded.status().ToString();
   }
 }
