@@ -61,15 +61,27 @@ echo "==> Sanitizer build (thread)"
 # ticket sequencer (core_ticket_gate_test), the concurrent batched serving
 # path (BatchRanker + ResilientRanker's sequenced resolve phase), and the
 # shared immutable SQ8 IvfIndex — including the sharded asymmetric scan +
-# exact re-rank — probed from many threads (serving_retrieval_test).
+# exact re-rank — probed from many threads (serving_retrieval_test), and
+# whole training runs: the threaded cases of models_garcia_test and
+# models_baselines_test (ThreadedTrainingMatchesSerialExactly, plus
+# GARCIA's SampledTrainingThreadInvariantAndAccurate) are the only tests
+# that run the sharded backward kernels inside a full Fit
+# (models::TrainLoop).
 TSAN_DIR="$ROOT/build-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DGARCIA_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target core_kernels_test core_gemm_test core_threadpool_test nn_ops_test \
   graph_sampler_test core_ticket_gate_test \
-  serving_concurrency_test serving_resilience_test serving_retrieval_test
+  serving_concurrency_test serving_resilience_test serving_retrieval_test \
+  models_garcia_test models_baselines_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
   -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|graph_sampler_test|core_ticket_gate_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
+# The training suites run only their threaded cases: the rest are serial,
+# and all of models_garcia_test takes ~8 min under TSan (the three
+# threaded cases ~100 s together).
+for suite in models_garcia_test models_baselines_test; do
+  "$TSAN_DIR/tests/$suite" --gtest_filter='*.ThreadedTrainingMatchesSerialExactly:*.SampledTrainingThreadInvariantAndAccurate'
+done
 
 echo "==> Lifecycle benchmark smoke: perfbench/test_bench.py"
 # The benchmark builds straight from src/ into .bench_build/, so a library

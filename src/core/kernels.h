@@ -45,8 +45,7 @@ namespace garcia::core {
 /// kernels are bit-identical across backends and tunings by construction),
 /// only how work is blocked and split. Seed overrides from
 /// `bench/micro_kernels --speedup_json` measurements on the target machine
-/// (BENCH_kernels.json) and install them per context via
-/// ExecutionContext::set_tuning.
+/// and install them per context via ExecutionContext::set_tuning.
 struct KernelTuning {
   // ----- Packed GEMM (see kernels.cc) -----
   /// Row-block height MC of a packed A block (floats). An MC x KC A block

@@ -1,7 +1,5 @@
 #include "models/baseline_gnn.h"
 
-#include "core/logging.h"
-
 namespace garcia::models {
 
 using core::Matrix;
@@ -67,107 +65,46 @@ void GnnBaseline::Fit(const data::Scenario& s) {
   append(click_head_->Parameters());
   append(ExtraParameters());
 
-  nn::Adam opt(params, cfg_.learning_rate);
-  // Baselines spend the full epoch budget (pretrain + finetune) on the
-  // supervised objective, so their total update count matches GARCIA's
-  // two-stage schedule. (The reverse choice — equal supervised budgets —
-  // lifts GARCIA's head slice but washes out the contrastive-pretraining
-  // effect the ablations measure; see EXPERIMENTS.md notes.)
-  const size_t epochs = cfg_.finetune_epochs + cfg_.pretrain_epochs;
+  // Resume, the optimizer step and snapshots live in TrainLoop (DESIGN.md
+  // §5h). Baselines spend the full epoch budget (pretrain + finetune) on
+  // the supervised objective, so their total update count matches
+  // GARCIA's two-stage schedule. (The reverse choice — equal supervised
+  // budgets — lifts GARCIA's head slice but washes out the
+  // contrastive-pretraining effect the ablations measure; see
+  // EXPERIMENTS.md notes.)
+  TrainLoop loop(cfg_, name(), s, params, {&rng_, &sample_rng_}, {},
+                 /*num_phases=*/1);
   BatchIterator it(s.train.size(), cfg_.batch_size, &rng_);
-
-  // Crash-safe checkpointing (DESIGN.md §5h): single phase, so the resume
-  // point is right here — after every construction-time rng draw (module
-  // init, iterator shuffle), which the snapshotted stream state postdates.
-  train::CheckpointManager ckpt(train::CheckpointOptions{
-      cfg_.checkpoint_dir, cfg_.checkpoint_every_steps, cfg_.checkpoint_keep,
-      TrainFingerprint(cfg_, name(), s), cfg_.checkpoint_fault});
-  std::optional<train::TrainCheckpoint> resume = ckpt.Resume();
-  uint64_t global_step = 0;
-  size_t start_epoch = 0;
-  size_t start_steps = 0;
-  bool mid_epoch_resume = false;
-  if (resume) {
-    GARCIA_CHECK_EQ(resume->rng_streams.size(), 2u);
-    GARCIA_CHECK(resume->has_iterator);
-    RestoreTrainState(*resume, params, &opt);
-    rng_.RestoreState(resume->rng_streams[0]);
-    sample_rng_.RestoreState(resume->rng_streams[1]);
-    it.Restore(resume->iterator_order, resume->iterator_cursor);
-    global_step = resume->global_step;
-    start_epoch = resume->epoch;
-    start_steps = resume->step_in_epoch;
-    mid_epoch_resume = true;
-  }
-  // The snapshot reads the live rng/iterator state, after the step's
-  // auxiliary-loss draws (SGL / SimGCL) and before the next batch.
-  auto snapshot = [&](uint64_t epoch, uint64_t step_in_epoch) {
-    train::TrainCheckpoint ck;
-    ck.phase = 0;
-    ck.epoch = epoch;
-    ck.step_in_epoch = step_in_epoch;
-    ck.params = SnapshotParameterValues(params);
-    nn::AdamState adam = opt.ExportState();
-    ck.adam_t = adam.t;
-    ck.adam_m = std::move(adam.m);
-    ck.adam_v = std::move(adam.v);
-    ck.rng_streams = {rng_.ExportState(), sample_rng_.ExportState()};
-    ck.has_iterator = true;
-    ck.iterator_cursor = it.cursor();
-    ck.iterator_order = it.order();
-    return ck;
-  };
-
-  for (size_t epoch = start_epoch; epoch < epochs; ++epoch) {
-    size_t step = 0;
-    if (mid_epoch_resume) {
-      // Continue from the restored iterator position; a Reset here would
-      // burn a shuffle the uninterrupted run never drew.
-      mid_epoch_resume = false;
-      step = start_steps;
-    } else {
-      it.Reset();
+  const TrainPhase phase{/*id=*/0,
+                         cfg_.finetune_epochs + cfg_.pretrain_epochs,
+                         cfg_.max_batches_per_epoch, &it};
+  loop.Run(phase, [&](const std::vector<uint32_t>& batch) {
+    // Plan: map the batch's node rows (identity on the full graph,
+    // block-local collection when sampling) before encoding.
+    graph::SeedSet seeds(!sampling_);
+    std::vector<uint32_t> q_rows, s_rows;
+    q_rows.reserve(batch.size());
+    s_rows.reserve(batch.size());
+    for (uint32_t bi : batch) {
+      q_rows.push_back(seeds.Map(s.graph.QueryNode(s.train[bi].query)));
+      s_rows.push_back(seeds.Map(s.graph.ServiceNode(s.train[bi].service)));
     }
-    const size_t max_steps = cfg_.max_batches_per_epoch;
-    double epoch_loss = 0.0;
-    std::vector<uint32_t> batch;
-    while ((max_steps == 0 || step < max_steps) &&
-           !(batch = it.Next()).empty()) {
-      // Plan: map the batch's node rows (identity on the full graph,
-      // block-local collection when sampling) before encoding.
-      graph::SeedSet seeds(!sampling_);
-      std::vector<uint32_t> q_rows, s_rows;
-      q_rows.reserve(batch.size());
-      s_rows.reserve(batch.size());
-      for (uint32_t bi : batch) {
-        q_rows.push_back(seeds.Map(s.graph.QueryNode(s.train[bi].query)));
-        s_rows.push_back(seeds.Map(s.graph.ServiceNode(s.train[bi].service)));
-      }
-      graph::Block sampled;
-      if (sampling_) sampled = sampler_->Sample(seeds.seeds(), &sample_rng_);
-      opt.ZeroGrad();
-      Tensor emb = ComputeEmbeddings(sampling_ ? sampled : full_block_);
-      Tensor logits = LogitsFromRows(emb, q_rows, s_rows);
-      Matrix labels(batch.size(), 1);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        labels.at(i, 0) = s.train[batch[i]].label;
-      }
-      Tensor loss = nn::BceWithLogits(logits, labels);
-      Tensor aux = AuxiliaryLoss(&rng_);
-      if (aux.defined()) {
-        loss = nn::Add(loss, nn::Scale(aux, cfg_.ssl_weight));
-      }
-      loss.Backward();
-      nn::ClipGradNorm(params, 5.0);
-      opt.Step();
-      epoch_loss += loss.scalar();
-      ++global_step;
-      ++step;
-      ckpt.AtStepEnd(global_step, [&] { return snapshot(epoch, step); });
+    graph::Block sampled;
+    if (sampling_) sampled = sampler_->Sample(seeds.seeds(), &sample_rng_);
+    Tensor emb = ComputeEmbeddings(sampling_ ? sampled : full_block_);
+    Tensor logits = LogitsFromRows(emb, q_rows, s_rows);
+    Matrix labels(batch.size(), 1);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      labels.at(i, 0) = s.train[batch[i]].label;
     }
-    GARCIA_LOG(Debug) << name() << " epoch " << epoch
-                      << " loss=" << (step ? epoch_loss / step : 0.0);
-  }
+    Tensor loss = nn::BceWithLogits(logits, labels);
+    // SGL / SimGCL's auxiliary views draw rng_ after the batch is planned.
+    Tensor aux = AuxiliaryLoss(&rng_);
+    if (aux.defined()) {
+      loss = nn::Add(loss, nn::Scale(aux, cfg_.ssl_weight));
+    }
+    return loss;
+  });
   fitted_ = true;
 }
 

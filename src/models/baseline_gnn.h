@@ -27,7 +27,6 @@
 #include "models/gnn_encoder.h"
 #include "nn/loss.h"
 #include "nn/module.h"
-#include "nn/optimizer.h"
 
 namespace garcia::models {
 

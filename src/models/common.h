@@ -11,6 +11,8 @@
 #ifndef GARCIA_MODELS_COMMON_H_
 #define GARCIA_MODELS_COMMON_H_
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "data/scenario.h"
 #include "eval/metrics.h"
 #include "nn/optimizer.h"
+#include "nn/tensor.h"
 #include "train/checkpoint.h"
 
 namespace garcia::models {
@@ -107,22 +110,6 @@ struct TrainConfig {
 uint64_t TrainFingerprint(const TrainConfig& cfg, const std::string& model_name,
                           const data::Scenario& scenario);
 
-/// Copies the current parameter values, in order (checkpoint snapshot).
-std::vector<core::Matrix> SnapshotParameterValues(
-    const std::vector<nn::Tensor>& params);
-
-/// Writes snapshotted values back into the live parameter tensors; shapes
-/// must match (the checkpoint was validated against this config's
-/// fingerprint, so a mismatch is an internal error).
-void RestoreParameterValues(const std::vector<nn::Tensor>& params,
-                            const std::vector<core::Matrix>& values);
-
-/// Restores the model/optimizer half of a decoded checkpoint: parameter
-/// values and Adam state. Rng streams and iterator position are restored
-/// by the caller at its phase-specific resume point.
-void RestoreTrainState(const train::TrainCheckpoint& ck,
-                       const std::vector<nn::Tensor>& params, nn::Adam* opt);
-
 /// A trained ranking model.
 class RankingModel {
  public:
@@ -179,6 +166,79 @@ class BatchIterator {
   size_t batch_size_;
   size_t cursor_ = 0;
   core::Rng* rng_;
+};
+
+/// One phase of a Fit's schedule: `epochs` passes of at most
+/// `steps_per_epoch` optimizer steps each.
+struct TrainPhase {
+  /// Position in the schedule (GARCIA: 0 = pretrain, 1 = finetune); a Fit
+  /// runs its phases in ascending id order, every id once.
+  uint32_t id = 0;
+  size_t epochs = 0;
+  /// Per-epoch step cap; 0 = until the iterator runs dry. A phase without
+  /// an iterator needs a nonzero cap.
+  size_t steps_per_epoch = 0;
+  /// Batch source, reshuffled at the start of every epoch; null for a
+  /// phase whose steps draw their own samples (GARCIA pretraining).
+  BatchIterator* iterator = nullptr;
+};
+
+/// The one training loop behind every model's Fit, and the single owner of
+/// the state that must survive a restart (DESIGN.md §5h). It builds the
+/// train::CheckpointManager from the TrainConfig, resumes on construction,
+/// keeps the global step across phases, runs every optimizer step
+/// (ZeroGrad -> step callback -> Backward -> ClipGradNorm(5) -> Adam::Step)
+/// and writes the snapshots.
+///
+/// Resume is replay: the phase a checkpoint names restores parameters,
+/// Adam state, the rng streams, the diagnostics and the iterator position
+/// at its start — after the caller has built its BatchIterator, whose
+/// constructor shuffle the restore overwrites — and every earlier phase is
+/// skipped. The resumed epoch continues from the restored position without
+/// a Reset; a snapshot from the last step of an epoch re-enters with
+/// step == cap and falls through to the next epoch. A checkpoint position
+/// this Fit cannot reach is refused with a GARCIA_CHECK naming the field.
+class TrainLoop {
+ public:
+  /// Loss of one step; `batch` holds the step's example indices (empty in
+  /// a phase without an iterator). Draws every sample the step needs.
+  using StepFn = std::function<nn::Tensor(const std::vector<uint32_t>& batch)>;
+
+  /// `params` in the model's fixed order; `rngs` are every rng stream of
+  /// the model, in a fixed order; `diagnostics` are model scalars carried
+  /// verbatim in each snapshot; the Fit runs phases 0..num_phases-1.
+  TrainLoop(const TrainConfig& cfg, const std::string& model_name,
+            const data::Scenario& scenario, std::vector<nn::Tensor> params,
+            std::vector<core::Rng*> rngs, std::vector<float*> diagnostics,
+            uint32_t num_phases);
+
+  /// Runs one phase with a fresh Adam optimizer, or skips it when the
+  /// resumed checkpoint names a later phase.
+  void Run(const TrainPhase& phase, const StepFn& step);
+
+  /// Completed optimizer steps of the whole run, across phases.
+  uint64_t global_step() const { return global_step_; }
+
+ private:
+  /// Steps per epoch of `phase`: its cap, bounded by the iterator's batch
+  /// count.
+  static size_t EpochSteps(const TrainPhase& phase);
+  /// Refuses a checkpoint position `phase` cannot reach, then restores it.
+  void Restore(const TrainPhase& phase, nn::Adam* opt);
+  train::TrainCheckpoint Snapshot(const TrainPhase& phase, uint64_t epoch,
+                                  uint64_t step_in_epoch,
+                                  const nn::Adam& opt) const;
+
+  std::string model_name_;
+  float learning_rate_;
+  std::vector<nn::Tensor> params_;
+  std::vector<core::Rng*> rngs_;
+  std::vector<float*> diagnostics_;
+  uint32_t next_phase_ = 0;
+  uint32_t num_phases_;
+  train::CheckpointManager ckpt_;
+  std::optional<train::TrainCheckpoint> resume_;
+  uint64_t global_step_ = 0;
 };
 
 }  // namespace garcia::models

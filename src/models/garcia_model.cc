@@ -432,58 +432,13 @@ Tensor GarciaModel::LogitsFromPlan(const LogitsPlan& plan,
 void GarciaModel::Fit(const data::Scenario& s) {
   core::ScopedExecution exec_scope(&exec_);
   Setup(s);
-  std::vector<Tensor> params = CollectParameters();
-
-  // Crash-safe checkpointing (DESIGN.md §5h). A snapshot is taken after
-  // the optimizer step, so restoring one and re-entering the loop at the
-  // recorded position replays the uninterrupted trajectory bit for bit:
-  // every stochastic draw flows through rng_/sample_rng_, whose positions
-  // the snapshot captures. The restore point is phase-specific — the saved
-  // rng state postdates all construction-time draws of that phase, so it
-  // must be applied after them (for fine-tuning, after the BatchIterator
-  // constructor consumes its shuffle).
-  train::CheckpointManager ckpt(train::CheckpointOptions{
-      cfg_.checkpoint_dir, cfg_.checkpoint_every_steps, cfg_.checkpoint_keep,
-      TrainFingerprint(cfg_, name(), s), cfg_.checkpoint_fault});
-  std::optional<train::TrainCheckpoint> resume = ckpt.Resume();
-  uint64_t global_step = resume ? resume->global_step : 0;
-  const bool resume_pretrain = resume && resume->phase == 0;
-  const bool resume_finetune = resume && resume->phase == 1;
-  if (resume) {
-    GARCIA_CHECK_EQ(resume->rng_streams.size(), 2u)
-        << "GARCIA checkpoints carry {train, sampler} rng streams";
-    GARCIA_CHECK_EQ(resume->diagnostics.size(), 3u);
-    first_pretrain_loss_ = resume->diagnostics[0];
-    last_pretrain_loss_ = resume->diagnostics[1];
-    last_finetune_loss_ = resume->diagnostics[2];
-  }
-  auto restore_rngs = [&] {
-    rng_.RestoreState(resume->rng_streams[0]);
-    sample_rng_.RestoreState(resume->rng_streams[1]);
-  };
-  // The snapshot reads the live rng/iterator state: nothing draws between
-  // a step's optimizer update and its AtStepEnd.
-  auto snapshot = [&](uint32_t phase, uint64_t epoch, uint64_t step_in_epoch,
-                      nn::Adam* opt, const BatchIterator* it) {
-    train::TrainCheckpoint ck;
-    ck.phase = phase;
-    ck.epoch = epoch;
-    ck.step_in_epoch = step_in_epoch;
-    ck.diagnostics = {first_pretrain_loss_, last_pretrain_loss_,
-                      last_finetune_loss_};
-    ck.params = SnapshotParameterValues(params);
-    nn::AdamState adam = opt->ExportState();
-    ck.adam_t = adam.t;
-    ck.adam_m = std::move(adam.m);
-    ck.adam_v = std::move(adam.v);
-    ck.rng_streams = {rng_.ExportState(), sample_rng_.ExportState()};
-    if (it != nullptr) {
-      ck.has_iterator = true;
-      ck.iterator_cursor = it->cursor();
-      ck.iterator_order = it->order();
-    }
-    return ck;
-  };
+  // Resume, the optimizer step and snapshots live in TrainLoop (DESIGN.md
+  // §5h). Every stochastic draw flows through rng_/sample_rng_, so a
+  // restored snapshot replays the uninterrupted trajectory bit for bit.
+  TrainLoop loop(cfg_, name(), s, CollectParameters(), {&rng_, &sample_rng_},
+                 {&first_pretrain_loss_, &last_pretrain_loss_,
+                  &last_finetune_loss_},
+                 /*num_phases=*/2);
 
   // Each step plans (all rng_ draws), encodes (the full graph, or blocks
   // sampled from the plan's seed rows), then evaluates the loss against the
@@ -495,115 +450,44 @@ void GarciaModel::Fit(const data::Scenario& s) {
   };
 
   // ---- Pre-training (Sec. IV-C1) ----
-  // A phase-1 checkpoint means pre-training already completed; its work
-  // is baked into the restored parameters, so the whole phase is skipped.
   const bool any_cl = cfg_.use_ktcl || cfg_.use_secl || cfg_.use_igcl;
-  if (any_cl && cfg_.pretrain_epochs > 0 && !resume_finetune) {
-    nn::Adam opt(params, cfg_.learning_rate);
-    const size_t steps = std::max<size_t>(1, cfg_.max_batches_per_epoch / 2);
-    size_t start_epoch = 0;
-    size_t start_step = 0;
-    if (resume_pretrain) {
-      RestoreTrainState(*resume, params, &opt);
-      restore_rngs();
-      start_epoch = resume->epoch;
-      start_step = resume->step_in_epoch;
-      if (start_step >= steps) {  // snapshot landed on an epoch boundary
-        ++start_epoch;
-        start_step = 0;
-      }
-    }
-    for (size_t epoch = start_epoch; epoch < cfg_.pretrain_epochs; ++epoch) {
-      double epoch_loss = 0.0;
-      const size_t first = (epoch == start_epoch) ? start_step : 0;
-      for (size_t step = first; step < steps; ++step) {
-        graph::SeedSet head_seeds(!sampling_);
-        graph::SeedSet tail_store(!sampling_);
-        graph::SeedSet* tail_seeds = plan_seeds(&head_seeds, &tail_store);
-        const PretrainPlan plan =
-            PlanPretrainStep(s, &rng_, &head_seeds, tail_seeds);
-        opt.ZeroGrad();
-        Encoded e = EncodeStep(head_seeds, *tail_seeds);
-        Tensor loss = PretrainLossFromPlan(plan, e);
-        loss.Backward();
-        nn::ClipGradNorm(params, 5.0);
-        opt.Step();
-        epoch_loss += loss.scalar();
-        if (epoch == 0 && step == 0) first_pretrain_loss_ = loss.scalar();
-        last_pretrain_loss_ = loss.scalar();
-        ++global_step;
-        ckpt.AtStepEnd(global_step, [&] {
-          return snapshot(/*phase=*/0, epoch, step + 1, &opt, nullptr);
-        });
-      }
-      GARCIA_LOG(Debug) << name() << " pretrain epoch " << epoch
-                        << " loss=" << epoch_loss / steps;
-    }
-  }
+  const TrainPhase pretrain{
+      /*id=*/0, any_cl ? cfg_.pretrain_epochs : 0,
+      std::max<size_t>(1, cfg_.max_batches_per_epoch / 2), nullptr};
+  loop.Run(pretrain, [&](const std::vector<uint32_t>&) {
+    graph::SeedSet head_seeds(!sampling_);
+    graph::SeedSet tail_store(!sampling_);
+    graph::SeedSet* tail_seeds = plan_seeds(&head_seeds, &tail_store);
+    const PretrainPlan plan =
+        PlanPretrainStep(s, &rng_, &head_seeds, tail_seeds);
+    Tensor loss = PretrainLossFromPlan(plan, EncodeStep(head_seeds,
+                                                        *tail_seeds));
+    // Pre-training is the first phase: global step 0 is its first step.
+    if (loop.global_step() == 0) first_pretrain_loss_ = loss.scalar();
+    last_pretrain_loss_ = loss.scalar();
+    return loss;
+  });
 
   // ---- Fine-tuning (Sec. IV-C2): pre-trained parameters initialize the
   // search-task training. ----
-  nn::Adam opt(params, cfg_.learning_rate);
   BatchIterator it(s.train.size(), cfg_.batch_size, &rng_);
-  size_t start_epoch = 0;
-  size_t start_steps = 0;
-  bool mid_epoch_resume = false;
-  if (resume_finetune) {
-    // The snapshot postdates the iterator constructor, so the shuffle it
-    // just consumed is overwritten here along with the rng positions.
-    RestoreTrainState(*resume, params, &opt);
-    restore_rngs();
-    GARCIA_CHECK(resume->has_iterator);
-    it.Restore(resume->iterator_order, resume->iterator_cursor);
-    start_epoch = resume->epoch;
-    start_steps = resume->step_in_epoch;
-    mid_epoch_resume = true;
-  }
-  for (size_t epoch = start_epoch; epoch < cfg_.finetune_epochs; ++epoch) {
-    // The resumed epoch continues from the restored iterator position; a
-    // Reset here would burn an extra shuffle the uninterrupted run never
-    // drew. (A snapshot taken on the last step of an epoch re-enters here,
-    // gets an empty batch immediately, and resets for the next epoch —
-    // exactly the uninterrupted order.)
-    size_t step = 0;
-    if (mid_epoch_resume) {
-      mid_epoch_resume = false;
-      step = start_steps;
-    } else {
-      it.Reset();
+  const TrainPhase finetune{/*id=*/1, cfg_.finetune_epochs,
+                            cfg_.max_batches_per_epoch, &it};
+  loop.Run(finetune, [&](const std::vector<uint32_t>& batch) {
+    graph::SeedSet head_seeds(!sampling_);
+    graph::SeedSet tail_store(!sampling_);
+    graph::SeedSet* tail_seeds = plan_seeds(&head_seeds, &tail_store);
+    const LogitsPlan plan =
+        PlanBatchLogits(s.train, batch, &head_seeds, tail_seeds);
+    Tensor logits = LogitsFromPlan(plan, EncodeStep(head_seeds, *tail_seeds));
+    Matrix labels(plan.order.size(), 1);
+    for (size_t i = 0; i < plan.order.size(); ++i) {
+      labels.at(i, 0) = s.train[plan.order[i]].label;
     }
-    const size_t max_steps = cfg_.max_batches_per_epoch;
-    double epoch_loss = 0.0;
-    std::vector<uint32_t> batch;
-    while ((max_steps == 0 || step < max_steps) &&
-           !(batch = it.Next()).empty()) {
-      graph::SeedSet head_seeds(!sampling_);
-      graph::SeedSet tail_store(!sampling_);
-      graph::SeedSet* tail_seeds = plan_seeds(&head_seeds, &tail_store);
-      const LogitsPlan plan =
-          PlanBatchLogits(s.train, batch, &head_seeds, tail_seeds);
-      opt.ZeroGrad();
-      Encoded e = EncodeStep(head_seeds, *tail_seeds);
-      Tensor logits = LogitsFromPlan(plan, e);
-      Matrix labels(plan.order.size(), 1);
-      for (size_t i = 0; i < plan.order.size(); ++i) {
-        labels.at(i, 0) = s.train[plan.order[i]].label;
-      }
-      Tensor loss = nn::BceWithLogits(logits, labels);
-      loss.Backward();
-      nn::ClipGradNorm(params, 5.0);
-      opt.Step();
-      epoch_loss += loss.scalar();
-      last_finetune_loss_ = loss.scalar();
-      ++global_step;
-      ++step;
-      ckpt.AtStepEnd(global_step, [&] {
-        return snapshot(/*phase=*/1, epoch, step, &opt, &it);
-      });
-    }
-    GARCIA_LOG(Debug) << name() << " finetune epoch " << epoch
-                      << " loss=" << (step ? epoch_loss / step : 0.0);
-  }
+    Tensor loss = nn::BceWithLogits(logits, labels);
+    last_finetune_loss_ = loss.scalar();
+    return loss;
+  });
   fitted_ = true;
 }
 

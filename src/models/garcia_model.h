@@ -37,7 +37,6 @@
 #include "models/gnn_encoder.h"
 #include "models/intention_encoder.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
 
 namespace garcia::models {
 

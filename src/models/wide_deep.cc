@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/logging.h"
 #include "nn/ops.h"
 
 namespace garcia::models {
@@ -73,79 +72,20 @@ void WideDeep::Fit(const data::Scenario& s) {
   append(wide_->Parameters());
   append(deep_->Parameters());
 
-  nn::Adam opt(params, cfg_.learning_rate);
-  const size_t epochs = cfg_.finetune_epochs + cfg_.pretrain_epochs;
+  // Resume, the optimizer step and snapshots live in TrainLoop (DESIGN.md
+  // §5h); one phase over the full epoch budget, one rng stream.
+  TrainLoop loop(cfg_, name(), s, params, {&rng_}, {}, /*num_phases=*/1);
   BatchIterator it(s.train.size(), cfg_.batch_size, &rng_);
-
-  // Crash-safe checkpointing (DESIGN.md §5h); resume lands here, after
-  // every construction-time rng draw. Single phase, single rng stream.
-  train::CheckpointManager ckpt(train::CheckpointOptions{
-      cfg_.checkpoint_dir, cfg_.checkpoint_every_steps, cfg_.checkpoint_keep,
-      TrainFingerprint(cfg_, name(), s), cfg_.checkpoint_fault});
-  std::optional<train::TrainCheckpoint> resume = ckpt.Resume();
-  uint64_t global_step = 0;
-  size_t start_epoch = 0;
-  size_t start_steps = 0;
-  bool mid_epoch_resume = false;
-  if (resume) {
-    GARCIA_CHECK_EQ(resume->rng_streams.size(), 1u);
-    GARCIA_CHECK(resume->has_iterator);
-    RestoreTrainState(*resume, params, &opt);
-    rng_.RestoreState(resume->rng_streams[0]);
-    it.Restore(resume->iterator_order, resume->iterator_cursor);
-    global_step = resume->global_step;
-    start_epoch = resume->epoch;
-    start_steps = resume->step_in_epoch;
-    mid_epoch_resume = true;
-  }
-  auto snapshot = [&](uint64_t epoch, uint64_t step_in_epoch) {
-    train::TrainCheckpoint ck;
-    ck.phase = 0;
-    ck.epoch = epoch;
-    ck.step_in_epoch = step_in_epoch;
-    ck.params = SnapshotParameterValues(params);
-    nn::AdamState adam = opt.ExportState();
-    ck.adam_t = adam.t;
-    ck.adam_m = std::move(adam.m);
-    ck.adam_v = std::move(adam.v);
-    ck.rng_streams = {rng_.ExportState()};
-    ck.has_iterator = true;
-    ck.iterator_cursor = it.cursor();
-    ck.iterator_order = it.order();
-    return ck;
-  };
-
-  for (size_t epoch = start_epoch; epoch < epochs; ++epoch) {
-    size_t step = 0;
-    if (mid_epoch_resume) {
-      mid_epoch_resume = false;
-      step = start_steps;
-    } else {
-      it.Reset();
+  const TrainPhase phase{/*id=*/0,
+                         cfg_.finetune_epochs + cfg_.pretrain_epochs,
+                         cfg_.max_batches_per_epoch, &it};
+  loop.Run(phase, [&](const std::vector<uint32_t>& batch) {
+    Matrix labels(batch.size(), 1);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      labels.at(i, 0) = s.train[batch[i]].label;
     }
-    const size_t max_steps = cfg_.max_batches_per_epoch;
-    double epoch_loss = 0.0;
-    std::vector<uint32_t> batch;
-    while ((max_steps == 0 || step < max_steps) &&
-           !(batch = it.Next()).empty()) {
-      Matrix labels(batch.size(), 1);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        labels.at(i, 0) = s.train[batch[i]].label;
-      }
-      opt.ZeroGrad();
-      Tensor logits = BatchLogits(s.train, batch);
-      Tensor loss = nn::BceWithLogits(logits, labels);
-      loss.Backward();
-      nn::ClipGradNorm(params, 5.0);
-      opt.Step();
-      epoch_loss += loss.scalar();
-      ++global_step;
-      ++step;
-      ckpt.AtStepEnd(global_step, [&] { return snapshot(epoch, step); });
-    }
-    GARCIA_LOG(Debug) << name() << " epoch " << epoch
-                      << " loss=" << (step ? epoch_loss / step : 0.0);
-  }
+    return nn::BceWithLogits(BatchLogits(s.train, batch), labels);
+  });
   fitted_ = true;
 }
 

@@ -14,7 +14,6 @@
 #include "models/common.h"
 #include "nn/loss.h"
 #include "nn/module.h"
-#include "nn/optimizer.h"
 
 namespace garcia::models {
 

@@ -3,7 +3,9 @@
 // magic/version, fingerprint mismatch, generation fallback), the
 // CheckpointManager cadence/pruning behavior, and the kill-point
 // crash-resume harness asserting bit-identical resumed training for
-// GARCIA (both phases, full-graph and sampled) and the baselines.
+// GARCIA (both phases, full-graph and sampled) and the baselines, on and
+// off epoch boundaries, plus models::TrainLoop's per-generation snapshot
+// contract and its refusal of checkpoint positions a Fit cannot reach.
 
 #include "train/checkpoint.h"
 
@@ -17,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/crc32.h"
@@ -617,6 +620,119 @@ TEST(CrashResumeTest, WideDeepResumesBitIdentical) {
   fs::remove_all(cfg.checkpoint_dir);
 }
 
+TEST(CrashResumeTest, EpochBoundaryResumesBitIdentical) {
+  // Every 5 steps, a kAfterWrite kill lands exactly on an epoch's last
+  // step: the snapshot re-enters with step_in_epoch == cap and must fall
+  // through to the next epoch with the uninterrupted shuffle.
+  const RunResult garcia =
+      FitAndExport<models::GarciaModel>(FastTrainConfig());
+  // Step 10 ends pretrain epoch 1 (not the phase boundary); step 25 ends
+  // finetune epoch 0.
+  for (uint64_t step : {uint64_t{10}, uint64_t{25}}) {
+    SCOPED_TRACE(step);
+    models::TrainConfig cfg = CheckpointedConfig("garcia_boundary", 5);
+    ExpectBitIdentical(garcia, CrashThenResume<models::GarciaModel>(
+                                   cfg, KillPoint::kAfterWrite, step));
+    fs::remove_all(cfg.checkpoint_dir);
+  }
+  // Step 10 ends LightGCN epoch 0.
+  const RunResult lightgcn = FitAndExport<models::LightGcn>(FastTrainConfig());
+  models::TrainConfig cfg = CheckpointedConfig("lightgcn_boundary", 5);
+  ExpectBitIdentical(lightgcn, CrashThenResume<models::LightGcn>(
+                                   cfg, KillPoint::kAfterWrite, 10));
+  fs::remove_all(cfg.checkpoint_dir);
+}
+
+// ------------------------------------------------ snapshot contract
+
+/// The loop-written fields of one generation: (global_step, phase, epoch,
+/// step_in_epoch, has_iterator, rng_streams.size(), diagnostics.size()).
+using SnapshotRow =
+    std::tuple<uint64_t, uint32_t, uint64_t, uint64_t, bool, size_t, size_t>;
+
+/// One phase of a model's schedule as the snapshots must report it.
+struct PhaseShape {
+  uint64_t epochs;
+  uint64_t steps_per_epoch;
+  bool has_iterator;
+};
+
+/// Fits with a generation every 5 steps, all kept, and decodes each one.
+template <typename ModelT>
+std::vector<SnapshotRow> SnapshotTable(models::TrainConfig cfg,
+                                       const std::string& dir_name) {
+  cfg.checkpoint_dir = TempDir(dir_name);
+  cfg.checkpoint_every_steps = 5;
+  cfg.checkpoint_keep = 0;
+  ModelT(cfg).Fit(Tiny());
+  std::vector<SnapshotRow> rows;
+  for (uint64_t step : ListCheckpointSteps(cfg.checkpoint_dir)) {
+    auto ck = LoadCheckpoint(cfg.checkpoint_dir + "/" +
+                             CheckpointFileName(step));
+    EXPECT_TRUE(ck.ok()) << ck.status().ToString();
+    if (!ck.ok()) continue;
+    const TrainCheckpoint& c = *ck;
+    rows.emplace_back(c.global_step, c.phase, c.epoch, c.step_in_epoch,
+                      c.has_iterator, c.rng_streams.size(),
+                      c.diagnostics.size());
+  }
+  fs::remove_all(cfg.checkpoint_dir);
+  return rows;
+}
+
+/// The table a schedule implies: one row per 5th global step, placed in
+/// its phase, epoch and 1-based step.
+std::vector<SnapshotRow> ExpectedTable(const std::vector<PhaseShape>& phases,
+                                       size_t rng_streams,
+                                       size_t diagnostics) {
+  std::vector<SnapshotRow> rows;
+  uint64_t done = 0;
+  for (uint32_t p = 0; p < phases.size(); ++p) {
+    const PhaseShape& ph = phases[p];
+    const uint64_t total = ph.epochs * ph.steps_per_epoch;
+    for (uint64_t k = 0; k < total; ++k) {
+      const uint64_t global_step = done + k + 1;
+      if (global_step % 5 != 0) continue;
+      rows.emplace_back(global_step, p, k / ph.steps_per_epoch,
+                        k % ph.steps_per_epoch + 1, ph.has_iterator,
+                        rng_streams, diagnostics);
+    }
+    done += total;
+  }
+  return rows;
+}
+
+TEST(CrashResumeTest, GarciaSnapshotContract) {
+  // 3 pretrain epochs x 5 steps without an iterator, then 6 finetune
+  // epochs x 10 steps; streams {train, sampler}; three loss probes.
+  const std::vector<SnapshotRow> want =
+      ExpectedTable({{3, 5, false}, {6, 10, true}}, 2, 3);
+  ASSERT_EQ(want.size(), 15u);
+  EXPECT_EQ(SnapshotTable<models::GarciaModel>(FastTrainConfig(),
+                                               "contract_garcia"),
+            want);
+  models::TrainConfig sampled = FastTrainConfig();
+  sampled.sample_fanout = 8;
+  EXPECT_EQ(SnapshotTable<models::GarciaModel>(sampled,
+                                               "contract_garcia_sampled"),
+            want);
+}
+
+TEST(CrashResumeTest, BaselineSnapshotContract) {
+  // One phase of 9 epochs x 10 steps over the iterator; no diagnostics.
+  const std::vector<SnapshotRow> gnn = ExpectedTable({{9, 10, true}}, 2, 0);
+  ASSERT_EQ(gnn.size(), 18u);
+  EXPECT_EQ(SnapshotTable<models::LightGcn>(FastTrainConfig(),
+                                            "contract_lightgcn"),
+            gnn);
+  EXPECT_EQ(SnapshotTable<models::Sgl>(FastTrainConfig(), "contract_sgl"),
+            gnn);
+  // WideDeep has a single rng stream.
+  EXPECT_EQ(SnapshotTable<models::WideDeep>(FastTrainConfig(),
+                                            "contract_wide_deep"),
+            ExpectedTable({{9, 10, true}}, 1, 0));
+}
+
 TEST(CrashResumeTest, CheckpointBytesThreadInvariant) {
   // Every generation of a sampled GARCIA run (both phases) must carry the
   // same bytes whether the kernels run serially or on a thread pool.
@@ -701,6 +817,89 @@ TEST(CrashResumeDeathTest, ChangedConfigRefusesResume) {
   models::GarciaModel restarted(cfg);
   EXPECT_DEATH(restarted.Fit(Tiny()), "refusing to resume");
   fs::remove_all(cfg.checkpoint_dir);
+}
+
+/// Runs a checkpointed Fit to a kAfterWrite kill at `step`, then rewrites
+/// that generation with `edit` applied. The file keeps the run's own
+/// fingerprint and valid CRCs, so only the edited position is wrong.
+template <typename ModelT, typename Edit>
+models::TrainConfig WriteEditedGeneration(const std::string& dir_name,
+                                          uint64_t step, Edit edit) {
+  models::TrainConfig cfg = CheckpointedConfig(dir_name);
+  cfg.checkpoint_fault = {KillPoint::kAfterWrite, step};
+  try {
+    ModelT(cfg).Fit(Tiny());
+  } catch (const TrainingKilled&) {
+  }
+  cfg.checkpoint_fault = {};
+  const std::string path =
+      cfg.checkpoint_dir + "/" + CheckpointFileName(step);
+  auto ck = LoadCheckpoint(path);
+  if (!ck.ok()) {
+    ADD_FAILURE() << ck.status().ToString();
+    return cfg;
+  }
+  TrainCheckpoint edited = std::move(*ck);
+  EXPECT_EQ(edited.config_fingerprint,
+            models::TrainFingerprint(cfg, ModelT(cfg).name(), Tiny()));
+  edit(&edited);
+  EXPECT_TRUE(SaveCheckpoint(path, edited).ok());
+  return cfg;
+}
+
+TEST(CrashResumeDeathTest, UnreachablePhaseRefusesResume) {
+  // GARCIA runs phases 0 and 1; a phase-2 checkpoint must not silently
+  // restart from fresh weights.
+  models::TrainConfig cfg = WriteEditedGeneration<models::GarciaModel>(
+      "garcia_phase2", 6, [](TrainCheckpoint* ck) { ck->phase = 2; });
+  models::GarciaModel restarted(cfg);
+  EXPECT_DEATH(restarted.Fit(Tiny()), "refusing to resume: checkpoint phase 2");
+  fs::remove_all(cfg.checkpoint_dir);
+}
+
+TEST(CrashResumeDeathTest, BaselinePhaseOneRefusesResume) {
+  // The baselines run a single phase 0.
+  models::TrainConfig cfg = WriteEditedGeneration<models::LightGcn>(
+      "lightgcn_phase1", 6, [](TrainCheckpoint* ck) { ck->phase = 1; });
+  models::LightGcn restarted(cfg);
+  EXPECT_DEATH(restarted.Fit(Tiny()), "refusing to resume: checkpoint phase 1");
+  fs::remove_all(cfg.checkpoint_dir);
+}
+
+TEST(CrashResumeDeathTest, StepPastPretrainCapRefusesResume) {
+  // GARCIA pretraining runs 5 steps per epoch under FastTrainConfig.
+  models::TrainConfig cfg = WriteEditedGeneration<models::GarciaModel>(
+      "garcia_step99", 6, [](TrainCheckpoint* ck) { ck->step_in_epoch = 99; });
+  models::GarciaModel restarted(cfg);
+  EXPECT_DEATH(restarted.Fit(Tiny()),
+               "refusing to resume: checkpoint step_in_epoch 99");
+  fs::remove_all(cfg.checkpoint_dir);
+}
+
+TEST(CrashResumeDeathTest, EveryUnreachableFieldIsNamed) {
+  // Step 6 is pretrain epoch 1, step 1 of GARCIA's 3 x 5 pretrain steps.
+  const struct {
+    const char* what;
+    void (*edit)(TrainCheckpoint*);
+  } cases[] = {
+      {"epoch 3 of phase 0", [](TrainCheckpoint* ck) { ck->epoch = 3; }},
+      {"has_iterator=1",
+       [](TrainCheckpoint* ck) {
+         ck->has_iterator = true;
+         ck->iterator_order = {0};
+       }},
+      {"1 rng_streams", [](TrainCheckpoint* ck) { ck->rng_streams.pop_back(); }},
+      {"2 diagnostics", [](TrainCheckpoint* ck) { ck->diagnostics.pop_back(); }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    models::TrainConfig cfg =
+        WriteEditedGeneration<models::GarciaModel>("garcia_field", 6, c.edit);
+    models::GarciaModel restarted(cfg);
+    EXPECT_DEATH(restarted.Fit(Tiny()),
+                 std::string("refusing to resume: checkpoint .*") + c.what);
+    fs::remove_all(cfg.checkpoint_dir);
+  }
 }
 
 TEST(CrashResumeTest, FingerprintSeparatesModelsAndConfigs) {
