@@ -1,12 +1,12 @@
 // Kernel microbenchmarks (google-benchmark): the hot paths of training and
 // serving — GEMM, segment ops, the GARCIA encoder layer, InfoNCE
 // forward+backward, and top-K embedding retrieval — plus a thread sweep of
-// the execution-layer kernels.
+// the GEMM, the one training kernel that shards.
 //
 // `micro_kernels --speedup_json` skips google-benchmark and instead times
-// GEMM (all four transpose variants, at GARCIA-shaped sizes) and the
-// segment kernels at 1, 2, 4 and hardware_concurrency threads, emitting a
-// JSON speedup table (serial wall-clock / threaded wall-clock) to stdout
+// GEMM (all four transpose variants, at GARCIA-shaped sizes) at 1, 2, 4 and
+// hardware_concurrency threads, emitting a JSON speedup table (serial
+// wall-clock / threaded wall-clock) to stdout
 // AND to BENCH_kernels.json in the working directory. Speedups are
 // hardware-dependent: on a multi-core box GEMM at 512^3 should clear 2x at
 // 4 threads; a single-core container reports ~1x and the serial wall-clock
@@ -188,7 +188,7 @@ void BM_TopKRetrieval(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKRetrieval)->Arg(1000)->Arg(100000);
 
-// ----- Thread sweep: execution-layer kernels -----
+// ----- Thread sweep: the sharded GEMM -----
 
 void BM_GemmThreads(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -207,48 +207,6 @@ void BM_GemmThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmThreads)
     ->ArgsProduct({{256, 512}, garcia::SweepThreadCounts()});
-
-void BM_SegmentSumThreads(benchmark::State& state) {
-  const size_t edges = static_cast<size_t>(state.range(0));
-  const size_t threads = static_cast<size_t>(state.range(1));
-  const size_t segments = edges / 8;
-  core::ExecutionContext ctx(threads);
-  core::Rng rng(10);
-  std::vector<uint32_t> seg(edges);
-  for (auto& s : seg) {
-    s = static_cast<uint32_t>(rng.UniformInt(static_cast<uint64_t>(segments)));
-  }
-  core::Matrix x = core::Matrix::Randn(edges, 32, &rng);
-  core::Matrix out(segments, 32);
-  for (auto _ : state) {
-    core::kernels::SegmentSum(ctx, x, seg, segments, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * edges);
-}
-BENCHMARK(BM_SegmentSumThreads)
-    ->ArgsProduct({{100000}, garcia::SweepThreadCounts()});
-
-void BM_SegmentSoftmaxThreads(benchmark::State& state) {
-  const size_t edges = static_cast<size_t>(state.range(0));
-  const size_t threads = static_cast<size_t>(state.range(1));
-  const size_t segments = edges / 8;
-  core::ExecutionContext ctx(threads);
-  core::Rng rng(11);
-  std::vector<uint32_t> seg(edges);
-  for (auto& s : seg) {
-    s = static_cast<uint32_t>(rng.UniformInt(static_cast<uint64_t>(segments)));
-  }
-  core::Matrix scores = core::Matrix::Randn(edges, 1, &rng);
-  core::Matrix out(edges, 1);
-  for (auto _ : state) {
-    core::kernels::SegmentSoftmax(ctx, scores, seg, segments, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * edges);
-}
-BENCHMARK(BM_SegmentSoftmaxThreads)
-    ->ArgsProduct({{100000}, garcia::SweepThreadCounts()});
 
 // ----- --speedup_json: chrono-timed speedup table -----
 
@@ -391,42 +349,6 @@ int RunSpeedupJson() {
                         repeats, &rng, false);
   json += GemmSweepLine("gemm_tt", 512, 512, 512, true, true, counts, repeats,
                         &rng, false);
-
-  const size_t edges = 200000, segments = edges / 8;
-  std::vector<uint32_t> seg(edges);
-  for (auto& s : seg) {
-    s = static_cast<uint32_t>(rng.UniformInt(static_cast<uint64_t>(segments)));
-  }
-
-  {  // SegmentSum over a LightGCN-scale edge set.
-    core::Matrix x = core::Matrix::Randn(edges, 32, &rng);
-    core::Matrix out(segments, 32);
-    std::vector<SweepEntry> entries;
-    for (int64_t t : counts) {
-      core::ExecutionContext ctx(static_cast<size_t>(t));
-      entries.push_back({static_cast<size_t>(t),
-                         TimeMedianSeconds(repeats, [&] {
-                           core::kernels::SegmentSum(ctx, x, seg, segments,
-                                                     &out);
-                         })});
-    }
-    json += SweepJsonLine("segment_sum", "200000x32/25000", entries, false);
-  }
-
-  {  // SegmentSoftmax over the same segment structure.
-    core::Matrix scores = core::Matrix::Randn(edges, 1, &rng);
-    core::Matrix out(edges, 1);
-    std::vector<SweepEntry> entries;
-    for (int64_t t : counts) {
-      core::ExecutionContext ctx(static_cast<size_t>(t));
-      entries.push_back({static_cast<size_t>(t),
-                         TimeMedianSeconds(repeats, [&] {
-                           core::kernels::SegmentSoftmax(ctx, scores, seg,
-                                                         segments, &out);
-                         })});
-    }
-    json += SweepJsonLine("segment_softmax", "200000/25000", entries, false);
-  }
 
   // TopKDot against the scalar reference scan: at the serving shape, and
   // one row and one column past it so the vector path's row and column

@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < repeats; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     for (size_t q = 0; q < kNumQueries; ++q) {
-      truth[q] = serving::TopKInnerProduct(core::SerialExecution(),
-                                           queries.row(q), kDim, catalog, kTopK);
+      truth[q] =
+          serving::TopKInnerProduct(queries.row(q), kDim, catalog, kTopK);
     }
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -185,11 +185,6 @@ int main(int argc, char** argv) {
   }
   const double brute_qps = static_cast<double>(kNumQueries) / brute_secs;
   std::printf("Brute-force scan: %.0f QPS (single thread).\n", brute_qps);
-
-  // Index builds are thread-count-invariant; build on all cores.
-  const size_t hw =
-      std::max<size_t>(1, std::thread::hardware_concurrency());
-  core::ExecutionContext build_ctx(hw);
 
   // Times one sweep point (default rerank_k) and returns its ranked lists.
   auto run_point = [&](const serving::IvfIndex& index, size_t nprobe,
@@ -218,8 +213,7 @@ int main(int argc, char** argv) {
   for (size_t nlist : {size_t{64}, size_t{128}, size_t{256}}) {
     serving::RetrievalConfig cfg;  // rerank_k 0 = max(4k, 32)
     cfg.nlist = nlist;
-    const serving::IvfIndex index =
-        serving::IvfIndex::Build(catalog, cfg, build_ctx);
+    const serving::IvfIndex index = serving::IvfIndex::Build(catalog, cfg);
     storage_ratio = static_cast<double>(kNumServices * kDim * sizeof(float)) /
                     static_cast<double>(index.ListStorageBytes());
 
@@ -275,6 +269,8 @@ int main(int argc, char** argv) {
       storage_ratio, kIsoRecallFloor, best_iso_speedup);
 
   if (write_json) {
+    const size_t hw =
+        std::max<size_t>(1, std::thread::hardware_concurrency());
     std::string json = core::StrFormat(
         "{\n  \"benchmark\": \"retrieval_recall\",\n"
         "  \"hardware\": {\"cpu_model\": \"%s\", \"nproc\": %zu},\n"

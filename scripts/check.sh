@@ -33,8 +33,8 @@ echo "==> Sanitizer build (address;undefined)"
 run_suite "$ROOT/build-asan" -DGARCIA_SANITIZE="address;undefined"
 
 echo "==> ASan smoke: micro_kernels --speedup_json"
-# Exercises the packed GEMM (all four transpose variants), the segment
-# kernels and the TopKDot serving scan (20000 x 32, plus 20003 x 33 for
+# Exercises the packed GEMM (all four transpose variants, serial and
+# sharded) and the TopKDot serving scan (20000 x 32, plus 20003 x 33 for
 # the AVX2 lane-per-row path's row and column tails) under ASan/UBSan at
 # bench shapes the unit tests don't reach; exits nonzero if TopKDot's
 # ranking differs from the scalar reference. One repeat keeps it fast;
@@ -55,18 +55,18 @@ echo "==> ASan smoke: retrieval_recall --json"
 
 echo "==> Sanitizer build (thread)"
 # TSan and ASan are mutually exclusive, so this is a third tree. Only the
-# threaded suites run here: they exercise every ShardedFor dispatch, the
-# destination-sharded reduction kernels and their thread-count bit-parity
-# contract, the block sampler's thread-count-invariance contract, the
-# ticket sequencer (core_ticket_gate_test), the concurrent batched serving
-# path (BatchRanker + ResilientRanker's sequenced resolve phase), and the
+# threaded suites run here: they exercise the sharded kernels (the GEMM
+# tile grid and shared-B packing, TopKDot's block merge, the SQ8 scan) and
+# their thread-count bit-parity contract, the thread pool, the block
+# sampler's thread-count-invariance contract, the ticket sequencer
+# (core_ticket_gate_test), the concurrent batched serving path
+# (BatchRanker + ResilientRanker's sequenced resolve phase), and the
 # shared immutable SQ8 IvfIndex — including the sharded asymmetric scan +
 # exact re-rank — probed from many threads (serving_retrieval_test), and
 # whole training runs: the threaded cases of models_garcia_test and
 # models_baselines_test (ThreadedTrainingMatchesSerialExactly, plus
 # GARCIA's SampledTrainingThreadInvariantAndAccurate) are the only tests
-# that run the sharded backward kernels inside a full Fit
-# (models::TrainLoop).
+# that run the sharded GEMM inside a full Fit (models::TrainLoop).
 TSAN_DIR="$ROOT/build-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DGARCIA_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \

@@ -23,12 +23,6 @@ ExecutionContext::ExecutionContext(size_t num_threads) {
   if (num_threads >= 2) pool_ = std::make_unique<ThreadPool>(num_threads);
 }
 
-ExecutionContext::ExecutionContext(size_t num_threads,
-                                   const KernelTuning& tuning)
-    : ExecutionContext(num_threads) {
-  tuning_ = tuning;
-}
-
 ExecutionContext::~ExecutionContext() = default;
 
 size_t ExecutionContext::num_threads() const {
@@ -81,8 +75,8 @@ namespace {
 // ascending order within a tile; between panels the partial sum round-trips
 // through C (or stays in the micro-kernel accumulator), and a float
 // store/load is exact. Tile shapes therefore cannot change the result, so
-// serial, any thread count, any KernelTuning and all four transpose flags
-// agree bit for bit — the same contract as every other kernel here.
+// serial, any thread count, any blocking and all four transpose flags
+// agree bit for bit.
 //
 // Zero operands are NOT skipped: a 0 in op(A) still contributes
 // fl(0 * b_op[l,j]), so IEEE non-finite values in B propagate (0*Inf = NaN)
@@ -93,6 +87,16 @@ namespace {
 // keyed to these.
 constexpr size_t kGemmMr = 4;
 constexpr size_t kGemmNr = 8;
+
+// The blocking Gemm runs with (field docs in kernels.h).
+constexpr internal::GemmBlocking kGemmBlocking = {
+    /*mc=*/64,
+    /*kc=*/256,
+    /*nc=*/256,
+    /*min_rows_per_shard=*/8,
+    /*min_cols_per_shard=*/16,
+    /*shared_b_max_floats=*/size_t{1} << 24,
+};
 
 inline size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 
@@ -209,103 +213,23 @@ inline void GemmMicroKernel(const float* ap, const float* bp, size_t kc,
   }
 }
 
-template <typename F>
-inline void ForEachElement(const ExecutionContext& ctx, size_t n, F&& f) {
-  ctx.ShardedFor(0, n, ctx.tuning().min_elems_per_shard,
-                 [&f](size_t lo, size_t hi) {
-                   for (size_t i = lo; i < hi; ++i) f(i);
-                 });
-}
-
-template <typename F>
-inline void ForEachRow(const ExecutionContext& ctx, size_t rows,
-                       size_t min_shard, F&& f) {
-  ctx.ShardedFor(0, rows, min_shard, [&f](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) f(i);
-  });
-}
-
-// Destination-major index over a scatter/segment id list: offsets[d] ..
-// offsets[d+1] bound the positions of destination d in `order`, which holds
-// source ids in ascending order within each destination — the serial loop's
-// per-destination accumulation order.
-struct DestIndex {
-  std::vector<size_t> offsets;   // num_dests + 1
-  std::vector<uint32_t> order;   // one entry per source
-};
-
-DestIndex BuildDestIndex(const std::vector<uint32_t>& idx, size_t num_dests) {
-  DestIndex di;
-  di.offsets.assign(num_dests + 1, 0);
-  for (uint32_t d : idx) {
-    GARCIA_CHECK_LT(d, num_dests);
-    ++di.offsets[d + 1];
-  }
-  for (size_t d = 0; d < num_dests; ++d) di.offsets[d + 1] += di.offsets[d];
-  di.order.resize(idx.size());
-  std::vector<size_t> cursor(di.offsets.begin(), di.offsets.end() - 1);
-  for (size_t e = 0; e < idx.size(); ++e) {
-    di.order[cursor[idx[e]]++] = static_cast<uint32_t>(e);
-  }
-  return di;
-}
-
-// Shared skeleton of the destination-sharded reductions (scatter-add,
-// segment softmax forward/backward): run the serial source-order loop when
-// the context is serial or the source list is below the index-build
-// break-even, otherwise build the destination-major index once and shard
-// destinations, replaying each destination's sources in ascending order —
-// the serial loop's accumulation order, hence bit-identical to it.
-template <typename Serial, typename PerDest>
-void DestShardedReduce(const ExecutionContext& ctx,
-                       const std::vector<uint32_t>& idx, size_t num_dests,
-                       Serial&& serial, PerDest&& per_dest) {
-  if (!ctx.parallel() || idx.size() < ctx.tuning().min_scatter_sources) {
-    serial();
-    return;
-  }
-  const DestIndex di = BuildDestIndex(idx, num_dests);
-  const size_t* offsets = di.offsets.data();
-  const uint32_t* order = di.order.data();
-  ctx.ShardedFor(0, num_dests, ctx.tuning().min_segments_per_shard,
-                 [&](size_t lo, size_t hi) {
-                   for (size_t d = lo; d < hi; ++d) {
-                     per_dest(d, offsets[d], offsets[d + 1], order);
-                   }
-                 });
-}
-
 inline void AddRow(float* dst, const float* src, size_t cols) {
   for (size_t j = 0; j < cols; ++j) dst[j] += src[j];
-}
-
-// One segment's max-stabilized softmax over positions [p0, p1) of a
-// destination-major order list — the per-destination body of the sharded
-// SegmentSoftmax kernel.
-inline void SegmentSoftmaxOneSegment(const Matrix& scores,
-                                     const uint32_t* order, size_t p0,
-                                     size_t p1, Matrix* out) {
-  if (p0 == p1) return;
-  float mx = -1e30f;
-  for (size_t p = p0; p < p1; ++p) {
-    mx = std::max(mx, scores.at(order[p], 0));
-  }
-  double sum = 0.0;
-  for (size_t p = p0; p < p1; ++p) {
-    const uint32_t e = order[p];
-    out->at(e, 0) = std::exp(scores.at(e, 0) - mx);
-    sum += out->at(e, 0);
-  }
-  for (size_t p = p0; p < p1; ++p) {
-    const uint32_t e = order[p];
-    out->at(e, 0) = static_cast<float>(out->at(e, 0) / sum);
-  }
 }
 
 }  // namespace
 
 void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b, float alpha,
           const Matrix& a, const Matrix& b, float beta, Matrix* c) {
+  internal::GemmBlocked(ctx, kGemmBlocking, trans_a, trans_b, alpha, a, b,
+                        beta, c);
+}
+
+namespace internal {
+
+void GemmBlocked(const ExecutionContext& ctx, const GemmBlocking& blocking,
+                 bool trans_a, bool trans_b, float alpha, const Matrix& a,
+                 const Matrix& b, float beta, Matrix* c) {
   const size_t m = trans_a ? a.cols() : a.rows();
   const size_t k = trans_a ? a.rows() : a.cols();
   const size_t kb = trans_b ? b.cols() : b.rows();
@@ -321,19 +245,18 @@ void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b, float alpha,
   }
   if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
 
-  const KernelTuning& tune = ctx.tuning();
-  const size_t kc_max = std::max<size_t>(1, tune.gemm_kc);
-  size_t mb = std::min(m, std::max<size_t>(1, tune.gemm_mc));
-  size_t nb = std::min(n, std::max<size_t>(1, tune.gemm_nc));
+  const size_t kc_max = std::max<size_t>(1, blocking.kc);
+  size_t mb = std::min(m, std::max<size_t>(1, blocking.mc));
+  size_t nb = std::min(n, std::max<size_t>(1, blocking.nc));
   if (ctx.parallel()) {
     // Refine the tile grid until every worker has a couple of tiles, never
-    // below the tuning floors. Small-m trans_a GEMMs (dW = X^T dY: m = n =
+    // below the blocking floors. Small-m trans_a GEMMs (dW = X^T dY: m = n =
     // hidden dim, k = node count) split over columns and finer row blocks
     // here instead of collapsing onto a handful of row shards. The chosen
     // grid cannot change the result (see the bit-identity argument above).
     const size_t target = 2 * ctx.num_threads();
-    const size_t mb_floor = std::max<size_t>(1, tune.gemm_min_rows_per_shard);
-    const size_t nb_floor = std::max<size_t>(1, tune.gemm_min_cols_per_shard);
+    const size_t mb_floor = std::max<size_t>(1, blocking.min_rows_per_shard);
+    const size_t nb_floor = std::max<size_t>(1, blocking.min_cols_per_shard);
     while (CeilDiv(m, mb) * CeilDiv(n, nb) < target) {
       const bool can_m = mb / 2 >= mb_floor;
       const bool can_n = nb / 2 >= nb_floor;
@@ -363,12 +286,12 @@ void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b, float alpha,
   // publishes the buffer to the compute phase. Each group's contents are
   // byte-identical to what the per-tile PackB would produce, so sharing
   // cannot change the result. Falls back to per-tile packing when the
-  // buffer would exceed the tuning cap.
+  // buffer would exceed the blocking cap.
   const size_t kc_count = CeilDiv(k, kc_max);
   const size_t b_group_stride = CeilDiv(nb, kGemmNr) * kGemmNr * kc_max;
   const size_t b_shared_floats = b_group_stride * col_panels * kc_count;
   const bool share_b =
-      row_blocks > 1 && b_shared_floats <= tune.gemm_shared_b_max_floats;
+      row_blocks > 1 && b_shared_floats <= blocking.shared_b_max_floats;
   GemmPackBuffers& caller_bufs = TlsGemmBuffers();
   if (share_b) {
     if (caller_bufs.b_shared.size() < b_shared_floats) {
@@ -432,197 +355,151 @@ void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b, float alpha,
       });
 }
 
-void UnaryForward(const ExecutionContext& ctx, UnaryOp op, float slope,
-                  const float* x, float* y, size_t n) {
+}  // namespace internal
+
+void UnaryForward(UnaryOp op, float slope, const float* x, float* y,
+                  size_t n) {
   switch (op) {
     case UnaryOp::kRelu:
-      ForEachElement(ctx, n, [=](size_t i) {
-        y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-      });
+      for (size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
       break;
     case UnaryOp::kTanh:
-      ForEachElement(ctx, n, [=](size_t i) { y[i] = std::tanh(x[i]); });
+      for (size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
       break;
     case UnaryOp::kLeakyRelu:
-      ForEachElement(ctx, n, [=](size_t i) {
-        y[i] = x[i] > 0.0f ? x[i] : slope * x[i];
-      });
+      for (size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : slope * x[i];
       break;
     case UnaryOp::kSigmoid:
-      ForEachElement(ctx, n, [=](size_t i) {
+      for (size_t i = 0; i < n; ++i) {
         const float v = x[i];
         y[i] = v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
                          : std::exp(v) / (1.0f + std::exp(v));
-      });
+      }
       break;
   }
 }
 
-void UnaryBackwardAdd(const ExecutionContext& ctx, UnaryOp op, float slope,
-                      const float* x, const float* y, const float* dy,
-                      float* dx, size_t n) {
+void UnaryBackwardAdd(UnaryOp op, float slope, const float* x, const float* y,
+                      const float* dy, float* dx, size_t n) {
   switch (op) {
     case UnaryOp::kRelu:
-      ForEachElement(ctx, n, [=](size_t i) {
+      for (size_t i = 0; i < n; ++i) {
         if (x[i] > 0.0f) dx[i] += dy[i];
-      });
+      }
       break;
     case UnaryOp::kTanh:
-      ForEachElement(ctx, n, [=](size_t i) {
-        dx[i] += dy[i] * (1.0f - y[i] * y[i]);
-      });
+      for (size_t i = 0; i < n; ++i) dx[i] += dy[i] * (1.0f - y[i] * y[i]);
       break;
     case UnaryOp::kLeakyRelu:
-      ForEachElement(ctx, n, [=](size_t i) {
+      for (size_t i = 0; i < n; ++i) {
         dx[i] += dy[i] * (x[i] > 0.0f ? 1.0f : slope);
-      });
+      }
       break;
     case UnaryOp::kSigmoid:
-      ForEachElement(ctx, n, [=](size_t i) {
-        dx[i] += dy[i] * (y[i] * (1.0f - y[i]));
-      });
+      for (size_t i = 0; i < n; ++i) dx[i] += dy[i] * (y[i] * (1.0f - y[i]));
       break;
   }
 }
 
-void GatherRows(const ExecutionContext& ctx, const Matrix& src,
-                const std::vector<uint32_t>& idx, Matrix* out) {
+void GatherRows(const Matrix& src, const std::vector<uint32_t>& idx,
+                Matrix* out) {
   GARCIA_CHECK_EQ(out->rows(), idx.size());
   GARCIA_CHECK_EQ(out->cols(), src.cols());
   const size_t cols = src.cols();
-  ForEachRow(ctx, idx.size(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
+  for (size_t i = 0; i < idx.size(); ++i) {
     GARCIA_CHECK_LT(idx[i], src.rows());
     std::memcpy(out->row(i), src.row(idx[i]), cols * sizeof(float));
-  });
+  }
 }
 
-void GatherAddRows(const ExecutionContext& ctx, const Matrix& src,
-                   const std::vector<uint32_t>& idx, Matrix* out) {
+void GatherAddRows(const Matrix& src, const std::vector<uint32_t>& idx,
+                   Matrix* out) {
   GARCIA_CHECK_EQ(out->rows(), idx.size());
   GARCIA_CHECK_EQ(out->cols(), src.cols());
   const size_t cols = src.cols();
-  ForEachRow(ctx, idx.size(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
+  for (size_t i = 0; i < idx.size(); ++i) {
     GARCIA_CHECK_LT(idx[i], src.rows());
     AddRow(out->row(i), src.row(idx[i]), cols);
-  });
+  }
 }
 
-void ScatterAddRows(const ExecutionContext& ctx, const Matrix& src,
-                    const std::vector<uint32_t>& idx, Matrix* accum) {
+void ScatterAddRows(const Matrix& src, const std::vector<uint32_t>& idx,
+                    Matrix* accum) {
   GARCIA_CHECK_EQ(src.rows(), idx.size());
   GARCIA_CHECK_EQ(src.cols(), accum->cols());
   const size_t cols = src.cols();
-  DestShardedReduce(
-      ctx, idx, accum->rows(),
-      [&] {
-        for (size_t e = 0; e < idx.size(); ++e) {
-          GARCIA_CHECK_LT(idx[e], accum->rows());
-          AddRow(accum->row(idx[e]), src.row(e), cols);
-        }
-      },
-      [&](size_t d, size_t p0, size_t p1, const uint32_t* order) {
-        float* dst = accum->row(d);
-        for (size_t p = p0; p < p1; ++p) {
-          AddRow(dst, src.row(order[p]), cols);
-        }
-      });
+  for (size_t e = 0; e < idx.size(); ++e) {
+    GARCIA_CHECK_LT(idx[e], accum->rows());
+    AddRow(accum->row(idx[e]), src.row(e), cols);
+  }
 }
 
-void SegmentSum(const ExecutionContext& ctx, const Matrix& x,
-                const std::vector<uint32_t>& seg, size_t num_segments,
-                Matrix* out) {
+void SegmentSum(const Matrix& x, const std::vector<uint32_t>& seg,
+                size_t num_segments, Matrix* out) {
   GARCIA_CHECK_EQ(out->rows(), num_segments);
   out->Fill(0.0f);
-  ScatterAddRows(ctx, x, seg, out);
+  ScatterAddRows(x, seg, out);
 }
 
-void SegmentSoftmax(const ExecutionContext& ctx, const Matrix& scores,
-                    const std::vector<uint32_t>& seg, size_t num_segments,
-                    Matrix* out) {
+void SegmentSoftmax(const Matrix& scores, const std::vector<uint32_t>& seg,
+                    size_t num_segments, Matrix* out) {
   GARCIA_CHECK_EQ(scores.cols(), 1u);
   GARCIA_CHECK_EQ(seg.size(), scores.rows());
   GARCIA_CHECK_EQ(out->rows(), seg.size());
   GARCIA_CHECK_EQ(out->cols(), 1u);
   const size_t e_count = seg.size();
-  DestShardedReduce(
-      ctx, seg, num_segments,
-      [&] {
-        std::vector<float> seg_max(num_segments, -1e30f);
-        for (size_t e = 0; e < e_count; ++e) {
-          GARCIA_CHECK_LT(seg[e], num_segments);
-          seg_max[seg[e]] = std::max(seg_max[seg[e]], scores.at(e, 0));
-        }
-        std::vector<double> seg_sum(num_segments, 0.0);
-        for (size_t e = 0; e < e_count; ++e) {
-          out->at(e, 0) = std::exp(scores.at(e, 0) - seg_max[seg[e]]);
-          seg_sum[seg[e]] += out->at(e, 0);
-        }
-        for (size_t e = 0; e < e_count; ++e) {
-          out->at(e, 0) = static_cast<float>(out->at(e, 0) / seg_sum[seg[e]]);
-        }
-      },
-      [&](size_t /*s*/, size_t p0, size_t p1, const uint32_t* order) {
-        SegmentSoftmaxOneSegment(scores, order, p0, p1, out);
-      });
+  std::vector<float> seg_max(num_segments, -1e30f);
+  for (size_t e = 0; e < e_count; ++e) {
+    GARCIA_CHECK_LT(seg[e], num_segments);
+    seg_max[seg[e]] = std::max(seg_max[seg[e]], scores.at(e, 0));
+  }
+  std::vector<double> seg_sum(num_segments, 0.0);
+  for (size_t e = 0; e < e_count; ++e) {
+    out->at(e, 0) = std::exp(scores.at(e, 0) - seg_max[seg[e]]);
+    seg_sum[seg[e]] += out->at(e, 0);
+  }
+  for (size_t e = 0; e < e_count; ++e) {
+    out->at(e, 0) = static_cast<float>(out->at(e, 0) / seg_sum[seg[e]]);
+  }
 }
 
-void SegmentSoftmaxBackwardAdd(const ExecutionContext& ctx,
-                               const Matrix& alpha, const Matrix& dalpha,
+void SegmentSoftmaxBackwardAdd(const Matrix& alpha, const Matrix& dalpha,
                                const std::vector<uint32_t>& seg,
                                size_t num_segments, Matrix* dscores) {
   GARCIA_CHECK_EQ(alpha.rows(), seg.size());
   GARCIA_CHECK_EQ(dalpha.rows(), seg.size());
   GARCIA_CHECK_EQ(dscores->rows(), seg.size());
   const size_t e_count = seg.size();
-  DestShardedReduce(
-      ctx, seg, num_segments,
-      [&] {
-        std::vector<double> seg_dot(num_segments, 0.0);
-        for (size_t e = 0; e < e_count; ++e) {
-          GARCIA_CHECK_LT(seg[e], num_segments);
-          seg_dot[seg[e]] +=
-              static_cast<double>(dalpha.at(e, 0)) * alpha.at(e, 0);
-        }
-        for (size_t e = 0; e < e_count; ++e) {
-          dscores->at(e, 0) +=
-              alpha.at(e, 0) *
-              (dalpha.at(e, 0) - static_cast<float>(seg_dot[seg[e]]));
-        }
-      },
-      [&](size_t /*s*/, size_t p0, size_t p1, const uint32_t* order) {
-        double dot = 0.0;
-        for (size_t p = p0; p < p1; ++p) {
-          const uint32_t e = order[p];
-          dot += static_cast<double>(dalpha.at(e, 0)) * alpha.at(e, 0);
-        }
-        for (size_t p = p0; p < p1; ++p) {
-          const uint32_t e = order[p];
-          dscores->at(e, 0) +=
-              alpha.at(e, 0) * (dalpha.at(e, 0) - static_cast<float>(dot));
-        }
-      });
+  std::vector<double> seg_dot(num_segments, 0.0);
+  for (size_t e = 0; e < e_count; ++e) {
+    GARCIA_CHECK_LT(seg[e], num_segments);
+    seg_dot[seg[e]] += static_cast<double>(dalpha.at(e, 0)) * alpha.at(e, 0);
+  }
+  for (size_t e = 0; e < e_count; ++e) {
+    dscores->at(e, 0) +=
+        alpha.at(e, 0) *
+        (dalpha.at(e, 0) - static_cast<float>(seg_dot[seg[e]]));
+  }
 }
 
-void ScaleRowsInPlace(const ExecutionContext& ctx, Matrix* x,
-                      const Matrix& w) {
+void ScaleRowsInPlace(Matrix* x, const Matrix& w) {
   GARCIA_CHECK_EQ(w.cols(), 1u);
   GARCIA_CHECK_EQ(w.rows(), x->rows());
   const size_t cols = x->cols();
-  ForEachRow(ctx, x->rows(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
+  for (size_t i = 0; i < x->rows(); ++i) {
     const float wi = w.at(i, 0);
     float* r = x->row(i);
     for (size_t j = 0; j < cols; ++j) r[j] *= wi;
-  });
+  }
 }
 
-void RowDotAdd(const ExecutionContext& ctx, const Matrix& a, const Matrix& b,
-               Matrix* out) {
+void RowDotAdd(const Matrix& a, const Matrix& b, Matrix* out) {
   GARCIA_CHECK_EQ(a.rows(), b.rows());
   GARCIA_CHECK_EQ(a.cols(), b.cols());
   GARCIA_CHECK_EQ(out->rows(), a.rows());
   GARCIA_CHECK_EQ(out->cols(), 1u);
   const size_t cols = a.cols();
-  ForEachRow(ctx, a.rows(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
+  for (size_t i = 0; i < a.rows(); ++i) {
     double acc = 0.0;
     const float* ra = a.row(i);
     const float* rb = b.row(i);
@@ -630,16 +507,16 @@ void RowDotAdd(const ExecutionContext& ctx, const Matrix& a, const Matrix& b,
       acc += static_cast<double>(ra[j]) * rb[j];
     }
     out->at(i, 0) += static_cast<float>(acc);
-  });
+  }
 }
 
-void L2NormalizeRows(const ExecutionContext& ctx, const Matrix& x, float eps,
-                     Matrix* out, std::vector<float>* norms) {
+void L2NormalizeRows(const Matrix& x, float eps, Matrix* out,
+                     std::vector<float>* norms) {
   GARCIA_CHECK_EQ(out->rows(), x.rows());
   GARCIA_CHECK_EQ(out->cols(), x.cols());
   const size_t d = x.cols();
   norms->resize(x.rows());
-  ForEachRow(ctx, x.rows(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     const float* r = x.row(i);
     double s = 0.0;
     for (size_t j = 0; j < d; ++j) s += static_cast<double>(r[j]) * r[j];
@@ -649,18 +526,17 @@ void L2NormalizeRows(const ExecutionContext& ctx, const Matrix& x, float eps,
     // Zero rows (norm <= eps) map to zero rows.
     float* o = out->row(i);
     for (size_t j = 0; j < d; ++j) o[j] = r[j] * inv;
-  });
+  }
 }
 
-void L2NormalizeRowsBackwardAdd(const ExecutionContext& ctx, const Matrix& y,
-                                const Matrix& dy,
+void L2NormalizeRowsBackwardAdd(const Matrix& y, const Matrix& dy,
                                 const std::vector<float>& norms, float eps,
                                 Matrix* dx) {
   GARCIA_CHECK_EQ(norms.size(), y.rows());
   GARCIA_CHECK_EQ(dx->rows(), y.rows());
   const size_t d = y.cols();
-  ForEachRow(ctx, y.rows(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
-    if (norms[i] <= eps) return;  // zero row: zero gradient
+  for (size_t i = 0; i < y.rows(); ++i) {
+    if (norms[i] <= eps) continue;  // zero row: zero gradient
     const float* yi = y.row(i);
     const float* dyi = dy.row(i);
     double dot = 0.0;
@@ -672,12 +548,12 @@ void L2NormalizeRowsBackwardAdd(const ExecutionContext& ctx, const Matrix& y,
     for (size_t j = 0; j < d; ++j) {
       gi[j] += (dyi[j] - static_cast<float>(dot) * yi[j]) * inv;
     }
-  });
+  }
 }
 
-void SoftmaxRows(const ExecutionContext& ctx, Matrix* x) {
+void SoftmaxRows(Matrix* x) {
   const size_t cols = x->cols();
-  ForEachRow(ctx, x->rows(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
+  for (size_t i = 0; i < x->rows(); ++i) {
     float* r = x->row(i);
     float mx = r[0];
     for (size_t j = 1; j < cols; ++j) mx = std::max(mx, r[j]);
@@ -688,17 +564,16 @@ void SoftmaxRows(const ExecutionContext& ctx, Matrix* x) {
     }
     const float inv = static_cast<float>(1.0 / sum);
     for (size_t j = 0; j < cols; ++j) r[j] *= inv;
-  });
+  }
 }
 
-void SoftmaxRowsBackwardAdd(const ExecutionContext& ctx, const Matrix& y,
-                            const Matrix& dy, Matrix* dx) {
+void SoftmaxRowsBackwardAdd(const Matrix& y, const Matrix& dy, Matrix* dx) {
   GARCIA_CHECK_EQ(dy.rows(), y.rows());
   GARCIA_CHECK_EQ(dy.cols(), y.cols());
   GARCIA_CHECK_EQ(dx->rows(), y.rows());
   GARCIA_CHECK_EQ(dx->cols(), y.cols());
   const size_t cols = y.cols();
-  ForEachRow(ctx, y.rows(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
+  for (size_t i = 0; i < y.rows(); ++i) {
     const float* yi = y.row(i);
     const float* dyi = dy.row(i);
     double dot = 0.0;
@@ -709,16 +584,16 @@ void SoftmaxRowsBackwardAdd(const ExecutionContext& ctx, const Matrix& y,
     for (size_t j = 0; j < cols; ++j) {
       gi[j] += yi[j] * (dyi[j] - static_cast<float>(dot));
     }
-  });
+  }
 }
 
-double CrossEntropyForward(const ExecutionContext& ctx, Matrix* logits,
+double CrossEntropyForward(Matrix* logits,
                            const std::vector<uint32_t>& targets) {
   const size_t n = logits->rows(), m = logits->cols();
   GARCIA_CHECK_EQ(targets.size(), n);
   GARCIA_CHECK_GT(n, 0u);
-  std::vector<double> row_loss(n);
-  ForEachRow(ctx, n, ctx.tuning().min_loss_rows_per_shard, [&](size_t i) {
+  double loss = 0.0;
+  for (size_t i = 0; i < n; ++i) {
     GARCIA_CHECK_LT(targets[i], m);
     float* r = logits->row(i);
     float mx = r[0];
@@ -728,31 +603,26 @@ double CrossEntropyForward(const ExecutionContext& ctx, Matrix* logits,
       sum += std::exp(static_cast<double>(r[j]) - mx);
     }
     const double lse = mx + std::log(sum);
-    row_loss[i] = lse - r[targets[i]];
+    loss += lse - r[targets[i]];
     for (size_t j = 0; j < m; ++j) {
       r[j] = static_cast<float>(std::exp(static_cast<double>(r[j]) - lse));
     }
-  });
-  // The total is summed in ascending row order regardless of backend, so
-  // the scalar loss is backend-independent.
-  double loss = 0.0;
-  for (double l : row_loss) loss += l;
+  }
   return loss;
 }
 
-void CrossEntropyBackwardAdd(const ExecutionContext& ctx,
-                             const Matrix& softmax,
+void CrossEntropyBackwardAdd(const Matrix& softmax,
                              const std::vector<uint32_t>& targets, float gout,
                              Matrix* dlogits) {
   GARCIA_CHECK_EQ(dlogits->rows(), softmax.rows());
   GARCIA_CHECK_EQ(dlogits->cols(), softmax.cols());
   const size_t m = softmax.cols();
-  ForEachRow(ctx, softmax.rows(), ctx.tuning().min_rows_per_shard, [&](size_t i) {
+  for (size_t i = 0; i < softmax.rows(); ++i) {
     const float* s = softmax.row(i);
     float* gr = dlogits->row(i);
     for (size_t j = 0; j < m; ++j) gr[j] += gout * s[j];
     gr[targets[i]] -= gout;
-  });
+  }
 }
 
 // ----- Top-K retrieval -----
@@ -930,10 +800,12 @@ std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
   }
   const size_t num_blocks = (n + kTopKBlockRows - 1) / kTopKBlockRows;
   std::vector<std::vector<ScoredId>> partial(num_blocks);
-  ForEachRow(ctx, num_blocks, /*min_shard=*/1, [&](size_t b) {
-    const size_t lo = b * kTopKBlockRows;
-    PartialTopKRows(query, dim, candidates, lo,
-                    std::min(n, lo + kTopKBlockRows), k, &partial[b]);
+  ctx.ShardedFor(0, num_blocks, /*min_shard=*/1, [&](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      const size_t lo = b * kTopKBlockRows;
+      PartialTopKRows(query, dim, candidates, lo,
+                      std::min(n, lo + kTopKBlockRows), k, &partial[b]);
+    }
   });
   // Merge the per-block winners in ascending block order. The k best of
   // the union of block top-k lists are exactly the global top-k, and the
@@ -1008,6 +880,10 @@ inline int32_t Sq8BlockDot(const int16_t* qc, const int8_t* codes, size_t n) {
   return Sq8BlockDotScalar(qc, codes, n);
 }
 
+/// ScanDots' smallest shard. int8 rows are ~4x cheaper to score than float
+/// rows, so a shard has to cover more of them before forking pays.
+constexpr size_t kMinScanRowsPerShard = 256;
+
 /// One asymmetric dot: exact integer accumulation in int32 over kDimBlock
 /// blocks, widened to double at each block boundary, then scaled. The
 /// integer block sum is value-identical across backends (see above) and
@@ -1041,17 +917,6 @@ void EncodeRow(const float* row, size_t dim, int8_t* codes, float* scale) {
         std::clamp<long>(c, -kCodeMax, kCodeMax));
   }
   *scale = s;
-}
-
-void EncodeRows(const ExecutionContext& ctx, const Matrix& src, int8_t* codes,
-                float* scales) {
-  const size_t dim = src.cols();
-  ctx.ShardedFor(0, src.rows(), ctx.tuning().min_rows_per_shard,
-                 [&](size_t lo, size_t hi) {
-                   for (size_t i = lo; i < hi; ++i) {
-                     EncodeRow(src.row(i), dim, codes + i * dim, &scales[i]);
-                   }
-                 });
 }
 
 QueryCodes QuantizeQuery(const float* query, size_t dim) {
@@ -1099,7 +964,7 @@ void ScanDots(const ExecutionContext& ctx, const QueryCodes& query,
   const int16_t* qc = query.codes.data();
   const double qscale = static_cast<double>(query.scale);
   ctx.ShardedFor(
-      0, total, ctx.tuning().min_sq8_rows_per_shard,
+      0, total, kMinScanRowsPerShard,
       [&](size_t lo, size_t hi) {
         // Locate the range containing slot lo, then walk segment pieces.
         size_t seg = static_cast<size_t>(

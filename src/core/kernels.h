@@ -1,28 +1,32 @@
 // Copyright (c) 2026 GARCIA reproduction authors.
-// Pluggable kernel execution layer.
+// Kernel execution layer.
 //
 // Every hot compute loop of the training/serving stack — the packed
 // cache-blocked GEMM, the elementwise activations, row gather and its
-// scatter-add adjoint, the segment reductions behind graph aggregation, and
-// the softmax cross-entropy inside InfoNCE — dispatches through the kernels
-// in this file. Each kernel has a serial reference implementation and a
-// ParallelFor-sharded one; an ExecutionContext (thread pool handle +
-// KernelTuning shard/panel policy) selects between them.
+// scatter-add adjoint, the segment reductions behind graph aggregation, the
+// softmax cross-entropy inside InfoNCE, and the serving scans — is a kernel
+// in this file.
 //
-// Determinism contract: for ANY ExecutionContext the parallel path is
-// bit-identical to the serial reference, not merely close. Kernels shard
-// over independent output coordinates (rows, elements, segments); reduction
-// kernels (scatter-add, segment sum/softmax, cross-entropy) shard by
-// destination segment and accumulate each destination's contributions in
-// ascending source order — exactly the order of the serial loop. A model
-// trained with num_threads=N therefore reproduces the num_threads=0 loss
-// trajectory to the last bit (asserted by tests/core_kernels_test.cc and
-// tests/models_garcia_test.cc).
+// Only three kernels shard across an ExecutionContext's thread pool: Gemm
+// on the training side (its 2-D tile grid), and TopKDot and sq8::ScanDots
+// on the query side. Every other kernel is one serial loop and takes no
+// context: sharding them was measured end to end on the full-graph Fit and
+// bought nothing (EXPERIMENTS.md, "Which kernels shard").
 //
-// How to add a kernel: write the serial loop; identify the independent
-// output coordinate; express the parallel path as ShardedFor over that
-// coordinate with per-destination source order fixed to ascending; add a
-// serial-vs-parallel bit-identity case to core_kernels_test.
+// Determinism contract: a sharded kernel is bit-identical to its serial
+// path for ANY ExecutionContext, not merely close. Gemm accumulates every
+// output element in ascending k whatever the tiling; TopKDot and ScanDots
+// split over rows and write disjoint slots (TopKDot merges under a total
+// order). A model trained with num_threads=N therefore reproduces the
+// num_threads=0 loss trajectory to the last bit (asserted by
+// tests/core_gemm_test.cc and tests/models_garcia_test.cc).
+//
+// How to add a kernel: write the serial loop, with a test against a plain
+// loop in core_kernels_test. Shard it only when an end-to-end number (the
+// perfbench lifecycle benchmark) shows a gain beyond run-to-run noise; then
+// shard over an independent output coordinate with ShardedFor, keep each
+// output's accumulation order that of the serial loop, and add a
+// serial-vs-parallel bit-identity case.
 
 #ifndef GARCIA_CORE_KERNELS_H_
 #define GARCIA_CORE_KERNELS_H_
@@ -39,62 +43,15 @@
 
 namespace garcia::core {
 
-/// Per-context kernel tuning knobs: GEMM packing panel sizes and the
-/// shard-size floors of every sharded kernel. The defaults reproduce the
-/// historical hard-coded values; none of the knobs affects results (the
-/// kernels are bit-identical across backends and tunings by construction),
-/// only how work is blocked and split. Seed overrides from
-/// `bench/micro_kernels --speedup_json` measurements on the target machine
-/// and install them per context via ExecutionContext::set_tuning.
-struct KernelTuning {
-  // ----- Packed GEMM (see kernels.cc) -----
-  /// Row-block height MC of a packed A block (floats). An MC x KC A block
-  /// should fit L2 alongside the KC x NR B micro-panels streaming through
-  /// L1.
-  size_t gemm_mc = 64;
-  /// K-panel depth KC shared by the packed A block and B panel.
-  size_t gemm_kc = 256;
-  /// Column-panel width NC of a packed B panel.
-  size_t gemm_nc = 256;
-  /// Floors the 2-D shard grid refinement: when a parallel context splits
-  /// the output into (row block x column panel) tiles and the grid is too
-  /// coarse to feed every worker, blocks are halved but never below these.
-  size_t gemm_min_rows_per_shard = 8;
-  size_t gemm_min_cols_per_shard = 16;
-
-  // ----- Shard floors of the other kernels -----
-  /// Elementwise kernels: fewer elements than this run inline.
-  size_t min_elems_per_shard = size_t{1} << 14;
-  /// Row-sharded kernels (gather, normalize, row dot, ...).
-  size_t min_rows_per_shard = 64;
-  /// Destination-sharded reductions (scatter-add, segment sum/softmax).
-  size_t min_segments_per_shard = 64;
-  /// Scatter/segment kernels pay an O(R + E) index build on the parallel
-  /// path; below this many sources the serial loop is cheaper outright.
-  size_t min_scatter_sources = 2048;
-  /// Softmax cross-entropy rows (heavier per row than the generic floor).
-  size_t min_loss_rows_per_shard = 32;
-  /// SQ8 asymmetric scan (kernels::sq8::ScanDots): int8 rows are ~4x
-  /// cheaper to score than float rows, so a shard has to cover more of
-  /// them before forking pays for itself.
-  size_t min_sq8_rows_per_shard = 256;
-  /// GEMMs whose tile grid has more than one row block pre-pack all op(B)
-  /// panels once into a shared buffer (instead of re-packing the same NC
-  /// panel per row block) when the buffer fits under this many floats;
-  /// larger problems fall back to per-tile packing. Packing order per panel
-  /// is unchanged either way, so the knob cannot affect results.
-  size_t gemm_shared_b_max_floats = size_t{1} << 24;
-};
-
-/// Execution policy handed to the compute kernels: either serial (the
-/// reference backend) or sharded across a privately owned thread pool.
+/// Execution policy handed to the sharded kernels (Gemm, TopKDot,
+/// sq8::ScanDots): either serial (the reference backend) or sharded across
+/// a privately owned thread pool.
 class ExecutionContext {
  public:
   /// num_threads <= 1 selects the serial backend (no pool is created);
   /// num_threads >= 2 creates a pool of that many workers. The default
   /// matches the historical single-threaded behavior by construction.
   explicit ExecutionContext(size_t num_threads = 0);
-  ExecutionContext(size_t num_threads, const KernelTuning& tuning);
   ~ExecutionContext();
 
   ExecutionContext(const ExecutionContext&) = delete;
@@ -103,12 +60,6 @@ class ExecutionContext {
   /// 1 for the serial backend, the worker count otherwise.
   size_t num_threads() const;
   bool parallel() const { return pool_ != nullptr; }
-
-  /// Shard floors and GEMM panel sizes the kernels dispatch with. Tunings
-  /// never change results, only wall-clock; set before sharing the context
-  /// across threads.
-  const KernelTuning& tuning() const { return tuning_; }
-  void set_tuning(const KernelTuning& tuning) { tuning_ = tuning; }
 
   /// Runs fn(lo, hi) over contiguous, non-overlapping shards covering
   /// [begin, end): one inline call on the serial backend, pool-sharded
@@ -119,17 +70,17 @@ class ExecutionContext {
 
  private:
   std::unique_ptr<ThreadPool> pool_;  // null = serial backend
-  KernelTuning tuning_;
 };
 
 /// The process-default serial context.
 const ExecutionContext& SerialExecution();
 
-/// The context kernels dispatch through when no explicit one is passed.
-/// Defaults to SerialExecution(); models install theirs via ScopedExecution
-/// around Fit/Predict/Export so every op and backward closure inside picks
-/// it up. Thread-local, so concurrent models on different threads do not
-/// interfere.
+/// The context sharded kernels run on when the caller passes none:
+/// Matrix::Gemm, and the serving scans' ambient overloads. Defaults to
+/// SerialExecution(); models install theirs via ScopedExecution around
+/// Fit/Predict/Export so every GEMM in an op or backward closure inside
+/// picks it up. Thread-local, so concurrent models on different threads do
+/// not interfere.
 const ExecutionContext& CurrentExecution();
 
 /// RAII installer for CurrentExecution(). Passing nullptr keeps the serial
@@ -156,21 +107,52 @@ namespace kernels {
 /// panels straight from their strided sources (transposed operands are
 /// never materialized whole) and running a register-tiled micro-kernel.
 /// Parallel contexts shard the 2-D tile grid — row blocks x column panels,
-/// refined down to KernelTuning's shard floors when the grid is too coarse
-/// for the pool — so trans_a GEMMs with small m (the dW = X^T dY backward
-/// shape) parallelize over columns too. Every tiling accumulates each
-/// output element in ascending-k order from fl(alpha * a) * b terms, so the
-/// result is bit-identical to the naive triple loop for every transpose
-/// flag, thread count and tuning (tests/core_gemm_test.cc). IEEE
-/// non-finite values propagate: zero operands are not special-cased, so a
-/// 0 * Inf term poisons its output element with NaN exactly as the naive
-/// reference does. (Exactly-NaN outputs match the reference as a class,
-/// not bit for bit — IEEE-754 leaves NaN sign/payload selection to the
-/// implementation, so separately compiled code may keep a different NaN;
-/// across this kernel's own backends and tunings even NaN bits agree.)
+/// refined down to fixed shard floors when the grid is too coarse for the
+/// pool — so trans_a GEMMs with small m (the dW = X^T dY backward shape)
+/// parallelize over columns too. Every tiling accumulates each output
+/// element in ascending-k order from fl(alpha * a) * b terms, so the result
+/// is bit-identical to the naive triple loop for every transpose flag,
+/// thread count and blocking (tests/core_gemm_test.cc). IEEE non-finite
+/// values propagate: zero operands are not special-cased, so a 0 * Inf
+/// term poisons its output element with NaN exactly as the naive reference
+/// does. (Exactly-NaN outputs match the reference as a class, not bit for
+/// bit — IEEE-754 leaves NaN sign/payload selection to the implementation,
+/// so separately compiled code may keep a different NaN; across this
+/// kernel's own thread counts and blockings even NaN bits agree.)
 void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b,
           float alpha, const Matrix& a, const Matrix& b, float beta,
           Matrix* c);
+
+/// Gemm's blocking, visible so tests can drive the multi-tile, padding and
+/// shared-B paths at small shapes. Not a knob: Gemm always runs the fixed
+/// blocking in kernels.cc.
+namespace internal {
+
+struct GemmBlocking {
+  /// Row-block height MC of a packed A block. An MC x KC A block should
+  /// fit L2 alongside the KC x NR B micro-panels streaming through L1.
+  size_t mc;
+  /// K-panel depth KC shared by the packed A block and B panel.
+  size_t kc;
+  /// Column-panel width NC of a packed B panel.
+  size_t nc;
+  /// Floors of the 2-D shard grid refinement: when a parallel context's
+  /// grid is too coarse to feed every worker, blocks are halved but never
+  /// below these.
+  size_t min_rows_per_shard;
+  size_t min_cols_per_shard;
+  /// Grids with more than one row block pre-pack all op(B) panels once into
+  /// a shared buffer when it fits under this many floats; larger problems
+  /// pack per tile. Packing order per panel is the same either way.
+  size_t shared_b_max_floats;
+};
+
+/// Gemm under an explicit blocking; bit-identical to Gemm for any blocking.
+void GemmBlocked(const ExecutionContext& ctx, const GemmBlocking& blocking,
+                 bool trans_a, bool trans_b, float alpha, const Matrix& a,
+                 const Matrix& b, float beta, Matrix* c);
+
+}  // namespace internal
 
 // ----- Elementwise activations -----
 
@@ -178,105 +160,90 @@ enum class UnaryOp { kRelu, kTanh, kLeakyRelu, kSigmoid };
 
 /// y[i] = f(x[i]) for i < n. `slope` is the LeakyReLU negative slope
 /// (ignored by the other ops). x may alias y.
-void UnaryForward(const ExecutionContext& ctx, UnaryOp op, float slope,
-                  const float* x, float* y, size_t n);
+void UnaryForward(UnaryOp op, float slope, const float* x, float* y,
+                  size_t n);
 
 /// dx[i] += dy[i] * f'(x[i]) for i < n, with f' evaluated from the cached
 /// input x and output y (whichever the op needs).
-void UnaryBackwardAdd(const ExecutionContext& ctx, UnaryOp op, float slope,
-                      const float* x, const float* y, const float* dy,
-                      float* dx, size_t n);
+void UnaryBackwardAdd(UnaryOp op, float slope, const float* x, const float* y,
+                      const float* dy, float* dx, size_t n);
 
 // ----- Row gather / scatter -----
 
 /// out->row(i) = src.row(idx[i]). out must be idx.size() x src.cols().
-void GatherRows(const ExecutionContext& ctx, const Matrix& src,
-                const std::vector<uint32_t>& idx, Matrix* out);
+void GatherRows(const Matrix& src, const std::vector<uint32_t>& idx,
+                Matrix* out);
 
 /// out->row(i) += src.row(idx[i]) (gather-accumulate; the backward of
-/// SegmentSum). Sharded by output row.
-void GatherAddRows(const ExecutionContext& ctx, const Matrix& src,
-                   const std::vector<uint32_t>& idx, Matrix* out);
+/// SegmentSum).
+void GatherAddRows(const Matrix& src, const std::vector<uint32_t>& idx,
+                   Matrix* out);
 
-/// accum->row(idx[e]) += src.row(e) for e in source order (the adjoint of
-/// GatherRows). Destinations may repeat; the parallel backend shards BY
-/// DESTINATION ROW and replays each destination's contributions in
-/// ascending e — bit-identical to the serial loop.
-void ScatterAddRows(const ExecutionContext& ctx, const Matrix& src,
-                    const std::vector<uint32_t>& idx, Matrix* accum);
+/// accum->row(idx[e]) += src.row(e) for e in ascending source order (the
+/// adjoint of GatherRows). Destinations may repeat.
+void ScatterAddRows(const Matrix& src, const std::vector<uint32_t>& idx,
+                    Matrix* accum);
 
 // ----- Segment reductions -----
 
-/// out->row(s) = Σ_{e: seg[e]==s} x.row(e). out must be num_segments x
-/// x.cols(); it is zeroed first. Sharded by destination segment.
-void SegmentSum(const ExecutionContext& ctx, const Matrix& x,
-                const std::vector<uint32_t>& seg, size_t num_segments,
-                Matrix* out);
+/// out->row(s) = Σ_{e: seg[e]==s} x.row(e), summed in ascending e. out must
+/// be num_segments x x.cols(); it is zeroed first.
+void SegmentSum(const Matrix& x, const std::vector<uint32_t>& seg,
+                size_t num_segments, Matrix* out);
 
 /// Per-segment max-stabilized softmax over Ex1 scores; segments may be
-/// empty. out must be Ex1 (may alias scores only on the serial backend; the
-/// callers never alias).
-void SegmentSoftmax(const ExecutionContext& ctx, const Matrix& scores,
-                    const std::vector<uint32_t>& seg, size_t num_segments,
-                    Matrix* out);
+/// empty. out must be Ex1 and may alias scores.
+void SegmentSoftmax(const Matrix& scores, const std::vector<uint32_t>& seg,
+                    size_t num_segments, Matrix* out);
 
 /// dscores[e] += alpha[e] * (dalpha[e] - Σ_{e' in seg(e)} dalpha[e']
-/// alpha[e']). alpha is the forward output; sharded by segment.
-void SegmentSoftmaxBackwardAdd(const ExecutionContext& ctx,
-                               const Matrix& alpha, const Matrix& dalpha,
+/// alpha[e']). alpha is the forward output.
+void SegmentSoftmaxBackwardAdd(const Matrix& alpha, const Matrix& dalpha,
                                const std::vector<uint32_t>& seg,
                                size_t num_segments, Matrix* dscores);
 
 // ----- Row broadcast / row reduction -----
 
 /// x->at(i, j) *= w(i, 0) (MulColBroadcast forward, and its dX with x=dY).
-void ScaleRowsInPlace(const ExecutionContext& ctx, Matrix* x,
-                      const Matrix& w);
+void ScaleRowsInPlace(Matrix* x, const Matrix& w);
 
 /// out(i, 0) += Σ_j a(i, j) * b(i, j), accumulated in double per row
-/// (MulColBroadcast's dW). Sharded by row.
-void RowDotAdd(const ExecutionContext& ctx, const Matrix& a, const Matrix& b,
-               Matrix* out);
+/// (MulColBroadcast's dW).
+void RowDotAdd(const Matrix& a, const Matrix& b, Matrix* out);
 
 // ----- L2 row normalization (InfoNCE forward) -----
 
 /// out->row(i) = x.row(i) / max(||x.row(i)||, eps); rows with norm <= eps
 /// map to zero rows. norms receives max(||row||, eps) for the backward.
-void L2NormalizeRows(const ExecutionContext& ctx, const Matrix& x, float eps,
-                     Matrix* out, std::vector<float>* norms);
+void L2NormalizeRows(const Matrix& x, float eps, Matrix* out,
+                     std::vector<float>* norms);
 
 /// dx.row(i) += (dy.row(i) - <dy_i, y_i> y.row(i)) / norms[i]; rows whose
 /// forward norm was <= eps receive zero gradient.
-void L2NormalizeRowsBackwardAdd(const ExecutionContext& ctx, const Matrix& y,
-                                const Matrix& dy,
+void L2NormalizeRowsBackwardAdd(const Matrix& y, const Matrix& dy,
                                 const std::vector<float>& norms, float eps,
                                 Matrix* dx);
 
 // ----- Row softmax -----
 
 /// In-place row softmax: each row max-stabilized, exponentiated with a
-/// double running sum, then scaled by fl(1/sum) — the exact expression
-/// sequence of the historical serial loop, sharded by row (rows are
-/// independent, so any backend agrees bit for bit).
-void SoftmaxRows(const ExecutionContext& ctx, Matrix* x);
+/// double running sum, then scaled by fl(1/sum).
+void SoftmaxRows(Matrix* x);
 
 /// dx.row(i) += y_i ⊙ (dy_i − <dy_i, y_i>), the softmax Jacobian action
 /// with the row dot accumulated in double. y is the forward output.
-void SoftmaxRowsBackwardAdd(const ExecutionContext& ctx, const Matrix& y,
-                            const Matrix& dy, Matrix* dx);
+void SoftmaxRowsBackwardAdd(const Matrix& y, const Matrix& dy, Matrix* dx);
 
 // ----- Softmax cross-entropy (InfoNCE head) -----
 
 /// In-place row softmax of *logits plus the summed loss
-/// Σ_i [logsumexp(row_i) - row_i[targets[i]]]. Per-row terms are computed
-/// sharded; the final sum always runs serially in row order so the result
-/// is backend-independent.
-double CrossEntropyForward(const ExecutionContext& ctx, Matrix* logits,
+/// Σ_i [logsumexp(row_i) - row_i[targets[i]]], accumulated in double in
+/// ascending row order.
+double CrossEntropyForward(Matrix* logits,
                            const std::vector<uint32_t>& targets);
 
 /// dlogits(i, j) += gout * softmax(i, j), minus gout at the target column.
-void CrossEntropyBackwardAdd(const ExecutionContext& ctx,
-                             const Matrix& softmax,
+void CrossEntropyBackwardAdd(const Matrix& softmax,
                              const std::vector<uint32_t>& targets, float gout,
                              Matrix* dlogits);
 
@@ -396,12 +363,6 @@ inline constexpr int kQueryCodeMax = 32767;
 /// row gets scale 0 and all-zero codes (dequantizes exactly).
 void EncodeRow(const float* row, size_t dim, int8_t* codes, float* scale);
 
-/// Every row of src encoded into codes (src.rows() x src.cols(), row-major
-/// int8) and scales (src.rows()). Sharded by row (disjoint outputs of a
-/// pure per-row function): bit-identical for any backend.
-void EncodeRows(const ExecutionContext& ctx, const Matrix& src,
-                int8_t* codes, float* scales);
-
 /// A query quantized for the asymmetric scan.
 struct QueryCodes {
   std::vector<int16_t> codes;
@@ -420,7 +381,8 @@ QueryCodes QuantizeQuery(const float* query, size_t dim);
 /// slots covering `row_ranges` in order (slot 0 = ranges[0].first, ...,
 /// concatenated). `codes` / `scales` hold ALL rows (row r at
 /// codes + r * dim); ranges select which rows are scanned, in what output
-/// order. Sharded over flat slots with the min_sq8_rows_per_shard floor;
+/// order. Sharded over flat slots, at least 256 per shard (int8 rows are
+/// cheap to score, so a shard has to cover many before forking pays);
 /// disjoint pure writes, so any backend is bit-identical.
 void ScanDots(const ExecutionContext& ctx, const QueryCodes& query,
               const int8_t* codes, const float* scales, size_t dim,

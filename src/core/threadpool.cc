@@ -40,17 +40,6 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::ParallelFor(size_t begin, size_t end,
-                             const std::function<void(size_t)>& fn,
-                             size_t min_shard) {
-  ParallelForShards(
-      begin, end,
-      [&fn](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) fn(i);
-      },
-      min_shard);
-}
-
 namespace {
 
 /// Per-call completion latch for ParallelForShards. Joining on the latch

@@ -1,5 +1,5 @@
 // Copyright (c) 2026 GARCIA reproduction authors.
-// A small fixed-size thread pool with a blocking ParallelFor helper.
+// A small fixed-size thread pool with a blocking ParallelForShards helper.
 
 #ifndef GARCIA_CORE_THREADPOOL_H_
 #define GARCIA_CORE_THREADPOOL_H_
@@ -15,8 +15,8 @@
 namespace garcia::core {
 
 /// Fixed-size worker pool. Tasks are void() closures; Wait() blocks until
-/// every submitted task has finished. ParallelFor/ParallelForShards may be
-/// called from inside a pool task: each call joins on its own completion
+/// every submitted task has finished. ParallelForShards may be called from
+/// inside a pool task: each call joins on its own completion
 /// latch — not on pool idleness — and the calling thread helps drain the
 /// queue while it waits, so nested sharded calls cannot deadlock and never
 /// block on unrelated in-flight work (e.g. other requests of a batch
@@ -38,15 +38,8 @@ class ThreadPool {
   /// Blocks until all submitted tasks have completed.
   void Wait();
 
-  /// Runs fn(i) for i in [begin, end), partitioned into contiguous shards
-  /// across the pool; blocks until done. Executes inline when the range is
-  /// small or the pool has a single thread.
-  void ParallelFor(size_t begin, size_t end,
-                   const std::function<void(size_t)>& fn,
-                   size_t min_shard = 256);
-
-  /// Shard-granular variant: runs fn(lo, hi) once per contiguous shard of
-  /// [begin, end); blocks until done. Shards never overlap and cover the
+  /// Runs fn(lo, hi) once per contiguous shard of [begin, end) across the
+  /// pool; blocks until done. Shards never overlap and cover the
   /// range exactly, so callers writing disjoint output ranges need no
   /// synchronization. Executes fn(begin, end) inline when the range is
   /// small or the pool has a single thread. The caller runs the first

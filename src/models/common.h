@@ -38,10 +38,10 @@ struct TrainConfig {
   /// 0 = no cap.
   size_t max_batches_per_epoch = 24;
   uint64_t seed = 7;
-  /// Worker threads for the kernel execution layer (core/kernels.h).
-  /// 0 = serial (no thread pool is created); any value >= 1 routes compute
-  /// through ExecutionContext. The parallel backend is bit-identical to
-  /// serial, so this changes wall-clock only, never losses or embeddings.
+  /// Worker threads that shard the GEMMs (core/kernels.h); every other
+  /// kernel runs serially. 0 or 1 = serial (no thread pool is created).
+  /// The sharded GEMM is bit-identical to serial, so this changes
+  /// wall-clock only, never losses or embeddings.
   size_t num_threads = 0;
   /// Per-destination neighbor fanout for minibatch sampled-subgraph
   /// training (graph::NeighborSampler, DESIGN.md §5e). 0 = full-graph

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/kernels.h"
-#include "nn/exec.h"
 #include "nn/ops.h"
 
 namespace garcia::nn {
@@ -11,7 +10,6 @@ namespace garcia::nn {
 namespace kernels = core::kernels;
 
 using core::Matrix;
-using internal::Exec;
 using internal::TensorNode;
 
 Tensor CrossEntropyWithLogits(const Tensor& logits,
@@ -21,7 +19,7 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
   GARCIA_CHECK_GT(n, 0u);
   // Forward: softmax rows in place (kernel), cached for the backward pass.
   Matrix softmax = logits.value();
-  const double loss = kernels::CrossEntropyForward(Exec(), &softmax, targets);
+  const double loss = kernels::CrossEntropyForward(&softmax, targets);
   Matrix out(1, 1);
   out.at(0, 0) = static_cast<float>(loss / n);
   const float inv_n = 1.0f / static_cast<float>(n);
@@ -31,7 +29,7 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
         TensorNode* p = node->parents[0].get();
         if (!p->requires_grad) return;
         const float gout = node->grad.at(0, 0) * inv_n;
-        kernels::CrossEntropyBackwardAdd(Exec(), softmax, targets, gout,
+        kernels::CrossEntropyBackwardAdd(softmax, targets, gout,
                                          &p->EnsureGrad());
       });
 }

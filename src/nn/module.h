@@ -7,8 +7,9 @@
 // shared).
 //
 // Module forwards are built from nn::ops and run eagerly on the autograd
-// tape; every op dispatches through the caller's ExecutionContext, so a
-// module trained at any thread count sees bit-identical gradients.
+// tape. Only the GEMMs shard across the caller's ExecutionContext, and they
+// are bit-identical at any thread count, so a module trained at any thread
+// count sees bit-identical gradients.
 
 #ifndef GARCIA_NN_MODULE_H_
 #define GARCIA_NN_MODULE_H_

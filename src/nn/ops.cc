@@ -5,7 +5,6 @@
 
 #include "core/kernels.h"
 #include "core/rng.h"
-#include "nn/exec.h"
 
 namespace garcia::nn {
 
@@ -18,8 +17,6 @@ namespace {
 
 /// Parent node i of an op output.
 TensorNode* Parent(TensorNode* out, size_t i) { return out->parents[i].get(); }
-
-using internal::Exec;  // shared context lookup (nn/exec.h)
 
 }  // namespace
 
@@ -183,17 +180,17 @@ Tensor MulColBroadcast(const Tensor& x, const Tensor& w) {
   GARCIA_CHECK_EQ(w.cols(), 1u);
   GARCIA_CHECK_EQ(w.rows(), x.rows());
   Matrix out = x.value();
-  kernels::ScaleRowsInPlace(Exec(), &out, w.value());
+  kernels::ScaleRowsInPlace(&out, w.value());
   return Tensor::FromOp(std::move(out), {x, w}, [](TensorNode* n) {
     TensorNode* px = Parent(n, 0);
     TensorNode* pw = Parent(n, 1);
     if (px->requires_grad) {
       Matrix g = n->grad;
-      kernels::ScaleRowsInPlace(Exec(), &g, pw->value);
+      kernels::ScaleRowsInPlace(&g, pw->value);
       px->AccumulateGrad(g);
     }
     if (pw->requires_grad) {
-      kernels::RowDotAdd(Exec(), n->grad, px->value, &pw->EnsureGrad());
+      kernels::RowDotAdd(n->grad, px->value, &pw->EnsureGrad());
     }
   });
 }
@@ -270,34 +267,31 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
 
 Tensor GatherRows(const Tensor& x, std::vector<uint32_t> indices) {
   Matrix out(indices.size(), x.cols());
-  kernels::GatherRows(Exec(), x.value(), indices, &out);
+  kernels::GatherRows(x.value(), indices, &out);
   return Tensor::FromOp(std::move(out), {x},
                         [idx = std::move(indices)](TensorNode* n) {
                           TensorNode* p = Parent(n, 0);
                           if (!p->requires_grad) return;
-                          // Scatter-add adjoint: sharded by destination row,
-                          // so the parallel backend accumulates repeated
-                          // indices in the serial order.
-                          kernels::ScatterAddRows(Exec(), n->grad, idx,
+                          // Scatter-add adjoint: repeated indices accumulate
+                          // in ascending source order.
+                          kernels::ScatterAddRows(n->grad, idx,
                                                   &p->EnsureGrad());
                         });
 }
 
 namespace {
 
-/// Shared body of the four activations: forward and backward both dispatch
-/// through the elementwise kernels of the execution layer.
+/// Shared body of the four activations: forward and backward both run the
+/// elementwise kernels of core/kernels.h.
 Tensor UnaryEltwise(const Tensor& x, kernels::UnaryOp op, float slope) {
   Matrix out(x.rows(), x.cols());
-  kernels::UnaryForward(Exec(), op, slope, x.value().data(), out.data(),
-                        out.size());
+  kernels::UnaryForward(op, slope, x.value().data(), out.data(), out.size());
   return Tensor::FromOp(std::move(out), {x}, [op, slope](TensorNode* n) {
     TensorNode* p = Parent(n, 0);
     if (!p->requires_grad) return;
     Matrix& g = p->EnsureGrad();
-    kernels::UnaryBackwardAdd(Exec(), op, slope, p->value.data(),
-                              n->value.data(), n->grad.data(), g.data(),
-                              g.size());
+    kernels::UnaryBackwardAdd(op, slope, p->value.data(), n->value.data(),
+                              n->grad.data(), g.data(), g.size());
   });
 }
 
@@ -322,25 +316,23 @@ Tensor Sigmoid(const Tensor& x) {
 Tensor L2NormalizeRows(const Tensor& x, float eps) {
   Matrix out(x.rows(), x.cols());
   std::vector<float> norms;
-  kernels::L2NormalizeRows(Exec(), x.value(), eps, &out, &norms);
+  kernels::L2NormalizeRows(x.value(), eps, &out, &norms);
   return Tensor::FromOp(std::move(out), {x},
                         [norms = std::move(norms), eps](TensorNode* n) {
                           TensorNode* p = Parent(n, 0);
                           if (!p->requires_grad) return;
                           kernels::L2NormalizeRowsBackwardAdd(
-                              Exec(), n->value, n->grad, norms, eps,
-                              &p->EnsureGrad());
+                              n->value, n->grad, norms, eps, &p->EnsureGrad());
                         });
 }
 
 Tensor SoftmaxRows(const Tensor& x) {
   Matrix out = x.value();
-  kernels::SoftmaxRows(Exec(), &out);
+  kernels::SoftmaxRows(&out);
   return Tensor::FromOp(std::move(out), {x}, [](TensorNode* n) {
     TensorNode* p = Parent(n, 0);
     if (!p->requires_grad) return;
-    kernels::SoftmaxRowsBackwardAdd(Exec(), n->value, n->grad,
-                                    &p->EnsureGrad());
+    kernels::SoftmaxRowsBackwardAdd(n->value, n->grad, &p->EnsureGrad());
   });
 }
 
@@ -431,14 +423,14 @@ Tensor SegmentSum(const Tensor& x, std::vector<uint32_t> seg,
                   size_t num_segments) {
   GARCIA_CHECK_EQ(seg.size(), x.rows());
   Matrix out(num_segments, x.cols());
-  kernels::SegmentSum(Exec(), x.value(), seg, num_segments, &out);
+  kernels::SegmentSum(x.value(), seg, num_segments, &out);
   return Tensor::FromOp(std::move(out), {x},
                         [seg = std::move(seg)](TensorNode* n) {
                           TensorNode* p = Parent(n, 0);
                           if (!p->requires_grad) return;
                           // Adjoint of segment-sum is a row gather: row e of
                           // dx reads row seg[e] of the upstream gradient.
-                          kernels::GatherAddRows(Exec(), n->grad, seg,
+                          kernels::GatherAddRows(n->grad, seg,
                                                  &p->EnsureGrad());
                         });
 }
@@ -448,7 +440,7 @@ Tensor SegmentSoftmax(const Tensor& scores, std::vector<uint32_t> seg,
   GARCIA_CHECK_EQ(scores.cols(), 1u);
   GARCIA_CHECK_EQ(seg.size(), scores.rows());
   Matrix out(seg.size(), 1);
-  kernels::SegmentSoftmax(Exec(), scores.value(), seg, num_segments, &out);
+  kernels::SegmentSoftmax(scores.value(), seg, num_segments, &out);
   const size_t ns = num_segments;
   return Tensor::FromOp(std::move(out), {scores},
                         [seg = std::move(seg), ns](TensorNode* n) {
@@ -457,8 +449,7 @@ Tensor SegmentSoftmax(const Tensor& scores, std::vector<uint32_t> seg,
                           // dscore_e = α_e (dα_e − Σ_{e' in same segment}
                           // dα_{e'} α_{e'})
                           kernels::SegmentSoftmaxBackwardAdd(
-                              Exec(), n->value, n->grad, seg, ns,
-                              &p->EnsureGrad());
+                              n->value, n->grad, seg, ns, &p->EnsureGrad());
                         });
 }
 

@@ -35,8 +35,7 @@ inline double SquaredL2(const float* a, const float* b, size_t dim) {
 }
 
 /// Nearest centroid of one point: strictly smaller distance wins, ties
-/// break by ascending centroid id (first minimum kept). Independent per
-/// point, so the assignment pass shards freely.
+/// break by ascending centroid id (first minimum kept).
 uint32_t NearestCentroid(const float* point, const core::Matrix& centroids) {
   uint32_t best = 0;
   double best_dist = SquaredL2(point, centroids.row(0), centroids.cols());
@@ -91,8 +90,7 @@ size_t IvfIndex::ResolveRerankK(size_t rerank_k, size_t k) {
 // ------------------------------------------------------------------ build
 
 IvfIndex IvfIndex::Build(const core::Matrix& catalog,
-                         const RetrievalConfig& config,
-                         const core::ExecutionContext& ctx) {
+                         const RetrievalConfig& config) {
   const size_t n = catalog.rows();
   const size_t dim = catalog.cols();
   GARCIA_CHECK_GT(n, 0u);
@@ -114,21 +112,16 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
     }
   }
 
-  // Lloyd sweeps, fixed count. Both phases shard over independent output
-  // coordinates with per-destination accumulation in ascending source
-  // order, so any thread count reproduces the serial sweep exactly.
+  // Lloyd sweeps, fixed count.
   std::vector<uint32_t> assign(n, 0);
   std::vector<uint32_t> members(n);       // point ids, grouped by centroid
   std::vector<uint32_t> offsets(nlist + 1, 0);
-  const size_t min_assign_shard = ctx.tuning().min_rows_per_shard;
-  const size_t min_update_shard = ctx.tuning().min_segments_per_shard;
+  std::vector<double> sum(dim);
   for (size_t iter = 0; iter < kKmeansIterations; ++iter) {
-    // Assignment: each point independently picks its nearest centroid.
-    ctx.ShardedFor(0, n, min_assign_shard, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        assign[i] = NearestCentroid(catalog.row(i), index.centroids_);
-      }
-    });
+    // Assignment: each point picks its nearest centroid.
+    for (size_t i = 0; i < n; ++i) {
+      assign[i] = NearestCentroid(catalog.row(i), index.centroids_);
+    }
     // Counting sort of points by centroid: one serial O(n) pass building
     // each centroid's member list in ascending point id.
     std::fill(offsets.begin(), offsets.end(), 0u);
@@ -143,23 +136,20 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
     // Update: each centroid averages its members (double accumulation,
     // ascending point id). An emptied centroid keeps its previous
     // position — deterministic, and a dead list simply never wins probes.
-    ctx.ShardedFor(0, nlist, min_update_shard, [&](size_t clo, size_t chi) {
-      std::vector<double> sum(dim);
-      for (size_t c = clo; c < chi; ++c) {
-        const size_t begin = offsets[c], end = offsets[c + 1];
-        if (begin == end) continue;
-        std::fill(sum.begin(), sum.end(), 0.0);
-        for (size_t m = begin; m < end; ++m) {
-          const float* row = catalog.row(members[m]);
-          for (size_t j = 0; j < dim; ++j) sum[j] += row[j];
-        }
-        const double inv = 1.0 / static_cast<double>(end - begin);
-        float* centroid = index.centroids_.row(c);
-        for (size_t j = 0; j < dim; ++j) {
-          centroid[j] = static_cast<float>(sum[j] * inv);
-        }
+    for (size_t c = 0; c < nlist; ++c) {
+      const size_t begin = offsets[c], end = offsets[c + 1];
+      if (begin == end) continue;
+      std::fill(sum.begin(), sum.end(), 0.0);
+      for (size_t m = begin; m < end; ++m) {
+        const float* row = catalog.row(members[m]);
+        for (size_t j = 0; j < dim; ++j) sum[j] += row[j];
       }
-    });
+      const double inv = 1.0 / static_cast<double>(end - begin);
+      float* centroid = index.centroids_.row(c);
+      for (size_t j = 0; j < dim; ++j) {
+        centroid[j] = static_cast<float>(sum[j] * inv);
+      }
+    }
   }
 
   // Final assignment against the converged centroids, then the contiguous
@@ -167,11 +157,9 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
   // each list — the counting sort preserves point order), and the catalog
   // rows encoded into the same permutation so a probe scans one contiguous
   // block.
-  ctx.ShardedFor(0, n, min_assign_shard, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      assign[i] = NearestCentroid(catalog.row(i), index.centroids_);
-    }
-  });
+  for (size_t i = 0; i < n; ++i) {
+    assign[i] = NearestCentroid(catalog.row(i), index.centroids_);
+  }
   std::fill(offsets.begin(), offsets.end(), 0u);
   for (size_t i = 0; i < n; ++i) ++offsets[assign[i] + 1];
   for (size_t c = 0; c < nlist; ++c) offsets[c + 1] += offsets[c];
@@ -183,19 +171,15 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
       index.ids_[cursor[assign[i]]++] = static_cast<uint32_t>(i);
     }
   }
-  // SQ8 storage: codes + one scale per stored row, in list order. Each
-  // slot encodes one catalog row independently into disjoint output
-  // ranges, so the shard partitioning cannot change a byte. No float copy
-  // is kept — the exact re-rank reads the caller's catalog.
+  // SQ8 storage: codes + one scale per stored row, in list order. No float
+  // copy is kept — the exact re-rank reads the caller's catalog.
   index.codes_.resize(n * dim);
   index.scales_.resize(n);
-  ctx.ShardedFor(0, n, min_assign_shard, [&](size_t lo, size_t hi) {
-    for (size_t slot = lo; slot < hi; ++slot) {
-      core::kernels::sq8::EncodeRow(catalog.row(index.ids_[slot]), dim,
-                                    index.codes_.data() + slot * dim,
-                                    &index.scales_[slot]);
-    }
-  });
+  for (size_t slot = 0; slot < n; ++slot) {
+    core::kernels::sq8::EncodeRow(catalog.row(index.ids_[slot]), dim,
+                                  index.codes_.data() + slot * dim,
+                                  &index.scales_[slot]);
+  }
   index.RecomputeListScaleMax();
   index.catalog_ = &catalog;
   return index;
@@ -279,6 +263,14 @@ RankedList IvfIndex::Query(const float* query, size_t k) const {
 
 // -------------------------------------------------------------- SQ8 query
 
+namespace {
+
+/// The exact re-rank's smallest shard: fewer survivors than twice this are
+/// re-scored inline.
+constexpr size_t kMinRerankRowsPerShard = 64;
+
+}  // namespace
+
 RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
                               const float* query, size_t k,
                               const RankedList& probes, size_t rerank_k,
@@ -352,7 +344,7 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
   GARCIA_CHECK_GE(survivors.size(), k);
   if (stats != nullptr) stats->rerank_rows += survivors.size();
   std::vector<float> exact(survivors.size());
-  ctx.ShardedFor(0, survivors.size(), ctx.tuning().min_rows_per_shard,
+  ctx.ShardedFor(0, survivors.size(), kMinRerankRowsPerShard,
                  [&](size_t lo, size_t hi) {
                    for (size_t i = lo; i < hi; ++i) {
                      exact[i] = DotRowDouble(

@@ -35,14 +35,11 @@
 // the first query. The caller owns the catalog and must keep it alive.
 //
 // Determinism contract (the same one every kernel in this repo keeps):
-//   * Build is thread-count-invariant. k-means runs a FIXED iteration
-//     count; the assignment step shards over points (each point's nearest
-//     centroid is an independent computation with ties broken by ascending
-//     centroid id); the update step shards over centroids, each centroid
-//     averaging its members in ascending point id with double accumulation
-//     — exactly the serial order; each stored row is encoded independently
-//     into disjoint output — so any ExecutionContext builds the same index
-//     byte for byte.
+//   * Build is serial and deterministic. k-means runs a FIXED iteration
+//     count; each point picks its nearest centroid with ties broken by
+//     ascending centroid id, and each centroid averages its members in
+//     ascending point id with double accumulation — so one catalog and
+//     seed always build the same index byte for byte.
 //   * Query is thread-count-invariant. Re-ranked scores are
 //     double-accumulated dots cast to float — the exact expression TopKDot
 //     evaluates — and selection under the (score desc, id asc) TOTAL order
@@ -97,15 +94,13 @@ class IvfIndex {
   /// Clusters `catalog` (rows = service embeddings) into
   /// ResolveNlist(config.nlist, rows) lists with seeded k-means (fixed
   /// kKmeansIterations sweeps, init sampled from Rng(config.seed)), then
-  /// lays every list out contiguously in one pass. Thread-count-invariant
-  /// for any `ctx` (see header comment). Requires a non-empty catalog.
+  /// lays every list out contiguously in one pass. Serial and
+  /// deterministic (see header comment). Requires a non-empty catalog.
   /// The lists are stored as SQ8 codes + per-row scales and `catalog` is
   /// attached as the re-rank source (caller keeps it alive);
   /// config.mode is not consulted.
   static IvfIndex Build(const core::Matrix& catalog,
-                        const RetrievalConfig& config,
-                        const core::ExecutionContext& ctx =
-                            core::SerialExecution());
+                        const RetrievalConfig& config);
 
   /// Top-k of <query, catalog row> over the union of the `nprobe` probed
   /// lists, sorted (score desc, id asc). nprobe is clamped to [1, nlist];

@@ -16,16 +16,10 @@ const char* RetrievalModeName(RetrievalMode mode) {
   return "unknown";
 }
 
-RankedList TopKInnerProduct(const core::ExecutionContext& ctx,
-                            const float* query_vec, size_t dim,
-                            const core::Matrix& candidates, size_t k) {
-  return core::kernels::TopKDot(ctx, query_vec, dim, candidates, k);
-}
-
 RankedList TopKInnerProduct(const float* query_vec, size_t dim,
                             const core::Matrix& candidates, size_t k) {
-  return TopKInnerProduct(core::CurrentExecution(), query_vec, dim, candidates,
-                          k);
+  return core::kernels::TopKDot(core::CurrentExecution(), query_vec, dim,
+                                candidates, k);
 }
 
 EmbeddingRanker::EmbeddingRanker(EmbeddingStore queries,

@@ -49,16 +49,11 @@ struct RetrievalConfig {
   uint64_t seed = 13;  // k-means init stream
 };
 
-/// Exact inner-product top-K over a candidate matrix, sharded through the
-/// given execution context (core::kernels::TopKDot): block-partitioned
-/// partial top-K heaps merged deterministically, bit-identical to serial
-/// for any thread count. Ties break by ascending service id.
-RankedList TopKInnerProduct(const core::ExecutionContext& ctx,
-                            const float* query_vec, size_t dim,
-                            const core::Matrix& candidates, size_t k);
-
-/// Same, dispatching through the ambient core::CurrentExecution() (the
-/// serial reference unless a ScopedExecution is installed).
+/// Exact inner-product top-K over a candidate matrix
+/// (core::kernels::TopKDot), sharded through the ambient
+/// core::CurrentExecution() — the serial reference unless a
+/// ScopedExecution is installed — and bit-identical to serial for any
+/// thread count. Ties break by ascending service id.
 RankedList TopKInnerProduct(const float* query_vec, size_t dim,
                             const core::Matrix& candidates, size_t k);
 

@@ -2,7 +2,7 @@
 //
 // The packed, cache-blocked kernel (core/kernels.cc) promises bit-identity
 // with the naive reference for every transpose-flag combination, thread
-// count, alpha/beta and KernelTuning — not merely closeness — because every
+// count, alpha/beta and blocking — not merely closeness — because every
 // tiling accumulates each output element's fl(alpha*a)*b terms in ascending
 // k order (see the bit-identity argument in kernels.cc). Every comparison
 // here is on raw bit patterns for non-NaN values; NaNs compare as a class
@@ -201,18 +201,19 @@ TEST_F(GemmPackedTest, NonFinitePropagation) {
   ExpectBitEqual(want, got_t, "non-finite-ta");
 }
 
-TEST_F(GemmPackedTest, CustomTuningIsBitIdentical) {
+TEST_F(GemmPackedTest, CustomBlockingIsBitIdentical) {
   // Pathologically small and unaligned panels exercise every padding path;
   // results must not move. Floors of 1 let the parallel grid refine all the
   // way down to single rows/columns.
-  KernelTuning tiny;
-  tiny.gemm_mc = 7;
-  tiny.gemm_kc = 3;
-  tiny.gemm_nc = 5;
-  tiny.gemm_min_rows_per_shard = 1;
-  tiny.gemm_min_cols_per_shard = 1;
-  ExecutionContext tuned_serial(0, tiny);
-  ExecutionContext tuned_par(3, tiny);
+  const kernels::internal::GemmBlocking tiny = {
+      /*mc=*/7,
+      /*kc=*/3,
+      /*nc=*/5,
+      /*min_rows_per_shard=*/1,
+      /*min_cols_per_shard=*/1,
+      /*shared_b_max_floats=*/size_t{1} << 24,
+  };
+  const ExecutionContext par3(3);
   for (bool ta : {false, true}) {
     for (bool tb : {false, true}) {
       const size_t m = 33, k = 29, n = 31;
@@ -221,10 +222,11 @@ TEST_F(GemmPackedTest, CustomTuningIsBitIdentical) {
       const Matrix c_init = RandMatrix(m, n, &rng_);
       Matrix want = c_init;
       NaiveGemm(ta, tb, 1.6f, a, b, 0.3f, &want);
-      for (const ExecutionContext* ctx : {&tuned_serial, &tuned_par}) {
+      for (const ExecutionContext* ctx : {&SerialExecution(), &par3}) {
         Matrix got = c_init;
-        kernels::Gemm(*ctx, ta, tb, 1.6f, a, b, 0.3f, &got);
-        ExpectBitEqual(want, got, "custom-tuning");
+        kernels::internal::GemmBlocked(*ctx, tiny, ta, tb, 1.6f, a, b, 0.3f,
+                                       &got);
+        ExpectBitEqual(want, got, "custom-blocking");
       }
     }
   }
@@ -233,7 +235,7 @@ TEST_F(GemmPackedTest, CustomTuningIsBitIdentical) {
 TEST_F(GemmPackedTest, SharedBPanelCapIsBitIdentical) {
   // The shared packed-B path pre-packs all B panels once when the parallel
   // grid has more than one row block and packed B fits under
-  // gemm_shared_b_max_floats; over the cap each shard packs its own
+  // shared_b_max_floats; over the cap each shard packs its own
   // panels. Both regimes must agree with the naive reference bit for bit —
   // the cap only trades memory for repacking work. Shapes are chosen so a
   // 4-thread grid has several row blocks (m >> n), making the shared path
@@ -246,37 +248,21 @@ TEST_F(GemmPackedTest, SharedBPanelCapIsBitIdentical) {
     Matrix want = c_init;
     NaiveGemm(false, tb, 1.0f, a, b, 0.0f, &want);
     for (size_t cap : {size_t{0}, size_t{1}, k * n, size_t{1} << 24}) {
-      KernelTuning tune;
-      tune.gemm_shared_b_max_floats = cap;
-      tune.gemm_min_rows_per_shard = 8;
-      ExecutionContext ctx(4, tune);
+      const kernels::internal::GemmBlocking blocking = {
+          /*mc=*/64,
+          /*kc=*/256,
+          /*nc=*/256,
+          /*min_rows_per_shard=*/8,
+          /*min_cols_per_shard=*/16,
+          /*shared_b_max_floats=*/cap,
+      };
       Matrix got = c_init;
-      kernels::Gemm(ctx, false, tb, 1.0f, a, b, 0.0f, &got);
+      kernels::internal::GemmBlocked(par4_, blocking, false, tb, 1.0f, a, b,
+                                     0.0f, &got);
       SCOPED_TRACE(::testing::Message() << "cap=" << cap << " tb=" << tb);
       ExpectBitEqual(want, got, "shared-b-cap");
     }
   }
-}
-
-TEST_F(GemmPackedTest, TuningDefaultsAndSetters) {
-  const KernelTuning defaults;
-  EXPECT_EQ(defaults.gemm_mc, 64u);
-  EXPECT_EQ(defaults.gemm_kc, 256u);
-  EXPECT_EQ(defaults.gemm_nc, 256u);
-  EXPECT_EQ(defaults.gemm_min_rows_per_shard, 8u);
-  EXPECT_EQ(defaults.min_elems_per_shard, size_t{1} << 14);
-  EXPECT_EQ(defaults.min_rows_per_shard, 64u);
-  EXPECT_EQ(defaults.min_segments_per_shard, 64u);
-  EXPECT_EQ(defaults.min_scatter_sources, 2048u);
-
-  ExecutionContext ctx(0);
-  EXPECT_EQ(ctx.tuning().gemm_mc, defaults.gemm_mc);
-  KernelTuning custom;
-  custom.gemm_mc = 16;
-  custom.min_rows_per_shard = 8;
-  ctx.set_tuning(custom);
-  EXPECT_EQ(ctx.tuning().gemm_mc, 16u);
-  EXPECT_EQ(ctx.tuning().min_rows_per_shard, 8u);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Bit-identity of the parallel kernel backend against the serial reference.
+// Bit-identity of the kernels against plain reference loops.
 //
-// Every EXPECT here is exact (EXPECT_EQ on floats, not near): the execution
-// layer's contract is that an ExecutionContext with any thread count
-// reproduces the serial backend bit for bit (see core/kernels.h). Shapes are
-// randomized and sized past the kernels' shard floors so the parallel paths
-// genuinely shard.
+// Every EXPECT here is exact (EXPECT_EQ on floats, not near). The serial
+// kernels are checked against loops written in this file — the reductions
+// against destination-major loops, which add each destination's sources in
+// ascending order, the order the kernels promise. The sharded kernels
+// (Gemm, TopKDot, sq8::ScanDots) are also checked across thread counts:
+// an ExecutionContext with any thread count must reproduce the serial
+// backend bit for bit (see core/kernels.h). Shapes are randomized and
+// sized past the shard floors so the parallel paths genuinely shard.
 
 #include "core/kernels.h"
 
@@ -39,6 +42,17 @@ std::vector<uint32_t> RandIndices(size_t n, size_t max_exclusive, Rng* rng) {
   return idx;
 }
 
+/// Each destination's source ids, ascending: the destination-major view the
+/// reduction references walk.
+std::vector<std::vector<uint32_t>> SourcesByDest(
+    const std::vector<uint32_t>& idx, size_t dests) {
+  std::vector<std::vector<uint32_t>> by_dest(dests);
+  for (size_t e = 0; e < idx.size(); ++e) {
+    by_dest[idx[e]].push_back(static_cast<uint32_t>(e));
+  }
+  return by_dest;
+}
+
 /// The exact retrieval score as a plain loop, independent of core/kernels.h:
 /// double products of widened floats summed in ascending column order.
 float ScalarDot(const float* q, const float* r, size_t dim) {
@@ -49,12 +63,12 @@ float ScalarDot(const float* q, const float* r, size_t dim) {
   return static_cast<float>(dot);
 }
 
-void ExpectBitIdentical(const Matrix& serial, const Matrix& parallel,
+void ExpectBitIdentical(const Matrix& want, const Matrix& got,
                         const char* what) {
-  ASSERT_EQ(serial.rows(), parallel.rows()) << what;
-  ASSERT_EQ(serial.cols(), parallel.cols()) << what;
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial.data()[i], parallel.data()[i])
+  ASSERT_EQ(want.rows(), got.rows()) << what;
+  ASSERT_EQ(want.cols(), got.cols()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want.data()[i], got.data()[i])
         << what << " diverges at flat index " << i;
   }
 }
@@ -97,24 +111,52 @@ TEST_F(KernelsBitIdentityTest, UnaryForwardAndBackward) {
   const kernels::UnaryOp ops[] = {
       kernels::UnaryOp::kRelu, kernels::UnaryOp::kTanh,
       kernels::UnaryOp::kLeakyRelu, kernels::UnaryOp::kSigmoid};
-  // Large enough to clear kMinElemsPerShard on the parallel backend.
-  const size_t n = 40000 + rng_.UniformInt(5000);
+  const float slope = 0.01f;
+  const size_t n = 4000 + rng_.UniformInt(500);
   Matrix x = RandMatrix(n, 1, &rng_);
+  x.at(0, 0) = 0.0f;  // the kink: ReLU and LeakyReLU take the x <= 0 branch
   Matrix dy = RandMatrix(n, 1, &rng_);
   for (kernels::UnaryOp op : ops) {
-    Matrix y0(n, 1), y1(n, 1);
-    kernels::UnaryForward(SerialExecution(), op, 0.01f, x.data(), y0.data(),
-                          n);
-    kernels::UnaryForward(par4_, op, 0.01f, x.data(), y1.data(), n);
-    ExpectBitIdentical(y0, y1, "UnaryForward");
+    Matrix y(n, 1);
+    kernels::UnaryForward(op, slope, x.data(), y.data(), n);
+    Matrix dx = RandMatrix(n, 1, &rng_);
+    Matrix want_dx = dx;
+    kernels::UnaryBackwardAdd(op, slope, x.data(), y.data(), dy.data(),
+                              dx.data(), n);
 
-    Matrix dx0 = RandMatrix(n, 1, &rng_);
-    Matrix dx1 = dx0;
-    kernels::UnaryBackwardAdd(SerialExecution(), op, 0.01f, x.data(),
-                              y0.data(), dy.data(), dx0.data(), n);
-    kernels::UnaryBackwardAdd(par3_, op, 0.01f, x.data(), y1.data(),
-                              dy.data(), dx1.data(), n);
-    ExpectBitIdentical(dx0, dx1, "UnaryBackwardAdd");
+    Matrix want_y(n, 1);
+    for (size_t i = 0; i < n; ++i) {
+      const float v = x.data()[i];
+      const float g = dy.data()[i];
+      float& w = want_y.data()[i];
+      float& d = want_dx.data()[i];
+      switch (op) {
+        case kernels::UnaryOp::kRelu:
+          w = v > 0.0f ? v : 0.0f;
+          if (v > 0.0f) d += g;
+          break;
+        case kernels::UnaryOp::kTanh:
+          w = std::tanh(v);
+          d += g * (1.0f - w * w);
+          break;
+        case kernels::UnaryOp::kLeakyRelu:
+          w = v > 0.0f ? v : slope * v;
+          d += g * (v > 0.0f ? 1.0f : slope);
+          break;
+        case kernels::UnaryOp::kSigmoid:
+          w = v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
+                        : std::exp(v) / (1.0f + std::exp(v));
+          d += g * (w * (1.0f - w));
+          break;
+      }
+    }
+    ExpectBitIdentical(want_y, y, "UnaryForward");
+    ExpectBitIdentical(want_dx, dx, "UnaryBackwardAdd");
+
+    // x may alias y.
+    Matrix in_place = x;
+    kernels::UnaryForward(op, slope, in_place.data(), in_place.data(), n);
+    ExpectBitIdentical(want_y, in_place, "UnaryForward in place");
   }
 }
 
@@ -126,34 +168,44 @@ TEST_F(KernelsBitIdentityTest, GatherAndGatherAdd) {
     Matrix src = RandMatrix(src_rows, cols, &rng_);
     std::vector<uint32_t> idx = RandIndices(n, src_rows, &rng_);
 
-    Matrix out0(n, cols), out1(n, cols);
-    kernels::GatherRows(SerialExecution(), src, idx, &out0);
-    kernels::GatherRows(par4_, src, idx, &out1);
-    ExpectBitIdentical(out0, out1, "GatherRows");
+    Matrix out(n, cols);
+    kernels::GatherRows(src, idx, &out);
+    Matrix acc = RandMatrix(n, cols, &rng_);
+    Matrix want_acc = acc;
+    kernels::GatherAddRows(src, idx, &acc);
 
-    Matrix acc0 = RandMatrix(n, cols, &rng_);
-    Matrix acc1 = acc0;
-    kernels::GatherAddRows(SerialExecution(), src, idx, &acc0);
-    kernels::GatherAddRows(par3_, src, idx, &acc1);
-    ExpectBitIdentical(acc0, acc1, "GatherAddRows");
+    Matrix want_out(n, cols);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < cols; ++j) {
+        want_out.at(i, j) = src.at(idx[i], j);
+        want_acc.at(i, j) += src.at(idx[i], j);
+      }
+    }
+    ExpectBitIdentical(want_out, out, "GatherRows");
+    ExpectBitIdentical(want_acc, acc, "GatherAddRows");
   }
 }
 
 TEST_F(KernelsBitIdentityTest, ScatterAddRandomizedCollisions) {
   for (int trial = 0; trial < 4; ++trial) {
-    // Few destinations + many sources forces heavy collisions, where a
-    // naive parallel scatter would be both racy and order-divergent.
+    // Few destinations + many sources forces heavy collisions, where any
+    // order other than ascending source per destination shows in the bits.
     const size_t dests = 3 + rng_.UniformInt(60);
     const size_t cols = 1 + rng_.UniformInt(24);
     const size_t n = 4096 + rng_.UniformInt(4096);
     Matrix src = RandMatrix(n, cols, &rng_);
     std::vector<uint32_t> idx = RandIndices(n, dests, &rng_);
 
-    Matrix acc0 = RandMatrix(dests, cols, &rng_);
-    Matrix acc1 = acc0;
-    kernels::ScatterAddRows(SerialExecution(), src, idx, &acc0);
-    kernels::ScatterAddRows(trial % 2 ? par3_ : par4_, src, idx, &acc1);
-    ExpectBitIdentical(acc0, acc1, "ScatterAddRows");
+    Matrix acc = RandMatrix(dests, cols, &rng_);
+    Matrix want = acc;
+    kernels::ScatterAddRows(src, idx, &acc);
+    const auto by_dest = SourcesByDest(idx, dests);
+    for (size_t d = 0; d < dests; ++d) {
+      for (uint32_t e : by_dest[d]) {
+        for (size_t j = 0; j < cols; ++j) want.at(d, j) += src.at(e, j);
+      }
+    }
+    ExpectBitIdentical(want, acc, "ScatterAddRows");
   }
 }
 
@@ -164,13 +216,19 @@ TEST_F(KernelsBitIdentityTest, SegmentSumWithEmptySegments) {
   Matrix x = RandMatrix(n, cols, &rng_);
   std::vector<uint32_t> seg = RandIndices(n, segments / 2, &rng_);
 
-  Matrix out0(segments, cols), out1(segments, cols);
-  kernels::SegmentSum(SerialExecution(), x, seg, segments, &out0);
-  kernels::SegmentSum(par4_, x, seg, segments, &out1);
-  ExpectBitIdentical(out0, out1, "SegmentSum");
+  Matrix out = RandMatrix(segments, cols, &rng_);  // zeroed by the kernel
+  kernels::SegmentSum(x, seg, segments, &out);
+  Matrix want(segments, cols);
+  const auto by_seg = SourcesByDest(seg, segments);
+  for (size_t s = 0; s < segments; ++s) {
+    for (uint32_t e : by_seg[s]) {
+      for (size_t j = 0; j < cols; ++j) want.at(s, j) += x.at(e, j);
+    }
+  }
+  ExpectBitIdentical(want, out, "SegmentSum");
   // Untouched segments stay exactly zero.
   for (size_t s = segments / 2; s < segments; ++s) {
-    for (size_t j = 0; j < cols; ++j) EXPECT_EQ(out0.at(s, j), 0.0f);
+    for (size_t j = 0; j < cols; ++j) EXPECT_EQ(out.at(s, j), 0.0f);
   }
 }
 
@@ -179,20 +237,42 @@ TEST_F(KernelsBitIdentityTest, SegmentSoftmaxForwardBackward) {
     const size_t segments = 100 + rng_.UniformInt(200);
     const size_t n = 4000 + rng_.UniformInt(4000);
     Matrix scores = RandMatrix(n, 1, &rng_);
-    std::vector<uint32_t> seg = RandIndices(n, segments, &rng_);
+    // The last segment is always empty.
+    std::vector<uint32_t> seg = RandIndices(n, segments - 1, &rng_);
+    const auto by_seg = SourcesByDest(seg, segments);
 
-    Matrix a0(n, 1), a1(n, 1);
-    kernels::SegmentSoftmax(SerialExecution(), scores, seg, segments, &a0);
-    kernels::SegmentSoftmax(par3_, scores, seg, segments, &a1);
-    ExpectBitIdentical(a0, a1, "SegmentSoftmax");
+    Matrix alpha(n, 1);
+    kernels::SegmentSoftmax(scores, seg, segments, &alpha);
+    Matrix want(n, 1);
+    for (const auto& members : by_seg) {
+      float mx = -1e30f;
+      for (uint32_t e : members) mx = std::max(mx, scores.at(e, 0));
+      double sum = 0.0;
+      for (uint32_t e : members) {
+        want.at(e, 0) = std::exp(scores.at(e, 0) - mx);
+        sum += want.at(e, 0);
+      }
+      for (uint32_t e : members) {
+        want.at(e, 0) = static_cast<float>(want.at(e, 0) / sum);
+      }
+    }
+    ExpectBitIdentical(want, alpha, "SegmentSoftmax");
 
     Matrix da = RandMatrix(n, 1, &rng_);
-    Matrix g0 = RandMatrix(n, 1, &rng_);
-    Matrix g1 = g0;
-    kernels::SegmentSoftmaxBackwardAdd(SerialExecution(), a0, da, seg,
-                                       segments, &g0);
-    kernels::SegmentSoftmaxBackwardAdd(par4_, a1, da, seg, segments, &g1);
-    ExpectBitIdentical(g0, g1, "SegmentSoftmaxBackwardAdd");
+    Matrix g = RandMatrix(n, 1, &rng_);
+    Matrix want_g = g;
+    kernels::SegmentSoftmaxBackwardAdd(alpha, da, seg, segments, &g);
+    for (const auto& members : by_seg) {
+      double dot = 0.0;
+      for (uint32_t e : members) {
+        dot += static_cast<double>(da.at(e, 0)) * alpha.at(e, 0);
+      }
+      for (uint32_t e : members) {
+        want_g.at(e, 0) +=
+            alpha.at(e, 0) * (da.at(e, 0) - static_cast<float>(dot));
+      }
+    }
+    ExpectBitIdentical(want_g, g, "SegmentSoftmaxBackwardAdd");
   }
 }
 
@@ -202,16 +282,23 @@ TEST_F(KernelsBitIdentityTest, ScaleRowsAndRowDot) {
   Matrix b = RandMatrix(n, cols, &rng_);
   Matrix w = RandMatrix(n, 1, &rng_);
 
-  Matrix s0 = a, s1 = a;
-  kernels::ScaleRowsInPlace(SerialExecution(), &s0, w);
-  kernels::ScaleRowsInPlace(par4_, &s1, w);
-  ExpectBitIdentical(s0, s1, "ScaleRowsInPlace");
+  Matrix scaled = a;
+  kernels::ScaleRowsInPlace(&scaled, w);
+  Matrix dots = RandMatrix(n, 1, &rng_);
+  Matrix want_dots = dots;
+  kernels::RowDotAdd(a, b, &dots);
 
-  Matrix d0 = RandMatrix(n, 1, &rng_);
-  Matrix d1 = d0;
-  kernels::RowDotAdd(SerialExecution(), a, b, &d0);
-  kernels::RowDotAdd(par3_, a, b, &d1);
-  ExpectBitIdentical(d0, d1, "RowDotAdd");
+  Matrix want_scaled = a;
+  for (size_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (size_t j = 0; j < cols; ++j) {
+      want_scaled.at(i, j) *= w.at(i, 0);
+      acc += static_cast<double>(a.at(i, j)) * b.at(i, j);
+    }
+    want_dots.at(i, 0) += static_cast<float>(acc);
+  }
+  ExpectBitIdentical(want_scaled, scaled, "ScaleRowsInPlace");
+  ExpectBitIdentical(want_dots, dots, "RowDotAdd");
 }
 
 TEST_F(KernelsBitIdentityTest, L2NormalizeForwardBackward) {
@@ -221,21 +308,79 @@ TEST_F(KernelsBitIdentityTest, L2NormalizeForwardBackward) {
   for (size_t j = 0; j < cols; ++j) x.at(7, j) = x.at(100, j) = 0.0f;
   const float eps = 1e-12f;
 
-  Matrix y0(n, cols), y1(n, cols);
-  std::vector<float> norms0, norms1;
-  kernels::L2NormalizeRows(SerialExecution(), x, eps, &y0, &norms0);
-  kernels::L2NormalizeRows(par4_, x, eps, &y1, &norms1);
-  ExpectBitIdentical(y0, y1, "L2NormalizeRows");
-  ASSERT_EQ(norms0.size(), norms1.size());
-  for (size_t i = 0; i < norms0.size(); ++i) EXPECT_EQ(norms0[i], norms1[i]);
-
+  Matrix y(n, cols);
+  std::vector<float> norms;
+  kernels::L2NormalizeRows(x, eps, &y, &norms);
   Matrix dy = RandMatrix(n, cols, &rng_);
-  Matrix dx0 = RandMatrix(n, cols, &rng_);
-  Matrix dx1 = dx0;
-  kernels::L2NormalizeRowsBackwardAdd(SerialExecution(), y0, dy, norms0, eps,
-                                      &dx0);
-  kernels::L2NormalizeRowsBackwardAdd(par3_, y1, dy, norms1, eps, &dx1);
-  ExpectBitIdentical(dx0, dx1, "L2NormalizeRowsBackwardAdd");
+  Matrix dx = RandMatrix(n, cols, &rng_);
+  const Matrix dx_before = dx;
+  kernels::L2NormalizeRowsBackwardAdd(y, dy, norms, eps, &dx);
+
+  Matrix want_y(n, cols);
+  Matrix want_dx = dx_before;
+  ASSERT_EQ(norms.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (size_t j = 0; j < cols; ++j) {
+      s += static_cast<double>(x.at(i, j)) * x.at(i, j);
+    }
+    const float norm = static_cast<float>(std::sqrt(s));
+    EXPECT_EQ(norms[i], std::max(norm, eps)) << "row " << i;
+    const float inv = norm > eps ? 1.0f / norm : 0.0f;
+    for (size_t j = 0; j < cols; ++j) want_y.at(i, j) = x.at(i, j) * inv;
+    if (norm <= eps) continue;
+    double dot = 0.0;
+    for (size_t j = 0; j < cols; ++j) {
+      dot += static_cast<double>(dy.at(i, j)) * want_y.at(i, j);
+    }
+    const float ginv = 1.0f / std::max(norm, eps);
+    for (size_t j = 0; j < cols; ++j) {
+      want_dx.at(i, j) +=
+          (dy.at(i, j) - static_cast<float>(dot) * want_y.at(i, j)) * ginv;
+    }
+  }
+  ExpectBitIdentical(want_y, y, "L2NormalizeRows");
+  ExpectBitIdentical(want_dx, dx, "L2NormalizeRowsBackwardAdd");
+  for (size_t i : {size_t{7}, size_t{100}}) {
+    for (size_t j = 0; j < cols; ++j) {
+      EXPECT_EQ(y.at(i, j), 0.0f) << "zero row " << i;
+      EXPECT_EQ(dx.at(i, j), dx_before.at(i, j)) << "zero row " << i;
+    }
+  }
+}
+
+TEST_F(KernelsBitIdentityTest, SoftmaxRowsForwardBackward) {
+  const size_t n = 300, cols = 1 + rng_.UniformInt(70);
+  const Matrix x = RandMatrix(n, cols, &rng_);
+  Matrix y = x;
+  kernels::SoftmaxRows(&y);
+  Matrix dy = RandMatrix(n, cols, &rng_);
+  Matrix dx = RandMatrix(n, cols, &rng_);
+  Matrix want_dx = dx;
+  kernels::SoftmaxRowsBackwardAdd(y, dy, &dx);
+
+  Matrix want_y = x;
+  for (size_t i = 0; i < n; ++i) {
+    float* r = want_y.row(i);
+    float mx = r[0];
+    for (size_t j = 1; j < cols; ++j) mx = std::max(mx, r[j]);
+    double sum = 0.0;
+    for (size_t j = 0; j < cols; ++j) {
+      r[j] = std::exp(r[j] - mx);
+      sum += r[j];
+    }
+    const float inv = static_cast<float>(1.0 / sum);
+    for (size_t j = 0; j < cols; ++j) r[j] *= inv;
+    double dot = 0.0;
+    for (size_t j = 0; j < cols; ++j) {
+      dot += static_cast<double>(dy.at(i, j)) * r[j];
+    }
+    for (size_t j = 0; j < cols; ++j) {
+      want_dx.at(i, j) += r[j] * (dy.at(i, j) - static_cast<float>(dot));
+    }
+  }
+  ExpectBitIdentical(want_y, y, "SoftmaxRows");
+  ExpectBitIdentical(want_dx, dx, "SoftmaxRowsBackwardAdd");
 }
 
 TEST_F(KernelsBitIdentityTest, CrossEntropyForwardBackward) {
@@ -245,20 +390,36 @@ TEST_F(KernelsBitIdentityTest, CrossEntropyForwardBackward) {
     Matrix logits = RandMatrix(n, m, &rng_);
     std::vector<uint32_t> targets = RandIndices(n, m, &rng_);
 
-    Matrix sm0 = logits, sm1 = logits;
-    const double loss0 =
-        kernels::CrossEntropyForward(SerialExecution(), &sm0, targets);
-    const double loss1 = kernels::CrossEntropyForward(
-        trial % 2 ? par3_ : par4_, &sm1, targets);
-    EXPECT_EQ(loss0, loss1);
-    ExpectBitIdentical(sm0, sm1, "CrossEntropyForward softmax");
+    Matrix sm = logits;
+    const double loss = kernels::CrossEntropyForward(&sm, targets);
+    Matrix want_sm = logits;
+    double want_loss = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      float* r = want_sm.row(i);
+      float mx = r[0];
+      for (size_t j = 1; j < m; ++j) mx = std::max(mx, r[j]);
+      double sum = 0.0;
+      for (size_t j = 0; j < m; ++j) {
+        sum += std::exp(static_cast<double>(r[j]) - mx);
+      }
+      const double lse = mx + std::log(sum);
+      want_loss += lse - r[targets[i]];
+      for (size_t j = 0; j < m; ++j) {
+        r[j] = static_cast<float>(std::exp(static_cast<double>(r[j]) - lse));
+      }
+    }
+    EXPECT_EQ(loss, want_loss);
+    ExpectBitIdentical(want_sm, sm, "CrossEntropyForward softmax");
 
-    Matrix g0 = RandMatrix(n, m, &rng_);
-    Matrix g1 = g0;
-    kernels::CrossEntropyBackwardAdd(SerialExecution(), sm0, targets, 0.125f,
-                                     &g0);
-    kernels::CrossEntropyBackwardAdd(par4_, sm1, targets, 0.125f, &g1);
-    ExpectBitIdentical(g0, g1, "CrossEntropyBackwardAdd");
+    const float gout = 0.125f;
+    Matrix g = RandMatrix(n, m, &rng_);
+    Matrix want_g = g;
+    kernels::CrossEntropyBackwardAdd(sm, targets, gout, &g);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < m; ++j) want_g.at(i, j) += gout * sm.at(i, j);
+      want_g.at(i, targets[i]) -= gout;
+    }
+    ExpectBitIdentical(want_g, g, "CrossEntropyBackwardAdd");
   }
 }
 
@@ -436,28 +597,34 @@ TEST_F(KernelsBitIdentityTest, SerialContextNeverCreatesPool) {
 
 // ----------------------------------------------------------- sq8 kernels
 
-TEST_F(KernelsBitIdentityTest, Sq8EncodeRowsMatchesSerialAndBoundsError) {
+/// Every row of src encoded with sq8::EncodeRow into row-major codes and
+/// one scale per row.
+void EncodeAll(const Matrix& src, int8_t* codes, float* scales) {
+  for (size_t r = 0; r < src.rows(); ++r) {
+    kernels::sq8::EncodeRow(src.row(r), src.cols(), codes + r * src.cols(),
+                            &scales[r]);
+  }
+}
+
+TEST_F(KernelsBitIdentityTest, Sq8EncodeRowBoundsError) {
   for (int trial = 0; trial < 4; ++trial) {
     const size_t rows = 30 + rng_.UniformInt(600);
     const size_t dim = 1 + rng_.UniformInt(300);  // crosses kDimBlock at 257+
     Matrix src = RandMatrix(rows, dim, &rng_);
     std::fill(src.row(0), src.row(0) + dim, 0.0f);  // zero-row edge
-    std::vector<int8_t> c0(rows * dim), c1(rows * dim);
-    std::vector<float> s0(rows), s1(rows);
-    kernels::sq8::EncodeRows(SerialExecution(), src, c0.data(), s0.data());
-    kernels::sq8::EncodeRows(trial % 2 ? par3_ : par4_, src, c1.data(),
-                             s1.data());
-    ASSERT_EQ(c0, c1) << "codes diverge";
-    ASSERT_EQ(s0, s1) << "scales diverge";
-    EXPECT_EQ(s0[0], 0.0f);
+    std::vector<int8_t> codes(rows * dim);
+    std::vector<float> scales(rows);
+    EncodeAll(src, codes.data(), scales.data());
+    EXPECT_EQ(scales[0], 0.0f);
     for (size_t r = 0; r < rows; ++r) {
       for (size_t j = 0; j < dim; ++j) {
         const float v = src.at(r, j);
-        const float dequant = s0[r] * static_cast<float>(c0[r * dim + j]);
+        const float dequant =
+            scales[r] * static_cast<float>(codes[r * dim + j]);
         // s/2 plus a hair of float rounding from the dequant product.
-        ASSERT_LE(std::fabs(v - dequant), s0[r] * 0.5f * 1.001f + 1e-6f)
+        ASSERT_LE(std::fabs(v - dequant), scales[r] * 0.5f * 1.001f + 1e-6f)
             << "per-coordinate bound violated at (" << r << "," << j << ")";
-        ASSERT_GE(c0[r * dim + j], -127);  // -128 slot unused
+        ASSERT_GE(codes[r * dim + j], -127);  // -128 slot unused
       }
     }
   }
@@ -468,8 +635,7 @@ TEST_F(KernelsBitIdentityTest, Sq8ScanDotsMatchesSerialOverRanges) {
   Matrix src = RandMatrix(rows, dim, &rng_);
   std::vector<int8_t> codes(rows * dim);
   std::vector<float> scales(rows);
-  kernels::sq8::EncodeRows(SerialExecution(), src, codes.data(),
-                           scales.data());
+  EncodeAll(src, codes.data(), scales.data());
   Matrix q = RandMatrix(1, dim, &rng_);
   const auto qc = kernels::sq8::QuantizeQuery(q.row(0), dim);
   // Ranges with gaps, an empty range, and out-of-order starts.
@@ -532,8 +698,7 @@ TEST_F(KernelsBitIdentityTest, Sq8ZeroQueryAndZeroRowsScanToExactZero) {
   Matrix src(rows, dim);  // all-zero catalog
   std::vector<int8_t> codes(rows * dim);
   std::vector<float> scales(rows);
-  kernels::sq8::EncodeRows(SerialExecution(), src, codes.data(),
-                           scales.data());
+  EncodeAll(src, codes.data(), scales.data());
   std::vector<float> zq(dim, 0.0f);
   const auto qc = kernels::sq8::QuantizeQuery(zq.data(), dim);
   EXPECT_EQ(qc.scale, 0.0f);

@@ -25,31 +25,43 @@ TEST(ThreadPoolTest, WaitOnEmptyPoolReturns) {
   SUCCEED();
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
+TEST(ThreadPoolTest, ParallelForShardsCoversRangeAtMinShard16) {
   ThreadPool pool(4);
   std::vector<int> hits(10000, 0);
-  pool.ParallelFor(0, hits.size(), [&hits](size_t i) { hits[i]++; }, 16);
+  pool.ParallelForShards(
+      0, hits.size(),
+      [&hits](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) hits[i]++;
+      },
+      16);
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPoolTest, ParallelForSmallRangeInline) {
+TEST(ThreadPoolTest, ParallelForShardsDefaultMinShardCoversSmallRange) {
   ThreadPool pool(4);
   std::vector<int> hits(10, 0);
-  pool.ParallelFor(0, hits.size(), [&hits](size_t i) { hits[i]++; });
+  pool.ParallelForShards(0, hits.size(), [&hits](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) hits[i]++;
+  });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPoolTest, ParallelForEmptyRange) {
+TEST(ThreadPoolTest, ParallelForShardsEmptyRange) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.ParallelFor(5, 5, [&calls](size_t) { calls++; });
+  pool.ParallelForShards(5, 5, [&calls](size_t, size_t) { calls++; });
   EXPECT_EQ(calls, 0);
 }
 
-TEST(ThreadPoolTest, ParallelForNonZeroBegin) {
+TEST(ThreadPoolTest, ParallelForShardsOffsetRange) {
   ThreadPool pool(3);
   std::atomic<long> sum{0};
-  pool.ParallelFor(100, 1100, [&sum](size_t i) { sum.fetch_add(i); }, 32);
+  pool.ParallelForShards(
+      100, 1100,
+      [&sum](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) sum.fetch_add(i);
+      },
+      32);
   long expected = 0;
   for (size_t i = 100; i < 1100; ++i) expected += i;
   EXPECT_EQ(sum.load(), expected);

@@ -26,18 +26,19 @@ const char* BackendName(Backend b) {
   return b == Backend::kBruteForce ? "BruteForce" : "IvfFullProbe";
 }
 
-/// Top-k through the chosen backend. The IVF backend builds an index over
-/// the candidates (nlist from the catalog size) and probes EVERY list —
-/// the configuration the oracle-equivalence contract covers.
+/// Top-k through the chosen backend, scanning under `ctx`. The IVF backend
+/// builds an index over the candidates (serially; nlist from the catalog
+/// size) and probes EVERY list — the configuration the oracle-equivalence
+/// contract covers.
 RankedList BackendTopK(Backend b, const core::ExecutionContext& ctx,
                        const float* query, size_t dim,
                        const core::Matrix& cands, size_t k) {
   if (b == Backend::kBruteForce) {
-    return TopKInnerProduct(ctx, query, dim, cands, k);
+    return core::kernels::TopKDot(ctx, query, dim, cands, k);
   }
   RetrievalConfig cfg;
   cfg.seed = 101;
-  const IvfIndex index = IvfIndex::Build(cands, cfg, ctx);
+  const IvfIndex index = IvfIndex::Build(cands, cfg);
   return index.Query(ctx, query, k, index.nlist());
 }
 
@@ -132,8 +133,8 @@ class RetrievalParallelTest : public ::testing::TestWithParam<Backend> {};
 // The partial-heap path sharded over an ExecutionContext must agree bit for
 // bit with the serial scan for any thread count (core/kernels.h contract).
 // 5000 rows exceed the kernel's block size, so the parallel path genuinely
-// merges multiple partial heaps; the IVF backend additionally shards its
-// k-means build and probe merge over the same contexts.
+// merges multiple partial heaps; the IVF backend shards its centroid
+// ranking, SQ8 scan and exact re-rank over the same contexts.
 TEST_P(RetrievalParallelTest, ShardedContextBitIdenticalToSerial) {
   core::Rng rng(17);
   const size_t n = 5000, dim = 24;

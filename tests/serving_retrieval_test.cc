@@ -136,8 +136,7 @@ TEST(IvfOracleTest, ReturnsMinKSizeEvenWithUnderpopulatedProbes) {
   }
   // And the extended prefix still ranks exactly: k >= n probes everything.
   const RankedList all = index.Query(core::SerialExecution(), q.row(0), n, 1);
-  const RankedList truth =
-      TopKInnerProduct(core::SerialExecution(), q.row(0), dim, catalog, n);
+  const RankedList truth = TopKInnerProduct(q.row(0), dim, catalog, n);
   EXPECT_EQ(all, truth);
 }
 
@@ -155,8 +154,8 @@ TEST(IvfRecallTest, RecallMonotoneInNprobePerQuery) {
     core::Rng qrng(seed + 1);
     Matrix queries = Matrix::Randn(8, 12, &qrng, 0.0f, 4.0f);
     for (size_t qi = 0; qi < queries.rows(); ++qi) {
-      const RankedList truth = TopKInnerProduct(
-          core::SerialExecution(), queries.row(qi), 12, catalog, 10);
+      const RankedList truth =
+          TopKInnerProduct(queries.row(qi), 12, catalog, 10);
       double prev = -1.0;
       for (size_t nprobe = 1; nprobe <= index.nlist(); ++nprobe) {
         const RankedList got =
@@ -192,8 +191,8 @@ TEST(IvfRecallTest, DefaultNprobeRecallFloorOnClusteredData) {
   }
   double total = 0.0;
   for (size_t qi = 0; qi < kQueries; ++qi) {
-    const RankedList truth = TopKInnerProduct(core::SerialExecution(),
-                                              queries.row(qi), 16, catalog, 10);
+    const RankedList truth =
+        TopKInnerProduct(queries.row(qi), 16, catalog, 10);
     const RankedList got = index.Query(queries.row(qi), 10);  // default nprobe
     total += RecallAgainst(truth, got);
   }
@@ -344,8 +343,8 @@ TEST(Sq8OracleTest, FullProbeBitIdenticalToBruteForceAcrossSeedsAndThreads) {
 
     for (const auto& query : queries) {
       for (size_t k : {size_t{1}, size_t{10}, n / 2, n, n + 7}) {
-        const RankedList truth = TopKInnerProduct(
-            core::SerialExecution(), query.data(), dim, catalog, k);
+        const RankedList truth =
+            TopKInnerProduct(query.data(), dim, catalog, k);
         for (size_t rerank_k : {k, size_t{0}}) {  // exactly-k and auto
           for (const core::ExecutionContext* ctx : ctxs) {
             const RankedList got =
@@ -377,8 +376,7 @@ RankedList FloatProbe(const IvfIndex& index, const Matrix& catalog,
                       const float* query, size_t k, size_t nprobe) {
   nprobe = std::min(std::max<size_t>(nprobe, 1), index.nlist());
   const RankedList lists =
-      TopKInnerProduct(core::SerialExecution(), query, index.dim(),
-                       index.centroids(), index.nlist());
+      TopKInnerProduct(query, index.dim(), index.centroids(), index.nlist());
   const size_t want = std::min(k, index.size());
   RankedList cands;
   for (size_t used = 0;
@@ -434,8 +432,8 @@ TEST(Sq8RecallTest, RecallMonotoneInNprobeAndInvariantInRerankK) {
     core::Rng qrng(seed + 1);
     Matrix queries = Matrix::Randn(6, 12, &qrng, 0.0f, 4.0f);
     for (size_t qi = 0; qi < queries.rows(); ++qi) {
-      const RankedList truth = TopKInnerProduct(
-          core::SerialExecution(), queries.row(qi), 12, catalog, 10);
+      const RankedList truth =
+          TopKInnerProduct(queries.row(qi), 12, catalog, 10);
       double prev = -1.0;
       for (size_t nprobe = 1; nprobe <= index.nlist(); ++nprobe) {
         const RankedList got = index.Query(core::SerialExecution(),
@@ -454,28 +452,6 @@ TEST(Sq8RecallTest, RecallMonotoneInNprobeAndInvariantInRerankK) {
       EXPECT_EQ(prev, 1.0) << "full probe must be exact";
     }
   }
-}
-
-TEST(Sq8BuildTest, BuildIsThreadCountInvariantDownToSaveBytes) {
-  const Matrix catalog = AdversarialCatalog(21);
-  const RetrievalConfig cfg = Sq8Config(9, 21);
-  core::ExecutionContext par2(2), par4(4), par8(8);
-  const std::string ref_path = TempPath("sq8_build_serial");
-  ASSERT_TRUE(IvfIndex::Build(catalog, cfg, core::SerialExecution())
-                  .Save(ref_path)
-                  .ok());
-  const std::string ref_bytes = ReadAllBytes(ref_path);
-  ASSERT_FALSE(ref_bytes.empty());
-  ASSERT_EQ(ref_bytes.substr(0, 4), "GIV2");
-  int label = 0;
-  for (const core::ExecutionContext* ctx : {&par2, &par4, &par8}) {
-    const std::string path =
-        TempPath(("sq8_build_par" + std::to_string(label++)).c_str());
-    ASSERT_TRUE(IvfIndex::Build(catalog, cfg, *ctx).Save(path).ok());
-    EXPECT_EQ(ReadAllBytes(path), ref_bytes);
-    std::remove(path.c_str());
-  }
-  std::remove(ref_path.c_str());
 }
 
 TEST(Sq8BuildTest, ResolveRerankKDefaults) {
