@@ -57,7 +57,8 @@ echo "==> Sanitizer build (thread)"
 # TSan and ASan are mutually exclusive, so this is a third tree. Only the
 # threaded suites run here: they exercise the sharded kernels (the GEMM
 # tile grid and shared-B packing, TopKDot's block merge, the SQ8 scan) and
-# their thread-count bit-parity contract, the thread pool, the block
+# their thread-count bit-parity contract, the thread pool, the
+# thread-local nn::NoGradScope (nn_tensor_test), the block
 # sampler's thread-count-invariance contract, the ticket sequencer
 # (core_ticket_gate_test), the concurrent batched serving path
 # (BatchRanker + ResilientRanker's sequenced resolve phase), and the
@@ -71,11 +72,11 @@ TSAN_DIR="$ROOT/build-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DGARCIA_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target core_kernels_test core_gemm_test core_threadpool_test nn_ops_test \
-  graph_sampler_test core_ticket_gate_test \
+  nn_tensor_test graph_sampler_test core_ticket_gate_test \
   serving_concurrency_test serving_resilience_test serving_retrieval_test \
   models_garcia_test models_baselines_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|graph_sampler_test|core_ticket_gate_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
+  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|nn_tensor_test|graph_sampler_test|core_ticket_gate_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
 # The training suites run only their threaded cases: the rest are serial,
 # and all of models_garcia_test takes ~8 min under TSan (the three
 # threaded cases ~100 s together).

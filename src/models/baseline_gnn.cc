@@ -114,6 +114,7 @@ std::vector<float> GnnBaseline::Predict(
   GARCIA_CHECK(scenario_ == &s);
   if (examples.empty()) return {};
   core::ScopedExecution exec_scope(&exec_);
+  nn::NoGradScope no_grad;
   Tensor emb = ComputeEmbeddings(full_block_);
   std::vector<uint32_t> q_rows, s_rows;
   q_rows.reserve(examples.size());
@@ -133,6 +134,7 @@ std::vector<float> GnnBaseline::Predict(
 core::Matrix GnnBaseline::ExportQueryEmbeddings(const data::Scenario& s) {
   GARCIA_CHECK(fitted_);
   core::ScopedExecution exec_scope(&exec_);
+  nn::NoGradScope no_grad;
   Tensor emb = ComputeEmbeddings(full_block_);
   Matrix out(s.num_queries(), cfg_.embedding_dim);
   for (uint32_t q = 0; q < s.num_queries(); ++q) {
@@ -144,6 +146,7 @@ core::Matrix GnnBaseline::ExportQueryEmbeddings(const data::Scenario& s) {
 core::Matrix GnnBaseline::ExportServiceEmbeddings(const data::Scenario& s) {
   GARCIA_CHECK(fitted_);
   core::ScopedExecution exec_scope(&exec_);
+  nn::NoGradScope no_grad;
   Tensor emb = ComputeEmbeddings(full_block_);
   Matrix out(s.num_services(), cfg_.embedding_dim);
   for (uint32_t svc = 0; svc < s.num_services(); ++svc) {

@@ -230,6 +230,9 @@ void TrainLoop::Run(const TrainPhase& phase, const StepFn& step_fn) {
   GARCIA_CHECK_LT(phase.id, num_phases_);
   GARCIA_CHECK(phase.iterator != nullptr || phase.steps_per_epoch > 0)
       << "a phase without an iterator needs a step cap";
+  GARCIA_CHECK(!nn::NoGradScope::Active())
+      << "training inside an nn::NoGradScope: the loss would have no "
+         "gradient";
   ++next_phase_;
   // A checkpoint from a later phase already holds this phase's work.
   if (resume_ && resume_->phase > phase.id) return;

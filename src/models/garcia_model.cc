@@ -141,7 +141,14 @@ GarciaModel::Encoded GarciaModel::EncodeStep(const graph::SeedSet& head_seeds,
 }
 
 const GarciaModel::Encoded& GarciaModel::CachedEncoded() const {
-  if (!encoded_cache_.has_value()) encoded_cache_ = EncodeAll();
+  if (!encoded_cache_.has_value()) {
+    // No tape: each layer's per-edge temporaries free as the pass moves on.
+    nn::NoGradScope no_grad;
+    encoded_cache_ = EncodeAll();
+    // Predict and the exports read only the readouts.
+    encoded_cache_->head.layers.clear();
+    encoded_cache_->tail.layers.clear();
+  }
   return *encoded_cache_;
 }
 
@@ -497,6 +504,7 @@ std::vector<float> GarciaModel::Predict(
   GARCIA_CHECK(scenario_ == &s) << "Predict on a different scenario";
   if (examples.empty()) return {};
   core::ScopedExecution exec_scope(&exec_);
+  nn::NoGradScope no_grad;
   const Encoded& e = CachedEncoded();
   std::vector<uint32_t> batch(examples.size());
   for (size_t i = 0; i < batch.size(); ++i) batch[i] = static_cast<uint32_t>(i);

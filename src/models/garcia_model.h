@@ -109,7 +109,9 @@ class GarciaModel : public RankingModel {
   /// Post-Fit encoding shared by Predict / the export hooks. Encoding is
   /// deterministic given the fitted parameters (no RNG), so the first call
   /// after Fit computes it and later calls reuse the cached pass. Re-Fit
-  /// invalidates the cache (via Setup).
+  /// invalidates the cache (via Setup). The pass runs under an
+  /// nn::NoGradScope and the cache keeps only the two readouts (empty
+  /// `layers`), as tape-free tensors.
   const Encoded& CachedEncoded() const;
 
   /// (is_head_partition, local node row) of a query / service within the

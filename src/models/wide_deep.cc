@@ -95,6 +95,7 @@ std::vector<float> WideDeep::Predict(
   GARCIA_CHECK(scenario_ == &s);
   if (examples.empty()) return {};
   core::ScopedExecution exec_scope(&exec_);
+  nn::NoGradScope no_grad;
   std::vector<uint32_t> batch(examples.size());
   for (size_t i = 0; i < batch.size(); ++i) batch[i] = static_cast<uint32_t>(i);
   Tensor logits = BatchLogits(examples, batch);

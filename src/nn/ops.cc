@@ -228,13 +228,17 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
     if (pa->requires_grad) {
       Matrix& g = pa->EnsureGrad();
       for (size_t i = 0; i < g.rows(); ++i) {
-        for (size_t j = 0; j < da; ++j) g.at(i, j) += n->grad.at(i, j);
+        float* gi = g.row(i);
+        const float* ni = n->grad.row(i);
+        for (size_t j = 0; j < da; ++j) gi[j] += ni[j];
       }
     }
     if (pb->requires_grad) {
       Matrix& g = pb->EnsureGrad();
       for (size_t i = 0; i < g.rows(); ++i) {
-        for (size_t j = 0; j < db; ++j) g.at(i, j) += n->grad.at(i, da + j);
+        float* gi = g.row(i);
+        const float* ni = n->grad.row(i) + da;
+        for (size_t j = 0; j < db; ++j) gi[j] += ni[j];
       }
     }
   });
@@ -253,13 +257,17 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
     if (pa->requires_grad) {
       Matrix& g = pa->EnsureGrad();
       for (size_t i = 0; i < ra; ++i) {
-        for (size_t j = 0; j < cols; ++j) g.at(i, j) += n->grad.at(i, j);
+        float* gi = g.row(i);
+        const float* ni = n->grad.row(i);
+        for (size_t j = 0; j < cols; ++j) gi[j] += ni[j];
       }
     }
     if (pb->requires_grad) {
       Matrix& g = pb->EnsureGrad();
       for (size_t i = 0; i < rb; ++i) {
-        for (size_t j = 0; j < cols; ++j) g.at(i, j) += n->grad.at(ra + i, j);
+        float* gi = g.row(i);
+        const float* ni = n->grad.row(ra + i);
+        for (size_t j = 0; j < cols; ++j) gi[j] += ni[j];
       }
     }
   });

@@ -19,6 +19,18 @@ void TensorNode::AccumulateGrad(const core::Matrix& g) {
 
 }  // namespace internal
 
+namespace {
+thread_local bool no_grad_active = false;
+}  // namespace
+
+NoGradScope::NoGradScope() : previous_(no_grad_active) {
+  no_grad_active = true;
+}
+
+NoGradScope::~NoGradScope() { no_grad_active = previous_; }
+
+bool NoGradScope::Active() { return no_grad_active; }
+
 Tensor Tensor::Leaf(core::Matrix value, bool requires_grad) {
   auto node = std::make_shared<internal::TensorNode>();
   node->value = std::move(value);
@@ -30,6 +42,7 @@ Tensor Tensor::FromOp(core::Matrix value, std::vector<Tensor> parents,
                       std::function<void(internal::TensorNode*)> backward_fn) {
   auto node = std::make_shared<internal::TensorNode>();
   node->value = std::move(value);
+  if (no_grad_active) return Tensor(std::move(node));
   bool any_grad = false;
   node->parents.reserve(parents.size());
   for (const Tensor& p : parents) {
@@ -61,7 +74,8 @@ void Tensor::Backward() {
   GARCIA_CHECK_EQ(cols(), 1u);
   internal::TensorNode* root = node();
   GARCIA_CHECK(root->requires_grad)
-      << "Backward() on a graph with no grad-requiring leaves";
+      << "Backward() on a graph with no grad-requiring leaves"
+      << (no_grad_active ? " (a NoGradScope is active on this thread)" : "");
 
   // Iterative post-order DFS for the reverse topological order.
   std::vector<internal::TensorNode*> topo;

@@ -2,9 +2,13 @@
 // Tape-based reverse-mode automatic differentiation.
 //
 // A Tensor is a value-semantics handle to a node in a dynamically built
-// computation graph. Ops (see nn/ops.h) create new nodes whose backward
-// closures accumulate gradients into their parents. Calling Backward() on a
-// scalar node runs reverse topological order over the reachable graph.
+// computation graph. Unless a NoGradScope is active on the calling thread,
+// ops (see nn/ops.h) record a tape: each new node links its parents and
+// keeps a backward closure that accumulates gradients into them. Calling
+// Backward() on a scalar node runs reverse topological order over the
+// reachable graph. Under a NoGradScope an op node holds only its value, so
+// an inference forward frees each intermediate as soon as its last handle
+// drops.
 //
 // Matches the training loop shape of PyTorch: leaf parameters persist across
 // steps, intermediate nodes are released when the last handle drops, and the
@@ -44,6 +48,25 @@ struct TensorNode {
 
 }  // namespace internal
 
+/// Thread-local RAII switch for inference: while one is alive on a thread,
+/// Tensor::FromOp on that thread records no tape (requires_grad false, no
+/// parents, no backward closure). Op forward code is unchanged, so values
+/// are byte-identical to a taped pass. Scopes nest; each restores the state
+/// it found. Leaves are unaffected.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+  /// True while a NoGradScope is alive on the calling thread.
+  static bool Active();
+
+ private:
+  bool previous_;
+};
+
 /// Handle to an autograd node. Copy is cheap (shared ownership).
 class Tensor {
  public:
@@ -56,7 +79,7 @@ class Tensor {
   /// Constant leaf (never receives gradient).
   static Tensor Constant(core::Matrix value) { return Leaf(std::move(value), false); }
 
-  /// Internal: creates an op output node.
+  /// Internal: creates an op output node (value only under a NoGradScope).
   static Tensor FromOp(core::Matrix value,
                        std::vector<Tensor> parents,
                        std::function<void(internal::TensorNode*)> backward_fn);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "models/intention_encoder.h"
 #include "nn/gradcheck.h"
@@ -96,6 +97,58 @@ TEST(GarciaGnnEncoderTest, GradCheck) {
       [&] { return nn::MeanAll(nn::Tanh(enc.Encode(g).readout)); },
       enc.Parameters(), 1e-2f);
   EXPECT_LT(res.max_rel_error, 3e-2);
+}
+
+graph::SearchGraph RandomGraph() {
+  graph::SearchGraph g(12, 6, 4);
+  Rng rng(13);
+  g.attributes() = Matrix::Randn(18, 4, &rng);
+  const graph::EdgeKind kinds[] = {graph::EdgeKind::kInteraction,
+                                   graph::EdgeKind::kCorrelation};
+  for (uint32_t q = 0; q < 12; ++q) {
+    for (uint32_t k = 0; k < 3; ++k) {
+      g.AddLink(q, (q * 5 + k * 7) % 6, kinds[(q + k) % 2],
+                0.1f * static_cast<float>(k + 1), graph::kCorrBrand);
+    }
+  }
+  g.Finalize();
+  return g;
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  const Matrix& x = a.value();
+  const Matrix& y = b.value();
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+void ExpectSameOutput(const GnnOutput& taped, const GnnOutput& free) {
+  ASSERT_EQ(taped.layers.size(), free.layers.size());
+  for (size_t l = 0; l < taped.layers.size(); ++l) {
+    EXPECT_TRUE(SameBytes(taped.layers[l], free.layers[l])) << "layer " << l;
+    EXPECT_FALSE(free.layers[l].requires_grad());
+  }
+  EXPECT_TRUE(SameBytes(taped.readout, free.readout));
+  EXPECT_TRUE(taped.readout.requires_grad());
+  EXPECT_FALSE(free.readout.requires_grad());
+  EXPECT_TRUE(free.readout.node()->parents.empty());
+}
+
+TEST(GarciaGnnEncoderTest, NoGradPassIsByteIdentical) {
+  graph::SearchGraph g = RandomGraph();
+  graph::NeighborSampler sampler(&g, 2, /*fanout=*/2);
+  for (bool attention : {true, false}) {
+    SCOPED_TRACE(attention ? "attention" : "uniform");
+    Rng rng(14);
+    GarciaGnnEncoder enc(g.num_nodes(), g.attr_dim(), 8, 2, &rng, attention);
+    Rng block_rng(15);
+    const graph::Block block = sampler.Sample({3, 0, 14, 9}, &block_rng);
+    const GnnOutput taped_full = enc.Encode(g);
+    const GnnOutput taped_block = enc.EncodeBlock(g, block);
+    nn::NoGradScope no_grad;
+    ExpectSameOutput(taped_full, enc.Encode(g));
+    ExpectSameOutput(taped_block, enc.EncodeBlock(g, block));
+  }
 }
 
 TEST(GcnPropagateTest, SymmetricNormalization) {

@@ -902,6 +902,16 @@ TEST(CrashResumeDeathTest, EveryUnreachableFieldIsNamed) {
   }
 }
 
+TEST(TrainLoopDeathTest, FitInsideNoGradScopeFails) {
+  // Every Fit runs through TrainLoop::Run, which refuses an inference scope
+  // before the first step builds a loss with no gradient.
+  models::GarciaModel garcia(FastTrainConfig());
+  models::WideDeep wide_deep(FastTrainConfig());
+  nn::NoGradScope no_grad;
+  EXPECT_DEATH(garcia.Fit(Tiny()), "training inside an nn::NoGradScope");
+  EXPECT_DEATH(wide_deep.Fit(Tiny()), "training inside an nn::NoGradScope");
+}
+
 TEST(CrashResumeTest, FingerprintSeparatesModelsAndConfigs) {
   const models::TrainConfig cfg = FastTrainConfig();
   const uint64_t garcia =
