@@ -74,6 +74,17 @@ FaultProfile AggressiveProfile() {
   return profile;
 }
 
+/// The fault profile perfbench's zipf_serve workload serves under.
+FaultProfile ZipfServeProfile() {
+  FaultProfile profile;
+  profile.seed = 97;
+  profile.lookup_failure_rate = 0.10;
+  profile.missing_id_rate = 0.05;
+  profile.bit_flip_rate = 0.025;
+  profile.latency_spike_rate = 0.025;
+  return profile;
+}
+
 /// Traffic including ids past the embedding table (unknown / cold-start).
 std::vector<ServeRequest> MakeTraffic(size_t n) {
   std::vector<ServeRequest> requests(n);
@@ -110,29 +121,33 @@ SerialReference RunSerialReference(const ResilientRanker& ranker,
 
 TEST(BatchRankerConcurrencyTest, BitIdenticalAcrossThreadAndBatchConfigs) {
   auto ranker = MakeChainRanker();
-  const FaultProfile profile = AggressiveProfile();
   const std::vector<ServeRequest> requests = MakeTraffic(400);
-  const SerialReference ref =
-      RunSerialReference(*ranker, &profile, /*seed=*/17, requests);
-  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    for (const size_t batch_size : {size_t{32}, size_t{400}, size_t{1000}}) {
-      ServeConfig serve;
-      serve.num_threads = threads;
-      serve.batch_size = batch_size;
-      BatchRanker batch(ranker, serve);
-      ranker->PrepareForRun(&profile, /*seed=*/17);
-      const std::vector<RankedList> lists = batch.RankBatch(requests);
-      ASSERT_EQ(lists.size(), requests.size());  // nothing dropped
-      for (size_t i = 0; i < lists.size(); ++i) {
-        ASSERT_FALSE(lists[i].empty()) << "request " << i << " unanswered";
-        ASSERT_EQ(lists[i], ref.lists[i])
-            << "threads=" << threads << " batch=" << batch_size
-            << " request " << i;
+  for (const FaultProfile& profile :
+       {AggressiveProfile(), ZipfServeProfile()}) {
+    const SerialReference ref =
+        RunSerialReference(*ranker, &profile, /*seed=*/17, requests);
+    for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+      for (const size_t batch_size : {size_t{32}, size_t{400}, size_t{1000}}) {
+        ServeConfig serve;
+        serve.num_threads = threads;
+        serve.batch_size = batch_size;
+        BatchRanker batch(ranker, serve);
+        ranker->PrepareForRun(&profile, /*seed=*/17);
+        const std::vector<RankedList> lists = batch.RankBatch(requests);
+        ASSERT_EQ(lists.size(), requests.size());  // nothing dropped
+        for (size_t i = 0; i < lists.size(); ++i) {
+          ASSERT_FALSE(lists[i].empty()) << "request " << i << " unanswered";
+          ASSERT_EQ(lists[i], ref.lists[i])
+              << "lookup_failure_rate=" << profile.lookup_failure_rate
+              << " threads=" << threads << " batch=" << batch_size
+              << " request " << i;
+        }
+        // Counter totals — attempts, retries, breaker transitions, per-tier
+        // serve counts — must match the serial pass exactly.
+        EXPECT_EQ(ranker->health().ToString(), ref.health)
+            << "lookup_failure_rate=" << profile.lookup_failure_rate
+            << " threads=" << threads << " batch=" << batch_size;
       }
-      // Counter totals — attempts, retries, breaker transitions, per-tier
-      // serve counts — must match the serial pass exactly.
-      EXPECT_EQ(ranker->health().ToString(), ref.health)
-          << "threads=" << threads << " batch=" << batch_size;
     }
   }
 }
@@ -237,10 +252,13 @@ TEST(ResilientRankerConcurrencyTest, AutoIndexedRankIsSafeAndDropsNothing) {
 }
 
 TEST(EmbeddingRankerConcurrencyTest, BatchedHammerMatchesSerial) {
+  // A catalog spanning several of TopKDot's 256-row chunks, with a row
+  // count and a width that leave the vector path's row and column tails.
+  constexpr size_t kCatalog = 2053, kWideDim = 33;
   core::Rng rng(7);
   auto ranker = std::make_shared<EmbeddingRanker>(
-      EmbeddingStore(Matrix::Randn(kQueries, kDim, &rng)),
-      EmbeddingStore(Matrix::Randn(kServices, kDim, &rng)));
+      EmbeddingStore(Matrix::Randn(kQueries, kWideDim, &rng)),
+      EmbeddingStore(Matrix::Randn(kCatalog, kWideDim, &rng)));
   std::vector<ServeRequest> requests(500);
   core::Rng traffic(5);
   for (auto& r : requests) {
@@ -250,14 +268,17 @@ TEST(EmbeddingRankerConcurrencyTest, BatchedHammerMatchesSerial) {
   }
   BatchRanker serial(ranker, ServeConfig{});
   const std::vector<RankedList> ref = serial.RankBatch(requests);
-  ServeConfig serve;
-  serve.num_threads = 8;
-  serve.batch_size = 64;
-  BatchRanker batch(ranker, serve);
-  const std::vector<RankedList> lists = batch.RankBatch(requests);
-  ASSERT_EQ(lists.size(), ref.size());
-  for (size_t i = 0; i < lists.size(); ++i) {
-    ASSERT_EQ(lists[i], ref[i]) << "request " << i;
+  ASSERT_EQ(serial.RankBatch(requests), ref) << "serial passes differ";
+  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    ServeConfig serve;
+    serve.num_threads = threads;
+    serve.batch_size = 64;
+    BatchRanker batch(ranker, serve);
+    const std::vector<RankedList> lists = batch.RankBatch(requests);
+    ASSERT_EQ(lists.size(), ref.size());
+    for (size_t i = 0; i < lists.size(); ++i) {
+      ASSERT_EQ(lists[i], ref[i]) << threads << " threads, request " << i;
+    }
   }
 }
 
