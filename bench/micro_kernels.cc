@@ -8,7 +8,12 @@
 // smoke in scripts/check.sh uses 1). The table's `topk_dot` rows time the
 // serving scan (kernels::TopKDot, 20000 x 32, k = 10, serial; and
 // 20003 x 33 for the vector path's tails) against the scalar reference;
-// the tool exits 1 if the two rankings differ in any byte.
+// the tool exits 1 if the two rankings differ in any byte. The
+// `kmeans_assign` rows time one k-means assignment pass of the IVF build
+// (every point against 141 centroids, at 20000 x 32 and 20003 x 33)
+// through the lane-per-centroid kernel against the scalar per-centroid
+// loop, and the tool exits 1 if any nearest id or distance differs in any
+// byte.
 //
 // Usage: micro_kernels [--speedup_json]; the sweep is the only mode.
 // Whole-lifecycle performance (Fit, export, serving) is measured by
@@ -157,6 +162,63 @@ std::string TopKDotLine(size_t services, size_t dim, size_t k, int repeats,
       last ? "" : ",");
 }
 
+/// One `kmeans_assign` row: every point of a points x dim catalog assigned
+/// to its nearest of `centroids` catalog rows, timed through the packed
+/// lane kernel (kernels::SquaredL2Lanes + ArgMinFirst, the IVF build's
+/// path) against one scalar double loop per (point, centroid). Clears
+/// *identical if a nearest id or its distance differs in any byte.
+std::string KmeansAssignLine(size_t points, size_t dim, size_t centroids,
+                             int repeats, core::Rng* rng, bool last,
+                             bool* identical) {
+  const core::Matrix catalog = core::Matrix::Randn(points, dim, rng);
+  core::Matrix cents(centroids, dim);
+  const std::vector<size_t> init =
+      rng->SampleWithoutReplacement(points, centroids);
+  for (size_t c = 0; c < centroids; ++c) cents.CopyRowFrom(catalog, init[c], c);
+  std::vector<uint32_t> fast_id(points), ref_id(points);
+  std::vector<double> fast_dist(points), ref_dist(points);
+  const double fast_secs = TimeMedianSeconds(repeats, [&] {
+    std::vector<double> panel;
+    std::vector<double> dist(core::kernels::PackCentroidPanel(cents, &panel));
+    for (size_t i = 0; i < points; ++i) {
+      core::kernels::SquaredL2Lanes(catalog.row(i), panel.data(), dim,
+                                    dist.size(), dist.data());
+      fast_id[i] = core::kernels::ArgMinFirst(dist.data(), centroids);
+      fast_dist[i] = dist[fast_id[i]];
+    }
+  });
+  const double scalar_secs = TimeMedianSeconds(repeats, [&] {
+    for (size_t i = 0; i < points; ++i) {
+      const float* p = catalog.row(i);
+      for (size_t c = 0; c < centroids; ++c) {
+        const float* q = cents.row(c);
+        double d = 0.0;
+        for (size_t j = 0; j < dim; ++j) {
+          const double diff = static_cast<double>(p[j]) - q[j];
+          d += diff * diff;
+        }
+        if (c == 0 || d < ref_dist[i]) {
+          ref_dist[i] = d;
+          ref_id[i] = static_cast<uint32_t>(c);
+        }
+      }
+    }
+  });
+  const bool same =
+      fast_id == ref_id &&
+      std::memcmp(fast_dist.data(), ref_dist.data(),
+                  points * sizeof(double)) == 0;
+  if (!same) *identical = false;
+  return core::StrFormat(
+      "    {\"kernel\": \"kmeans_assign\", \"shape\": \"%zux%zu/c%zu\", "
+      "\"threads\": 1, \"avx2\": %s, \"scalar_seconds\": %.6f, "
+      "\"seconds\": %.6f, \"speedup\": %.2f, \"bit_identical\": %s}%s\n",
+      points, dim, centroids,
+      core::kernels::internal::HasAvx2() ? "true" : "false", scalar_secs,
+      fast_secs, scalar_secs / fast_secs, same ? "true" : "false",
+      last ? "" : ",");
+}
+
 int RunSpeedupJson() {
   const std::vector<size_t> counts = SweepThreadCounts();
   const int repeats = BenchRepeats();
@@ -191,8 +253,16 @@ int RunSpeedupJson() {
   bool topk_identical = true;
   json += TopKDotLine(20000, kServeDim, 10, repeats, &rng, false,
                       &topk_identical);
-  json += TopKDotLine(20003, kServeDim + 1, 10, repeats, &rng, true,
+  json += TopKDotLine(20003, kServeDim + 1, 10, repeats, &rng, false,
                       &topk_identical);
+
+  // One k-means assignment pass at the zipf_serve build's shape (141 =
+  // round(sqrt(20000)) lists), and one row and one column past it.
+  bool kmeans_identical = true;
+  json += KmeansAssignLine(20000, kServeDim, 141, repeats, &rng, false,
+                           &kmeans_identical);
+  json += KmeansAssignLine(20003, kServeDim + 1, 141, repeats, &rng, true,
+                           &kmeans_identical);
 
   json += "  ]\n}\n";
 
@@ -200,9 +270,13 @@ int RunSpeedupJson() {
   if (!topk_identical) {
     std::fprintf(stderr,
                  "topk_dot: TopKDot diverged from the scalar reference\n");
-    return 1;
   }
-  return 0;
+  if (!kmeans_identical) {
+    std::fprintf(stderr,
+                 "kmeans_assign: the lane kernel diverged from the scalar "
+                 "loop\n");
+  }
+  return topk_identical && kmeans_identical ? 0 : 1;
 }
 
 }  // namespace

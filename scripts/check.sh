@@ -39,8 +39,11 @@ echo "==> ASan smoke: micro_kernels --speedup_json"
 # unit tests don't reach: the packed GEMM (all four transpose variants,
 # serial and at 2, 4 and hw threads) and the serial TopKDot serving scan
 # (20000 x 32, plus 20003 x 33 for the AVX2 lane-per-row path's row and
-# column tails). Exits nonzero if TopKDot's ranking differs from the
-# scalar reference. One repeat keeps it fast; the JSON table goes to
+# column tails), and the kmeans_assign rows: one IVF k-means assignment
+# pass through the lane-per-centroid kernel (20000 x 32 and 20003 x 33,
+# 141 centroids, so the 16-lane panel has padding lanes). Exits nonzero
+# if TopKDot's ranking or any nearest centroid or distance differs from
+# its scalar reference. One repeat keeps it fast; the JSON table goes to
 # stdout and is discarded.
 (cd "$ROOT/build-asan/bench" && \
   GARCIA_BENCH_REPEATS=1 ./micro_kernels --speedup_json > /dev/null)

@@ -819,6 +819,107 @@ std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
   return result;
 }
 
+// ----- k-means assignment -----
+
+namespace internal {
+
+void SquaredL2LanesScalar(const float* point, const double* panel,
+                          size_t dim, size_t stride, double* out) {
+  for (size_t c = 0; c < stride; ++c) {
+    double d = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      const double diff = static_cast<double>(point[j]) - panel[j * stride + c];
+      d += diff * diff;
+    }
+    out[c] = d;
+  }
+}
+
+#if defined(GARCIA_KERNELS_X86)
+namespace {
+
+/// Lane-per-centroid distances, 16 centroids per pass in four accumulators
+/// (independent chains, which hides add latency). Lane l of acc_k is
+/// centroid c + 4k + l and takes its columns one at a time in ascending j
+/// from 0.0: the scalar loop's subtract, multiply and add, each rounded
+/// once, in the scalar loop's order. The target list has no "fma", so the
+/// multiply and add cannot be contracted (DotRowsAvx2Impl's argument).
+__attribute__((target("avx2"))) void SquaredL2LanesAvx2Impl(
+    const float* point, const double* panel, size_t dim, size_t stride,
+    double* out) {
+  for (size_t c = 0; c < stride; c += kCentroidLanes) {
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd();
+    __m256d acc3 = _mm256_setzero_pd();
+    const double* col = panel + c;
+    for (size_t j = 0; j < dim; ++j, col += stride) {
+      const __m256d p = _mm256_set1_pd(static_cast<double>(point[j]));
+      const __m256d d0 = _mm256_sub_pd(p, _mm256_loadu_pd(col));
+      const __m256d d1 = _mm256_sub_pd(p, _mm256_loadu_pd(col + 4));
+      const __m256d d2 = _mm256_sub_pd(p, _mm256_loadu_pd(col + 8));
+      const __m256d d3 = _mm256_sub_pd(p, _mm256_loadu_pd(col + 12));
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
+      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(d2, d2));
+      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(d3, d3));
+    }
+    _mm256_storeu_pd(out + c, acc0);
+    _mm256_storeu_pd(out + c + 4, acc1);
+    _mm256_storeu_pd(out + c + 8, acc2);
+    _mm256_storeu_pd(out + c + 12, acc3);
+  }
+}
+
+}  // namespace
+#endif  // GARCIA_KERNELS_X86
+
+void SquaredL2LanesAvx2(const float* point, const double* panel, size_t dim,
+                        size_t stride, double* out) {
+#if defined(GARCIA_KERNELS_X86)
+  SquaredL2LanesAvx2Impl(point, panel, dim, stride, out);
+#else
+  SquaredL2LanesScalar(point, panel, dim, stride, out);
+#endif
+}
+
+}  // namespace internal
+
+size_t PackCentroidPanel(const Matrix& centroids, std::vector<double>* panel) {
+  const size_t rows = centroids.rows(), dim = centroids.cols();
+  const size_t stride =
+      (rows + kCentroidLanes - 1) / kCentroidLanes * kCentroidLanes;
+  panel->assign(dim * stride, 0.0);
+  for (size_t c = 0; c < rows; ++c) {
+    const float* row = centroids.row(c);
+    for (size_t j = 0; j < dim; ++j) (*panel)[j * stride + c] = row[j];
+  }
+  return stride;
+}
+
+void SquaredL2Lanes(const float* point, const double* panel, size_t dim,
+                    size_t stride, double* out) {
+  GARCIA_DCHECK(stride % kCentroidLanes == 0);
+  if (internal::HasAvx2()) {
+    internal::SquaredL2LanesAvx2(point, panel, dim, stride, out);
+  } else {
+    internal::SquaredL2LanesScalar(point, panel, dim, stride, out);
+  }
+}
+
+uint32_t ArgMinFirst(const double* values, size_t n) {
+  GARCIA_DCHECK(n > 0);
+  uint32_t best = 0;
+  double best_value = values[0];
+  for (size_t i = 1; i < n; ++i) {
+    if (values[i] < best_value) {
+      best_value = values[i];
+      best = static_cast<uint32_t>(i);
+    }
+  }
+  return best;
+}
+
 // ----- SQ8 scalar quantization -----
 
 namespace sq8 {

@@ -313,6 +313,52 @@ void DotRowsAvx2(const float* query, const float* rows, size_t n, size_t dim,
 
 }  // namespace internal
 
+// ----- k-means assignment (the IVF build's coarse quantizer) -----
+//
+// One point's squared L2 distance to every centroid, for the serial Lloyd
+// sweeps of serving::IvfIndex::Build. The centroids are packed once per
+// sweep into a transposed double panel so that one AVX2 double lane owns
+// one centroid, as one lane owns one row in internal::DotRowsAvx2. Each
+// lane runs the scalar loop's subtract, multiply and add in ascending
+// column order from 0.0, and no FMA contracts the multiply and add, so
+// every distance is bit-identical to the scalar loop on every host.
+
+/// Centroids scored per lane group. A panel's stride is the centroid count
+/// rounded up to a multiple of this.
+inline constexpr size_t kCentroidLanes = 16;
+
+/// Packs `centroids` (one per row) into the panel SquaredL2Lanes reads:
+/// (*panel)[j * stride + c] is centroid c's column j widened to double
+/// (exact), stride = centroids.rows() rounded up to kCentroidLanes, and
+/// the padding lanes are 0.0. Returns the stride.
+size_t PackCentroidPanel(const Matrix& centroids, std::vector<double>* panel);
+
+/// out[c] for every lane c in [0, stride) of a packed panel: the sum over
+/// ascending j, from 0.0, of diff * diff with diff = (double)point[j] -
+/// panel[j * stride + c]. `stride` must be a multiple of kCentroidLanes.
+/// Dispatches on internal::HasAvx2(); both paths give the same bits.
+void SquaredL2Lanes(const float* point, const double* panel, size_t dim,
+                    size_t stride, double* out);
+
+/// Index of the first minimum of values[0, n), n > 0: comparison is a
+/// strict <, so a tie keeps the lowest index.
+uint32_t ArgMinFirst(const double* values, size_t n);
+
+/// The two paths behind SquaredL2Lanes, visible so tests can pin them to
+/// a plain loop.
+namespace internal {
+
+/// The portable scalar path: one lane at a time.
+void SquaredL2LanesScalar(const float* point, const double* panel,
+                          size_t dim, size_t stride, double* out);
+
+/// Same contract, 16 lanes per pass in four AVX2 accumulators. Requires
+/// HasAvx2(); off x86 it is the scalar path.
+void SquaredL2LanesAvx2(const float* point, const double* panel, size_t dim,
+                        size_t stride, double* out);
+
+}  // namespace internal
+
 // ----- SQ8 scalar quantization (the IVF list-storage codec) -----
 //
 // Symmetric-range int8 codes with one float scale per row: row v maps to

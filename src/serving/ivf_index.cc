@@ -24,31 +24,6 @@ using ScoredId = std::pair<uint32_t, float>;
 using core::kernels::DotRowDouble;
 using core::kernels::RanksBefore;
 
-/// Squared L2 distance in double (k-means assignment metric).
-inline double SquaredL2(const float* a, const float* b, size_t dim) {
-  double d = 0.0;
-  for (size_t j = 0; j < dim; ++j) {
-    const double diff = static_cast<double>(a[j]) - b[j];
-    d += diff * diff;
-  }
-  return d;
-}
-
-/// Nearest centroid of one point: strictly smaller distance wins, ties
-/// break by ascending centroid id (first minimum kept).
-uint32_t NearestCentroid(const float* point, const core::Matrix& centroids) {
-  uint32_t best = 0;
-  double best_dist = SquaredL2(point, centroids.row(0), centroids.cols());
-  for (size_t c = 1; c < centroids.rows(); ++c) {
-    const double d = SquaredL2(point, centroids.row(c), centroids.cols());
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<uint32_t>(c);
-    }
-  }
-  return best;
-}
-
 // ------------------------------------------------------------ persistence
 
 // GIV2: SQ8 lists in a core::SectionedFile container. The retired
@@ -95,6 +70,15 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
   const size_t dim = catalog.cols();
   GARCIA_CHECK_GT(n, 0u);
   GARCIA_CHECK_GT(dim, 0u);
+  // A non-finite value would poison its centroid, which Load rejects, and
+  // reach sq8::EncodeRow's lround.
+  for (size_t i = 0; i < n; ++i) {
+    const float* row = catalog.row(i);
+    for (size_t j = 0; j < dim; ++j) {
+      GARCIA_CHECK(std::isfinite(row[j]))
+          << "non-finite value in IVF build catalog (row " << i << ")";
+    }
+  }
   const size_t nlist = ResolveNlist(config.nlist, n);
 
   // Init: nlist distinct catalog rows drawn from the seed stream. The draw
@@ -112,16 +96,26 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
     }
   }
 
-  // Lloyd sweeps, fixed count.
+  // Assignment: each point picks its nearest centroid (the first minimum,
+  // so ties break by ascending centroid id), scored against the centroids
+  // packed once per pass into a transposed double panel.
   std::vector<uint32_t> assign(n, 0);
+  std::vector<double> panel, dist;
+  auto assign_all = [&] {
+    dist.resize(core::kernels::PackCentroidPanel(index.centroids_, &panel));
+    for (size_t i = 0; i < n; ++i) {
+      core::kernels::SquaredL2Lanes(catalog.row(i), panel.data(), dim,
+                                    dist.size(), dist.data());
+      assign[i] = core::kernels::ArgMinFirst(dist.data(), nlist);
+    }
+  };
+
+  // Lloyd sweeps, fixed count.
   std::vector<uint32_t> members(n);       // point ids, grouped by centroid
   std::vector<uint32_t> offsets(nlist + 1, 0);
   std::vector<double> sum(dim);
   for (size_t iter = 0; iter < kKmeansIterations; ++iter) {
-    // Assignment: each point picks its nearest centroid.
-    for (size_t i = 0; i < n; ++i) {
-      assign[i] = NearestCentroid(catalog.row(i), index.centroids_);
-    }
+    assign_all();
     // Counting sort of points by centroid: one serial O(n) pass building
     // each centroid's member list in ascending point id.
     std::fill(offsets.begin(), offsets.end(), 0u);
@@ -157,9 +151,7 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
   // each list — the counting sort preserves point order), and the catalog
   // rows encoded into the same permutation so a probe scans one contiguous
   // block.
-  for (size_t i = 0; i < n; ++i) {
-    assign[i] = NearestCentroid(catalog.row(i), index.centroids_);
-  }
+  assign_all();
   std::fill(offsets.begin(), offsets.end(), 0u);
   for (size_t i = 0; i < n; ++i) ++offsets[assign[i] + 1];
   for (size_t c = 0; c < nlist; ++c) offsets[c + 1] += offsets[c];

@@ -39,7 +39,9 @@
 //     count; each point picks its nearest centroid with ties broken by
 //     ascending centroid id, and each centroid averages its members in
 //     ascending point id with double accumulation — so one catalog and
-//     seed always build the same index byte for byte.
+//     seed always build the same index byte for byte. The assignment
+//     scores one centroid per AVX2 double lane with the scalar loop's
+//     sub/mul/add order and no FMA, so it matches the scalar loop bitwise.
 //   * Query is thread-count-invariant. Re-ranked scores are
 //     double-accumulated dots cast to float — the exact expression TopKDot
 //     evaluates — and selection under the (score desc, id asc) TOTAL order
@@ -95,7 +97,8 @@ class IvfIndex {
   /// ResolveNlist(config.nlist, rows) lists with seeded k-means (fixed
   /// kKmeansIterations sweeps, init sampled from Rng(config.seed)), then
   /// lays every list out contiguously in one pass. Serial and
-  /// deterministic (see header comment). Requires a non-empty catalog.
+  /// deterministic (see header comment). Requires a non-empty catalog of
+  /// finite values (a non-finite value is a fatal check naming its row).
   /// The lists are stored as SQ8 codes + per-row scales and `catalog` is
   /// attached as the re-rank source (caller keeps it alive);
   /// config.mode is not consulted.

@@ -568,6 +568,107 @@ TEST_F(KernelsBitIdentityTest, ExactDotRowsMatchScalarReference) {
   }
 }
 
+/// The k-means assignment metric as a plain loop, independent of
+/// core/kernels.h: widened differences squared and summed in ascending
+/// column order.
+double ScalarSquaredL2(const float* a, const float* b, size_t dim) {
+  double d = 0.0;
+  for (size_t j = 0; j < dim; ++j) {
+    const double diff = static_cast<double>(a[j]) - static_cast<double>(b[j]);
+    d += diff * diff;
+  }
+  return d;
+}
+
+TEST_F(KernelsBitIdentityTest, SquaredL2LanesMatchScalarReference) {
+  // Both lane paths against the test-local loop, memcmp-equal on every
+  // panel lane (padding lanes are zero centroids), and ArgMinFirst over
+  // their distances against the first minimum of the reference. Centroid
+  // counts straddle the 16-lane groups and dims have no alignment; the
+  // centroids mix unit normals, 1e-30..1e30 magnitudes, subnormals, zero
+  // rows and duplicates, and one point equals centroid 0, which the last
+  // centroid duplicates, so the tie at distance 0 must keep id 0.
+  using LanesFn =
+      void (*)(const float*, const double*, size_t, size_t, double*);
+  std::vector<std::pair<const char*, LanesFn>> paths = {
+      {"scalar", &kernels::internal::SquaredL2LanesScalar}};
+  if (kernels::internal::HasAvx2()) {
+    paths.push_back({"avx2", &kernels::internal::SquaredL2LanesAvx2});
+  }
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  auto wide = [&] {  // normal draw scaled by 10^[-30, 30]
+    const double e = -30.0 + 60.0 * rng_.Uniform();
+    return static_cast<float>(rng_.Normal() * std::pow(10.0, e));
+  };
+  auto fill = [&](float* r, size_t dim, size_t kind) {
+    for (size_t j = 0; j < dim; ++j) {
+      switch (kind % 4) {
+        case 0: r[j] = static_cast<float>(rng_.Normal()); break;
+        case 1: r[j] = wide(); break;
+        case 2:
+          r[j] = (j % 2 ? -1.0f : 1.0f) * denorm *
+                 static_cast<float>(1 + rng_.UniformInt(uint64_t{1000}));
+          break;
+        default: r[j] = 0.0f; break;
+      }
+    }
+  };
+  for (size_t dim : {1, 3, 4, 5, 7, 31, 32, 33, 64}) {
+    for (size_t ncent : {1, 2, 3, 15, 16, 17, 141}) {
+      Matrix cents(ncent, dim);
+      for (size_t c = 0; c < ncent; ++c) {
+        if (c % 5 == 4) {  // duplicate of an earlier centroid
+          cents.CopyRowFrom(cents, c / 2, c);
+        } else {
+          fill(cents.row(c), dim, c);
+        }
+      }
+      if (ncent > 1) cents.CopyRowFrom(cents, 0, ncent - 1);
+      std::vector<double> panel;
+      const size_t stride = kernels::PackCentroidPanel(cents, &panel);
+      ASSERT_EQ(stride % kernels::kCentroidLanes, 0u);
+      ASSERT_GE(stride, ncent);
+      ASSERT_LT(stride, ncent + kernels::kCentroidLanes);
+      // Points: one of each kind, and centroid 0 itself.
+      Matrix points(5, dim);
+      for (size_t p = 0; p < 4; ++p) fill(points.row(p), dim, p);
+      points.CopyRowFrom(cents, 0, 4);
+      const std::vector<float> zeros(dim, 0.0f);
+      for (size_t p = 0; p < points.rows(); ++p) {
+        const float* point = points.row(p);
+        std::vector<double> expected(stride);
+        for (size_t c = 0; c < stride; ++c) {
+          expected[c] = ScalarSquaredL2(
+              point, c < ncent ? cents.row(c) : zeros.data(), dim);
+        }
+        uint32_t expected_best = 0;
+        for (size_t c = 1; c < ncent; ++c) {
+          if (expected[c] < expected[expected_best]) {
+            expected_best = static_cast<uint32_t>(c);
+          }
+        }
+        if (p == 4) {
+          ASSERT_EQ(expected_best, 0u);
+        }
+        for (const auto& [name, fn] : paths) {
+          std::vector<double> got(stride,
+                                  std::numeric_limits<double>::quiet_NaN());
+          fn(point, panel.data(), dim, stride, got.data());
+          for (size_t c = 0; c < stride; ++c) {
+            ASSERT_EQ(std::memcmp(&got[c], &expected[c], sizeof(double)), 0)
+                << name << " dim=" << dim << " centroids=" << ncent
+                << " point " << p << " lane " << c << ": " << got[c]
+                << " vs " << expected[c];
+          }
+          EXPECT_EQ(kernels::ArgMinFirst(got.data(), ncent), expected_best)
+              << name << " dim=" << dim << " centroids=" << ncent
+              << " point " << p;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(KernelsBitIdentityTest, ScopedExecutionInstallsAndRestores) {
   EXPECT_FALSE(CurrentExecution().parallel());
   {

@@ -227,6 +227,68 @@ TEST(IvfBuildTest, StructureIsWellFormed) {
   }
 }
 
+TEST(IvfBuildTest, EveryIdSitsInItsScalarNearestFinalCentroid) {
+  // The final assignment against a plain double loop with strict <, so a
+  // tie keeps the lower centroid id. nlist = 21 spans two 16-lane groups
+  // with a padded tail. Half the rows are one repeated vector, so the
+  // seeded init draws it more than once: the duplicate centroids stay
+  // equal through every sweep (the later copy's list empties), and every
+  // copy of that row ties between them.
+  const size_t n = 400, dim = 33;
+  Matrix catalog = ClusteredCatalog(5, 10, n / 10, dim);
+  for (size_t i = 0; i < n; i += 2) catalog.CopyRowFrom(catalog, 0, i);
+  RetrievalConfig cfg;
+  cfg.nlist = 21;
+  const IvfIndex index = IvfIndex::Build(catalog, cfg);
+  ASSERT_EQ(index.nlist(), 21u);
+  const Matrix& cents = index.centroids();
+  auto squared_l2 = [&](const float* a, const float* b) {
+    double d = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      const double diff = static_cast<double>(a[j]) - b[j];
+      d += diff * diff;
+    }
+    return d;
+  };
+  bool duplicate_centroids = false;
+  for (size_t a = 0; a < cents.rows(); ++a) {
+    for (size_t b = a + 1; b < cents.rows(); ++b) {
+      duplicate_centroids |=
+          std::memcmp(cents.row(a), cents.row(b), dim * sizeof(float)) == 0;
+    }
+  }
+  EXPECT_TRUE(duplicate_centroids) << "the tie rule is not exercised";
+  for (size_t l = 0; l < index.nlist(); ++l) {
+    for (uint32_t s = index.list_offsets()[l];
+         s < index.list_offsets()[l + 1]; ++s) {
+      const float* row = catalog.row(index.ids()[s]);
+      size_t nearest = 0;
+      double best = squared_l2(row, cents.row(0));
+      for (size_t c = 1; c < cents.rows(); ++c) {
+        const double d = squared_l2(row, cents.row(c));
+        if (d < best) {
+          best = d;
+          nearest = c;
+        }
+      }
+      ASSERT_EQ(nearest, l) << "id " << index.ids()[s];
+    }
+  }
+}
+
+TEST(IvfBuildDeathTest, NonFiniteCatalogValueNamesTheRow) {
+  // A NaN would poison its centroid (which Load rejects) and reach
+  // sq8::EncodeRow's lround; Build refuses it up front.
+  core::Rng rng(64);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    Matrix catalog = Matrix::Randn(64, 8, &rng);
+    catalog.at(37, 5) = bad;
+    EXPECT_DEATH(IvfIndex::Build(catalog, RetrievalConfig{}),
+                 "non-finite value in IVF build catalog \\(row 37\\)");
+  }
+}
+
 TEST(IvfBuildTest, ResolveKnobDefaults) {
   EXPECT_EQ(IvfIndex::ResolveNlist(0, 100), 10u);   // round(sqrt(100))
   EXPECT_EQ(IvfIndex::ResolveNlist(0, 1), 1u);
