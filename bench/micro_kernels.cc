@@ -13,7 +13,10 @@
 // (every point against 141 centroids, at 20000 x 32 and 20003 x 33)
 // through the lane-per-centroid kernel against the scalar per-centroid
 // loop, and the tool exits 1 if any nearest id or distance differs in any
-// byte.
+// byte. The `sq8_scan` rows time the SQ8 IVF probe scan (sq8::ScanDots,
+// serial, 35 of 141 lists of a 20000 x 32 catalog; and 5 of 7 lists of
+// 700 x 280 for the column and row tails) against a per-row scalar
+// reference loop; the tool exits 1 if any score differs in any bit.
 //
 // Usage: micro_kernels [--speedup_json]; the sweep is the only mode.
 // Whole-lifecycle performance (Fit, export, serving) is measured by
@@ -219,6 +222,75 @@ std::string KmeansAssignLine(size_t points, size_t dim, size_t centroids,
       last ? "" : ",");
 }
 
+/// One `sq8_scan` row: a rows x dim catalog SQ8-encoded and cut into
+/// `lists` contiguous lists, of which `probed` are scanned in a random
+/// order (as an IVF query scans its probed lists), `calls` times per
+/// repeat. Times serial sq8::ScanDots against a per-row reference loop:
+/// the integer dot in int32 per kDimBlock block, widened to double at
+/// each block boundary, then scaled. Clears *identical if any score
+/// differs in any bit.
+std::string Sq8ScanLine(size_t rows, size_t dim, size_t lists, size_t probed,
+                        size_t calls, int repeats, core::Rng* rng, bool last,
+                        bool* identical) {
+  namespace sq8 = core::kernels::sq8;
+  const core::Matrix catalog = core::Matrix::Randn(rows, dim, rng);
+  std::vector<int8_t> codes(rows * dim);
+  std::vector<float> scales(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    sq8::EncodeRow(catalog.row(r), dim, codes.data() + r * dim, &scales[r]);
+  }
+  sq8::RowRanges ranges;
+  size_t total = 0;
+  for (size_t l : rng->SampleWithoutReplacement(lists, probed)) {
+    ranges.emplace_back(static_cast<uint32_t>(l * rows / lists),
+                        static_cast<uint32_t>((l + 1) * rows / lists));
+    total += ranges.back().second - ranges.back().first;
+  }
+  const core::Matrix query = core::Matrix::Randn(1, dim, rng);
+  const sq8::QueryCodes qc = sq8::QuantizeQuery(query.row(0), dim);
+  std::vector<float> fast(total), reference(total);
+  const double fast_secs = TimeMedianSeconds(repeats, [&] {
+    for (size_t c = 0; c < calls; ++c) {
+      sq8::ScanDots(core::SerialExecution(), qc, codes.data(), scales.data(),
+                    dim, ranges, fast.data());
+    }
+  });
+  const double scalar_secs = TimeMedianSeconds(repeats, [&] {
+    for (size_t c = 0; c < calls; ++c) {
+      size_t slot = 0;
+      for (const auto& [begin, end] : ranges) {
+        for (uint32_t r = begin; r < end; ++r, ++slot) {
+          const int8_t* row = codes.data() + size_t{r} * dim;
+          double sum = 0.0;
+          for (size_t j0 = 0; j0 < dim; j0 += sq8::kDimBlock) {
+            int32_t acc = 0;
+            for (size_t j = j0; j < std::min(dim, j0 + sq8::kDimBlock); ++j) {
+              acc += static_cast<int32_t>(qc.codes[j]) * row[j];
+            }
+            sum += static_cast<double>(acc);
+          }
+          reference[slot] = static_cast<float>(
+              static_cast<double>(qc.scale) *
+              static_cast<double>(scales[r]) * sum);
+        }
+      }
+    }
+  });
+  const bool same = std::memcmp(fast.data(), reference.data(),
+                                total * sizeof(float)) == 0;
+  if (!same) *identical = false;
+  return core::StrFormat(
+      "    {\"kernel\": \"sq8_scan\", "
+      "\"shape\": \"%zux%zu/%zu ranges/%zu rows\", \"threads\": 1, "
+      "\"avx2\": %s, \"scalar_seconds\": %.6f, \"seconds\": %.6f, "
+      "\"speedup\": %.2f, \"ns_per_row\": %.2f, \"bit_identical\": %s}%s\n",
+      rows, dim, probed, total,
+      core::kernels::internal::HasAvx2() ? "true" : "false", scalar_secs,
+      fast_secs, scalar_secs / fast_secs,
+      fast_secs * 1e9 / static_cast<double>(calls * total),
+      same ? "true" : "false", last ? "" : ",");
+}
+
 int RunSpeedupJson() {
   const std::vector<size_t> counts = SweepThreadCounts();
   const int repeats = BenchRepeats();
@@ -261,8 +333,17 @@ int RunSpeedupJson() {
   bool kmeans_identical = true;
   json += KmeansAssignLine(20000, kServeDim, 141, repeats, &rng, false,
                            &kmeans_identical);
-  json += KmeansAssignLine(20003, kServeDim + 1, 141, repeats, &rng, true,
+  json += KmeansAssignLine(20003, kServeDim + 1, 141, repeats, &rng, false,
                            &kmeans_identical);
+
+  // The SQ8 IVF probe scan at zipf_serve's query shape (35 of 141 lists,
+  // ~4.9k rows), and an odd shape: 280 columns cross kDimBlock and leave a
+  // column tail in the second block, and 500 rows leave a short last group.
+  bool sq8_identical = true;
+  json += Sq8ScanLine(20000, kServeDim, 141, 35, 100, repeats, &rng, false,
+                      &sq8_identical);
+  json += Sq8ScanLine(700, 280, 7, 5, 100, repeats, &rng, true,
+                      &sq8_identical);
 
   json += "  ]\n}\n";
 
@@ -276,7 +357,11 @@ int RunSpeedupJson() {
                  "kmeans_assign: the lane kernel diverged from the scalar "
                  "loop\n");
   }
-  return topk_identical && kmeans_identical ? 0 : 1;
+  if (!sq8_identical) {
+    std::fprintf(stderr,
+                 "sq8_scan: ScanDots diverged from the per-row reference\n");
+  }
+  return topk_identical && kmeans_identical && sq8_identical ? 0 : 1;
 }
 
 }  // namespace

@@ -942,63 +942,149 @@ int32_t Sq8BlockDotScalar(const int16_t* qc, const int8_t* codes, size_t n) {
   return acc0 + acc1 + acc2 + acc3;
 }
 
-#if defined(GARCIA_KERNELS_X86)
-/// AVX2 variant of the block dot. vpmaddwd forms int16*int16 products and
-/// sums adjacent pairs into int32 lanes; per-lane peak over a block is
-/// (kDimBlock/16) * 2 * 32767 * 127 < 2^28, and the final cross-lane
-/// reduction is bounded by the scalar peak, so every add is exact. Lane
-/// sums are a reassociation of the same int32 terms the scalar loop adds,
-/// and integer addition is associative — the return value is bit-identical
-/// to Sq8BlockDotScalar, which keeps results independent of the dispatch
-/// target as well as the thread count.
-__attribute__((target("avx2"))) int32_t Sq8BlockDotAvx2(const int16_t* qc,
-                                                        const int8_t* codes,
-                                                        size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m256i q = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(qc + j));
-    const __m256i c = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(codes + j)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(q, c));
-  }
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
-  int32_t total = _mm_cvtsi128_si32(s);
-  for (; j < n; ++j) total += static_cast<int32_t>(qc[j]) * codes[j];
-  return total;
-}
-
-#endif  // GARCIA_KERNELS_X86
-
-inline int32_t Sq8BlockDot(const int16_t* qc, const int8_t* codes, size_t n) {
-#if defined(GARCIA_KERNELS_X86)
-  if (internal::HasAvx2()) return Sq8BlockDotAvx2(qc, codes, n);
-#endif
-  return Sq8BlockDotScalar(qc, codes, n);
-}
+/// Rows scored per pass of the AVX2 scan: one int32 accumulator each.
+constexpr size_t kScanGroupRows = 8;
 
 /// ScanDots' smallest shard. int8 rows are ~4x cheaper to score than float
 /// rows, so a shard has to cover more of them before forking pays.
 constexpr size_t kMinScanRowsPerShard = 256;
 
 /// One asymmetric dot: exact integer accumulation in int32 over kDimBlock
-/// blocks, widened to double at each block boundary, then scaled. The
-/// integer block sum is value-identical across backends (see above) and
-/// the double/float expression sequence is fixed, so every call site and
-/// backend produces the same float bits.
+/// blocks, widened to double at each block boundary, then scaled. This
+/// double/float expression sequence is the scan's contract; the group
+/// kernel below performs it lane by lane.
 float Sq8DotOne(const int16_t* qc, const int8_t* codes, size_t dim,
                 double qscale, float vscale) {
   double total = 0.0;
   for (size_t j0 = 0; j0 < dim; j0 += kDimBlock) {
     const size_t j1 = std::min(dim, j0 + kDimBlock);
-    total += static_cast<double>(Sq8BlockDot(qc + j0, codes + j0, j1 - j0));
+    total += static_cast<double>(Sq8BlockDotScalar(qc + j0, codes + j0,
+                                                   j1 - j0));
   }
   return static_cast<float>(qscale * static_cast<double>(vscale) * total);
 }
+
+/// The rows of a scan's concatenated ranges, from a given slot on.
+class RowCursor {
+ public:
+  /// `slot` must be below the total slot count.
+  RowCursor(const RowRanges& ranges, size_t slot) : ranges_(ranges) {
+    while (slot >= ranges_[seg_].second - ranges_[seg_].first) {
+      slot -= ranges_[seg_].second - ranges_[seg_].first;
+      ++seg_;
+    }
+    row_ = ranges_[seg_].first + static_cast<uint32_t>(slot);
+  }
+
+  /// The row of the next slot; one must remain.
+  uint32_t Next() {
+    while (row_ == ranges_[seg_].second) row_ = ranges_[++seg_].first;
+    return row_++;
+  }
+
+ private:
+  const RowRanges& ranges_;
+  size_t seg_ = 0;
+  uint32_t row_ = 0;
+};
+
+#if defined(GARCIA_KERNELS_X86)
+/// Scores the kScanGroupRows rows `rows` (scales `vscales`) into out[0, 8).
+/// Per kDimBlock block, acc[r] sums row r's vpmaddwd products (int16 *
+/// int16, adjacent pairs added into int32 lanes); per-lane
+/// peak over a block is (kDimBlock / 16) * 2 * 32767 * 127 < 2^28. One
+/// transposed reduction (three hadd levels and a 128-bit fold) leaves row
+/// r's block sum in int32 lane r, and the block's dim % 16 column tail is
+/// added per row in scalar int32. Every block sum is the scalar loop's
+/// value, because integer addition is associative and the total stays
+/// under the scalar peak. The sums are then widened to double (exact) and
+/// added to lanes that start at 0.0, block by block in ascending order,
+/// and each lane computes (qscale * vscale) * total and rounds it to
+/// float: the scalar expression, operation for operation. The target list
+/// has no "fma", so no multiply can be contracted into an add.
+__attribute__((target("avx2"))) inline void ScanGroupAvx2(
+    const int16_t* qc, const int8_t* const* rows, const float* vscales,
+    size_t dim, double qscale, float* out) {
+  __m256d total_lo = _mm256_setzero_pd();  // rows 0-3
+  __m256d total_hi = _mm256_setzero_pd();  // rows 4-7
+  for (size_t j0 = 0; j0 < dim; j0 += kDimBlock) {
+    const size_t j1 = std::min(dim, j0 + kDimBlock);
+    __m256i acc[kScanGroupRows] = {};
+    size_t j = j0;
+    for (; j + 16 <= j1; j += 16) {
+      const __m256i q =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(qc + j));
+#pragma GCC unroll 8
+      for (size_t r = 0; r < kScanGroupRows; ++r) {
+        const __m256i c = _mm256_cvtepi8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[r] + j)));
+        acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(q, c));
+      }
+    }
+    // hadd adds adjacent lane pairs of its two operands within each
+    // 128-bit half, so after two levels lane r % 4 of each half of h0123
+    // (h4567) holds a partial sum of row r (row 4 + r); adding the two
+    // halves completes row r's sum in lane r.
+    const __m256i h01 = _mm256_hadd_epi32(acc[0], acc[1]);
+    const __m256i h23 = _mm256_hadd_epi32(acc[2], acc[3]);
+    const __m256i h45 = _mm256_hadd_epi32(acc[4], acc[5]);
+    const __m256i h67 = _mm256_hadd_epi32(acc[6], acc[7]);
+    const __m256i h0123 = _mm256_hadd_epi32(h01, h23);
+    const __m256i h4567 = _mm256_hadd_epi32(h45, h67);
+    __m256i sums =
+        _mm256_add_epi32(_mm256_permute2x128_si256(h0123, h4567, 0x20),
+                         _mm256_permute2x128_si256(h0123, h4567, 0x31));
+    if (j < j1) {  // column tail: each row continues its own int32 sum
+      alignas(32) int32_t lane[kScanGroupRows];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lane), sums);
+      for (size_t r = 0; r < kScanGroupRows; ++r) {
+        lane[r] += Sq8BlockDotScalar(qc + j, rows[r] + j, j1 - j);
+      }
+      sums = _mm256_load_si256(reinterpret_cast<const __m256i*>(lane));
+    }
+    total_lo = _mm256_add_pd(
+        total_lo, _mm256_cvtepi32_pd(_mm256_castsi256_si128(sums)));
+    total_hi = _mm256_add_pd(
+        total_hi, _mm256_cvtepi32_pd(_mm256_extracti128_si256(sums, 1)));
+  }
+  const __m256d qs = _mm256_set1_pd(qscale);
+  const __m256d scale_lo =
+      _mm256_mul_pd(qs, _mm256_cvtps_pd(_mm_loadu_ps(vscales)));
+  const __m256d scale_hi =
+      _mm256_mul_pd(qs, _mm256_cvtps_pd(_mm_loadu_ps(vscales + 4)));
+  _mm_storeu_ps(out, _mm256_cvtpd_ps(_mm256_mul_pd(scale_lo, total_lo)));
+  _mm_storeu_ps(out + 4, _mm256_cvtpd_ps(_mm256_mul_pd(scale_hi, total_hi)));
+}
+
+/// ScanSlotsAvx2's body: slots [lo, hi), lo < hi, kScanGroupRows per pass.
+__attribute__((target("avx2"))) void ScanSlotsAvx2Impl(
+    const QueryCodes& query, const int8_t* codes, const float* scales,
+    size_t dim, const RowRanges& row_ranges, size_t lo, size_t hi,
+    float* out) {
+  const double qscale = static_cast<double>(query.scale);
+  RowCursor cursor(row_ranges, lo);
+  const int8_t* rows[kScanGroupRows];
+  float vscales[kScanGroupRows];
+  for (size_t slot = lo; slot < hi; slot += kScanGroupRows) {
+    const size_t m = std::min(kScanGroupRows, hi - slot);
+    for (size_t r = 0; r < kScanGroupRows; ++r) {
+      if (r < m) {
+        const uint32_t row = cursor.Next();
+        rows[r] = codes + size_t{row} * dim;
+        vscales[r] = scales[row];
+      } else {  // short last group: repeat its last row
+        rows[r] = rows[m - 1];
+        vscales[r] = vscales[m - 1];
+      }
+    }
+    float group_out[kScanGroupRows];
+    float* dst = m == kScanGroupRows ? out + slot : group_out;
+    ScanGroupAvx2(query.codes.data(), rows, vscales, dim, qscale, dst);
+    if (dst == group_out) std::copy(group_out, group_out + m, out + slot);
+  }
+}
+
+#endif  // GARCIA_KERNELS_X86
 
 }  // namespace
 
@@ -1050,38 +1136,52 @@ double QueryCodes::ErrorBandPerUnitScale(size_t dim) const {
   return q * 1.001;
 }
 
+namespace internal {
+
+void ScanSlotsScalar(const QueryCodes& query, const int8_t* codes,
+                     const float* scales, size_t dim,
+                     const RowRanges& row_ranges, size_t lo, size_t hi,
+                     float* out) {
+  if (lo >= hi) return;
+  const double qscale = static_cast<double>(query.scale);
+  RowCursor cursor(row_ranges, lo);
+  for (size_t slot = lo; slot < hi; ++slot) {
+    const uint32_t row = cursor.Next();
+    out[slot] = Sq8DotOne(query.codes.data(), codes + size_t{row} * dim, dim,
+                          qscale, scales[row]);
+  }
+}
+
+void ScanSlotsAvx2(const QueryCodes& query, const int8_t* codes,
+                   const float* scales, size_t dim,
+                   const RowRanges& row_ranges, size_t lo, size_t hi,
+                   float* out) {
+#if defined(GARCIA_KERNELS_X86)
+  if (lo < hi) {
+    ScanSlotsAvx2Impl(query, codes, scales, dim, row_ranges, lo, hi, out);
+  }
+#else
+  ScanSlotsScalar(query, codes, scales, dim, row_ranges, lo, hi, out);
+#endif
+}
+
+}  // namespace internal
+
 void ScanDots(const ExecutionContext& ctx, const QueryCodes& query,
               const int8_t* codes, const float* scales, size_t dim,
-              const std::vector<std::pair<uint32_t, uint32_t>>& row_ranges,
-              float* out) {
+              const RowRanges& row_ranges, float* out) {
   GARCIA_CHECK_EQ(query.codes.size(), dim);
-  std::vector<size_t> prefix(row_ranges.size() + 1, 0);
-  for (size_t r = 0; r < row_ranges.size(); ++r) {
-    GARCIA_CHECK_LE(row_ranges[r].first, row_ranges[r].second);
-    prefix[r + 1] = prefix[r] + (row_ranges[r].second - row_ranges[r].first);
+  size_t total = 0;
+  for (const auto& [first, second] : row_ranges) {
+    GARCIA_CHECK_LE(first, second);
+    total += second - first;
   }
-  const size_t total = prefix.back();
   if (total == 0) return;
-  const int16_t* qc = query.codes.data();
-  const double qscale = static_cast<double>(query.scale);
-  ctx.ShardedFor(
-      0, total, kMinScanRowsPerShard,
-      [&](size_t lo, size_t hi) {
-        // Locate the range containing slot lo, then walk segment pieces.
-        size_t seg = static_cast<size_t>(
-            std::upper_bound(prefix.begin(), prefix.end(), lo) -
-            prefix.begin() - 1);
-        size_t slot = lo;
-        while (slot < hi) {
-          while (prefix[seg + 1] <= slot) ++seg;
-          const size_t piece_end = std::min(hi, prefix[seg + 1]);
-          size_t row = row_ranges[seg].first + (slot - prefix[seg]);
-          for (; slot < piece_end; ++slot, ++row) {
-            out[slot] = Sq8DotOne(qc, codes + row * dim, dim, qscale,
-                                  scales[row]);
-          }
-        }
-      });
+  const auto scan = kernels::internal::HasAvx2() ? &internal::ScanSlotsAvx2
+                                                 : &internal::ScanSlotsScalar;
+  ctx.ShardedFor(0, total, kMinScanRowsPerShard, [&](size_t lo, size_t hi) {
+    scan(query, codes, scales, dim, row_ranges, lo, hi, out);
+  });
 }
 
 }  // namespace sq8

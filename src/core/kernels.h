@@ -423,17 +423,47 @@ struct QueryCodes {
 
 QueryCodes QuantizeQuery(const float* query, size_t dim);
 
-/// Asymmetric scan: out[slot] = fl(qscale * scales[row] * intdot) for the
+/// Half-open row ranges [first, second) of a scan, in output order.
+using RowRanges = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// Asymmetric scan: out[slot] = fl((qscale * scales[row]) * total) for the
 /// slots covering `row_ranges` in order (slot 0 = ranges[0].first, ...,
-/// concatenated). `codes` / `scales` hold ALL rows (row r at
-/// codes + r * dim); ranges select which rows are scanned, in what output
-/// order. Sharded over flat slots, at least 256 per shard (int8 rows are
-/// cheap to score, so a shard has to cover many before forking pays);
-/// disjoint pure writes, so any backend is bit-identical.
+/// concatenated), where total is the integer dot summed in int32 per
+/// kDimBlock block and in double across blocks, from 0.0. `codes` /
+/// `scales` hold ALL rows (row r at codes + r * dim); ranges select which
+/// rows are scanned, in what output order. Sharded over flat slots, at
+/// least 256 per shard (int8 rows are cheap to score, so a shard has to
+/// cover many before forking pays); disjoint pure writes, so any backend
+/// is bit-identical. On AVX2 hosts a shard scores eight consecutive slots
+/// per pass, even across range boundaries: one vpmaddwd int32 accumulator
+/// per row, one transposed horizontal reduction per group and block, and
+/// the widening and scaling in double lanes. Integer addition is
+/// associative and the double operations are the scalar ones in the
+/// scalar order, with no FMA, so both paths give the same bits.
 void ScanDots(const ExecutionContext& ctx, const QueryCodes& query,
               const int8_t* codes, const float* scales, size_t dim,
-              const std::vector<std::pair<uint32_t, uint32_t>>& row_ranges,
-              float* out);
+              const RowRanges& row_ranges, float* out);
+
+/// The two paths behind ScanDots, visible so tests can pin them to a
+/// scalar integer model. Each scores slots [lo, hi) of the concatenated
+/// ranges into out[lo, hi); hi must not exceed the total slot count.
+namespace internal {
+
+/// The portable scalar path: one row at a time.
+void ScanSlotsScalar(const QueryCodes& query, const int8_t* codes,
+                     const float* scales, size_t dim,
+                     const RowRanges& row_ranges, size_t lo, size_t hi,
+                     float* out);
+
+/// Same contract, eight rows per pass; a short last group repeats its
+/// last row and stores only its own slots. Requires
+/// kernels::internal::HasAvx2(); off x86 it is the scalar path.
+void ScanSlotsAvx2(const QueryCodes& query, const int8_t* codes,
+                   const float* scales, size_t dim,
+                   const RowRanges& row_ranges, size_t lo, size_t hi,
+                   float* out);
+
+}  // namespace internal
 
 }  // namespace sq8
 

@@ -275,15 +275,13 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
   // Stage 1: the asymmetric int8 scan scores every probed candidate into
   // one flat buffer (slot order = probe order, ascending row within a
   // list — fixed, so the buffer is thread-count-invariant).
-  std::vector<std::pair<uint32_t, uint32_t>> ranges;
+  core::kernels::sq8::RowRanges ranges;
   ranges.reserve(probes.size());
-  std::vector<size_t> prefix(probes.size() + 1, 0);
-  for (size_t p = 0; p < probes.size(); ++p) {
-    const uint32_t list = probes[p].first;
+  size_t total = 0;
+  for (const auto& [list, score] : probes) {
     ranges.emplace_back(list_offsets_[list], list_offsets_[list + 1]);
-    prefix[p + 1] = prefix[p] + (ranges[p].second - ranges[p].first);
+    total += ranges.back().second - ranges.back().first;
   }
-  const size_t total = prefix.back();
   GARCIA_CHECK_GE(total, k);
   const core::kernels::sq8::QueryCodes qc =
       core::kernels::sq8::QuantizeQuery(query, d);
@@ -304,34 +302,49 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
   const size_t r_depth = std::min(ResolveRerankK(rerank_k, k), total);
   double cutoff = -std::numeric_limits<double>::infinity();
   if (r_depth < total) {
-    std::vector<float> top(approx);
-    std::nth_element(top.begin(), top.begin() + (r_depth - 1), top.end(),
-                     std::greater<float>());
+    // T through an R-element min-heap: after every score has been offered,
+    // the heap holds R scores no smaller than any score left out, and its
+    // top is the smallest of them — the R-th best. A score equal to the
+    // top is not taken in, which leaves T's value unchanged; +0 and -0
+    // compare equal, so T may differ from a full sort's only in the sign
+    // of a zero, and then T - 2B and every comparison against it do not.
+    std::vector<float> best(approx.begin(), approx.begin() + r_depth);
+    std::make_heap(best.begin(), best.end(), std::greater<float>());
+    for (size_t slot = r_depth; slot < total; ++slot) {
+      if (approx[slot] > best.front()) {
+        std::pop_heap(best.begin(), best.end(), std::greater<float>());
+        best.back() = approx[slot];
+        std::push_heap(best.begin(), best.end(), std::greater<float>());
+      }
+    }
     float band_scale = 0.0f;
     for (const auto& [list, score] : probes) {
       band_scale = std::max(band_scale, list_scale_max_[list]);
     }
     const double band =
         static_cast<double>(band_scale) * qc.ErrorBandPerUnitScale(d);
-    cutoff = static_cast<double>(top[r_depth - 1]) - 2.0 * band;
+    cutoff = static_cast<double>(best.front()) - 2.0 * band;
   }
 
   // Stage 2b: exact re-rank. Survivors are collected in ascending slot
-  // order (a deterministic set — the cutoff is a pure function of the
-  // scan), re-scored against the original catalog rows with the exact
-  // TopKDot expression (disjoint writes, pure per-row), and the top k
-  // selected serially under the shared total order.
-  std::vector<uint32_t> survivors;
-  survivors.reserve(std::min(total, 2 * r_depth));
+  // order, one pass per probed range (a deterministic set — the cutoff is
+  // a pure function of the scan), re-scored against the original catalog
+  // rows with the exact TopKDot expression (disjoint writes, pure
+  // per-row), and the top k selected serially under the shared total
+  // order.
+  // The walk writes every row and advances past survivors only: with no
+  // call inside the loop, its pointers stay in registers.
+  std::vector<uint32_t> survivors(total);
   {
-    size_t p = 0;
-    for (size_t slot = 0; slot < total; ++slot) {
-      while (prefix[p + 1] <= slot) ++p;
-      if (static_cast<double>(approx[slot]) >= cutoff) {
-        survivors.push_back(ranges[p].first +
-                            static_cast<uint32_t>(slot - prefix[p]));
+    size_t kept = 0;
+    const float* score = approx.data();
+    for (const auto& [begin, end] : ranges) {
+      for (uint32_t row = begin; row < end; ++row, ++score) {
+        survivors[kept] = row;
+        kept += static_cast<double>(*score) >= cutoff;
       }
     }
+    survivors.resize(kept);
   }
   GARCIA_CHECK_GE(survivors.size(), k);
   if (stats != nullptr) stats->rerank_rows += survivors.size();

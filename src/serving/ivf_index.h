@@ -13,16 +13,21 @@
 // The probe scan is bandwidth-bound on the stored list rows, so the lists
 // are stored SQ8-quantized (DESIGN.md §5l): int8 codes with ONE float
 // scale per row (core::kernels::sq8 — symmetric range,
-// |v_j - s*c_j| <= s/2), ~4x below float32 rows. A query runs in two
-// stages:
+// |v_j - s*c_j| <= s/2), ~4x below float32 rows. After the coarse probe
+// ranks the centroids (kernels::TopKDot), a query runs these stages:
 //   1. quantized scan: the asymmetric sq8::ScanDots kernel scores every
-//      probed candidate (int32 block accumulation, thread-count-invariant);
-//   2. exact re-rank: the top rerank_k candidates by approximate score —
-//      PLUS every candidate within the quantization error band 2B of the
-//      rerank_k-th best, where B = max_probed_scale * Q(query) bounds
-//      |exact - approx| (kernels.h derivation) — are re-scored with the
-//      exact float expression against the ORIGINAL catalog rows and the
-//      top k selected under the same (score desc, id asc) total order.
+//      probed candidate into one buffer (int32 block accumulation, eight
+//      rows per pass on AVX2 hosts, thread-count-invariant);
+//   2. cutoff: T = the rerank_k-th best approximate score, found with a
+//      rerank_k-element heap over the buffer (no copy, no full
+//      selection), and the cutoff T - 2B, where B = max_probed_scale *
+//      Q(query) bounds |exact - approx| (kernels.h derivation);
+//   3. survivor walk: one pass per probed range keeps every candidate at
+//      or above the cutoff — the top rerank_k by approximate score plus
+//      everything within the error band of the rerank_k-th;
+//   4. exact re-rank: the survivors are re-scored with the exact float
+//      expression against the ORIGINAL catalog rows and the top k
+//      selected under the same (score desc, id asc) total order.
 // The band extension turns the re-rank from a heuristic into a guarantee:
 // any candidate below the cutoff provably ranks behind >= rerank_k >= k
 // re-ranked candidates in EXACT score, so Query returns the exact top-k of

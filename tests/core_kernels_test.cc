@@ -794,6 +794,142 @@ TEST_F(KernelsBitIdentityTest, Sq8ScanDotsMatchesSerialOverRanges) {
   }
 }
 
+/// The SQ8 scan contract as a plain loop, independent of core/kernels.h:
+/// int32 sums over 256-coordinate blocks, each widened to double and added
+/// to a total that starts at 0.0, then (qscale * vscale) * total rounded
+/// to float.
+float ScalarSq8Dot(const kernels::sq8::QueryCodes& qc, const int8_t* row,
+                   float vscale, size_t dim) {
+  double total = 0.0;
+  for (size_t j0 = 0; j0 < dim; j0 += 256) {
+    int32_t acc = 0;
+    for (size_t j = j0; j < std::min(dim, j0 + 256); ++j) {
+      acc += static_cast<int32_t>(qc.codes[j]) * row[j];
+    }
+    total += static_cast<double>(acc);
+  }
+  return static_cast<float>(static_cast<double>(qc.scale) *
+                            static_cast<double>(vscale) * total);
+}
+
+TEST_F(KernelsBitIdentityTest, Sq8ScanPathsMatchScalarIntegerModel) {
+  // Both scan paths, over the whole slot range and over slices of it, and
+  // ScanDots at 1, 3 and 4 threads, against the test-local model,
+  // memcmp-equal on every slot. Dims straddle the 16-column steps and the
+  // 256-column blocks. Range lengths straddle the 8-row groups; ranges
+  // start at odd rows and come out of order, so groups cross range
+  // boundaries and the last group of a slice is short. Rows of +-127
+  // codes against +-32767 query codes reach the int32 block bound; row
+  // scales include zero, subnormals and 1e+-30; one query is zero.
+  namespace sq8 = kernels::sq8;
+  using ScanFn = void (*)(const sq8::QueryCodes&, const int8_t*,
+                          const float*, size_t, const sq8::RowRanges&,
+                          size_t, size_t, float*);
+  std::vector<std::pair<const char*, ScanFn>> paths = {
+      {"scalar", &sq8::internal::ScanSlotsScalar}};
+  if (kernels::internal::HasAvx2()) {
+    paths.push_back({"avx2", &sq8::internal::ScanSlotsAvx2});
+  }
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const size_t rows = 800;
+  sq8::RowRanges ranges;
+  for (size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 141}) {
+    for (int copy = 0; copy < 3; ++copy) {
+      const uint32_t start =
+          static_cast<uint32_t>(1 + 2 * rng_.UniformInt((rows - len) / 2));
+      ranges.emplace_back(start, start + static_cast<uint32_t>(len));
+    }
+  }
+  for (size_t i = ranges.size() - 1; i > 0; --i) {
+    std::swap(ranges[i], ranges[rng_.UniformInt(i + 1)]);
+  }
+  std::vector<uint32_t> slot_row;
+  for (const auto& [lo, hi] : ranges) {
+    ASSERT_LE(hi, rows);
+    for (uint32_t r = lo; r < hi; ++r) slot_row.push_back(r);
+  }
+  const size_t total = slot_row.size();
+  const std::vector<const ExecutionContext*> ctxs = {&SerialExecution(),
+                                                     &par3_, &par4_};
+  const std::vector<std::pair<size_t, size_t>> slices = {
+      {0, total}, {1, total}, {5, 13}, {141, 400}, {total - 3, total}};
+
+  for (size_t dim : {1, 15, 16, 17, 31, 32, 33, 255, 256, 257, 280, 513}) {
+    std::vector<int8_t> codes(rows * dim);
+    std::vector<float> scales(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      int8_t* row = codes.data() + r * dim;
+      for (size_t j = 0; j < dim; ++j) {
+        switch (r % 4) {
+          case 0: row[j] = 127; break;
+          case 1: row[j] = -127; break;
+          case 2: row[j] = j % 3 ? 127 : -127; break;
+          default:
+            row[j] = static_cast<int8_t>(
+                static_cast<int>(rng_.UniformInt(uint64_t{255})) - 127);
+        }
+      }
+      switch (r % 5) {
+        case 0: scales[r] = 0.0f; break;
+        case 1:
+          scales[r] = denorm *
+                      static_cast<float>(1 + rng_.UniformInt(uint64_t{1000}));
+          break;
+        case 2: scales[r] = 1e30f; break;
+        case 3: scales[r] = 1e-30f; break;
+        default: scales[r] = 0.05f * static_cast<float>(rng_.Uniform());
+      }
+    }
+    // Queries: all +32767, alternating +-32767, random codes, and zero.
+    std::vector<sq8::QueryCodes> queries(4);
+    for (size_t j = 0; j < dim; ++j) {
+      queries[0].codes.push_back(32767);
+      queries[1].codes.push_back(j % 2 ? -32767 : 32767);
+      queries[2].codes.push_back(static_cast<int16_t>(
+          static_cast<int>(rng_.UniformInt(uint64_t{65535})) - 32767));
+      queries[3].codes.push_back(0);
+    }
+    queries[0].scale = 1e-3f;
+    queries[1].scale = 3e-5f;
+    queries[2].scale = static_cast<float>(rng_.Uniform());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const sq8::QueryCodes& qc = queries[qi];
+      std::vector<float> expected(total);
+      for (size_t s = 0; s < total; ++s) {
+        const uint32_t r = slot_row[s];
+        expected[s] = ScalarSq8Dot(qc, codes.data() + r * dim, scales[r], dim);
+      }
+      for (const auto& [name, fn] : paths) {
+        for (const auto& [lo, hi] : slices) {
+          // Slots outside [lo, hi) keep their NaN sentinel.
+          std::vector<float> got(total,
+                                 std::numeric_limits<float>::quiet_NaN());
+          const std::vector<float> untouched = got;
+          fn(qc, codes.data(), scales.data(), dim, ranges, lo, hi,
+             got.data());
+          for (size_t s = 0; s < total; ++s) {
+            const float& want = s >= lo && s < hi ? expected[s] : untouched[s];
+            ASSERT_EQ(std::memcmp(&got[s], &want, sizeof(float)), 0)
+                << name << " dim=" << dim << " query " << qi << " slice ["
+                << lo << ", " << hi << ") slot " << s << " (row "
+                << slot_row[s] << "): " << got[s] << " vs " << want;
+          }
+        }
+      }
+      for (const ExecutionContext* ctx : ctxs) {
+        std::vector<float> got(total);
+        sq8::ScanDots(*ctx, qc, codes.data(), scales.data(), dim, ranges,
+                      got.data());
+        ASSERT_EQ(std::memcmp(got.data(), expected.data(),
+                              total * sizeof(float)),
+                  0)
+            << "ScanDots at " << ctx->num_threads() << " threads, dim="
+            << dim << " query " << qi;
+      }
+    }
+  }
+}
+
 TEST_F(KernelsBitIdentityTest, Sq8ZeroQueryAndZeroRowsScanToExactZero) {
   const size_t rows = 8, dim = 16;
   Matrix src(rows, dim);  // all-zero catalog

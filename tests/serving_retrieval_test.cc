@@ -484,6 +484,120 @@ TEST(Sq8OracleTest, MatchesFloatIndexAtEveryNprobeAndRerankK) {
   }
 }
 
+/// IvfIndex::Query's SQ8 path with the re-rank cutoff taken by copying
+/// every approximate score and running std::nth_element over the copy.
+/// Probes as FloatProbe does, scans with sq8::ScanDots over codes encoded
+/// as Build encodes them, keeps every candidate with approx >= T - 2B, and
+/// re-ranks those exactly. Sets *rerank_rows to the survivor count.
+RankedList NthElementCutoffQuery(const IvfIndex& index, const Matrix& catalog,
+                                 const float* query, size_t k, size_t nprobe,
+                                 size_t rerank_k, size_t* rerank_rows) {
+  namespace sq8 = core::kernels::sq8;
+  const size_t dim = index.dim();
+  std::vector<int8_t> codes(index.size() * dim);
+  std::vector<float> scales(index.size());
+  for (size_t slot = 0; slot < index.size(); ++slot) {
+    sq8::EncodeRow(catalog.row(index.ids()[slot]), dim,
+                   codes.data() + slot * dim, &scales[slot]);
+  }
+  nprobe = std::min(std::max<size_t>(nprobe, 1), index.nlist());
+  const RankedList lists =
+      TopKInnerProduct(query, dim, index.centroids(), index.nlist());
+  const size_t want = std::min(k, index.size());
+  sq8::RowRanges ranges;
+  size_t total = 0;
+  float band_scale = 0.0f;
+  for (size_t used = 0;
+       used < lists.size() && (used < nprobe || total < want); ++used) {
+    const uint32_t list = lists[used].first;
+    const uint32_t begin = index.list_offsets()[list],
+                   end = index.list_offsets()[list + 1];
+    ranges.emplace_back(begin, end);
+    total += end - begin;
+    for (uint32_t r = begin; r < end; ++r) {
+      band_scale = std::max(band_scale, scales[r]);
+    }
+  }
+  k = std::min(k, total);
+  const sq8::QueryCodes qc = sq8::QuantizeQuery(query, dim);
+  std::vector<float> approx(total);
+  sq8::ScanDots(core::SerialExecution(), qc, codes.data(), scales.data(), dim,
+                ranges, approx.data());
+  const size_t r_depth = std::min(IvfIndex::ResolveRerankK(rerank_k, k), total);
+  double cutoff = -std::numeric_limits<double>::infinity();
+  if (r_depth < total) {
+    std::vector<float> top(approx);
+    std::nth_element(top.begin(), top.begin() + (r_depth - 1), top.end(),
+                     std::greater<float>());
+    cutoff = static_cast<double>(top[r_depth - 1]) -
+             2.0 * static_cast<double>(band_scale) *
+                 qc.ErrorBandPerUnitScale(dim);
+  }
+  RankedList survivors;
+  size_t slot = 0;
+  for (const auto& [begin, end] : ranges) {
+    for (uint32_t r = begin; r < end; ++r, ++slot) {
+      if (static_cast<double>(approx[slot]) >= cutoff) {
+        const uint32_t id = index.ids()[r];
+        survivors.emplace_back(
+            id, core::kernels::DotRowDouble(query, catalog.row(id), dim));
+      }
+    }
+  }
+  *rerank_rows = survivors.size();
+  std::sort(survivors.begin(), survivors.end(), core::kernels::RanksBefore);
+  survivors.resize(std::min(k, survivors.size()));
+  return survivors;
+}
+
+// The bounded cutoff selects what a full copy + nth_element selects: the
+// same re-ranked row count and the same answer at every nprobe and
+// rerank_k, on catalogs with duplicate rows and 1e-7 near-ties, for a zero
+// query (every approximate score +0) and for a catalog and query scaled by
+// 1e-30, whose approximate scores all underflow to +0 or -0.
+TEST(Sq8OracleTest, BoundedCutoffMatchesNthElementCutoff) {
+  for (uint64_t seed : {3u, 7u, 15u, 21u}) {
+    for (const float magnitude : {1.0f, 1e-30f}) {
+      Matrix catalog = AdversarialCatalog(seed);
+      for (size_t i = 0; i < catalog.size(); ++i) {
+        catalog.data()[i] *= magnitude;
+      }
+      const size_t n = catalog.rows(), dim = catalog.cols();
+      const IvfIndex index =
+          IvfIndex::Build(catalog, Sq8Config(5 + seed % 7, seed));
+      core::Rng qrng(seed + 17);
+      Matrix q = Matrix::Randn(2, dim, &qrng);
+      const float* row = catalog.row(seed % n);
+      std::vector<std::vector<float>> queries = {
+          std::vector<float>(q.row(0), q.row(0) + dim),
+          std::vector<float>(row, row + dim), std::vector<float>(dim, 0.0f)};
+      for (float& v : queries[0]) v *= magnitude;
+      for (const auto& query : queries) {
+        for (size_t k : {size_t{1}, size_t{10}}) {
+          for (size_t nprobe = 1; nprobe <= index.nlist(); ++nprobe) {
+            for (size_t rerank_k : {k, size_t{0}, size_t{31}, n + 5}) {
+              size_t want_rows = 0;
+              const RankedList want = NthElementCutoffQuery(
+                  index, catalog, query.data(), k, nprobe, rerank_k,
+                  &want_rows);
+              IvfIndex::QueryStats stats;
+              const RankedList got =
+                  index.Query(core::SerialExecution(), query.data(), k,
+                              nprobe, rerank_k, &stats);
+              ASSERT_EQ(stats.rerank_rows, want_rows)
+                  << "seed " << seed << " magnitude " << magnitude << " k "
+                  << k << " nprobe " << nprobe << " rerank " << rerank_k;
+              ASSERT_EQ(got, want)
+                  << "seed " << seed << " magnitude " << magnitude << " k "
+                  << k << " nprobe " << nprobe << " rerank " << rerank_k;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // Per-query recall@10 stays monotone in nprobe on the quantized path, and
 // is INVARIANT in rerank_k (the band guarantee's strongest consequence —
 // asserted as equality, which implies the satellite's monotonicity).
