@@ -5,10 +5,12 @@
 // 512^3 should clear 2x at 4 threads; a single-core container reports ~1x
 // and the serial wall-clock column is the meaningful axis.
 // GARCIA_BENCH_REPEATS overrides the median-of-5 repeat count (the ASan
-// smoke in scripts/check.sh uses 1). The table's `topk_dot` rows time the
-// serving scan (kernels::TopKDot, 20000 x 32, k = 10, serial; and
-// 20003 x 33 for the vector path's tails) against the scalar reference;
-// the tool exits 1 if the two rankings differ in any byte. The
+// smoke in scripts/check.sh uses 1). The table's `topk_dot` rows time
+// kernels::TopKDot (20000 x 32, k = 10, serial; and 20003 x 33 for the
+// vector paths' tails) over the row-major matrix (`seconds`, the oracle
+// path) and over a packed kernels::RowPanel (`panel_seconds`, the serving
+// path; `pack_seconds` is the one-off pack) against the scalar reference;
+// the tool exits 1 if either ranking differs from it in any byte. The
 // `kmeans_assign` rows time one k-means assignment pass of the IVF build
 // (every point against 141 centroids, at 20000 x 32 and 20003 x 33)
 // through the lane-per-centroid kernel against the scalar per-centroid
@@ -126,18 +128,27 @@ std::string GemmSweepLine(const char* kernel, size_t m, size_t k, size_t n,
   return SweepJsonLine(kernel, shape, entries, last);
 }
 
-/// One `topk_dot` row: serial TopKDot over a services x dim catalog timed
-/// against the scalar reference (DotRowsScalar + a partial sort under the
-/// same order). Clears *identical if the two top-k lists differ in any
-/// byte.
+/// One `topk_dot` row: serial TopKDot over a services x dim catalog, both
+/// the row-major oracle and the packed-panel serving scan, timed against
+/// the scalar reference (DotRowsScalar + a partial sort under the same
+/// order). The panel is packed outside the scan timer, and the pack is
+/// timed on its own. Clears *identical if either top-k list differs from
+/// the reference in any byte.
 std::string TopKDotLine(size_t services, size_t dim, size_t k, int repeats,
                         core::Rng* rng, bool last, bool* identical) {
   core::Matrix cands = core::Matrix::Randn(services, dim, rng);
   core::Matrix query = core::Matrix::Randn(1, dim, rng);
-  std::vector<std::pair<uint32_t, float>> fast, reference;
+  std::vector<std::pair<uint32_t, float>> fast, panel_fast, reference;
   const double fast_secs = TimeMedianSeconds(repeats, [&] {
     fast = core::kernels::TopKDot(core::SerialExecution(), query.row(0), dim,
                                   cands, k);
+  });
+  core::kernels::RowPanel panel;
+  const double pack_secs = TimeMedianSeconds(
+      repeats, [&] { panel = core::kernels::RowPanel(cands); });
+  const double panel_secs = TimeMedianSeconds(repeats, [&] {
+    panel_fast = core::kernels::TopKDot(core::SerialExecution(),
+                                        query.row(0), panel, k);
   });
   const double scalar_secs = TimeMedianSeconds(repeats, [&] {
     std::vector<float> scores(services);
@@ -151,17 +162,23 @@ std::string TopKDotLine(size_t services, size_t dim, size_t k, int repeats,
                       reference.end(), core::kernels::RanksBefore);
     reference.resize(k);
   });
-  const bool same = fast.size() == reference.size() &&
-                    std::memcmp(fast.data(), reference.data(),
-                                fast.size() * sizeof(fast[0])) == 0;
+  auto same_as_reference = [&](const auto& got) {
+    return got.size() == reference.size() &&
+           std::memcmp(got.data(), reference.data(),
+                       got.size() * sizeof(got[0])) == 0;
+  };
+  const bool same = same_as_reference(fast) && same_as_reference(panel_fast);
   if (!same) *identical = false;
   return core::StrFormat(
       "    {\"kernel\": \"topk_dot\", \"shape\": \"%zux%zu/k%zu\", "
       "\"threads\": 1, \"avx2\": %s, \"scalar_seconds\": %.6f, "
-      "\"seconds\": %.6f, \"speedup\": %.2f, \"bit_identical\": %s}%s\n",
+      "\"seconds\": %.6f, \"speedup\": %.2f, \"panel_seconds\": %.6f, "
+      "\"panel_speedup\": %.2f, \"pack_seconds\": %.6f, "
+      "\"bit_identical\": %s}%s\n",
       services, dim, k,
       core::kernels::internal::HasAvx2() ? "true" : "false", scalar_secs,
-      fast_secs, scalar_secs / fast_secs, same ? "true" : "false",
+      fast_secs, scalar_secs / fast_secs, panel_secs,
+      scalar_secs / panel_secs, pack_secs, same ? "true" : "false",
       last ? "" : ",");
 }
 
@@ -319,9 +336,9 @@ int RunSpeedupJson() {
   json += GemmSweepLine("gemm_tt", 512, 512, 512, true, true, counts, repeats,
                         &rng, false);
 
-  // TopKDot against the scalar reference scan: at the serving shape, and
-  // one row and one column past it so the vector path's row and column
-  // tails run as well.
+  // Both TopKDot layouts against the scalar reference scan: at the
+  // serving shape, and one row and one column past it so the vector
+  // paths' row and column tails (and a short last panel block) run too.
   bool topk_identical = true;
   json += TopKDotLine(20000, kServeDim, 10, repeats, &rng, false,
                       &topk_identical);

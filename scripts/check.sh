@@ -37,17 +37,18 @@ run_suite "$ROOT/build-asan" -DGARCIA_SANITIZE="address;undefined"
 echo "==> ASan smoke: micro_kernels --speedup_json"
 # Runs micro_kernels' whole sweep under ASan/UBSan at bench shapes the
 # unit tests don't reach: the packed GEMM (all four transpose variants,
-# serial and at 2, 4 and hw threads) and the serial TopKDot serving scan
-# (20000 x 32, plus 20003 x 33 for the AVX2 lane-per-row path's row and
-# column tails), and the kmeans_assign rows: one IVF k-means assignment
-# pass through the lane-per-centroid kernel (20000 x 32 and 20003 x 33,
-# 141 centroids, so the 16-lane panel has padding lanes), and the sq8_scan
-# rows: the SQ8 IVF probe scan through the 8-row group kernel (35 of 141
-# lists of a 20000 x 32 catalog, and 5 of 7 lists of 700 x 280 for the
-# block crossing, the column tail and a short last group). Exits nonzero
-# if TopKDot's ranking, any nearest centroid or distance, or any scanned
-# score differs from its scalar reference. One repeat keeps it fast; the
-# JSON table goes to stdout and is discarded.
+# serial and at 2, 4 and hw threads), the serial TopKDot scan over both
+# layouts (20000 x 32, plus 20003 x 33 for the row and column tails of
+# the AVX2 lane-per-row path and a short last block of the packed
+# RowPanel serving scan), and the kmeans_assign rows: one IVF k-means
+# assignment pass through the lane-per-centroid kernel (20000 x 32 and
+# 20003 x 33, 141 centroids, so the 16-lane panel has padding lanes), and
+# the sq8_scan rows: the SQ8 IVF probe scan through the 8-row group kernel
+# (35 of 141 lists of a 20000 x 32 catalog, and 5 of 7 lists of 700 x 280
+# for the block crossing, the column tail and a short last group). Exits
+# nonzero if either TopKDot ranking, any nearest centroid or distance, or
+# any scanned score differs from its scalar reference. One repeat keeps
+# it fast; the JSON table goes to stdout and is discarded.
 (cd "$ROOT/build-asan/bench" && \
   GARCIA_BENCH_REPEATS=1 ./micro_kernels --speedup_json > /dev/null)
 

@@ -736,7 +736,100 @@ void DotRowsAvx2(const float* query, const float* rows, size_t n, size_t dim,
 #endif
 }
 
+void DotPanelScalar(const float* query, const RowPanel& panel, size_t lo,
+                    size_t hi, float* out) {
+  constexpr size_t kLanes = RowPanel::kLanes;
+  GARCIA_DCHECK(lo % kLanes == 0 && hi <= panel.rows_);
+  const size_t dim = panel.dim_;
+  for (size_t i = lo; i < hi; ++i) {
+    const float* col =
+        panel.data_.data() + (i / kLanes) * dim * kLanes + i % kLanes;
+    double dot = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      dot += static_cast<double>(query[j]) * col[j * kLanes];
+    }
+    out[i - lo] = static_cast<float>(dot);
+  }
+}
+
+#if defined(GARCIA_KERNELS_X86)
+namespace {
+
+/// Lane-per-row scoring of kBlocks consecutive panel blocks from `block`
+/// into out[0, 8 * kBlocks). Lane r of acc[2b] (acc[2b + 1]) is row r
+/// (4 + r) of block b and receives its columns one at a time in ascending
+/// j from 0.0: DotRowsAvx2Impl's argument, with the transpose already done
+/// by the pack. A column of a block is eight consecutive floats, widened
+/// four at a time straight from memory, so the loop does no shuffles. The
+/// 2 * kBlocks chains are independent, which hides add latency.
+template <size_t kBlocks>
+__attribute__((target("avx2"))) inline void DotPanelBlocksAvx2(
+    const float* query, const float* block, size_t dim, float* out) {
+  constexpr size_t kLanes = RowPanel::kLanes;
+  __m256d acc[2 * kBlocks];
+  for (__m256d& a : acc) a = _mm256_setzero_pd();
+  for (size_t j = 0; j < dim; ++j) {
+    const __m256d q = _mm256_set1_pd(static_cast<double>(query[j]));
+#pragma GCC unroll 4
+    for (size_t h = 0; h < 2 * kBlocks; ++h) {
+      const float* col = block + (h / 2) * dim * kLanes + j * kLanes;
+      const __m256d c = _mm256_cvtps_pd(_mm_loadu_ps(col + (h % 2) * 4));
+      acc[h] = _mm256_add_pd(acc[h], _mm256_mul_pd(c, q));
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t h = 0; h < 2 * kBlocks; ++h) {
+    _mm_storeu_ps(out + 4 * h, _mm256_cvtpd_ps(acc[h]));
+  }
+}
+
+/// DotPanelAvx2's body: two blocks (16 rows) per pass, then the last
+/// block, if any, alone; a short last block is scored into a buffer and
+/// only its real rows are stored.
+__attribute__((target("avx2"))) void DotPanelAvx2Impl(const float* query,
+                                                      const float* data,
+                                                      size_t dim, size_t lo,
+                                                      size_t hi, float* out) {
+  constexpr size_t kLanes = RowPanel::kLanes;
+  size_t i = lo;
+  for (; i + 2 * kLanes <= hi; i += 2 * kLanes) {
+    DotPanelBlocksAvx2<2>(query, data + i * dim, dim, out + (i - lo));
+  }
+  for (; i < hi; i += kLanes) {
+    float block[kLanes];
+    DotPanelBlocksAvx2<1>(query, data + i * dim, dim, block);
+    std::copy(block, block + std::min(kLanes, hi - i), out + (i - lo));
+  }
+}
+
+}  // namespace
+#endif  // GARCIA_KERNELS_X86
+
+void DotPanelAvx2(const float* query, const RowPanel& panel, size_t lo,
+                  size_t hi, float* out) {
+#if defined(GARCIA_KERNELS_X86)
+  GARCIA_DCHECK(lo % RowPanel::kLanes == 0 && hi <= panel.rows_);
+  DotPanelAvx2Impl(query, panel.data_.data(), panel.dim_, lo, hi, out);
+#else
+  DotPanelScalar(query, panel, lo, hi, out);
+#endif
+}
+
 }  // namespace internal
+
+RowPanel::RowPanel(const Matrix& rows) : rows_(rows.rows()), dim_(rows.cols()) {
+  const size_t blocks = (rows_ + kLanes - 1) / kLanes;
+  data_.assign(blocks * dim_ * kLanes, 0.0f);
+  for (size_t i = 0; i < rows_; ++i) {
+    const float* row = rows.row(i);
+    float* dst = data_.data() + (i / kLanes) * dim_ * kLanes + i % kLanes;
+    for (size_t j = 0; j < dim_; ++j) {
+      GARCIA_CHECK(std::isfinite(row[j]))
+          << "non-finite value in serving catalog (row " << i << ")";
+      dst[j * kLanes] = row[j];
+    }
+  }
+}
 
 namespace {
 
@@ -745,7 +838,8 @@ using ScoredId = std::pair<uint32_t, float>;
 // Fixed block size for the parallel partial-heap path. Independent of the
 // thread count on purpose: the result is order-invariant anyway (unique
 // selection under a total order), but fixed blocks keep the work split
-// reproducible and give every worker cache-sized chunks.
+// reproducible and give every worker cache-sized chunks. A multiple of
+// RowPanel::kLanes, so every chunk of a panel starts on a block.
 constexpr size_t kTopKBlockRows = 1024;
 
 // Rows scored per stack-buffer chunk before they enter the heap.
@@ -753,49 +847,52 @@ constexpr size_t kScoreChunkRows = 256;
 
 // Bounded top-k over rows [lo, hi): a k-element heap whose top is the
 // currently-worst kept candidate (std::*_heap with RanksBefore puts the
-// comparator-maximal element — the one ranking LAST — on top). Rows enter
-// the heap in ascending order, a chunk of scores at a time. out is left
-// sorted best-first.
-void PartialTopKRows(const float* query, size_t dim, const Matrix& cands,
-                     size_t lo, size_t hi, size_t k,
+// comparator-maximal element — the one ranking LAST — on top). score(c0,
+// m, scores) writes the scores of rows [c0, c0 + m) into scores[0, m);
+// rows enter the heap in ascending order, a chunk at a time. Once the heap
+// is full, the top's score is kept in `worst`, and a row scoring below it
+// costs one compare; a row that ties it still goes through RanksBefore.
+// out is left sorted best-first; k > 0.
+template <typename ScoreChunk>
+void PartialTopKRows(const ScoreChunk& score, size_t lo, size_t hi, size_t k,
                      std::vector<ScoredId>* out) {
   out->clear();
-  if (k == 0) return;
-  const bool avx2 = internal::HasAvx2();
-  float scores[kScoreChunkRows] = {};
+  float scores[kScoreChunkRows];
   for (size_t c0 = lo; c0 < hi; c0 += kScoreChunkRows) {
     const size_t m = std::min(kScoreChunkRows, hi - c0);
-    if (avx2) {
-      internal::DotRowsAvx2(query, cands.row(c0), m, dim, scores);
-    } else {
-      internal::DotRowsScalar(query, cands.row(c0), m, dim, scores);
+    score(c0, m, scores);
+    size_t r = 0;
+    for (; r < m && out->size() < k; ++r) {  // filling the heap
+      out->push_back({static_cast<uint32_t>(c0 + r), scores[r]});
+      std::push_heap(out->begin(), out->end(), RanksBefore);
     }
-    for (size_t r = 0; r < m; ++r) {
+    if (r == m) continue;
+    float worst = out->front().second;
+    for (; r < m; ++r) {
+      if (scores[r] < worst) continue;
       const ScoredId cand{static_cast<uint32_t>(c0 + r), scores[r]};
-      if (out->size() < k) {
-        out->push_back(cand);
-        std::push_heap(out->begin(), out->end(), RanksBefore);
-      } else if (RanksBefore(cand, out->front())) {
+      if (RanksBefore(cand, out->front())) {
         std::pop_heap(out->begin(), out->end(), RanksBefore);
         out->back() = cand;
         std::push_heap(out->begin(), out->end(), RanksBefore);
+        worst = out->front().second;
       }
     }
   }
   std::sort_heap(out->begin(), out->end(), RanksBefore);
 }
 
-}  // namespace
-
-std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
-                              size_t dim, const Matrix& candidates, size_t k) {
-  const size_t n = candidates.rows();
-  GARCIA_CHECK_EQ(candidates.cols(), dim);
+// The driver both TopKDot overloads share: serial (or n within one block)
+// is one PartialTopKRows pass; otherwise rows split into fixed blocks, a
+// partial heap per block, and the per-block winners are merged.
+template <typename ScoreChunk>
+std::vector<ScoredId> TopKRows(const ExecutionContext& ctx, size_t n,
+                               size_t k, const ScoreChunk& score) {
   k = std::min(k, n);
   std::vector<ScoredId> result;
   if (k == 0) return result;
   if (!ctx.parallel() || n <= kTopKBlockRows) {
-    PartialTopKRows(query, dim, candidates, 0, n, k, &result);
+    PartialTopKRows(score, 0, n, k, &result);
     return result;
   }
   const size_t num_blocks = (n + kTopKBlockRows - 1) / kTopKBlockRows;
@@ -803,8 +900,8 @@ std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
   ctx.ShardedFor(0, num_blocks, /*min_shard=*/1, [&](size_t b0, size_t b1) {
     for (size_t b = b0; b < b1; ++b) {
       const size_t lo = b * kTopKBlockRows;
-      PartialTopKRows(query, dim, candidates, lo,
-                      std::min(n, lo + kTopKBlockRows), k, &partial[b]);
+      PartialTopKRows(score, lo, std::min(n, lo + kTopKBlockRows), k,
+                      &partial[b]);
     }
   });
   // Merge the per-block winners in ascending block order. The k best of
@@ -817,6 +914,29 @@ std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
                     RanksBefore);
   result.resize(k);
   return result;
+}
+
+}  // namespace
+
+std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
+                              size_t dim, const Matrix& candidates, size_t k) {
+  GARCIA_CHECK_EQ(candidates.cols(), dim);
+  const auto rows = internal::HasAvx2() ? &internal::DotRowsAvx2
+                                        : &internal::DotRowsScalar;
+  return TopKRows(ctx, candidates.rows(), k,
+                  [&](size_t c0, size_t m, float* scores) {
+                    rows(query, candidates.row(c0), m, dim, scores);
+                  });
+}
+
+std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
+                              const RowPanel& panel, size_t k) {
+  const auto rows = internal::HasAvx2() ? &internal::DotPanelAvx2
+                                        : &internal::DotPanelScalar;
+  return TopKRows(ctx, panel.rows(), k,
+                  [&](size_t c0, size_t m, float* scores) {
+                    rows(query, panel, c0, c0 + m, scores);
+                  });
 }
 
 // ----- k-means assignment -----

@@ -285,15 +285,79 @@ inline float DotRowDouble(const float* query, const float* row, size_t dim) {
 /// Selection under RanksBefore is unique, so the result is bit-identical
 /// to the serial reference for any thread count, block partitioning and
 /// dispatch target. k = 0 returns empty; k >= rows returns the full sorted
-/// ranking. Candidate scores must not be NaN.
+/// ranking. Candidate scores must not be NaN. This row-major overload is
+/// the oracle (serving::TopKInnerProduct) and the IVF coarse probe; the
+/// brute-force serving path scans a RowPanel packed once (below).
 std::vector<std::pair<uint32_t, float>> TopKDot(const ExecutionContext& ctx,
                                                 const float* query, size_t dim,
                                                 const Matrix& candidates,
                                                 size_t k);
 
-/// The two scoring paths behind TopKDot, visible so tests can pin them to
-/// DotRowDouble directly. Not a knob: TopKDot always dispatches on
-/// HasAvx2().
+class RowPanel;
+
+/// The scoring paths behind the two TopKDot overloads, visible so tests can
+/// pin them to DotRowDouble directly. Not a knob: TopKDot always
+/// dispatches on HasAvx2().
+namespace internal {
+
+/// out[i - lo] = DotRowDouble(query, row i) for the rows i in [lo, hi) of a
+/// panel; lo must be a multiple of RowPanel::kLanes and hi at most
+/// panel.rows(). The portable scalar path, reading the panel layout.
+void DotPanelScalar(const float* query, const RowPanel& panel, size_t lo,
+                    size_t hi, float* out);
+
+/// Same contract, 16 rows (two panel blocks) per pass: per column four
+/// 4-float widening loads, four multiplies and four adds, with no
+/// shuffles; a short last block is scored into a stack buffer and only
+/// its real rows are stored. Requires HasAvx2(); off x86 it is the scalar
+/// path.
+void DotPanelAvx2(const float* query, const RowPanel& panel, size_t lo,
+                  size_t hi, float* out);
+
+}  // namespace internal
+
+/// An immutable lane-major copy of a row-major matrix, packed once for the
+/// serving scan: rows in blocks of kLanes, each block holding its dim
+/// columns one after another, kLanes floats per column (row r of the block
+/// at lane r), with zero padding rows after the last real row. One 8-float
+/// load is then one column of eight rows, so the scan widens and multiplies
+/// without transposing anything per query. The layout is private to the
+/// kernels. Packing CHECKs that every value is finite and names the first
+/// row that is not: TopKDot's total order needs non-NaN scores, and an
+/// infinite coordinate times a zero query coordinate is NaN.
+class RowPanel {
+ public:
+  /// Rows per block.
+  static constexpr size_t kLanes = 8;
+
+  RowPanel() = default;
+  explicit RowPanel(const Matrix& rows);
+
+  size_t rows() const { return rows_; }
+  size_t dim() const { return dim_; }
+
+ private:
+  friend void internal::DotPanelScalar(const float*, const RowPanel&, size_t,
+                                       size_t, float*);
+  friend void internal::DotPanelAvx2(const float*, const RowPanel&, size_t,
+                                     size_t, float*);
+
+  size_t rows_ = 0;
+  size_t dim_ = 0;
+  std::vector<float> data_;  // data_[(b * dim_ + j) * kLanes + r]
+};
+
+/// TopKDot over a packed panel: the same result as TopKDot over the matrix
+/// it was packed from, bit for bit, for any context. Both overloads share
+/// one chunk loop, bounded heap and block merge; only the scorer differs.
+/// On AVX2 hosts the panel scorer (internal::DotPanelAvx2) gives each
+/// double lane one row, which adds its columns in ascending order from 0.0
+/// with no FMA, so every score is DotRowDouble's.
+std::vector<std::pair<uint32_t, float>> TopKDot(const ExecutionContext& ctx,
+                                                const float* query,
+                                                const RowPanel& panel,
+                                                size_t k);
+
 namespace internal {
 
 /// True when the host supports AVX2 (always false off x86).

@@ -36,7 +36,9 @@ EmbeddingRanker::EmbeddingRanker(EmbeddingStore queries,
   GARCIA_CHECK(!queries_.empty());
   GARCIA_CHECK(!services_.empty());
   GARCIA_CHECK_EQ(queries_.dim(), services_.dim());
-  if (retrieval_.mode != RetrievalMode::kBruteForce) {
+  if (retrieval_.mode == RetrievalMode::kBruteForce) {
+    panel_ = core::kernels::RowPanel(services_.matrix());
+  } else {
     // Build from the member store: the re-rank catalog pointer refers to
     // services_.matrix(), which lives exactly as long as this ranker.
     index_ = std::make_shared<const IvfIndex>(
@@ -50,8 +52,8 @@ RankedList EmbeddingRanker::Rank(uint32_t query, size_t k) const {
                          index_->default_nprobe(),
                          index_->default_rerank_k());
   }
-  return TopKInnerProduct(queries_.vector(query), queries_.dim(),
-                          services_.matrix(), k);
+  return core::kernels::TopKDot(core::CurrentExecution(),
+                                queries_.vector(query), panel_, k);
 }
 
 }  // namespace garcia::serving

@@ -53,7 +53,10 @@ struct RetrievalConfig {
 /// (core::kernels::TopKDot), sharded through the ambient
 /// core::CurrentExecution() — the serial reference unless a
 /// ScopedExecution is installed — and bit-identical to serial for any
-/// thread count. Ties break by ascending service id.
+/// thread count. Ties break by ascending service id. This is the
+/// row-major oracle that serving answers and benchmarks are checked and
+/// timed against; the rankers' brute-force path scores a catalog packed
+/// once into a core::kernels::RowPanel instead, with the same bits.
 RankedList TopKInnerProduct(const float* query_vec, size_t dim,
                             const core::Matrix& candidates, size_t k);
 
@@ -84,8 +87,9 @@ class Ranker {
 };
 
 /// Embedding-retrieval ranker: score(q, s) = <z_q, z_s> (the paper's online
-/// inner-product variant of Eq. 12). Default construction scans the whole
-/// service catalog per request; passing a RetrievalConfig with
+/// inner-product variant of Eq. 12). Default construction packs the service
+/// catalog once into a core::kernels::RowPanel (CHECKing that every row is
+/// finite) and scans the panel per request; passing a RetrievalConfig with
 /// RetrievalMode::kIvfSq8 builds an IvfIndex over the catalog at
 /// construction and probes it instead (brute force stays one knob away as
 /// the recall oracle; the index re-ranks against the service store's own
@@ -110,6 +114,7 @@ class EmbeddingRanker : public Ranker {
   EmbeddingStore queries_;
   EmbeddingStore services_;
   RetrievalConfig retrieval_;
+  core::kernels::RowPanel panel_;          // empty in IVF mode
   std::shared_ptr<const IvfIndex> index_;  // null in brute-force mode
 };
 

@@ -66,6 +66,7 @@ ResilientRanker::ResilientRanker(EmbeddingStore fresh_queries,
                                  ResilienceConfig config)
     : fresh_(std::move(fresh_queries)),
       services_(std::move(services)),
+      services_panel_(services_.matrix()),
       config_(config),
       breaker_(config.breaker, &clock_) {
   GARCIA_CHECK(!services_.empty());
@@ -304,8 +305,8 @@ RankedList ResilientRanker::RankAt(uint64_t request_index, uint32_t query,
         index_rerank_k_ != 0 ? index_rerank_k_ : index_->default_rerank_k(),
         &qstats);
   } else if (!r.embedding.empty()) {
-    result = TopKInnerProduct(r.embedding.data(), services_.dim(),
-                              services_.matrix(), k);
+    result = core::kernels::TopKDot(core::CurrentExecution(),
+                                    r.embedding.data(), services_panel_, k);
   } else if (tier == ServingTier::kText) {
     result = text_->Rank(query, k);
   } else {

@@ -98,6 +98,9 @@ struct ResilienceConfig {
 /// it.
 class ResilientRanker : public Ranker {
  public:
+  /// Packs `services` into a core::kernels::RowPanel for the brute-force
+  /// scan, which CHECKs that every service row is finite (naming the
+  /// first row that is not).
   ResilientRanker(EmbeddingStore fresh_queries, EmbeddingStore services,
                   ResilienceConfig config = {});
 
@@ -207,6 +210,9 @@ class ResilientRanker : public Ranker {
 
   EmbeddingStore fresh_;
   EmbeddingStore services_;
+  /// services_ packed once for the brute-force fresh scan. services_ is
+  /// set only here, so the panel never goes stale.
+  core::kernels::RowPanel services_panel_;
   ResilienceConfig config_;
 
   std::optional<EmbeddingStore> stale_;

@@ -568,6 +568,187 @@ TEST_F(KernelsBitIdentityTest, ExactDotRowsMatchScalarReference) {
   }
 }
 
+TEST_F(KernelsBitIdentityTest, PanelDotPathsMatchDotRowDouble) {
+  // Both RowPanel scoring paths against DotRowDouble, memcmp-equal, over
+  // the whole panel and over block-aligned slices. Row counts straddle the
+  // 8-row blocks and the 16-row passes, dims have no alignment, and the
+  // rows mix unit normals, 1e-30..1e30 magnitudes, subnormals, huge term
+  // pairs that cancel (so a reordered sum shows), rows of +-1e30 (whose
+  // scores overflow to +-inf in the final cast), zero rows and
+  // duplicates. The output buffer carries NaN sentinels past the last
+  // scored row, which a store from a padding row would overwrite.
+  using PanelFn = void (*)(const float*, const kernels::RowPanel&, size_t,
+                           size_t, float*);
+  std::vector<std::pair<const char*, PanelFn>> paths = {
+      {"scalar", &kernels::internal::DotPanelScalar}};
+  if (kernels::internal::HasAvx2()) {
+    paths.push_back({"avx2", &kernels::internal::DotPanelAvx2});
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  auto wide = [&] {  // normal draw scaled by 10^[-30, 30]
+    const double e = -30.0 + 60.0 * rng_.Uniform();
+    return static_cast<float>(rng_.Normal() * std::pow(10.0, e));
+  };
+  for (size_t dim : {1, 3, 4, 5, 7, 8, 9, 31, 32, 33, 64}) {
+    std::vector<std::vector<float>> queries(3, std::vector<float>(dim));
+    for (size_t j = 0; j < dim; ++j) {
+      queries[0][j] = static_cast<float>(rng_.Normal());
+      queries[1][j] = wide();
+      queries[2][j] = j % 3 == 0   ? 0.0f
+                      : j % 3 == 1 ? denorm * static_cast<float>(1 + j)
+                                   : static_cast<float>(rng_.Normal());
+    }
+    for (size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 255, 256, 257, 1023, 1024,
+                     1025, 2053}) {
+      Matrix rows(n, dim);
+      for (size_t i = 0; i < n; ++i) {
+        float* r = rows.row(i);
+        switch (i % 7) {
+          case 0:  // unit normal
+            for (size_t j = 0; j < dim; ++j) {
+              r[j] = static_cast<float>(rng_.Normal());
+            }
+            break;
+          case 1:  // wide magnitudes, mixed within the row
+            for (size_t j = 0; j < dim; ++j) r[j] = wide();
+            break;
+          case 2:  // subnormals
+            for (size_t j = 0; j < dim; ++j) {
+              r[j] = (j % 2 ? -1.0f : 1.0f) * denorm *
+                     static_cast<float>(1 + rng_.UniformInt(uint64_t{1000}));
+            }
+            break;
+          case 3: {  // huge term pairs that cancel against queries[0]
+            const std::vector<float>& q0 = queries[0];
+            for (size_t j = 0; j < dim; ++j) {
+              r[j] = static_cast<float>(rng_.Normal());
+            }
+            for (size_t j = 0; j + 1 < dim; j += 2) {
+              r[j] = 1e20f * static_cast<float>(rng_.Normal());
+              const double partner = -static_cast<double>(r[j]) * q0[j] /
+                                     static_cast<double>(q0[j + 1]);
+              if (std::isfinite(static_cast<float>(partner))) {
+                r[j + 1] = static_cast<float>(partner);
+              }
+            }
+            break;
+          }
+          case 4:  // +-1e30
+            for (size_t j = 0; j < dim; ++j) r[j] = j % 2 ? -1e30f : 1e30f;
+            break;
+          case 5:  // zero row
+            break;
+          default:  // duplicate of an earlier row: an exact tie
+            std::copy(rows.row(i / 2), rows.row(i / 2) + dim, r);
+            break;
+        }
+      }
+      const kernels::RowPanel panel(rows);
+      ASSERT_EQ(panel.rows(), n);
+      ASSERT_EQ(panel.dim(), dim);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const float* q = queries[qi].data();
+        std::vector<float> expected(n);
+        for (size_t i = 0; i < n; ++i) {
+          expected[i] = kernels::DotRowDouble(q, rows.row(i), dim);
+        }
+        // Slices: everything, from the second block on, and one block.
+        std::vector<std::pair<size_t, size_t>> slices = {{0, n}};
+        if (n > 8) slices.push_back({8, n});
+        if (n > 24) slices.push_back({16, 24});
+        for (const auto& [lo, hi] : slices) {
+          for (const auto& [name, fn] : paths) {
+            std::vector<float> got(hi - lo + 20, nan);
+            fn(q, panel, lo, hi, got.data());
+            for (size_t i = lo; i < hi; ++i) {
+              ASSERT_EQ(
+                  std::memcmp(&got[i - lo], &expected[i], sizeof(float)), 0)
+                  << name << " dim=" << dim << " n=" << n << " query=" << qi
+                  << " slice [" << lo << ", " << hi << ") row " << i << ": "
+                  << got[i - lo] << " vs " << expected[i];
+            }
+            for (size_t s = hi - lo; s < got.size(); ++s) {
+              ASSERT_TRUE(std::isnan(got[s]))
+                  << name << " dim=" << dim << " n=" << n
+                  << " wrote past the slice at " << s;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelsBitIdentityTest, TopKDotPanelMatchesMatrixAndFullSort) {
+  // TopKDot over a RowPanel against TopKDot over the matrix it was packed
+  // from, and both against a full sort of DotRowDouble scores, which
+  // shares no code with the chunk loop, heap or merge. Serial and 3- and
+  // 4-thread contexts; row counts below, at and past the 1024-row merge
+  // blocks with short last panel blocks. The tied catalogs repeat five
+  // base rows, so the k-th score is shared by many rows and the
+  // equal-to-worst path decides by id; the zero query ties every row.
+  auto full_sort = [](const float* q, const Matrix& rows, size_t k) {
+    std::vector<std::pair<uint32_t, float>> all(rows.rows());
+    for (size_t i = 0; i < rows.rows(); ++i) {
+      all[i] = {static_cast<uint32_t>(i),
+                kernels::DotRowDouble(q, rows.row(i), rows.cols())};
+    }
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.second != b.second) return a.second > b.second;
+      return a.first < b.first;
+    });
+    all.resize(std::min(k, all.size()));
+    return all;
+  };
+  auto same = [](const std::vector<std::pair<uint32_t, float>>& a,
+                 const std::vector<std::pair<uint32_t, float>>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].first != b[i].first ||
+          std::memcmp(&a[i].second, &b[i].second, sizeof(float)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const ExecutionContext* contexts[] = {&SerialExecution(), &par3_, &par4_};
+  struct Shape {
+    size_t n, dim;
+    bool tied;
+  };
+  for (const Shape& shape : {Shape{1, 7, false}, Shape{9, 1, false},
+                             Shape{1000, 32, false}, Shape{2053, 33, false},
+                             Shape{5003, 32, false}, Shape{3001, 9, true},
+                             Shape{260, 32, true}}) {
+    const size_t n = shape.n, dim = shape.dim;
+    Matrix rows = RandMatrix(n, dim, &rng_);
+    if (shape.tied) {
+      const Matrix base = RandMatrix(5, dim, &rng_);
+      for (size_t i = 0; i < n; ++i) rows.CopyRowFrom(base, i % 5, i);
+    }
+    const kernels::RowPanel panel(rows);
+    Matrix queries = RandMatrix(2, dim, &rng_);
+    std::fill(queries.row(1), queries.row(1) + dim, 0.0f);
+    for (size_t qi = 0; qi < 2; ++qi) {
+      const float* q = queries.row(qi);
+      for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n, n + 5}) {
+        const auto expected = full_sort(q, rows, k);
+        for (const ExecutionContext* ctx : contexts) {
+          const auto from_panel = kernels::TopKDot(*ctx, q, panel, k);
+          const auto from_matrix = kernels::TopKDot(*ctx, q, dim, rows, k);
+          EXPECT_TRUE(same(from_panel, expected))
+              << "panel n=" << n << " dim=" << dim << " query=" << qi
+              << " k=" << k << " threads=" << ctx->num_threads();
+          EXPECT_TRUE(same(from_matrix, expected))
+              << "matrix n=" << n << " dim=" << dim << " query=" << qi
+              << " k=" << k << " threads=" << ctx->num_threads();
+        }
+      }
+    }
+  }
+}
+
 /// The k-means assignment metric as a plain loop, independent of
 /// core/kernels.h: widened differences squared and summed in ascending
 /// column order.

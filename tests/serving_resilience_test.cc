@@ -250,6 +250,27 @@ TEST(EmbeddingStoreHardeningTest, NonFiniteValueRejected) {
   std::remove(path.c_str());
 }
 
+// An in-memory catalog skips Load's check, so the rankers refuse a
+// non-finite service row themselves when they pack it for the scan, and
+// name the row.
+TEST(ServingCatalogDeathTest, NonFiniteServiceRowNamesTheRow) {
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    core::Rng rng(29);
+    const Matrix queries = Matrix::Randn(6, 4, &rng);
+    Matrix services = Matrix::Randn(20, 4, &rng);
+    services.at(13, 2) = bad;
+    EXPECT_DEATH(ResilientRanker(EmbeddingStore(queries),
+                                 EmbeddingStore(services)),
+                 "non-finite value in serving catalog \\(row 13\\)")
+        << bad;
+    EXPECT_DEATH(EmbeddingRanker(EmbeddingStore(queries),
+                                 EmbeddingStore(services)),
+                 "non-finite value in serving catalog \\(row 13\\)")
+        << bad;
+  }
+}
+
 // Byte-for-byte pin of the GEM2 encoding: the CRC-32 and size of a fixed
 // small store, recorded when its loader moved to core::ReadFile.
 TEST(EmbeddingStoreHardeningTest, GoldenBytesPinned) {
