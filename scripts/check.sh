@@ -71,7 +71,9 @@ echo "==> Sanitizer build (thread)"
 # thread-local nn::NoGradScope (nn_tensor_test), the block
 # sampler's thread-count-invariance contract, the ticket sequencer
 # (core_ticket_gate_test), the concurrent batched serving path
-# (BatchRanker + ResilientRanker's sequenced resolve phase), and the
+# (BatchRanker + ResilientRanker's sequenced resolve phase, and its
+# answer cache: the single-flight wait on a pending entry's future and
+# eviction decided in resolve order), and the
 # shared immutable SQ8 IvfIndex — including the sharded asymmetric scan +
 # exact re-rank — probed from many threads (serving_retrieval_test), and
 # whole training runs: the threaded cases of models_garcia_test and

@@ -119,6 +119,7 @@ void ResilientRanker::SetRetrievalIndex(std::shared_ptr<const IvfIndex> index,
   index_rerank_k_ = rerank_k;
   std::lock_guard<std::mutex> lock(mu_);
   health_.index_memory_bytes = index_->MemoryBytes();
+  cache_.Clear();
 }
 
 core::Status ResilientRanker::LoadRetrievalIndex(const std::string& path,
@@ -205,7 +206,7 @@ const float* ResilientRanker::FreshLookup(uint32_t query,
 }
 
 ResilientRanker::Resolved ResilientRanker::ResolveRequest(
-    uint64_t request_index, uint32_t query) const {
+    uint64_t request_index, uint32_t query, size_t k) const {
   // Wait for the turn, not for a lock: request t-1's FinishTurn releases
   // exactly this request. (WaitTurn checks that a request index below the
   // gate's turn — a reused index, or Rank() mixed with explicit RankAt()
@@ -273,7 +274,12 @@ ResilientRanker::Resolved ResilientRanker::ResolveRequest(
   Resolved out;
   if (vec != nullptr) {
     out.tier = tier;
-    out.embedding.assign(vec, vec + services_.dim());
+    // Both scoring paths return min(k, catalog) rows for an embedding.
+    out.cache = cache_.Resolve(vec, services_.dim(), k,
+                               std::min(k, services_.size()));
+    if (!out.cache.answer.valid()) {
+      out.embedding.assign(vec, vec + services_.dim());
+    }
   } else {
     out.tier =
         text_ != nullptr ? ServingTier::kText : ServingTier::kPopularity;
@@ -286,7 +292,7 @@ ResilientRanker::Resolved ResilientRanker::ResolveRequest(
 RankedList ResilientRanker::RankAt(uint64_t request_index, uint32_t query,
                                    size_t k,
                                    ServingTier* served_tier) const {
-  Resolved r = ResolveRequest(request_index, query);
+  Resolved r = ResolveRequest(request_index, query, k);
 
   // Score outside the lock: the top-K probe/scan over the service catalog
   // is the expensive part, is independent across requests, and overlaps
@@ -295,16 +301,21 @@ RankedList ResilientRanker::RankAt(uint64_t request_index, uint32_t query,
   // is its always-correct degradation fallback. Neither choice touches the
   // resolve phase, so the tier sequence is scoring-path-independent.
   ServingTier tier = r.tier;
-  const bool via_index = !r.embedding.empty() && index_ != nullptr;
+  const bool embedded = tier <= ServingTier::kHeadAnchor;
+  const bool via_index = embedded && index_ != nullptr;
+  const bool cache_hit = r.cache.answer.valid();
   RankedList result;
   IvfIndex::QueryStats qstats;
-  if (via_index) {
+  if (cache_hit) {
+    // Blocks only while the admitting request is still scoring.
+    result = r.cache.answer.get();
+  } else if (via_index) {
     result = index_->Query(
         core::CurrentExecution(), r.embedding.data(), k,
         index_nprobe_ != 0 ? index_nprobe_ : index_->default_nprobe(),
         index_rerank_k_ != 0 ? index_rerank_k_ : index_->default_rerank_k(),
         &qstats);
-  } else if (!r.embedding.empty()) {
+  } else if (embedded) {
     result = core::kernels::TopKDot(core::CurrentExecution(),
                                     r.embedding.data(), services_panel_, k);
   } else if (tier == ServingTier::kText) {
@@ -312,19 +323,23 @@ RankedList ResilientRanker::RankAt(uint64_t request_index, uint32_t query,
   } else {
     result = popularity_->Rank(query, k);
   }
-  // An embedding-free tier that still produced nothing (e.g. empty query
-  // text) falls through to the popularity prior.
-  if (result.empty() && tier != ServingTier::kPopularity) {
+  // The text tier producing nothing (e.g. empty query text) falls through
+  // to the popularity prior. An empty embedding-tier answer (k = 0) stays
+  // with the tier that resolved it.
+  if (result.empty() && tier == ServingTier::kText) {
     tier = ServingTier::kPopularity;
     result = popularity_->Rank(query, k);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (r.cache.fill.has_value()) r.cache.fill->set_value(result);
     ++health_.served_at_tier[static_cast<size_t>(tier)];
-    if (!r.embedding.empty()) {
+    if (embedded) {
       ++(via_index ? health_.scored_via_index : health_.scored_brute_force);
     }
-    if (via_index) {
+    if (cache_hit) {
+      ++health_.cache_hits;
+    } else if (via_index) {
       ++health_.quantized_scans;
       health_.rerank_rows += qstats.rerank_rows;
     }
@@ -355,6 +370,9 @@ void ResilientRanker::PrepareForRun(const FaultProfile* profile,
   clock_.Reset();
   breaker_.Reset();
   health_.Reset();
+  // Every run starts cold: a replay must measure its own scans, not the
+  // previous run's answers.
+  cache_.Clear();
   // The installed index survives runs; its footprint is a gauge, not a
   // per-run counter.
   if (index_ != nullptr) health_.index_memory_bytes = index_->MemoryBytes();
@@ -369,6 +387,7 @@ ServingHealth ResilientRanker::health() const {
   snapshot.breaker_to_open = breaker_.transitions_to_open();
   snapshot.breaker_to_half_open = breaker_.transitions_to_half_open();
   snapshot.breaker_to_closed = breaker_.transitions_to_closed();
+  snapshot.cache_bytes = cache_.bytes();
   return snapshot;
 }
 

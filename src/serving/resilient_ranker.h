@@ -28,6 +28,13 @@
 // the mutex. A fixed profile + seed therefore yields the same per-request
 // tier decision and ranked list for every thread count and interleaving,
 // and the breaker/health totals match a serial pass exactly.
+//
+// Answer cache (DESIGN.md §5o): embedding-tier answers are cached by the
+// resolved vector's bytes plus k (serving/answer_cache.h). Hit, admission
+// and eviction are decided in the sequenced resolve phase, so the cache
+// state — and cache_hits — also depend on the request sequence alone. A
+// request that hits a still-pending entry waits for the admitting
+// request's scan outside the gate and the mutex (single flight).
 
 #ifndef GARCIA_SERVING_RESILIENT_RANKER_H_
 #define GARCIA_SERVING_RESILIENT_RANKER_H_
@@ -44,6 +51,7 @@
 #include "core/rng.h"
 #include "core/ticket_gate.h"
 #include "models/text_encoder.h"
+#include "serving/answer_cache.h"
 #include "serving/fault_injector.h"
 #include "serving/ranking_service.h"
 #include "serving/resilience.h"
@@ -131,7 +139,8 @@ class ResilientRanker : public Ranker {
   /// The index must have its re-rank catalog attached before
   /// installation (CHECKed); `rerank_k` overrides its exact re-rank depth
   /// per request (0 = the index's build-time default).
-  /// Installation also records IvfIndex::MemoryBytes() on ServingHealth.
+  /// Installation also records IvfIndex::MemoryBytes() on ServingHealth
+  /// and clears the answer cache, whose answers came from the old path.
   void SetRetrievalIndex(std::shared_ptr<const IvfIndex> index,
                          size_t nprobe = 0, size_t rerank_k = 0);
 
@@ -166,10 +175,10 @@ class ResilientRanker : public Ranker {
   RankedList RankAt(uint64_t request_index, uint32_t query, size_t k,
                     ServingTier* served_tier) const;
 
-  /// RunAbTest hook: resets breaker/health/injector/clock and the request
-  /// index sequence so runs with the same profile and seed are
-  /// bit-identical; installs `profile` when set. Must not race in-flight
-  /// Rank calls.
+  /// RunAbTest hook: resets breaker/health/injector/clock, the answer
+  /// cache and the request index sequence so runs with the same profile
+  /// and seed are bit-identical and every run starts cold; installs
+  /// `profile` when set. Must not race in-flight Rank calls.
   void PrepareForRun(const FaultProfile* profile,
                      uint64_t seed) const override;
 
@@ -186,20 +195,23 @@ class ResilientRanker : public Ranker {
 
  private:
   /// Outcome of the locked resolve phase: which tier answers and, for the
-  /// embedding tiers, a copy of the query-side vector (copied because the
-  /// injector's scratch row and the lock are both released before scoring).
+  /// embedding tiers, the answer cache's verdict plus — unless it hit — a
+  /// copy of the query-side vector (copied because the injector's scratch
+  /// row and the lock are both released before scoring).
   struct Resolved {
     ServingTier tier = ServingTier::kPopularity;
-    std::vector<float> embedding;  // non-empty iff an embedding tier serves
+    std::vector<float> embedding;  // set iff an embedding tier scores
+    AnswerCache::Lookup cache;
   };
 
   /// The sequenced resolve phase: holds the ticket gate's turn for
   /// request_index (so every earlier index has already resolved and later
   /// ones wait their turn), then runs fault draws / retries / breaker /
   /// tier selection, advancing the shared clock exactly like a serial
-  /// pass. Only the state mutations are sequenced; scoring never enters
-  /// the gate.
-  Resolved ResolveRequest(uint64_t request_index, uint32_t query) const;
+  /// pass, and consults the answer cache. Only the state mutations are
+  /// sequenced; scoring never enters the gate.
+  Resolved ResolveRequest(uint64_t request_index, uint32_t query,
+                          size_t k) const;
 
   /// One pass over tier 0 (retry loop). Returns the embedding or nullptr.
   /// backoff_rng is the request's private jitter stream.
@@ -239,6 +251,7 @@ class ResilientRanker : public Ranker {
   mutable std::optional<FaultInjector> injector_;
   mutable CircuitBreaker breaker_;
   mutable ServingHealth health_;
+  mutable AnswerCache cache_;
 };
 
 /// True when every entry of the row is finite and sane (|x| < 1e30).

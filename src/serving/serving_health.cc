@@ -58,6 +58,7 @@ std::string ServingHealth::ToString() const {
      << ",index_load_failures=" << index_load_failures
      << "] sq8[scans=" << quantized_scans << ",rerank_rows=" << rerank_rows
      << "] index_memory_bytes=" << index_memory_bytes
+     << " cache[hits=" << cache_hits << ",bytes=" << cache_bytes << "]"
      << " mean_depth=" << MeanFallbackDepth();
   return os.str();
 }

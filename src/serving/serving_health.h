@@ -47,15 +47,22 @@ struct ServingHealth {
   uint64_t scored_brute_force = 0;     // embedding requests full-scanned
   uint64_t index_load_failures = 0;    // corrupt/unreadable index dumps
 
-  // SQ8 two-stage path (every index probe): how many requests ran the
-  // int8 scan, and how many candidate rows the exact re-rank touched in
-  // total — rerank_rows / quantized_scans is the mean re-rank depth, the
-  // knob-tuning number next to rerank_k. index_memory_bytes is the
-  // resident footprint of the installed index (0 = none installed), the
-  // dashboard's view of the ~4x SQ8 saving.
-  uint64_t quantized_scans = 0;        // requests served by the SQ8 path
+  // SQ8 two-stage path (every index probe): how many index queries ran
+  // the int8 scan, and how many candidate rows the exact re-rank touched
+  // in total — rerank_rows / quantized_scans is the mean re-rank depth, the
+  // knob-tuning number next to rerank_k. An answer-cache hit runs no scan,
+  // so neither counts it. index_memory_bytes is the resident footprint of
+  // the installed index (0 = none installed), the dashboard's view of the
+  // ~4x SQ8 saving.
+  uint64_t quantized_scans = 0;        // index queries actually run
   uint64_t rerank_rows = 0;            // exact re-rank rows, summed
   uint64_t index_memory_bytes = 0;     // MemoryBytes() of installed index
+
+  // Answer cache of the embedding tiers (serving/answer_cache.h). A hit
+  // still counts under scored_via_index / scored_brute_force, by the path
+  // that computed the cached answer.
+  uint64_t cache_hits = 0;             // answers taken from the cache
+  uint64_t cache_bytes = 0;            // AnswerCache::bytes() gauge
 
   /// Average index of the serving tier (0 = all fresh). The headline
   /// degradation metric.

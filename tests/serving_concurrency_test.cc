@@ -13,11 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/kernels.h"
 #include "core/matrix.h"
 #include "core/rng.h"
 #include "core/string_util.h"
 #include "serving/batch_ranker.h"
 #include "serving/fault_injector.h"
+#include "serving/ivf_index.h"
 #include "serving/ranking_service.h"
 #include "serving/resilient_ranker.h"
 
@@ -30,13 +32,27 @@ constexpr size_t kQueries = 120;
 constexpr size_t kServices = 60;
 constexpr size_t kDim = 8;
 
+/// The chain ranker's query and service embeddings.
+struct ChainEmbeddings {
+  Matrix query_emb, service_emb;
+  ChainEmbeddings() {
+    core::Rng rng(404);
+    query_emb = Matrix::Randn(kQueries, kDim, &rng);
+    service_emb = Matrix::Randn(kServices, kDim, &rng);
+  }
+};
+
+/// Head anchor of the chain ranker's tail query q (the ids past the stale
+/// snapshot's oldest 70%).
+constexpr uint32_t ChainAnchorOf(uint32_t q) { return q % 5; }
+
 /// Full degradation chain over random embeddings: fresh covers all ids,
 /// stale the oldest 70%, tail ids anchor onto a head id, text + popularity
 /// terminate the chain.
 std::shared_ptr<ResilientRanker> MakeChainRanker(ResilienceConfig cfg = {}) {
-  core::Rng rng(404);
-  Matrix query_emb = Matrix::Randn(kQueries, kDim, &rng);
-  Matrix service_emb = Matrix::Randn(kServices, kDim, &rng);
+  const ChainEmbeddings emb;
+  const Matrix& query_emb = emb.query_emb;
+  const Matrix& service_emb = emb.service_emb;
   auto ranker = std::make_shared<ResilientRanker>(
       EmbeddingStore(query_emb), EmbeddingStore(service_emb), cfg);
   const size_t keep = kQueries * 7 / 10;
@@ -45,7 +61,7 @@ std::shared_ptr<ResilientRanker> MakeChainRanker(ResilienceConfig cfg = {}) {
   ranker->SetStaleSnapshot(EmbeddingStore(std::move(stale)));
   std::vector<int32_t> anchors(kQueries, -1);
   for (size_t q = keep; q < kQueries; ++q) {
-    anchors[q] = static_cast<int32_t>(q % 5);
+    anchors[q] = static_cast<int32_t>(ChainAnchorOf(q));
   }
   ranker->SetHeadAnchors(std::move(anchors));
   std::vector<std::string> query_texts, service_names;
@@ -338,6 +354,118 @@ TEST(BatchRankerAsyncTest, DestroyMidFlightDrainsBeforeTeardown) {
     ASSERT_EQ(results.size(), ref.lists.size());
     for (size_t i = 0; i < results.size(); ++i) {
       ASSERT_EQ(results[i], ref.lists[i]) << "round " << round << " req " << i;
+    }
+  }
+}
+
+// ------------------------------------------------------------ answer cache
+
+/// Head-heavy traffic over the chain's ids, unknown ids included: many
+/// repeats, so the answer cache serves most embedding-tier requests.
+std::vector<ServeRequest> MakeSkewedTraffic(size_t n) {
+  std::vector<ServeRequest> requests(n);
+  core::Rng traffic(321);
+  for (auto& r : requests) {
+    const double u = traffic.Uniform();
+    r.query = static_cast<uint32_t>(static_cast<double>(kQueries + 20) * u *
+                                    u * u);
+    r.k = 5;
+  }
+  return requests;
+}
+
+TEST(AnswerCacheConcurrencyTest, ZipfProfileAnswersMatchOracleAtEveryWidth) {
+  // Every cached or computed answer must equal a direct scan of the
+  // request's resolved embedding, on both scoring paths, and the health
+  // totals (cache_hits included) must not depend on the worker count.
+  const ChainEmbeddings emb;
+  RetrievalConfig rcfg;
+  rcfg.nlist = 8;
+  auto index = std::make_shared<const IvfIndex>(
+      IvfIndex::Build(emb.service_emb, rcfg));
+  const FaultProfile profile = ZipfServeProfile();
+  const std::vector<ServeRequest> requests = MakeSkewedTraffic(1500);
+  for (const bool use_index : {false, true}) {
+    auto ranker = MakeChainRanker();
+    // Two of eight lists: the index answer is approximate, so the index
+    // oracle, not brute force, is the one it must match.
+    if (use_index) ranker->SetRetrievalIndex(index, /*nprobe=*/2);
+    const SerialReference ref =
+        RunSerialReference(*ranker, &profile, /*seed=*/5, requests);
+    size_t checked = 0;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const ServingTier tier = ref.tiers[i];
+      if (tier > ServingTier::kHeadAnchor) continue;
+      const uint32_t row = tier == ServingTier::kHeadAnchor
+                               ? ChainAnchorOf(requests[i].query)
+                               : requests[i].query;
+      const float* vec = emb.query_emb.row(row);
+      const RankedList want =
+          use_index ? index->Query(core::SerialExecution(), vec,
+                                   requests[i].k, /*nprobe=*/2)
+                    : TopKInnerProduct(vec, kDim, emb.service_emb,
+                                       requests[i].k);
+      ASSERT_EQ(ref.lists[i], want) << "index=" << use_index << " request "
+                                    << i << " tier " << ServingTierName(tier);
+      ++checked;
+    }
+    const ServingHealth h = ranker->health();
+    EXPECT_EQ(checked, h.scored_via_index + h.scored_brute_force);
+    EXPECT_GT(h.cache_hits, checked / 2) << h.ToString();
+    if (use_index) {
+      EXPECT_EQ(h.quantized_scans + h.cache_hits, h.scored_via_index);
+    }
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      ServeConfig serve;
+      serve.num_threads = threads;
+      serve.batch_size = 128;
+      BatchRanker batch(ranker, serve);
+      ranker->PrepareForRun(&profile, /*seed=*/5);
+      const std::vector<RankedList> lists = batch.RankBatch(requests);
+      for (size_t i = 0; i < lists.size(); ++i) {
+        ASSERT_EQ(lists[i], ref.lists[i])
+            << "index=" << use_index << " threads=" << threads << " request "
+            << i;
+      }
+      EXPECT_EQ(ranker->health().ToString(), ref.health)
+          << "index=" << use_index << " threads=" << threads;
+    }
+  }
+}
+
+TEST(AnswerCacheConcurrencyTest, SingleFlightRunsOneScanAfterAdmission) {
+  // One key from many workers: the first sighting and the admitting
+  // request scan; every later request takes the admitted answer, waiting
+  // for it while the admitting scan is still running.
+  constexpr size_t kCatalog = 8192, kWide = 16, kRepeats = 64;
+  core::Rng rng(808);
+  const Matrix queries = Matrix::Randn(4, kWide, &rng);
+  const Matrix services = Matrix::Randn(kCatalog, kWide, &rng);
+  RetrievalConfig rcfg;
+  rcfg.nlist = 64;
+  auto index =
+      std::make_shared<const IvfIndex>(IvfIndex::Build(services, rcfg));
+  const RankedList want = TopKInnerProduct(queries.row(1), kWide, services, 10);
+  const std::vector<ServeRequest> requests(kRepeats, ServeRequest{1, 10});
+  for (const bool use_index : {false, true}) {
+    auto ranker = std::make_shared<ResilientRanker>(EmbeddingStore(queries),
+                                                    EmbeddingStore(services));
+    // Full probe: the index answer equals brute force.
+    if (use_index) ranker->SetRetrievalIndex(index, /*nprobe=*/rcfg.nlist);
+    for (const size_t threads : {size_t{4}, size_t{8}}) {
+      ServeConfig serve;
+      serve.num_threads = threads;
+      BatchRanker batch(ranker, serve);
+      ranker->PrepareForRun(nullptr, /*seed=*/1);
+      for (const RankedList& list : batch.RankBatch(requests)) {
+        ASSERT_EQ(list, want) << "index=" << use_index << " threads="
+                              << threads;
+      }
+      const ServingHealth h = ranker->health();
+      EXPECT_EQ(h.cache_hits, kRepeats - 2) << h.ToString();
+      EXPECT_EQ(h.quantized_scans, use_index ? 2u : 0u) << h.ToString();
+      EXPECT_EQ(use_index ? h.scored_via_index : h.scored_brute_force,
+                kRepeats);
     }
   }
 }

@@ -21,6 +21,7 @@
 #include "core/rng.h"
 #include "models/contrastive.h"
 #include "serving/ab_test.h"
+#include "serving/answer_cache.h"
 #include "serving/batch_ranker.h"
 #include "serving/embedding_store.h"
 #include "serving/fault_injector.h"
@@ -914,6 +915,170 @@ TEST_F(ChainTest, TierSequenceUnderFaultsIdenticalWithAndWithoutIndex) {
   EXPECT_EQ(indexed_scored, hp.served_at_tier[0] + hp.served_at_tier[1] +
                                 hp.served_at_tier[2]);
   EXPECT_GT(indexed_scored, 0u);
+}
+
+// ------------------------------------------------- answer cache & k = 0
+
+TEST_F(ChainTest, KZeroRequestStaysWithTheTierThatResolvedIt) {
+  // An empty answer from an embedding tier is still that tier's answer:
+  // only the text tier falls through to the popularity prior.
+  auto ranker = MakeRanker();
+  ServingTier tier = ServingTier::kPopularity;
+  EXPECT_TRUE(ranker->RankAt(0, 0, 0, &tier).empty());
+  EXPECT_EQ(tier, ServingTier::kFresh);
+  const ServingHealth h = ranker->health();
+  EXPECT_EQ(h.served_at_tier[0], 1u);
+  EXPECT_EQ(h.served_at_tier[4], 0u);
+  EXPECT_EQ(h.scored_brute_force, 1u);
+  EXPECT_EQ(h.FreshServeRate(), 1.0);
+}
+
+TEST_F(ChainTest, AnswerCacheAdmitsOnSecondSightingAndKeysOnK) {
+  auto ranker = MakeRanker();
+  const RankedList two = ranker->Rank(0, 2);  // first sighting: not cached
+  EXPECT_EQ(ranker->health().cache_bytes, 0u);
+  EXPECT_EQ(ranker->Rank(0, 2), two);  // second sighting: admitted
+  EXPECT_EQ(ranker->health().cache_hits, 0u);
+  EXPECT_GT(ranker->health().cache_bytes, 0u);
+  // Same vector, another k: another key.
+  EXPECT_EQ(ranker->Rank(0, 3).size(), 3u);
+  EXPECT_EQ(ranker->health().cache_hits, 0u);
+  EXPECT_EQ(ranker->Rank(0, 2), two);
+  const ServingHealth h = ranker->health();
+  EXPECT_EQ(h.cache_hits, 1u);
+  EXPECT_EQ(h.scored_brute_force, 4u);  // a hit counts by its path
+  EXPECT_NE(h.ToString().find("cache[hits=1,bytes="), std::string::npos)
+      << h.ToString();
+}
+
+TEST(AnswerCacheTest, KeyIsTheResolvedVectorsBytes) {
+  // Row 2 equals row 1 under float == but not bytewise (-0.0 vs 0.0).
+  const Matrix fresh({{1, 0}, {0, 1}, {-0.0f, 1}});
+  auto ranker = std::make_unique<ResilientRanker>(
+      EmbeddingStore(fresh), EmbeddingStore(Matrix({{1, 0}, {0, 1}})));
+  std::vector<int32_t> anchors(8, -1);
+  anchors[5] = 0;  // cold-start query 5 resolves to head query 0's vector
+  ranker->SetHeadAnchors(std::move(anchors));
+  ranker->Rank(0, 1);
+  ranker->Rank(0, 1);
+  ServingTier tier = ServingTier::kFresh;
+  ranker->RankAt(2, 5, 1, &tier);
+  EXPECT_EQ(tier, ServingTier::kHeadAnchor);
+  EXPECT_EQ(ranker->health().cache_hits, 1u);  // shared across tiers
+  ranker->RankAt(3, 1, 1);
+  ranker->RankAt(4, 1, 1);
+  ranker->RankAt(5, 2, 1);
+  EXPECT_EQ(ranker->health().cache_hits, 1u);  // -0.0 is another key
+}
+
+TEST(AnswerCacheTest, InstallingAnIndexOrPreparingARunInvalidates) {
+  core::Rng rng(61);
+  const Matrix queries = Matrix::Randn(40, 8, &rng);
+  const Matrix services = Matrix::Randn(600, 8, &rng);
+  RetrievalConfig rcfg;
+  rcfg.nlist = 24;
+  auto index =
+      std::make_shared<const IvfIndex>(IvfIndex::Build(services, rcfg));
+  // A query whose one-list probe misses part of the exact top 10.
+  uint32_t q = 0;
+  RankedList brute, probed;
+  for (; q < queries.rows(); ++q) {
+    brute = TopKInnerProduct(queries.row(q), 8, services, 10);
+    probed =
+        index->Query(core::SerialExecution(), queries.row(q), 10, /*nprobe=*/1);
+    if (probed != brute) break;
+  }
+  ASSERT_LT(q, queries.rows());
+
+  ResilientRanker ranker{EmbeddingStore(queries), EmbeddingStore(services)};
+  uint64_t i = 0;
+  for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(ranker.RankAt(i++, q, 10), brute);
+  EXPECT_EQ(ranker.health().cache_hits, 1u);  // the brute answer is cached
+
+  ranker.SetRetrievalIndex(index, /*nprobe=*/1);
+  EXPECT_EQ(ranker.health().cache_bytes, 0u);
+  for (int rep = 0; rep < 3; ++rep) {
+    EXPECT_EQ(ranker.RankAt(i++, q, 10), probed) << "repeat " << rep;
+  }
+  ServingHealth h = ranker.health();
+  EXPECT_EQ(h.cache_hits, 2u);
+  EXPECT_EQ(h.quantized_scans, 2u);  // first sighting + admission
+  EXPECT_EQ(h.scored_via_index, 3u);
+
+  ranker.PrepareForRun(nullptr, 1);
+  h = ranker.health();
+  EXPECT_EQ(h.cache_hits, 0u);
+  EXPECT_EQ(h.cache_bytes, 0u);
+  EXPECT_EQ(ranker.RankAt(0, q, 10), probed);
+  h = ranker.health();
+  EXPECT_EQ(h.cache_hits, 0u);  // the run starts cold
+  EXPECT_EQ(h.quantized_scans, 1u);
+}
+
+TEST(AnswerCacheTest, ByteBudgetHoldsAndEvictionReplaysIdentically) {
+  // A huge k makes every answer the whole 2048-row catalog (~16 KiB), so
+  // 400 admitted keys need about 1.6x the budget.
+  constexpr size_t kQueries = 400, kServices = 2048, kDim = 8;
+  constexpr size_t kHugeK = std::numeric_limits<size_t>::max();
+  core::Rng rng(71);
+  const Matrix queries = Matrix::Randn(kQueries, kDim, &rng);
+  const Matrix services = Matrix::Randn(kServices, kDim, &rng);
+  auto ranker = std::make_shared<ResilientRanker>(EmbeddingStore(queries),
+                                                  EmbeddingStore(services));
+  std::vector<ServeRequest> stream;
+  std::vector<size_t> touches;  // requests of query 0 after its admission
+  for (uint32_t q = 0; q < kQueries; ++q) {
+    stream.push_back({q, kHugeK});  // first sighting
+    stream.push_back({q, kHugeK});  // admission, evicting the oldest
+    if (q % 16 == 15) {
+      // Keeps query 0 recently resolved, so it is never the one evicted.
+      touches.push_back(stream.size());
+      stream.push_back({0, kHugeK});
+    }
+  }
+  const size_t probe = stream.size();
+  stream.push_back({0, kHugeK});
+  stream.push_back({1, kHugeK});  // the least recently resolved: evicted
+  for (uint32_t q = 2; q < kQueries; q += 7) stream.push_back({q, kHugeK});
+  stream.push_back({kQueries - 1, kHugeK});
+
+  auto replay = [&] {
+    ranker->PrepareForRun(nullptr, 1);
+    std::vector<bool> hits;
+    uint64_t before = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      const RankedList got = ranker->RankAt(i, stream[i].query, kHugeK);
+      if (i % 50 == 0) {
+        EXPECT_EQ(got, TopKInnerProduct(queries.row(stream[i].query), kDim,
+                                        services, kHugeK))
+            << "request " << i;
+      }
+      const ServingHealth h = ranker->health();
+      EXPECT_LE(h.cache_bytes, AnswerCache::kBudgetBytes) << "request " << i;
+      hits.push_back(h.cache_hits > before);
+      before = h.cache_hits;
+    }
+    return hits;
+  };
+  const std::vector<bool> hits = replay();
+  for (const size_t i : touches) EXPECT_TRUE(hits[i]) << "request " << i;
+  EXPECT_TRUE(hits[probe]);
+  EXPECT_FALSE(hits[probe + 1]);
+  EXPECT_TRUE(hits.back());  // the most recent key stays resident
+  // Full to within one entry.
+  EXPECT_GT(ranker->health().cache_bytes,
+            AnswerCache::kBudgetBytes -
+                kServices * sizeof(RankedList::value_type) - 1024);
+  EXPECT_EQ(replay(), hits);
+  const std::string serial = ranker->health().ToString();
+
+  // The same eviction sequence at four workers.
+  ServeConfig serve;
+  serve.num_threads = 4;
+  BatchRanker batch(ranker, serve);
+  ranker->PrepareForRun(nullptr, 1);
+  batch.RankBatch(stream);
+  EXPECT_EQ(ranker->health().ToString(), serial);
 }
 
 // ------------------------------------------------------- helper rankers
