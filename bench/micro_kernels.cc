@@ -18,7 +18,17 @@
 // byte. The `sq8_scan` rows time the SQ8 IVF probe scan (sq8::ScanDots,
 // serial, 35 of 141 lists of a 20000 x 32 catalog; and 5 of 7 lists of
 // 700 x 280 for the column and row tails) against a per-row scalar
-// reference loop; the tool exits 1 if any score differs in any bit.
+// reference loop; the tool exits 1 if any score differs in any bit. The
+// `gemm_garcia` rows time GARCIA's three Eq. 2 attention-logit GEMMs at
+// E = 11,872 edges (forward E x 69 . 69 x 1, weight gradient 69 x E .
+// E x 1, input gradient E x 1 . 1 x 69) serially through Gemm's dispatched
+// kernels (`seconds`) and through the scalar micro-kernel alone
+// (`scalar_seconds`), and the tool exits 1 if either result differs in any
+// bit from a naive triple loop. The `crc32` row reports Crc32's slice-by-8
+// throughput over a 16 MiB buffer (one GCK1 checkpoint generation) beside
+// a byte-at-a-time table loop, and the `adam_step` row one Adam update of
+// 2M floats through the AVX2 and scalar bodies; the tool exits 1 if the
+// CRCs, or the updated weights and moments, differ.
 //
 // Usage: micro_kernels [--speedup_json]; the sweep is the only mode.
 // Whole-lifecycle performance (Fit, export, serving) is measured by
@@ -34,10 +44,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/crc32.h"
 #include "core/kernels.h"
 #include "core/matrix.h"
 #include "core/rng.h"
 #include "core/string_util.h"
+#include "nn/optimizer.h"
 
 namespace garcia {
 namespace {
@@ -308,6 +320,135 @@ std::string Sq8ScanLine(size_t rows, size_t dim, size_t lists, size_t probed,
       same ? "true" : "false", last ? "" : ",");
 }
 
+/// One `gemm_garcia` row: C(m x n) = alpha * op(A) @ op(B) + beta * C,
+/// serial, timed through Gemm (the dispatched AVX2 and single-column
+/// kernels) and through GemmBlocked on the scalar micro-kernel alone, each
+/// from the same C. Clears *identical if either result differs in any bit
+/// from the naive triple loop: beta pre-scaling, then fl(alpha * a) * b
+/// terms in ascending k.
+std::string GemmGarciaLine(const char* what, size_t m, size_t k, size_t n,
+                           bool trans_a, bool trans_b, float beta,
+                           int repeats, core::Rng* rng, bool last,
+                           bool* identical) {
+  namespace ki = core::kernels::internal;
+  const core::Matrix a = trans_a ? core::Matrix::Randn(k, m, rng)
+                                 : core::Matrix::Randn(m, k, rng);
+  const core::Matrix b = trans_b ? core::Matrix::Randn(n, k, rng)
+                                 : core::Matrix::Randn(k, n, rng);
+  const core::Matrix c_init = core::Matrix::Randn(m, n, rng);
+  core::Matrix fast, scalar;
+  const double fast_secs = TimeMedianSeconds(repeats, [&] {
+    fast = c_init;
+    core::kernels::Gemm(core::SerialExecution(), trans_a, trans_b, 1.0f, a,
+                        b, beta, &fast);
+  });
+  const double scalar_secs = TimeMedianSeconds(repeats, [&] {
+    scalar = c_init;
+    ki::GemmBlocked(core::SerialExecution(), ki::kGemmBlocking, trans_a,
+                    trans_b, 1.0f, a, b, beta, &scalar,
+                    ki::GemmKernels::kScalar);
+  });
+  core::Matrix reference = c_init;
+  if (beta == 0.0f) {
+    reference.Fill(0.0f);
+  } else if (beta != 1.0f) {
+    reference.Scale(beta);
+  }
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      float acc = reference.at(i, j);
+      for (size_t l = 0; l < k; ++l) {
+        acc += (trans_a ? a.at(l, i) : a.at(i, l)) *
+               (trans_b ? b.at(j, l) : b.at(l, j));
+      }
+      reference.at(i, j) = acc;
+    }
+  }
+  const size_t bytes = reference.size() * sizeof(float);
+  const bool same =
+      std::memcmp(fast.data(), reference.data(), bytes) == 0 &&
+      std::memcmp(scalar.data(), reference.data(), bytes) == 0;
+  if (!same) *identical = false;
+  return core::StrFormat(
+      "    {\"kernel\": \"gemm_garcia\", \"shape\": \"%s %zux%zux%zu\", "
+      "\"threads\": 1, \"avx2\": %s, \"scalar_seconds\": %.6f, "
+      "\"seconds\": %.6f, \"speedup\": %.2f, \"bit_identical\": %s}%s\n",
+      what, m, k, n, ki::HasAvx2() ? "true" : "false", scalar_secs,
+      fast_secs, scalar_secs / fast_secs, same ? "true" : "false",
+      last ? "" : ",");
+}
+
+/// The `crc32` row: Crc32 (slice-by-8) against a byte-at-a-time table
+/// loop over `bytes` random bytes. Clears *identical if the CRCs differ.
+std::string Crc32Line(size_t bytes, int repeats, core::Rng* rng, bool last,
+                      bool* identical) {
+  std::vector<unsigned char> buf(bytes);
+  for (unsigned char& v : buf) {
+    v = static_cast<unsigned char>(rng->UniformInt(256));
+  }
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t fast = 0, reference = 0;
+  const double fast_secs = TimeMedianSeconds(
+      repeats, [&] { fast = core::Crc32(buf.data(), buf.size()); });
+  const double bytewise_secs = TimeMedianSeconds(repeats, [&] {
+    uint32_t c = 0xffffffffu;
+    for (unsigned char v : buf) c = table[(c ^ v) & 0xffu] ^ (c >> 8);
+    reference = c ^ 0xffffffffu;
+  });
+  const bool same = fast == reference;
+  if (!same) *identical = false;
+  const double mb = static_cast<double>(bytes) / 1e6;
+  return core::StrFormat(
+      "    {\"kernel\": \"crc32\", \"shape\": \"%zu bytes\", "
+      "\"threads\": 1, \"bytewise_mb_per_s\": %.1f, "
+      "\"mb_per_s\": %.1f, \"speedup\": %.2f, \"bit_identical\": %s}%s\n",
+      bytes, mb / bytewise_secs, mb / fast_secs, bytewise_secs / fast_secs,
+      same ? "true" : "false", last ? "" : ",");
+}
+
+/// The `adam_step` row: one Adam update of n floats through the AVX2 body
+/// and through the scalar loop, each on its own copy of the same state.
+/// Both copies take the same number of updates (warmup plus repeats), so
+/// afterwards their weights and moments must match byte for byte; clears
+/// *identical if not.
+std::string AdamStepLine(size_t n, int repeats, core::Rng* rng, bool last,
+                         bool* identical) {
+  namespace ni = nn::internal;
+  const bool avx2 = core::kernels::internal::HasAvx2();
+  std::vector<float> g(n), w(n);
+  for (size_t i = 0; i < n; ++i) {
+    g[i] = static_cast<float>(rng->Normal());
+    w[i] = static_cast<float>(rng->Normal());
+  }
+  const ni::AdamCoefficients k = {0.9f, 0.999f, 1e-8f, 0.01f, 1e-3f};
+  std::vector<float> w_fast = w, m_fast(n, 0.0f), v_fast(n, 0.0f);
+  std::vector<float> w_ref = w, m_ref(n, 0.0f), v_ref(n, 0.0f);
+  const auto update = avx2 ? &ni::AdamUpdateAvx2 : &ni::AdamUpdateScalar;
+  const double fast_secs = TimeMedianSeconds(repeats, [&] {
+    update(k, g.data(), w_fast.data(), m_fast.data(), v_fast.data(), n);
+  });
+  const double scalar_secs = TimeMedianSeconds(repeats, [&] {
+    ni::AdamUpdateScalar(k, g.data(), w_ref.data(), m_ref.data(),
+                         v_ref.data(), n);
+  });
+  const size_t bytes = n * sizeof(float);
+  const bool same = std::memcmp(w_fast.data(), w_ref.data(), bytes) == 0 &&
+                    std::memcmp(m_fast.data(), m_ref.data(), bytes) == 0 &&
+                    std::memcmp(v_fast.data(), v_ref.data(), bytes) == 0;
+  if (!same) *identical = false;
+  return core::StrFormat(
+      "    {\"kernel\": \"adam_step\", \"shape\": \"%zu floats\", "
+      "\"threads\": 1, \"avx2\": %s, \"scalar_seconds\": %.6f, "
+      "\"seconds\": %.6f, \"speedup\": %.2f, \"bit_identical\": %s}%s\n",
+      n, avx2 ? "true" : "false", scalar_secs, fast_secs,
+      scalar_secs / fast_secs, same ? "true" : "false", last ? "" : ",");
+}
+
 int RunSpeedupJson() {
   const std::vector<size_t> counts = SweepThreadCounts();
   const int repeats = BenchRepeats();
@@ -359,8 +500,26 @@ int RunSpeedupJson() {
   bool sq8_identical = true;
   json += Sq8ScanLine(20000, kServeDim, 141, 35, 100, repeats, &rng, false,
                       &sq8_identical);
-  json += Sq8ScanLine(700, 280, 7, 5, 100, repeats, &rng, true,
+  json += Sq8ScanLine(700, 280, 7, 5, 100, repeats, &rng, false,
                       &sq8_identical);
+
+  // GARCIA's Eq. 2 attention-logit GEMMs over E edges of a 69-wide
+  // [z_dst || z_src || e] input; the two n = 1 shapes run the
+  // single-column path, the input gradient a k = 1 product.
+  constexpr size_t kEdges = 11872, kAttIn = 69;
+  bool gemm_garcia_identical = true;
+  json += GemmGarciaLine("forward", kEdges, kAttIn, 1, false, false, 0.0f,
+                         repeats, &rng, false, &gemm_garcia_identical);
+  json += GemmGarciaLine("dW", kAttIn, kEdges, 1, true, false, 1.0f, repeats,
+                         &rng, false, &gemm_garcia_identical);
+  json += GemmGarciaLine("dX", kEdges, 1, kAttIn, false, true, 1.0f, repeats,
+                         &rng, false, &gemm_garcia_identical);
+
+  // Fit's other two vector loops: the CRC over one GCK1 generation's worth
+  // of bytes, and one Adam update.
+  bool crc_identical = true, adam_identical = true;
+  json += Crc32Line(size_t{16} << 20, repeats, &rng, false, &crc_identical);
+  json += AdamStepLine(size_t{2} << 20, repeats, &rng, true, &adam_identical);
 
   json += "  ]\n}\n";
 
@@ -378,7 +537,21 @@ int RunSpeedupJson() {
     std::fprintf(stderr,
                  "sq8_scan: ScanDots diverged from the per-row reference\n");
   }
-  return topk_identical && kmeans_identical && sq8_identical ? 0 : 1;
+  if (!gemm_garcia_identical) {
+    std::fprintf(stderr,
+                 "gemm_garcia: Gemm diverged from the naive triple loop\n");
+  }
+  if (!crc_identical) {
+    std::fprintf(stderr, "crc32: slice-by-8 diverged from the byte loop\n");
+  }
+  if (!adam_identical) {
+    std::fprintf(stderr,
+                 "adam_step: the AVX2 body diverged from the scalar loop\n");
+  }
+  return topk_identical && kmeans_identical && sq8_identical &&
+                 gemm_garcia_identical && crc_identical && adam_identical
+             ? 0
+             : 1;
 }
 
 }  // namespace

@@ -45,10 +45,16 @@ echo "==> ASan smoke: micro_kernels --speedup_json"
 # 20003 x 33, 141 centroids, so the 16-lane panel has padding lanes), and
 # the sq8_scan rows: the SQ8 IVF probe scan through the 8-row group kernel
 # (35 of 141 lists of a 20000 x 32 catalog, and 5 of 7 lists of 700 x 280
-# for the block crossing, the column tail and a short last group). Exits
-# nonzero if either TopKDot ranking, any nearest centroid or distance, or
-# any scanned score differs from its scalar reference. One repeat keeps
-# it fast; the JSON table goes to stdout and is discarded.
+# for the block crossing, the column tail and a short last group), and
+# Fit's vector loops: the gemm_garcia rows (GARCIA's three attention-logit
+# GEMMs at E = 11,872, through the AVX2 micro-kernel, the single-column
+# path and the scalar micro-kernel, each checked against a naive triple
+# loop), the crc32 row (slice-by-8 over 16 MiB against a byte loop) and
+# the adam_step row (one update of 2M floats, AVX2 against scalar). Exits
+# nonzero if either TopKDot ranking, any nearest centroid or distance, any
+# scanned score, any GEMM element, the CRC or any Adam weight or moment
+# differs from its reference. One repeat keeps it fast; the JSON table
+# goes to stdout and is discarded.
 (cd "$ROOT/build-asan/bench" && \
   GARCIA_BENCH_REPEATS=1 ./micro_kernels --speedup_json > /dev/null)
 

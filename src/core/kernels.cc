@@ -57,7 +57,24 @@ ScopedExecution::ScopedExecution(const ExecutionContext* ctx)
 ScopedExecution::~ScopedExecution() { tls_execution = prev_; }
 
 namespace kernels {
+
+namespace internal {
+
+bool HasAvx2() {
+#if defined(GARCIA_KERNELS_X86)
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has;
+#else
+  return false;
+#endif
+}
+
+}  // namespace internal
+
 namespace {
+
+using internal::kGemmMr;
+using internal::kGemmNr;
 
 // ----- Packed GEMM -----
 //
@@ -81,22 +98,13 @@ namespace {
 // Zero operands are NOT skipped: a 0 in op(A) still contributes
 // fl(0 * b_op[l,j]), so IEEE non-finite values in B propagate (0*Inf = NaN)
 // exactly as in the naive reference.
-
-// Micro-kernel register tile. MR*NR accumulators fit the 16 SSE registers
-// of baseline x86-64 without spilling; the packed panel layouts below are
-// keyed to these.
-constexpr size_t kGemmMr = 4;
-constexpr size_t kGemmNr = 8;
-
-// The blocking Gemm runs with (field docs in kernels.h).
-constexpr internal::GemmBlocking kGemmBlocking = {
-    /*mc=*/64,
-    /*kc=*/256,
-    /*nc=*/256,
-    /*min_rows_per_shard=*/8,
-    /*min_cols_per_shard=*/16,
-    /*shared_b_max_floats=*/size_t{1} << 24,
-};
+//
+// The micro-kernels (GemmMicroKernel, GemmMicroKernelAvx2 and, for a panel
+// with one valid column, GemmSingleColumn) all run that per-element
+// sequence: each vector lane owns one C element and takes a separate
+// multiply and add per step. None uses FMA, which would round the product
+// and sum once instead of twice. So which kernel runs, like the tiling,
+// cannot change a bit. kGemmMr and kGemmNr only fix the packed layouts.
 
 inline size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 
@@ -186,14 +194,15 @@ void PackB(bool trans_b, const float* b, size_t ldb, size_t l0, size_t kc,
   }
 }
 
-// MR x NR register-tiled micro-kernel over one packed A panel and one
-// packed B panel: loads the valid C sub-tile into the accumulator (padded
-// lanes start at 0 and are never stored back), streams kc ascending
-// fl(alpha*a)*b terms, and stores the valid region. The j loop has fixed
-// trip count kGemmNr so -O2 keeps the accumulator in vector registers.
-inline void GemmMicroKernel(const float* ap, const float* bp, size_t kc,
-                            float* c, size_t ldc, size_t m_valid,
-                            size_t n_valid) {
+}  // namespace
+
+namespace internal {
+
+// The portable twin, and the path off x86 or without AVX2. GCC at -O2
+// keeps `acc` on the stack and round-trips it through memory on every
+// step; GemmMicroKernelAvx2 is the register-resident kernel.
+void GemmMicroKernel(const float* ap, const float* bp, size_t kc, float* c,
+                     size_t ldc, size_t m_valid, size_t n_valid) {
   float acc[kGemmMr][kGemmNr];
   for (size_t r = 0; r < kGemmMr; ++r) {
     for (size_t j = 0; j < kGemmNr; ++j) {
@@ -213,6 +222,123 @@ inline void GemmMicroKernel(const float* ap, const float* bp, size_t kc,
   }
 }
 
+#if defined(GARCIA_KERNELS_X86)
+namespace {
+
+/// A full kGemmMr x kGemmNr tile: row r of C lives in one ymm register for
+/// all kc steps and takes fl(fl(a[l, r] * b[l, :]) + acc) per step.
+__attribute__((target("avx2"))) void GemmTileAvx2(const float* ap,
+                                                  const float* bp, size_t kc,
+                                                  float* c, size_t ldc) {
+  static_assert(kGemmMr == 4 && kGemmNr == 8, "one ymm row per tile row");
+  __m256 acc0 = _mm256_loadu_ps(c);
+  __m256 acc1 = _mm256_loadu_ps(c + ldc);
+  __m256 acc2 = _mm256_loadu_ps(c + 2 * ldc);
+  __m256 acc3 = _mm256_loadu_ps(c + 3 * ldc);
+  for (size_t l = 0; l < kc; ++l) {
+    const __m256 b = _mm256_loadu_ps(bp + l * kGemmNr);
+    const float* a = ap + l * kGemmMr;
+    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_broadcast_ss(a), b));
+    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_broadcast_ss(a + 1), b));
+    acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_broadcast_ss(a + 2), b));
+    acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_broadcast_ss(a + 3), b));
+  }
+  _mm256_storeu_ps(c, acc0);
+  _mm256_storeu_ps(c + ldc, acc1);
+  _mm256_storeu_ps(c + 2 * ldc, acc2);
+  _mm256_storeu_ps(c + 3 * ldc, acc3);
+}
+
+/// kPanels consecutive packed A panels against column 0 of a B panel: lane
+/// r of acc[p] is row p * kGemmMr + r. The kPanels chains are independent,
+/// which hides add latency.
+template <size_t kPanels>
+inline void SingleColumnPanels(const float* ap, size_t panel_stride,
+                               const float* bp, size_t kc, __m128 acc[]) {
+  for (size_t l = 0; l < kc; ++l) {
+    const __m128 b = _mm_set1_ps(bp[l * kGemmNr]);
+#pragma GCC unroll 8
+    for (size_t p = 0; p < kPanels; ++p) {
+      const __m128 a = _mm_loadu_ps(ap + p * panel_stride + l * kGemmMr);
+      acc[p] = _mm_add_ps(acc[p], _mm_mul_ps(a, b));
+    }
+  }
+}
+
+}  // namespace
+#endif  // GARCIA_KERNELS_X86
+
+void GemmMicroKernelAvx2(const float* ap, const float* bp, size_t kc,
+                         float* c, size_t ldc, size_t m_valid,
+                         size_t n_valid) {
+#if defined(GARCIA_KERNELS_X86)
+  if (m_valid == kGemmMr && n_valid == kGemmNr) {
+    GemmTileAvx2(ap, bp, kc, c, ldc);
+    return;
+  }
+  // A partial tile: the padded lanes start at 0 and are never stored back.
+  float tile[kGemmMr * kGemmNr] = {};
+  for (size_t r = 0; r < m_valid; ++r) {
+    std::copy(c + r * ldc, c + r * ldc + n_valid, tile + r * kGemmNr);
+  }
+  GemmTileAvx2(ap, bp, kc, tile, kGemmNr);
+  for (size_t r = 0; r < m_valid; ++r) {
+    std::copy(tile + r * kGemmNr, tile + r * kGemmNr + n_valid, c + r * ldc);
+  }
+#else
+  GemmMicroKernel(ap, bp, kc, c, ldc, m_valid, n_valid);
+#endif
+}
+
+void GemmSingleColumn(const float* ap, size_t m_valid, const float* bp,
+                      size_t kc, float* c, size_t ldc) {
+  const size_t panel_stride = kc * kGemmMr;
+#if defined(GARCIA_KERNELS_X86)
+  constexpr size_t kGroup = 8;  // panels in flight
+  size_t p0 = 0;
+  for (; (p0 + kGroup) * kGemmMr <= m_valid; p0 += kGroup) {
+    float* cp = c + p0 * kGemmMr * ldc;
+    __m128 acc[kGroup];
+    for (size_t p = 0; p < kGroup; ++p) {
+      const float* cr = cp + p * kGemmMr * ldc;
+      acc[p] = _mm_setr_ps(cr[0], cr[ldc], cr[2 * ldc], cr[3 * ldc]);
+    }
+    SingleColumnPanels<kGroup>(ap + p0 * panel_stride, panel_stride, bp, kc,
+                               acc);
+    for (size_t p = 0; p < kGroup; ++p) {
+      alignas(16) float lanes[kGemmMr];
+      _mm_store_ps(lanes, acc[p]);
+      for (size_t r = 0; r < kGemmMr; ++r) {
+        cp[(p * kGemmMr + r) * ldc] = lanes[r];
+      }
+    }
+  }
+  // The last panels one at a time; a short last panel's padded lanes start
+  // at 0 and are never stored back.
+  for (; p0 * kGemmMr < m_valid; ++p0) {
+    const size_t rows = std::min(kGemmMr, m_valid - p0 * kGemmMr);
+    float* cp = c + p0 * kGemmMr * ldc;
+    alignas(16) float lanes[kGemmMr] = {};
+    for (size_t r = 0; r < rows; ++r) lanes[r] = cp[r * ldc];
+    __m128 acc[1] = {_mm_load_ps(lanes)};
+    SingleColumnPanels<1>(ap + p0 * panel_stride, panel_stride, bp, kc, acc);
+    _mm_store_ps(lanes, acc[0]);
+    for (size_t r = 0; r < rows; ++r) cp[r * ldc] = lanes[r];
+  }
+#else
+  for (size_t i = 0; i < m_valid; ++i) {
+    const float* a = ap + (i / kGemmMr) * panel_stride + i % kGemmMr;
+    float acc = c[i * ldc];
+    for (size_t l = 0; l < kc; ++l) acc += a[l * kGemmMr] * bp[l * kGemmNr];
+    c[i * ldc] = acc;
+  }
+#endif
+}
+
+}  // namespace internal
+
+namespace {
+
 inline void AddRow(float* dst, const float* src, size_t cols) {
   for (size_t j = 0; j < cols; ++j) dst[j] += src[j];
 }
@@ -221,15 +347,15 @@ inline void AddRow(float* dst, const float* src, size_t cols) {
 
 void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b, float alpha,
           const Matrix& a, const Matrix& b, float beta, Matrix* c) {
-  internal::GemmBlocked(ctx, kGemmBlocking, trans_a, trans_b, alpha, a, b,
-                        beta, c);
+  internal::GemmBlocked(ctx, internal::kGemmBlocking, trans_a, trans_b, alpha,
+                        a, b, beta, c);
 }
 
 namespace internal {
 
 void GemmBlocked(const ExecutionContext& ctx, const GemmBlocking& blocking,
                  bool trans_a, bool trans_b, float alpha, const Matrix& a,
-                 const Matrix& b, float beta, Matrix* c) {
+                 const Matrix& b, float beta, Matrix* c, GemmKernels kernels) {
   const size_t m = trans_a ? a.cols() : a.rows();
   const size_t k = trans_a ? a.rows() : a.cols();
   const size_t kb = trans_b ? b.cols() : b.rows();
@@ -312,6 +438,9 @@ void GemmBlocked(const ExecutionContext& ctx, const GemmBlocking& blocking,
                    });
   }
   const float* b_shared = share_b ? caller_bufs.b_shared.data() : nullptr;
+  const bool dispatch = kernels == GemmKernels::kDispatch;
+  const auto micro_kernel = dispatch && HasAvx2() ? &GemmMicroKernelAvx2
+                                                  : &GemmMicroKernel;
 
   // Shard the flattened 2-D tile grid. Tiles write disjoint C regions, so
   // shards need no synchronization; each shard packs its own A panels (and,
@@ -343,11 +472,16 @@ void GemmBlocked(const ExecutionContext& ctx, const GemmBlocking& blocking,
             }
             for (size_t jr = 0; jr < nbt; jr += kGemmNr) {
               const float* bp = b_panels + (jr / kGemmNr) * kct * kGemmNr;
+              const size_t n_valid = std::min(kGemmNr, nbt - jr);
+              float* cj = cd + i0 * ldc + j0 + jr;
+              if (dispatch && n_valid == 1) {
+                GemmSingleColumn(bufs.a.data(), mbt, bp, kct, cj, ldc);
+                continue;
+              }
               for (size_t ir = 0; ir < mbt; ir += kGemmMr) {
-                GemmMicroKernel(
-                    bufs.a.data() + (ir / kGemmMr) * kct * kGemmMr, bp, kct,
-                    cd + (i0 + ir) * ldc + j0 + jr, ldc,
-                    std::min(kGemmMr, mbt - ir), std::min(kGemmNr, nbt - jr));
+                micro_kernel(bufs.a.data() + (ir / kGemmMr) * kct * kGemmMr,
+                             bp, kct, cj + ir * ldc, ldc,
+                             std::min(kGemmMr, mbt - ir), n_valid);
               }
             }
           }
@@ -628,15 +762,6 @@ void CrossEntropyBackwardAdd(const Matrix& softmax,
 // ----- Top-K retrieval -----
 
 namespace internal {
-
-bool HasAvx2() {
-#if defined(GARCIA_KERNELS_X86)
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-#else
-  return false;
-#endif
-}
 
 void DotRowsScalar(const float* query, const float* rows, size_t n,
                    size_t dim, float* out) {

@@ -118,14 +118,15 @@ namespace kernels {
 /// does. (Exactly-NaN outputs match the reference as a class, not bit for
 /// bit — IEEE-754 leaves NaN sign/payload selection to the implementation,
 /// so separately compiled code may keep a different NaN; across this
-/// kernel's own thread counts and blockings even NaN bits agree.)
+/// kernel's own thread counts even NaN bits agree.)
 void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b,
           float alpha, const Matrix& a, const Matrix& b, float beta,
           Matrix* c);
 
-/// Gemm's blocking, visible so tests can drive the multi-tile, padding and
-/// shared-B paths at small shapes. Not a knob: Gemm always runs the fixed
-/// blocking in kernels.cc.
+/// Gemm's blocking and micro-kernels, visible so tests can drive the
+/// multi-tile, padding and shared-B paths at small shapes and check each
+/// micro-kernel against the reference directly. Not a knob: Gemm always
+/// runs kGemmBlocking and dispatches its micro-kernels on the host.
 namespace internal {
 
 struct GemmBlocking {
@@ -147,10 +148,61 @@ struct GemmBlocking {
   size_t shared_b_max_floats;
 };
 
+/// The blocking Gemm runs with.
+inline constexpr GemmBlocking kGemmBlocking = {
+    /*mc=*/64,
+    /*kc=*/256,
+    /*nc=*/256,
+    /*min_rows_per_shard=*/8,
+    /*min_cols_per_shard=*/16,
+    /*shared_b_max_floats=*/size_t{1} << 24,
+};
+
+/// True when the host supports AVX2 (always false off x86).
+bool HasAvx2();
+
+/// Which micro-kernels GemmBlocked runs. kDispatch is Gemm's: the AVX2
+/// micro-kernel on AVX2 hosts and the single-column path for one-column
+/// panels. kScalar runs GemmMicroKernel on every tile, so benchmarks can
+/// time the portable path on any host. Both give the same bits.
+enum class GemmKernels { kDispatch, kScalar };
+
 /// Gemm under an explicit blocking; bit-identical to Gemm for any blocking.
 void GemmBlocked(const ExecutionContext& ctx, const GemmBlocking& blocking,
                  bool trans_a, bool trans_b, float alpha, const Matrix& a,
-                 const Matrix& b, float beta, Matrix* c);
+                 const Matrix& b, float beta, Matrix* c,
+                 GemmKernels kernels = GemmKernels::kDispatch);
+
+/// The register tile: a packed op(A) panel holds kGemmMr rows and a packed
+/// op(B) panel kGemmNr columns, each kc deep, element (l, r) of a panel at
+/// [l * kGemmMr + r] (A, already scaled by alpha) or [l * kGemmNr + r] (B),
+/// zero-padded past the valid rows or columns.
+inline constexpr size_t kGemmMr = 4;
+inline constexpr size_t kGemmNr = 8;
+
+/// The micro-kernel contract: for r < m_valid and j < n_valid,
+///   c[r * ldc + j] += ap[l * kGemmMr + r] * bp[l * kGemmNr + j],
+/// l = 0..kc-1 ascending, each product and sum rounded to float. Nothing
+/// outside that m_valid x n_valid region of c is read or written. The
+/// portable scalar loop.
+void GemmMicroKernel(const float* ap, const float* bp, size_t kc, float* c,
+                     size_t ldc, size_t m_valid, size_t n_valid);
+
+/// Same contract on AVX2: one 8-lane accumulator per row, a separate
+/// multiply and add per step (no FMA). A partial tile runs through a stack
+/// tile so no load reaches past c's valid region. Requires HasAvx2(); off
+/// x86 it is the scalar kernel.
+void GemmMicroKernelAvx2(const float* ap, const float* bp, size_t kc,
+                         float* c, size_t ldc, size_t m_valid,
+                         size_t n_valid);
+
+/// The micro-kernel contract for n_valid = 1 over m_valid rows at once:
+/// ap holds ceil(m_valid / kGemmMr) packed A panels back to back (kc *
+/// kGemmMr floats apart), and only column 0 of the packed B panel bp is
+/// read. Each output row is one SSE lane, four rows to a vector, so the
+/// seven zero columns of the B panel cost nothing.
+void GemmSingleColumn(const float* ap, size_t m_valid, const float* bp,
+                      size_t kc, float* c, size_t ldc);
 
 }  // namespace internal
 
@@ -359,9 +411,6 @@ std::vector<std::pair<uint32_t, float>> TopKDot(const ExecutionContext& ctx,
                                                 size_t k);
 
 namespace internal {
-
-/// True when the host supports AVX2 (always false off x86).
-bool HasAvx2();
 
 /// out[i] = DotRowDouble(query, rows + i * dim, dim) for i in [0, n), over
 /// n contiguous rows of `dim` floats. The portable scalar path.

@@ -2,6 +2,13 @@
 
 #include <cmath>
 
+#include "core/kernels.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define GARCIA_OPTIMIZER_X86 1
+#include <immintrin.h>
+#endif
+
 namespace garcia::nn {
 
 Optimizer::Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {
@@ -60,26 +67,84 @@ Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
   }
 }
 
+namespace internal {
+
+void AdamUpdateScalar(const AdamCoefficients& k, const float* g, float* w,
+                      float* m, float* v, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    float gi = g[i];
+    if (k.weight_decay != 0.0f) gi += k.weight_decay * w[i];
+    m[i] = k.beta1 * m[i] + (1.0f - k.beta1) * gi;
+    v[i] = k.beta2 * v[i] + (1.0f - k.beta2) * gi * gi;
+    w[i] -= k.step_size * m[i] / (std::sqrt(v[i]) + k.eps);
+  }
+}
+
+#if defined(GARCIA_OPTIMIZER_X86)
+namespace {
+
+template <bool kDecay>
+__attribute__((target("avx2"))) size_t AdamUpdateAvx2Body(
+    const AdamCoefficients& k, const float* g, float* w, float* m, float* v,
+    size_t n) {
+  const __m256 beta1 = _mm256_set1_ps(k.beta1);
+  const __m256 one_minus_beta1 = _mm256_set1_ps(1.0f - k.beta1);
+  const __m256 beta2 = _mm256_set1_ps(k.beta2);
+  const __m256 one_minus_beta2 = _mm256_set1_ps(1.0f - k.beta2);
+  const __m256 eps = _mm256_set1_ps(k.eps);
+  const __m256 decay = _mm256_set1_ps(k.weight_decay);
+  const __m256 step = _mm256_set1_ps(k.step_size);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 wi = _mm256_loadu_ps(w + i);
+    __m256 gi = _mm256_loadu_ps(g + i);
+    if constexpr (kDecay) gi = _mm256_add_ps(gi, _mm256_mul_ps(decay, wi));
+    const __m256 mi =
+        _mm256_add_ps(_mm256_mul_ps(beta1, _mm256_loadu_ps(m + i)),
+                      _mm256_mul_ps(one_minus_beta1, gi));
+    const __m256 vi = _mm256_add_ps(
+        _mm256_mul_ps(beta2, _mm256_loadu_ps(v + i)),
+        _mm256_mul_ps(_mm256_mul_ps(one_minus_beta2, gi), gi));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 denom = _mm256_add_ps(_mm256_sqrt_ps(vi), eps);
+    const __m256 delta = _mm256_div_ps(_mm256_mul_ps(step, mi), denom);
+    _mm256_storeu_ps(w + i, _mm256_sub_ps(wi, delta));
+  }
+  return i;
+}
+
+}  // namespace
+#endif  // GARCIA_OPTIMIZER_X86
+
+void AdamUpdateAvx2(const AdamCoefficients& k, const float* g, float* w,
+                    float* m, float* v, size_t n) {
+  size_t done = 0;
+#if defined(GARCIA_OPTIMIZER_X86)
+  done = k.weight_decay != 0.0f ? AdamUpdateAvx2Body<true>(k, g, w, m, v, n)
+                                : AdamUpdateAvx2Body<false>(k, g, w, m, v, n);
+#endif
+  AdamUpdateScalar(k, g + done, w + done, m + done, v + done, n - done);
+}
+
+}  // namespace internal
+
 void Adam::Step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const float step_size = static_cast<float>(lr_ * std::sqrt(bc2) / bc1);
+  const internal::AdamCoefficients k = {
+      beta1_, beta2_, eps_, weight_decay_,
+      static_cast<float>(lr_ * std::sqrt(bc2) / bc1)};
+  const auto update = core::kernels::internal::HasAvx2()
+                          ? &internal::AdamUpdateAvx2
+                          : &internal::AdamUpdateScalar;
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor& p = params_[i];
     if (!p.has_grad()) continue;
-    const core::Matrix& g = p.grad();
     core::Matrix& w = p.mutable_value();
-    core::Matrix& m = m_[i];
-    core::Matrix& v = v_[i];
-    for (size_t k = 0; k < w.size(); ++k) {
-      float gk = g.data()[k];
-      if (weight_decay_ != 0.0f) gk += weight_decay_ * w.data()[k];
-      m.data()[k] = beta1_ * m.data()[k] + (1.0f - beta1_) * gk;
-      v.data()[k] = beta2_ * v.data()[k] + (1.0f - beta2_) * gk * gk;
-      w.data()[k] -=
-          step_size * m.data()[k] / (std::sqrt(v.data()[k]) + eps_);
-    }
+    update(k, p.grad().data(), w.data(), m_[i].data(), v_[i].data(),
+           w.size());
   }
 }
 

@@ -74,6 +74,32 @@ class Adam : public Optimizer {
   std::vector<core::Matrix> v_;
 };
 
+namespace internal {
+
+/// One Adam update's scalar coefficients (step_size folds in the learning
+/// rate and both bias corrections).
+struct AdamCoefficients {
+  float beta1, beta2, eps, weight_decay, step_size;
+};
+
+/// Adam's elementwise update over n floats, in place on w, m and v:
+///   g' = weight_decay != 0 ? g + weight_decay * w : g
+///   m  = beta1 * m + (1 - beta1) * g'
+///   v  = beta2 * v + ((1 - beta2) * g') * g'
+///   w  = w - (step_size * m) / (sqrt(v) + eps)
+/// each operation rounded to float in that order. The portable scalar loop.
+void AdamUpdateScalar(const AdamCoefficients& k, const float* g, float* w,
+                      float* m, float* v, size_t n);
+
+/// The same update eight floats at a time on AVX2, with a scalar tail; no
+/// FMA, and vector sqrt and divide round exactly as the scalar ones, so
+/// w, m and v are bit-identical to AdamUpdateScalar's. Requires
+/// core::kernels::internal::HasAvx2(); off x86 it is the scalar loop.
+void AdamUpdateAvx2(const AdamCoefficients& k, const float* g, float* w,
+                    float* m, float* v, size_t n);
+
+}  // namespace internal
+
 /// Rescales gradients so their global L2 norm is at most max_norm.
 /// Returns the pre-clip norm.
 double ClipGradNorm(const std::vector<Tensor>& params, double max_norm);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "core/backoff.h"
 #include "core/clock.h"
@@ -68,6 +69,55 @@ TEST(Crc32Test, StreamingMatchesOneShot) {
   streamed = Crc32Update(streamed, s, 10);
   streamed = Crc32Update(streamed, s + 10, n - 10);
   EXPECT_EQ(streamed, Crc32(s, n));
+}
+
+// The byte-at-a-time table loop Crc32Update's slice-by-8 must reproduce.
+uint32_t BytewiseCrc32(uint32_t crc, const unsigned char* p, size_t n) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  uint32_t c = crc ^ 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.UniformInt(256));
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> buf = RandomBytes(8 + 67, 28);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 67; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                BytewiseCrc32(0, buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  const std::vector<unsigned char> big = RandomBytes(size_t{1} << 20, 29);
+  EXPECT_EQ(Crc32(big.data(), big.size()),
+            BytewiseCrc32(0, big.data(), big.size()));
+}
+
+TEST(Crc32Test, StreamingSplitAtEveryOffsetMatchesOneShot) {
+  const std::vector<unsigned char> buf = RandomBytes(41, 30);
+  const uint32_t one_shot = Crc32(buf.data(), buf.size());
+  for (size_t split = 0; split <= 16; ++split) {
+    const uint32_t head = Crc32Update(0, buf.data(), split);
+    EXPECT_EQ(Crc32Update(head, buf.data() + split, buf.size() - split),
+              one_shot)
+        << "split at " << split;
+  }
 }
 
 TEST(Crc32Test, DetectsSingleBitFlip) {

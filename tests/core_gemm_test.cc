@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "core/kernels.h"
 #include "core/matrix.h"
@@ -222,11 +223,16 @@ TEST_F(GemmPackedTest, CustomBlockingIsBitIdentical) {
       const Matrix c_init = RandMatrix(m, n, &rng_);
       Matrix want = c_init;
       NaiveGemm(ta, tb, 1.6f, a, b, 0.3f, &want);
+      // nc = 5 leaves column panels of one valid column, so kDispatch
+      // runs the single-column path where kScalar runs the 8-wide kernel.
       for (const ExecutionContext* ctx : {&SerialExecution(), &par3}) {
-        Matrix got = c_init;
-        kernels::internal::GemmBlocked(*ctx, tiny, ta, tb, 1.6f, a, b, 0.3f,
-                                       &got);
-        ExpectBitEqual(want, got, "custom-blocking");
+        for (auto kernel_set : {kernels::internal::GemmKernels::kDispatch,
+                                kernels::internal::GemmKernels::kScalar}) {
+          Matrix got = c_init;
+          kernels::internal::GemmBlocked(*ctx, tiny, ta, tb, 1.6f, a, b,
+                                         0.3f, &got, kernel_set);
+          ExpectBitEqual(want, got, "custom-blocking");
+        }
       }
     }
   }
@@ -261,6 +267,170 @@ TEST_F(GemmPackedTest, SharedBPanelCapIsBitIdentical) {
                                      0.0f, &got);
       SCOPED_TRACE(::testing::Message() << "cap=" << cap << " tb=" << tb);
       ExpectBitEqual(want, got, "shared-b-cap");
+    }
+  }
+}
+
+// The micro-kernels on their own, below Gemm's tiling: every partial tile
+// shape, k depths around the default KC, and the same packed inputs through
+// the scalar kernel, the AVX2 kernel and (for one column) the single-column
+// path. Each result is memcmp'd against NaiveGemm on the same operands. C
+// is allocated so its last valid element ends the allocation, so an
+// over-read of a partial tile is an ASan report.
+class GemmMicroKernelTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kMr = kernels::internal::kGemmMr;
+  static constexpr size_t kNr = kernels::internal::kGemmNr;
+
+  Rng rng_{20261019};
+
+  // Packs op(A) (m x kc, scaled by alpha) into ceil(m / kMr) panels and
+  // op(B) (kc x n) into one panel, in Gemm's packed layouts.
+  static std::vector<float> PackA(bool ta, const Matrix& a, float alpha,
+                                  size_t m, size_t kc) {
+    std::vector<float> packed(((m + kMr - 1) / kMr) * kc * kMr, 0.0f);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t l = 0; l < kc; ++l) {
+        packed[(i / kMr) * kc * kMr + l * kMr + i % kMr] =
+            alpha * (ta ? a.at(l, i) : a.at(i, l));
+      }
+    }
+    return packed;
+  }
+  static std::vector<float> PackB(bool tb, const Matrix& b, size_t kc,
+                                  size_t n) {
+    std::vector<float> packed(kc * kNr, 0.0f);
+    for (size_t l = 0; l < kc; ++l) {
+      for (size_t j = 0; j < n; ++j) {
+        packed[l * kNr + j] = tb ? b.at(j, l) : b.at(l, j);
+      }
+    }
+    return packed;
+  }
+
+  // One (m, n, kc, flags, alpha, beta) case through every applicable
+  // kernel, C at row stride n + 3.
+  void CheckKernels(size_t m, size_t n, size_t kc, bool ta, bool tb,
+                    float alpha, float beta) {
+    const Matrix a = RandMatrix(ta ? kc : m, ta ? m : kc, &rng_);
+    const Matrix b = RandMatrix(tb ? n : kc, tb ? kc : n, &rng_);
+    const Matrix c_init = RandMatrix(m, n, &rng_);
+    Matrix want = c_init;
+    NaiveGemm(ta, tb, alpha, a, b, beta, &want);
+    // Gemm pre-scales C by beta before any kernel runs.
+    Matrix scaled = c_init;
+    if (beta == 0.0f) {
+      scaled.Fill(0.0f);
+    } else if (beta != 1.0f) {
+      scaled.Scale(beta);
+    }
+    const std::vector<float> ap = PackA(ta, a, alpha, m, kc);
+    const std::vector<float> bp = PackB(tb, b, kc, n);
+    const size_t ldc = n + 3;
+    auto run = [&](const char* what, auto kernel) {
+      std::vector<float> c((m - 1) * ldc + n);
+      for (size_t i = 0; i < m; ++i) {
+        std::memcpy(c.data() + i * ldc, scaled.row(i), n * sizeof(float));
+      }
+      kernel(c.data());
+      Matrix got(m, n);
+      for (size_t i = 0; i < m; ++i) {
+        std::memcpy(got.row(i), c.data() + i * ldc, n * sizeof(float));
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << what << " m=" << m << " n=" << n << " kc=" << kc
+                   << " ta=" << ta << " tb=" << tb << " alpha=" << alpha
+                   << " beta=" << beta);
+      ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                            want.size() * sizeof(float)),
+                0);
+    };
+    if (m <= kMr) {
+      run("scalar", [&](float* c) {
+        kernels::internal::GemmMicroKernel(ap.data(), bp.data(), kc, c, ldc,
+                                           m, n);
+      });
+      if (kernels::internal::HasAvx2()) {
+        run("avx2", [&](float* c) {
+          kernels::internal::GemmMicroKernelAvx2(ap.data(), bp.data(), kc, c,
+                                                 ldc, m, n);
+        });
+      }
+    }
+    if (n == 1) {
+      run("single-column", [&](float* c) {
+        kernels::internal::GemmSingleColumn(ap.data(), m, bp.data(), kc, c,
+                                            ldc);
+      });
+    }
+  }
+};
+
+TEST_F(GemmMicroKernelTest, EveryPartialTileMatchesNaive) {
+  for (size_t kc : {1, 2, 255, 256, 257}) {
+    for (size_t m = 1; m <= kMr; ++m) {
+      for (size_t n = 1; n <= kNr; ++n) {
+        for (float alpha : {1.0f, -0.7f}) {
+          for (float beta : {0.0f, 0.4f, 1.0f}) {
+            for (bool ta : {false, true}) {
+              for (bool tb : {false, true}) {
+                CheckKernels(m, n, kc, ta, tb, alpha, beta);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(GemmMicroKernelTest, SingleColumnOverManyPanels) {
+  // Past one group of panels in flight, with every short last panel.
+  for (size_t m : {31, 32, 33, 35, 64, 69, 101}) {
+    for (size_t kc : {1, 69, 257}) {
+      CheckKernels(m, 1, kc, m % 2 == 0, m % 3 == 0, -0.7f, 0.4f);
+    }
+  }
+}
+
+TEST_F(GemmMicroKernelTest, SingleColumnPropagatesNonFinite) {
+  // 0 * Inf = NaN and Inf + finite = Inf must survive the lane-per-row
+  // path exactly as in the naive loop.
+  const size_t m = 37, kc = 9;
+  Matrix a = RandMatrix(m, kc, &rng_);
+  Matrix b = RandMatrix(kc, 1, &rng_);
+  for (size_t l = 0; l < kc; ++l) a.at(5, l) = 0.0f;  // zero row meets Inf
+  b.at(2, 0) = std::numeric_limits<float>::infinity();
+  a.at(20, 2) = 1.0f;  // +Inf from B ...
+  a.at(20, 4) = std::numeric_limits<float>::infinity();
+  b.at(4, 0) = 2.0f;  // ... and +Inf from A: the sum stays +Inf
+  Matrix want(m, 1);
+  NaiveGemm(false, false, 1.0f, a, b, 0.0f, &want);
+  ASSERT_TRUE(std::isnan(want.at(5, 0)));
+  ASSERT_TRUE(std::isinf(want.at(20, 0)));
+  const std::vector<float> ap = PackA(false, a, 1.0f, m, kc);
+  const std::vector<float> bp = PackB(false, b, kc, 1);
+  Matrix got(m, 1);
+  kernels::internal::GemmSingleColumn(ap.data(), m, bp.data(), kc,
+                                      got.data(), 1);
+  ExpectBitEqual(want, got, "single-column non-finite");
+  Matrix via_gemm(m, 1);
+  kernels::Gemm(SerialExecution(), false, false, 1.0f, a, b, 0.0f,
+                &via_gemm);
+  ExpectBitEqual(want, via_gemm, "gemm non-finite n=1");
+}
+
+TEST_F(GemmPackedTest, AttentionLogitShapes) {
+  // GARCIA's Eq. 2 attention logit at E = 2053 edges over a 69-wide
+  // [z_dst || z_src || e] input: the forward E x 69 . 69 x 1, the weight
+  // gradient 69 x E . E x 1 (att_in transposed), and the input gradient
+  // E x 1 . 1 x 69. The two n = 1 shapes run the single-column path.
+  const size_t e = 2053, d = 69;
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      CheckAgainstNaive(e, d, 1, ta, tb, 1.0f, 0.0f, "att-forward");
+      CheckAgainstNaive(d, e, 1, ta, tb, 1.0f, 1.0f, "att-dw");
+      CheckAgainstNaive(e, 1, d, ta, tb, -0.7f, 1.0f, "att-dx");
     }
   }
 }

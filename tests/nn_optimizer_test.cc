@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "core/kernels.h"
 #include "core/rng.h"
 #include "nn/loss.h"
 #include "nn/module.h"
@@ -99,6 +102,43 @@ TEST(AdamTest, ZeroGradClearsAccumulation) {
   EXPECT_FLOAT_EQ(w.grad().at(0, 0), 1.0f);
   opt.ZeroGrad();
   EXPECT_FLOAT_EQ(w.grad().at(0, 0), 0.0f);
+}
+
+TEST(AdamTest, Avx2UpdateMatchesScalarBitForBit) {
+  if (!core::kernels::internal::HasAvx2()) GTEST_SKIP() << "no AVX2";
+  // Every vector body length with every tail (0-17), a long run (1003),
+  // with and without weight decay, over gradients that are subnormal, +-0
+  // (v stays exactly 0), or large enough that g * g overflows v to Inf.
+  const float specials[] = {1e-40f, 0.0f, -0.0f, 1e30f, -1e30f};
+  for (size_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                   17, 1003}) {
+    for (float decay : {0.0f, 0.01f}) {
+      Rng rng(n + 1);
+      std::vector<float> w(n), g(n);
+      for (size_t i = 0; i < n; ++i) w[i] = static_cast<float>(rng.Normal());
+      std::vector<float> w_avx = w, m_avx(n, 0.0f), v_avx(n, 0.0f);
+      std::vector<float> w_ref = w, m_ref(n, 0.0f), v_ref(n, 0.0f);
+      for (int t = 1; t <= 3; ++t) {
+        for (size_t i = 0; i < n; ++i) {
+          g[i] = i % 8 < 5 ? specials[(i + t) % 5]
+                           : static_cast<float>(rng.Normal());
+        }
+        const internal::AdamCoefficients k = {
+            0.9f, 0.999f, 1e-8f, decay,
+            static_cast<float>(0.01 * std::sqrt(1.0 - std::pow(0.999, t)) /
+                               (1.0 - std::pow(0.9, t)))};
+        internal::AdamUpdateAvx2(k, g.data(), w_avx.data(), m_avx.data(),
+                                 v_avx.data(), n);
+        internal::AdamUpdateScalar(k, g.data(), w_ref.data(), m_ref.data(),
+                                   v_ref.data(), n);
+      }
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " decay=" << decay);
+      const size_t bytes = n * sizeof(float);
+      EXPECT_EQ(std::memcmp(w_avx.data(), w_ref.data(), bytes), 0);
+      EXPECT_EQ(std::memcmp(m_avx.data(), m_ref.data(), bytes), 0);
+      EXPECT_EQ(std::memcmp(v_avx.data(), v_ref.data(), bytes), 0);
+    }
+  }
 }
 
 TEST(ClipGradNormTest, RescalesLargeGradients) {
