@@ -76,10 +76,11 @@ echo "==> Sanitizer build (thread)"
 # their thread-count bit-parity contract, the thread pool, the
 # thread-local nn::NoGradScope (nn_tensor_test), the block
 # sampler's thread-count-invariance contract, the ticket sequencer
-# (core_ticket_gate_test), the concurrent batched serving path
-# (BatchRanker + ResilientRanker's sequenced resolve phase, and its
-# answer cache: the single-flight wait on a pending entry's future and
-# eviction decided in resolve order), and the
+# (core_ticket_gate_test), the process-wide depth count of the allocator
+# retention scope entered from two threads (core_heap_retention_test), the
+# concurrent batched serving path (BatchRanker + ResilientRanker's
+# sequenced resolve phase, and its answer cache: the single-flight wait on
+# a pending entry's future and eviction decided in resolve order), and the
 # shared immutable SQ8 IvfIndex — including the sharded asymmetric scan +
 # exact re-rank — probed from many threads (serving_retrieval_test), and
 # whole training runs: the threaded cases of models_garcia_test and
@@ -91,10 +92,10 @@ cmake -B "$TSAN_DIR" -S "$ROOT" -DGARCIA_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target core_kernels_test core_gemm_test core_threadpool_test nn_ops_test \
   nn_tensor_test graph_sampler_test core_ticket_gate_test \
-  serving_concurrency_test serving_resilience_test serving_retrieval_test \
-  models_garcia_test models_baselines_test
+  core_heap_retention_test serving_concurrency_test serving_resilience_test \
+  serving_retrieval_test models_garcia_test models_baselines_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|nn_tensor_test|graph_sampler_test|core_ticket_gate_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
+  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|nn_tensor_test|graph_sampler_test|core_ticket_gate_test|core_heap_retention_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
 # The training suites run only their threaded cases: the rest are serial,
 # and all of models_garcia_test takes ~8 min under TSan (the three
 # threaded cases ~100 s together).

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/heap_retention.h"
 #include "core/rng.h"
 #include "data/scenario.h"
 #include "eval/metrics.h"
@@ -198,6 +199,10 @@ struct TrainPhase {
 /// a Reset; a snapshot from the last step of an epoch re-enters with
 /// step == cap and falls through to the next epoch. A checkpoint position
 /// this Fit cannot reach is refused with a GARCIA_CHECK naming the field.
+///
+/// For its lifetime (the rest of the Fit) the loop holds a
+/// core::HeapRetention scope, so each step's freed tape stays in the heap
+/// for the next step instead of going back to the kernel (DESIGN.md §5p).
 class TrainLoop {
  public:
   /// Loss of one step; `batch` holds the step's example indices (empty in
@@ -229,6 +234,8 @@ class TrainLoop {
                                   uint64_t step_in_epoch,
                                   const nn::Adam& opt) const;
 
+  // First member: retention starts before and ends after everything else.
+  core::HeapRetention heap_retention_;
   std::string model_name_;
   float learning_rate_;
   std::vector<nn::Tensor> params_;

@@ -5,7 +5,9 @@
 // crash-resume harness asserting bit-identical resumed training for
 // GARCIA (both phases, full-graph and sampled) and the baselines, on and
 // off epoch boundaries, plus models::TrainLoop's per-generation snapshot
-// contract and its refusal of checkpoint positions a Fit cannot reach.
+// contract and its refusal of checkpoint positions a Fit cannot reach, and
+// a Fit on a heap that earlier work left dirty (TrainLoop retains freed
+// memory between steps).
 
 #include "train/checkpoint.h"
 
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "core/crc32.h"
+#include "core/heap_retention.h"
 #include "core/matrix.h"
 #include "core/rng.h"
 #include "core/sectioned_file.h"
@@ -482,6 +486,33 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
       << "service embeddings diverged";
 }
 
+std::string ReadFile(const fs::path& p) {
+  std::ifstream f(p, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+/// Every generation file in `a` has a same-named file in `b` with the same
+/// bytes, and vice versa.
+void ExpectSameGenerations(const std::string& a_dir, const std::string& b_dir) {
+  auto generations = [](const std::string& dir) {
+    std::vector<fs::path> files;
+    for (const auto& e : fs::directory_iterator(dir)) files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const std::vector<fs::path> a = generations(a_dir);
+  const std::vector<fs::path> b = generations(b_dir);
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].filename(), b[i].filename());
+    EXPECT_EQ(ReadFile(a[i]), ReadFile(b[i]))
+        << "checkpoint " << a[i].filename() << " diverged";
+  }
+}
+
 template <typename ModelT>
 RunResult FitAndExport(const models::TrainConfig& cfg) {
   ModelT model(cfg);
@@ -736,19 +767,6 @@ TEST(CrashResumeTest, BaselineSnapshotContract) {
 TEST(CrashResumeTest, CheckpointBytesThreadInvariant) {
   // Every generation of a sampled GARCIA run (both phases) must carry the
   // same bytes whether the kernels run serially or on a thread pool.
-  auto read_file = [](const fs::path& p) {
-    std::ifstream f(p, std::ios::binary);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return ss.str();
-  };
-  auto generations = [](const std::string& dir) {
-    std::vector<fs::path> files;
-    for (const auto& e : fs::directory_iterator(dir)) files.push_back(e.path());
-    std::sort(files.begin(), files.end());
-    return files;
-  };
-
   models::TrainConfig cfg = FastTrainConfig();
   cfg.pretrain_epochs = 2;
   cfg.finetune_epochs = 3;
@@ -767,17 +785,51 @@ TEST(CrashResumeTest, CheckpointBytesThreadInvariant) {
   threaded.checkpoint_dir = TempDir("threads_two");
   models::GarciaModel(threaded).Fit(Tiny());
 
-  const std::vector<fs::path> a = generations(serial.checkpoint_dir);
-  const std::vector<fs::path> b = generations(threaded.checkpoint_dir);
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].filename(), b[i].filename());
-    EXPECT_EQ(read_file(a[i]), read_file(b[i]))
-        << "checkpoint " << a[i].filename() << " diverged";
-  }
+  ExpectSameGenerations(serial.checkpoint_dir, threaded.checkpoint_dir);
   fs::remove_all(serial.checkpoint_dir);
   fs::remove_all(threaded.checkpoint_dir);
+}
+
+TEST(CrashResumeTest, SecondFitOnDirtyHeapMatchesLoneFit) {
+  // TrainLoop keeps freed memory in the heap between steps (DESIGN.md
+  // §5p), so a Fit hands out memory that earlier work left dirty instead of
+  // fresh zeroed pages. A Fit that read memory before writing it would
+  // diverge here. The second Fit runs inside an outer retention scope, so
+  // nothing is trimmed after the dirtying Fit and the NaN scribbles.
+  models::TrainConfig cfg = FastTrainConfig();
+  cfg.num_threads = 2;
+  cfg.checkpoint_every_steps = 5;
+  cfg.checkpoint_keep = 0;  // keep every generation
+
+  models::TrainConfig lone = cfg;
+  lone.checkpoint_dir = TempDir("heap_lone");
+  const RunResult lone_result = FitAndExport<models::GarciaModel>(lone);
+
+  models::TrainConfig second = cfg;
+  second.checkpoint_dir = TempDir("heap_second");
+  RunResult second_result;
+  {
+    core::HeapRetention retain;
+    // Another seed on sampled blocks: other values in other chunk sizes.
+    models::TrainConfig dirty = cfg;
+    dirty.seed = 11;
+    dirty.sample_fanout = 4;
+    dirty.checkpoint_dir = TempDir("heap_dirty");
+    FitAndExport<models::GarciaModel>(dirty);
+    fs::remove_all(dirty.checkpoint_dir);
+    // Fill freed chunks of many sizes with NaN bytes.
+    std::vector<std::vector<float>> scribbles;
+    for (size_t n = 16; n <= (size_t{1} << 20); n *= 2) {
+      scribbles.emplace_back(n, std::numeric_limits<float>::quiet_NaN());
+      scribbles.emplace_back(n + 3, std::numeric_limits<float>::quiet_NaN());
+    }
+    scribbles.clear();
+    second_result = FitAndExport<models::GarciaModel>(second);
+  }
+  ExpectBitIdentical(lone_result, second_result);
+  ExpectSameGenerations(lone.checkpoint_dir, second.checkpoint_dir);
+  fs::remove_all(lone.checkpoint_dir);
+  fs::remove_all(second.checkpoint_dir);
 }
 
 TEST(CrashResumeTest, RepeatedCrashesStillConverge) {
