@@ -6,11 +6,12 @@
 // and the serial wall-clock column is the meaningful axis.
 // GARCIA_BENCH_REPEATS overrides the median-of-5 repeat count (the ASan
 // smoke in scripts/check.sh uses 1). The table's `topk_dot` rows time
-// kernels::TopKDot (20000 x 32, k = 10, serial; and 20003 x 33 for the
-// vector paths' tails) over the row-major matrix (`seconds`, the oracle
-// path) and over a packed kernels::RowPanel (`panel_seconds`, the serving
-// path; `pack_seconds` is the one-off pack) against the scalar reference;
-// the tool exits 1 if either ranking differs from it in any byte. The
+// kernels::TopKDot, the serving scan, over a packed kernels::RowPanel
+// (20000 x 32, k = 10; and 20003 x 33 for a column tail and a short last
+// panel block; `pack_seconds` is the one-off pack, outside the scan
+// timer) against a plain reference (DotRowDouble per row, then a partial
+// sort; `scalar_seconds`); the tool exits 1 if the ranking differs from
+// the reference in any byte. The
 // `kmeans_assign` rows time one k-means assignment pass of the IVF build
 // (every point against 141 centroids, at 20000 x 32 and 20003 x 33)
 // through the lane-per-centroid kernel against the scalar per-centroid
@@ -140,57 +141,45 @@ std::string GemmSweepLine(const char* kernel, size_t m, size_t k, size_t n,
   return SweepJsonLine(kernel, shape, entries, last);
 }
 
-/// One `topk_dot` row: serial TopKDot over a services x dim catalog, both
-/// the row-major oracle and the packed-panel serving scan, timed against
-/// the scalar reference (DotRowsScalar + a partial sort under the same
-/// order). The panel is packed outside the scan timer, and the pack is
-/// timed on its own. Clears *identical if either top-k list differs from
-/// the reference in any byte.
+/// One `topk_dot` row: TopKDot over a services x dim catalog packed into a
+/// RowPanel (the serving scan), timed against a plain reference:
+/// DotRowDouble per row, then a partial sort under the same order. The
+/// panel is packed outside the scan timer, and the pack is timed on its
+/// own. Clears *identical if the top-k list differs from the reference in
+/// any byte.
 std::string TopKDotLine(size_t services, size_t dim, size_t k, int repeats,
                         core::Rng* rng, bool last, bool* identical) {
   core::Matrix cands = core::Matrix::Randn(services, dim, rng);
   core::Matrix query = core::Matrix::Randn(1, dim, rng);
-  std::vector<std::pair<uint32_t, float>> fast, panel_fast, reference;
-  const double fast_secs = TimeMedianSeconds(repeats, [&] {
-    fast = core::kernels::TopKDot(core::SerialExecution(), query.row(0), dim,
-                                  cands, k);
-  });
+  std::vector<std::pair<uint32_t, float>> fast, reference;
   core::kernels::RowPanel panel;
   const double pack_secs = TimeMedianSeconds(
       repeats, [&] { panel = core::kernels::RowPanel(cands); });
-  const double panel_secs = TimeMedianSeconds(repeats, [&] {
-    panel_fast = core::kernels::TopKDot(core::SerialExecution(),
-                                        query.row(0), panel, k);
-  });
+  const double fast_secs = TimeMedianSeconds(
+      repeats, [&] { fast = core::kernels::TopKDot(query.row(0), panel, k); });
   const double scalar_secs = TimeMedianSeconds(repeats, [&] {
-    std::vector<float> scores(services);
-    core::kernels::internal::DotRowsScalar(query.row(0), cands.data(),
-                                           services, dim, scores.data());
     reference.resize(services);
     for (size_t i = 0; i < services; ++i) {
-      reference[i] = {static_cast<uint32_t>(i), scores[i]};
+      reference[i] = {static_cast<uint32_t>(i),
+                      core::kernels::DotRowDouble(query.row(0), cands.row(i),
+                                                  dim)};
     }
     std::partial_sort(reference.begin(), reference.begin() + k,
                       reference.end(), core::kernels::RanksBefore);
     reference.resize(k);
   });
-  auto same_as_reference = [&](const auto& got) {
-    return got.size() == reference.size() &&
-           std::memcmp(got.data(), reference.data(),
-                       got.size() * sizeof(got[0])) == 0;
-  };
-  const bool same = same_as_reference(fast) && same_as_reference(panel_fast);
+  const bool same = fast.size() == reference.size() &&
+                    std::memcmp(fast.data(), reference.data(),
+                                fast.size() * sizeof(fast[0])) == 0;
   if (!same) *identical = false;
   return core::StrFormat(
       "    {\"kernel\": \"topk_dot\", \"shape\": \"%zux%zu/k%zu\", "
       "\"threads\": 1, \"avx2\": %s, \"scalar_seconds\": %.6f, "
-      "\"seconds\": %.6f, \"speedup\": %.2f, \"panel_seconds\": %.6f, "
-      "\"panel_speedup\": %.2f, \"pack_seconds\": %.6f, "
+      "\"seconds\": %.6f, \"speedup\": %.2f, \"pack_seconds\": %.6f, "
       "\"bit_identical\": %s}%s\n",
       services, dim, k,
       core::kernels::internal::HasAvx2() ? "true" : "false", scalar_secs,
-      fast_secs, scalar_secs / fast_secs, panel_secs,
-      scalar_secs / panel_secs, pack_secs, same ? "true" : "false",
+      fast_secs, scalar_secs / fast_secs, pack_secs, same ? "true" : "false",
       last ? "" : ",");
 }
 
@@ -280,8 +269,8 @@ std::string Sq8ScanLine(size_t rows, size_t dim, size_t lists, size_t probed,
   std::vector<float> fast(total), reference(total);
   const double fast_secs = TimeMedianSeconds(repeats, [&] {
     for (size_t c = 0; c < calls; ++c) {
-      sq8::ScanDots(core::SerialExecution(), qc, codes.data(), scales.data(),
-                    dim, ranges, fast.data());
+      sq8::ScanDots(qc, codes.data(), scales.data(), dim, ranges,
+                    fast.data());
     }
   });
   const double scalar_secs = TimeMedianSeconds(repeats, [&] {
@@ -477,9 +466,9 @@ int RunSpeedupJson() {
   json += GemmSweepLine("gemm_tt", 512, 512, 512, true, true, counts, repeats,
                         &rng, false);
 
-  // Both TopKDot layouts against the scalar reference scan: at the
-  // serving shape, and one row and one column past it so the vector
-  // paths' row and column tails (and a short last panel block) run too.
+  // The panel scan against the plain reference: at the serving shape, and
+  // one row and one column past it so the vector path's column tail and a
+  // short last panel block run too.
   bool topk_identical = true;
   json += TopKDotLine(20000, kServeDim, 10, repeats, &rng, false,
                       &topk_identical);
@@ -526,7 +515,7 @@ int RunSpeedupJson() {
   std::fputs(json.c_str(), stdout);
   if (!topk_identical) {
     std::fprintf(stderr,
-                 "topk_dot: TopKDot diverged from the scalar reference\n");
+                 "topk_dot: TopKDot diverged from the plain reference\n");
   }
   if (!kmeans_identical) {
     std::fprintf(stderr,

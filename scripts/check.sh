@@ -37,10 +37,10 @@ run_suite "$ROOT/build-asan" -DGARCIA_SANITIZE="address;undefined"
 echo "==> ASan smoke: micro_kernels --speedup_json"
 # Runs micro_kernels' whole sweep under ASan/UBSan at bench shapes the
 # unit tests don't reach: the packed GEMM (all four transpose variants,
-# serial and at 2, 4 and hw threads), the serial TopKDot scan over both
-# layouts (20000 x 32, plus 20003 x 33 for the row and column tails of
-# the AVX2 lane-per-row path and a short last block of the packed
-# RowPanel serving scan), and the kmeans_assign rows: one IVF k-means
+# serial and at 2, 4 and hw threads), the TopKDot serving scan over a
+# packed RowPanel (20000 x 32, plus 20003 x 33 for the column tail and a
+# short last panel block) against a plain DotRowDouble + sort reference,
+# and the kmeans_assign rows: one IVF k-means
 # assignment pass through the lane-per-centroid kernel (20000 x 32 and
 # 20003 x 33, 141 centroids, so the 16-lane panel has padding lanes), and
 # the sq8_scan rows: the SQ8 IVF probe scan through the 8-row group kernel
@@ -51,7 +51,7 @@ echo "==> ASan smoke: micro_kernels --speedup_json"
 # path and the scalar micro-kernel, each checked against a naive triple
 # loop), the crc32 row (slice-by-8 over 16 MiB against a byte loop) and
 # the adam_step row (one update of 2M floats, AVX2 against scalar). Exits
-# nonzero if either TopKDot ranking, any nearest centroid or distance, any
+# nonzero if the TopKDot ranking, any nearest centroid or distance, any
 # scanned score, any GEMM element, the CRC or any Adam weight or moment
 # differs from its reference. One repeat keeps it fast; the JSON table
 # goes to stdout and is discarded.
@@ -71,9 +71,9 @@ echo "==> ASan smoke: retrieval_recall --json"
 
 echo "==> Sanitizer build (thread)"
 # TSan and ASan are mutually exclusive, so this is a third tree. Only the
-# threaded suites run here: they exercise the sharded kernels (the GEMM
-# tile grid and shared-B packing, TopKDot's block merge, the SQ8 scan) and
-# their thread-count bit-parity contract, the thread pool, the
+# threaded suites run here: they exercise the one sharded kernel (the GEMM
+# tile grid and shared-B packing) and its thread-count bit-parity
+# contract, the thread pool, the
 # thread-local nn::NoGradScope (nn_tensor_test), the block
 # sampler's thread-count-invariance contract, the ticket sequencer
 # (core_ticket_gate_test), the process-wide depth count of the allocator
@@ -81,8 +81,8 @@ echo "==> Sanitizer build (thread)"
 # concurrent batched serving path (BatchRanker + ResilientRanker's
 # sequenced resolve phase, and its answer cache: the single-flight wait on
 # a pending entry's future and eviction decided in resolve order), and the
-# shared immutable SQ8 IvfIndex — including the sharded asymmetric scan +
-# exact re-rank — probed from many threads (serving_retrieval_test), and
+# shared immutable SQ8 IvfIndex probed concurrently from many threads,
+# each query serial on its own thread (serving_retrieval_test), and
 # whole training runs: the threaded cases of models_garcia_test and
 # models_baselines_test (ThreadedTrainingMatchesSerialExactly, plus
 # GARCIA's SampledTrainingThreadInvariantAndAccurate) are the only tests

@@ -763,104 +763,6 @@ void CrossEntropyBackwardAdd(const Matrix& softmax,
 
 namespace internal {
 
-void DotRowsScalar(const float* query, const float* rows, size_t n,
-                   size_t dim, float* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = DotRowDouble(query, rows + i * dim, dim);
-  }
-}
-
-#if defined(GARCIA_KERNELS_X86)
-namespace {
-
-/// Columns [j, j + 4) of the four rows starting at `rows` (stride dim),
-/// widened to double and transposed: lane r of col[c] is row r's column
-/// j + c. Widening is exact.
-__attribute__((target("avx2"))) inline void LoadColumns4x4(
-    const float* rows, size_t dim, size_t j, __m256d col[4]) {
-  const __m256d a = _mm256_cvtps_pd(_mm_loadu_ps(rows + j));
-  const __m256d b = _mm256_cvtps_pd(_mm_loadu_ps(rows + dim + j));
-  const __m256d c = _mm256_cvtps_pd(_mm_loadu_ps(rows + 2 * dim + j));
-  const __m256d d = _mm256_cvtps_pd(_mm_loadu_ps(rows + 3 * dim + j));
-  const __m256d ab_even = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
-  const __m256d ab_odd = _mm256_unpackhi_pd(a, b);   // a1 b1 a3 b3
-  const __m256d cd_even = _mm256_unpacklo_pd(c, d);  // c0 d0 c2 d2
-  const __m256d cd_odd = _mm256_unpackhi_pd(c, d);   // c1 d1 c3 d3
-  col[0] = _mm256_permute2f128_pd(ab_even, cd_even, 0x20);  // a0 b0 c0 d0
-  col[1] = _mm256_permute2f128_pd(ab_odd, cd_odd, 0x20);    // a1 b1 c1 d1
-  col[2] = _mm256_permute2f128_pd(ab_even, cd_even, 0x31);  // a2 b2 c2 d2
-  col[3] = _mm256_permute2f128_pd(ab_odd, cd_odd, 0x31);    // a3 b3 c3 d3
-}
-
-/// Lane-per-row scoring. Lane r of acc0 (acc1) is row i + r (i + 4 + r)
-/// and receives its columns one at a time in ascending j, starting from
-/// 0.0 — the scalar loop's additions in the scalar loop's order. Each
-/// product of two widened floats is exact in double (24 + 24 <= 53
-/// significand bits), so the separate multiply rounds nowhere and every
-/// add rounds exactly where DotRowDouble's does. The two groups are
-/// independent chains, which hides add latency.
-__attribute__((target("avx2"))) void DotRowsAvx2Impl(const float* query,
-                                                     const float* rows,
-                                                     size_t n, size_t dim,
-                                                     float* out) {
-  const size_t dim4 = dim & ~size_t{3};
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float* r = rows + i * dim;
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    for (size_t j = 0; j < dim4; j += 4) {
-      __m256d c0[4], c1[4];
-      LoadColumns4x4(r, dim, j, c0);
-      LoadColumns4x4(r + 4 * dim, dim, j, c1);
-      // Unrolled by hand so c0/c1 stay in registers.
-      const __m256d q0 = _mm256_set1_pd(static_cast<double>(query[j]));
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(c0[0], q0));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(c1[0], q0));
-      const __m256d q1 = _mm256_set1_pd(static_cast<double>(query[j + 1]));
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(c0[1], q1));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(c1[1], q1));
-      const __m256d q2 = _mm256_set1_pd(static_cast<double>(query[j + 2]));
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(c0[2], q2));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(c1[2], q2));
-      const __m256d q3 = _mm256_set1_pd(static_cast<double>(query[j + 3]));
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(c0[3], q3));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(c1[3], q3));
-    }
-    if (dim4 == dim) {
-      _mm_storeu_ps(out + i, _mm256_cvtpd_ps(acc0));
-      _mm_storeu_ps(out + i + 4, _mm256_cvtpd_ps(acc1));
-      continue;
-    }
-    // Column tail: each lane continues its own sum in ascending j.
-    alignas(32) double lanes[8];
-    _mm256_store_pd(lanes, acc0);
-    _mm256_store_pd(lanes + 4, acc1);
-    for (size_t l = 0; l < 8; ++l) {
-      const float* row = r + l * dim;
-      double dot = lanes[l];
-      for (size_t j = dim4; j < dim; ++j) {
-        dot += static_cast<double>(query[j]) * row[j];
-      }
-      out[i + l] = static_cast<float>(dot);
-    }
-  }
-  // Row tail.
-  DotRowsScalar(query, rows + i * dim, n - i, dim, out + i);
-}
-
-}  // namespace
-#endif  // GARCIA_KERNELS_X86
-
-void DotRowsAvx2(const float* query, const float* rows, size_t n, size_t dim,
-                 float* out) {
-#if defined(GARCIA_KERNELS_X86)
-  DotRowsAvx2Impl(query, rows, n, dim, out);
-#else
-  DotRowsScalar(query, rows, n, dim, out);
-#endif
-}
-
 void DotPanelScalar(const float* query, const RowPanel& panel, size_t lo,
                     size_t hi, float* out) {
   constexpr size_t kLanes = RowPanel::kLanes;
@@ -883,10 +785,13 @@ namespace {
 /// Lane-per-row scoring of kBlocks consecutive panel blocks from `block`
 /// into out[0, 8 * kBlocks). Lane r of acc[2b] (acc[2b + 1]) is row r
 /// (4 + r) of block b and receives its columns one at a time in ascending
-/// j from 0.0: DotRowsAvx2Impl's argument, with the transpose already done
-/// by the pack. A column of a block is eight consecutive floats, widened
-/// four at a time straight from memory, so the loop does no shuffles. The
-/// 2 * kBlocks chains are independent, which hides add latency.
+/// j, starting from 0.0 — DotRowDouble's additions in DotRowDouble's
+/// order. Each product of two widened floats is exact in double (24 + 24
+/// <= 53 significand bits), so the separate multiply rounds nowhere and
+/// every add rounds exactly where DotRowDouble's does. A column of a block
+/// is eight consecutive floats, widened four at a time straight from
+/// memory, so the loop does no shuffles. The 2 * kBlocks chains are
+/// independent, which hides add latency.
 template <size_t kBlocks>
 __attribute__((target("avx2"))) inline void DotPanelBlocksAvx2(
     const float* query, const float* block, size_t dim, float* out) {
@@ -958,110 +863,52 @@ RowPanel::RowPanel(const Matrix& rows) : rows_(rows.rows()), dim_(rows.cols()) {
 
 namespace {
 
-using ScoredId = std::pair<uint32_t, float>;
-
-// Fixed block size for the parallel partial-heap path. Independent of the
-// thread count on purpose: the result is order-invariant anyway (unique
-// selection under a total order), but fixed blocks keep the work split
-// reproducible and give every worker cache-sized chunks. A multiple of
-// RowPanel::kLanes, so every chunk of a panel starts on a block.
-constexpr size_t kTopKBlockRows = 1024;
-
-// Rows scored per stack-buffer chunk before they enter the heap.
+// Rows scored per stack-buffer chunk before they enter the heap. A
+// multiple of RowPanel::kLanes, so every chunk starts on a panel block.
 constexpr size_t kScoreChunkRows = 256;
-
-// Bounded top-k over rows [lo, hi): a k-element heap whose top is the
-// currently-worst kept candidate (std::*_heap with RanksBefore puts the
-// comparator-maximal element — the one ranking LAST — on top). score(c0,
-// m, scores) writes the scores of rows [c0, c0 + m) into scores[0, m);
-// rows enter the heap in ascending order, a chunk at a time. Once the heap
-// is full, the top's score is kept in `worst`, and a row scoring below it
-// costs one compare; a row that ties it still goes through RanksBefore.
-// out is left sorted best-first; k > 0.
-template <typename ScoreChunk>
-void PartialTopKRows(const ScoreChunk& score, size_t lo, size_t hi, size_t k,
-                     std::vector<ScoredId>* out) {
-  out->clear();
-  float scores[kScoreChunkRows];
-  for (size_t c0 = lo; c0 < hi; c0 += kScoreChunkRows) {
-    const size_t m = std::min(kScoreChunkRows, hi - c0);
-    score(c0, m, scores);
-    size_t r = 0;
-    for (; r < m && out->size() < k; ++r) {  // filling the heap
-      out->push_back({static_cast<uint32_t>(c0 + r), scores[r]});
-      std::push_heap(out->begin(), out->end(), RanksBefore);
-    }
-    if (r == m) continue;
-    float worst = out->front().second;
-    for (; r < m; ++r) {
-      if (scores[r] < worst) continue;
-      const ScoredId cand{static_cast<uint32_t>(c0 + r), scores[r]};
-      if (RanksBefore(cand, out->front())) {
-        std::pop_heap(out->begin(), out->end(), RanksBefore);
-        out->back() = cand;
-        std::push_heap(out->begin(), out->end(), RanksBefore);
-        worst = out->front().second;
-      }
-    }
-  }
-  std::sort_heap(out->begin(), out->end(), RanksBefore);
-}
-
-// The driver both TopKDot overloads share: serial (or n within one block)
-// is one PartialTopKRows pass; otherwise rows split into fixed blocks, a
-// partial heap per block, and the per-block winners are merged.
-template <typename ScoreChunk>
-std::vector<ScoredId> TopKRows(const ExecutionContext& ctx, size_t n,
-                               size_t k, const ScoreChunk& score) {
-  k = std::min(k, n);
-  std::vector<ScoredId> result;
-  if (k == 0) return result;
-  if (!ctx.parallel() || n <= kTopKBlockRows) {
-    PartialTopKRows(score, 0, n, k, &result);
-    return result;
-  }
-  const size_t num_blocks = (n + kTopKBlockRows - 1) / kTopKBlockRows;
-  std::vector<std::vector<ScoredId>> partial(num_blocks);
-  ctx.ShardedFor(0, num_blocks, /*min_shard=*/1, [&](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
-      const size_t lo = b * kTopKBlockRows;
-      PartialTopKRows(score, lo, std::min(n, lo + kTopKBlockRows), k,
-                      &partial[b]);
-    }
-  });
-  // Merge the per-block winners in ascending block order. The k best of
-  // the union of block top-k lists are exactly the global top-k, and the
-  // total order makes that selection (and its sort) unique.
-  for (const std::vector<ScoredId>& block : partial) {
-    result.insert(result.end(), block.begin(), block.end());
-  }
-  std::partial_sort(result.begin(), result.begin() + k, result.end(),
-                    RanksBefore);
-  result.resize(k);
-  return result;
-}
 
 }  // namespace
 
-std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
-                              size_t dim, const Matrix& candidates, size_t k) {
-  GARCIA_CHECK_EQ(candidates.cols(), dim);
-  const auto rows = internal::HasAvx2() ? &internal::DotRowsAvx2
-                                        : &internal::DotRowsScalar;
-  return TopKRows(ctx, candidates.rows(), k,
-                  [&](size_t c0, size_t m, float* scores) {
-                    rows(query, candidates.row(c0), m, dim, scores);
-                  });
-}
-
-std::vector<ScoredId> TopKDot(const ExecutionContext& ctx, const float* query,
-                              const RowPanel& panel, size_t k) {
-  const auto rows = internal::HasAvx2() ? &internal::DotPanelAvx2
-                                        : &internal::DotPanelScalar;
-  return TopKRows(ctx, panel.rows(), k,
-                  [&](size_t c0, size_t m, float* scores) {
-                    rows(query, panel, c0, c0 + m, scores);
-                  });
+// A bounded k-element heap whose top is the currently-worst kept candidate
+// (std::*_heap with RanksBefore puts the comparator-maximal element — the
+// one ranking LAST — on top). Rows enter in ascending order, a chunk at a
+// time. Once the heap is full, the top's score is kept in `worst`, and a
+// row scoring below it costs one compare; a row that ties it still goes
+// through RanksBefore.
+std::vector<std::pair<uint32_t, float>> TopKDot(const float* query,
+                                                const RowPanel& panel,
+                                                size_t k) {
+  using ScoredId = std::pair<uint32_t, float>;
+  const size_t n = panel.rows();
+  k = std::min(k, n);
+  std::vector<ScoredId> out;
+  if (k == 0) return out;
+  const auto score = internal::HasAvx2() ? &internal::DotPanelAvx2
+                                         : &internal::DotPanelScalar;
+  float scores[kScoreChunkRows];
+  for (size_t c0 = 0; c0 < n; c0 += kScoreChunkRows) {
+    const size_t m = std::min(kScoreChunkRows, n - c0);
+    score(query, panel, c0, c0 + m, scores);
+    size_t r = 0;
+    for (; r < m && out.size() < k; ++r) {  // filling the heap
+      out.push_back({static_cast<uint32_t>(c0 + r), scores[r]});
+      std::push_heap(out.begin(), out.end(), RanksBefore);
+    }
+    if (r == m) continue;
+    float worst = out.front().second;
+    for (; r < m; ++r) {
+      if (scores[r] < worst) continue;
+      const ScoredId cand{static_cast<uint32_t>(c0 + r), scores[r]};
+      if (RanksBefore(cand, out.front())) {
+        std::pop_heap(out.begin(), out.end(), RanksBefore);
+        out.back() = cand;
+        std::push_heap(out.begin(), out.end(), RanksBefore);
+        worst = out.front().second;
+      }
+    }
+  }
+  std::sort_heap(out.begin(), out.end(), RanksBefore);
+  return out;
 }
 
 // ----- k-means assignment -----
@@ -1088,7 +935,7 @@ namespace {
 /// centroid c + 4k + l and takes its columns one at a time in ascending j
 /// from 0.0: the scalar loop's subtract, multiply and add, each rounded
 /// once, in the scalar loop's order. The target list has no "fma", so the
-/// multiply and add cannot be contracted (DotRowsAvx2Impl's argument).
+/// multiply and add cannot be contracted (DotPanelBlocksAvx2's argument).
 __attribute__((target("avx2"))) void SquaredL2LanesAvx2Impl(
     const float* point, const double* panel, size_t dim, size_t stride,
     double* out) {
@@ -1189,10 +1036,6 @@ int32_t Sq8BlockDotScalar(const int16_t* qc, const int8_t* codes, size_t n) {
 
 /// Rows scored per pass of the AVX2 scan: one int32 accumulator each.
 constexpr size_t kScanGroupRows = 8;
-
-/// ScanDots' smallest shard. int8 rows are ~4x cheaper to score than float
-/// rows, so a shard has to cover more of them before forking pays.
-constexpr size_t kMinScanRowsPerShard = 256;
 
 /// One asymmetric dot: exact integer accumulation in int32 over kDimBlock
 /// blocks, widened to double at each block boundary, then scaled. This
@@ -1412,9 +1255,9 @@ void ScanSlotsAvx2(const QueryCodes& query, const int8_t* codes,
 
 }  // namespace internal
 
-void ScanDots(const ExecutionContext& ctx, const QueryCodes& query,
-              const int8_t* codes, const float* scales, size_t dim,
-              const RowRanges& row_ranges, float* out) {
+void ScanDots(const QueryCodes& query, const int8_t* codes,
+              const float* scales, size_t dim, const RowRanges& row_ranges,
+              float* out) {
   GARCIA_CHECK_EQ(query.codes.size(), dim);
   size_t total = 0;
   for (const auto& [first, second] : row_ranges) {
@@ -1424,9 +1267,7 @@ void ScanDots(const ExecutionContext& ctx, const QueryCodes& query,
   if (total == 0) return;
   const auto scan = kernels::internal::HasAvx2() ? &internal::ScanSlotsAvx2
                                                  : &internal::ScanSlotsScalar;
-  ctx.ShardedFor(0, total, kMinScanRowsPerShard, [&](size_t lo, size_t hi) {
-    scan(query, codes, scales, dim, row_ranges, lo, hi, out);
-  });
+  scan(query, codes, scales, dim, row_ranges, 0, total, out);
 }
 
 }  // namespace sq8

@@ -7,19 +7,18 @@
 // softmax cross-entropy inside InfoNCE, and the serving scans — is a kernel
 // in this file.
 //
-// Only three kernels shard across an ExecutionContext's thread pool: Gemm
-// on the training side (its 2-D tile grid), and TopKDot and sq8::ScanDots
-// on the query side. Every other kernel is one serial loop and takes no
-// context: sharding them was measured end to end on the full-graph Fit and
-// bought nothing (EXPERIMENTS.md, "Which kernels shard").
+// Only Gemm shards across an ExecutionContext's thread pool (its 2-D tile
+// grid). Every other kernel is one serial loop and takes no context:
+// sharding the training kernels was measured end to end on the full-graph
+// Fit and bought nothing (EXPERIMENTS.md, "Which kernels shard"), and the
+// serving scans (TopKDot, sq8::ScanDots) run one request each, serially,
+// because serving parallelizes across requests (serving::BatchRanker).
 //
-// Determinism contract: a sharded kernel is bit-identical to its serial
-// path for ANY ExecutionContext, not merely close. Gemm accumulates every
-// output element in ascending k whatever the tiling; TopKDot and ScanDots
-// split over rows and write disjoint slots (TopKDot merges under a total
-// order). A model trained with num_threads=N therefore reproduces the
-// num_threads=0 loss trajectory to the last bit (asserted by
-// tests/core_gemm_test.cc and tests/models_garcia_test.cc).
+// Determinism contract: Gemm is bit-identical to its serial path for ANY
+// ExecutionContext, not merely close: it accumulates every output element
+// in ascending k whatever the tiling. A model trained with num_threads=N
+// therefore reproduces the num_threads=0 loss trajectory to the last bit
+// (asserted by tests/core_gemm_test.cc and tests/models_garcia_test.cc).
 //
 // How to add a kernel: write the serial loop, with a test against a plain
 // loop in core_kernels_test. Shard it only when an end-to-end number (the
@@ -43,9 +42,8 @@
 
 namespace garcia::core {
 
-/// Execution policy handed to the sharded kernels (Gemm, TopKDot,
-/// sq8::ScanDots): either serial (the reference backend) or sharded across
-/// a privately owned thread pool.
+/// Execution policy handed to the sharded kernel (Gemm): either serial (the
+/// reference backend) or sharded across a privately owned thread pool.
 class ExecutionContext {
  public:
   /// num_threads <= 1 selects the serial backend (no pool is created);
@@ -75,8 +73,7 @@ class ExecutionContext {
 /// The process-default serial context.
 const ExecutionContext& SerialExecution();
 
-/// The context sharded kernels run on when the caller passes none:
-/// Matrix::Gemm, and the serving scans' ambient overloads. Defaults to
+/// The context Matrix::Gemm runs on, the caller passing none. Defaults to
 /// SerialExecution(); models install theirs via ScopedExecution around
 /// Fit/Predict/Export so every GEMM in an op or backward closure inside
 /// picks it up. Thread-local, so concurrent models on different threads do
@@ -303,8 +300,9 @@ void CrossEntropyBackwardAdd(const Matrix& softmax,
 
 /// The retrieval total order: higher score first, ties by ascending id.
 /// Selection and sorting under a total order are unique, which is what
-/// makes every partitioning of a scan (TopKDot blocks, IVF probe lists,
-/// any thread count) agree byte for byte. Scores must not be NaN.
+/// makes every scan of a catalog (the brute-force panel scan, the IVF
+/// probe lists and re-rank, the full-sort oracle) agree byte for byte.
+/// Scores must not be NaN.
 inline bool RanksBefore(const std::pair<uint32_t, float>& a,
                         const std::pair<uint32_t, float>& b) {
   if (a.second != b.second) return a.second > b.second;
@@ -314,7 +312,8 @@ inline bool RanksBefore(const std::pair<uint32_t, float>& a,
 /// The exact retrieval score: Σ_j (double)query[j] * (double)row[j],
 /// accumulated from 0.0 in ascending j and cast to float once. TopKDot's
 /// vector path reproduces this expression bit for bit; every other scorer
-/// that must agree with it (the IVF list scan, the SQ8 re-rank) calls it.
+/// that must agree with it (the SQ8 re-rank, the TopKInnerProduct oracle)
+/// calls it.
 inline float DotRowDouble(const float* query, const float* row, size_t dim) {
   double dot = 0.0;
   for (size_t j = 0; j < dim; ++j) {
@@ -323,33 +322,11 @@ inline float DotRowDouble(const float* query, const float* row, size_t dim) {
   return static_cast<float>(dot);
 }
 
-/// Top-k (row index, score) of score[i] = DotRowDouble(query,
-/// candidates.row(i)), sorted by descending score with ties broken by
-/// ascending index.
-///
-/// Rows are scored a fixed chunk at a time into a stack buffer, then fed
-/// in ascending row order to a bounded partial top-k heap. On AVX2 hosts
-/// the chunk is scored lane-per-row (internal::DotRowsAvx2): each lane
-/// owns one row and adds its columns in ascending order, and a float x
-/// float product is exact in double, so every score is bit-identical to
-/// DotRowDouble. The parallel path partitions rows into fixed-size blocks,
-/// keeps a partial heap per block, and merges the per-block winners.
-/// Selection under RanksBefore is unique, so the result is bit-identical
-/// to the serial reference for any thread count, block partitioning and
-/// dispatch target. k = 0 returns empty; k >= rows returns the full sorted
-/// ranking. Candidate scores must not be NaN. This row-major overload is
-/// the oracle (serving::TopKInnerProduct) and the IVF coarse probe; the
-/// brute-force serving path scans a RowPanel packed once (below).
-std::vector<std::pair<uint32_t, float>> TopKDot(const ExecutionContext& ctx,
-                                                const float* query, size_t dim,
-                                                const Matrix& candidates,
-                                                size_t k);
-
 class RowPanel;
 
-/// The scoring paths behind the two TopKDot overloads, visible so tests can
-/// pin them to DotRowDouble directly. Not a knob: TopKDot always
-/// dispatches on HasAvx2().
+/// The two scoring paths behind TopKDot, visible so tests can pin them to
+/// DotRowDouble directly. Not a knob: TopKDot always dispatches on
+/// HasAvx2().
 namespace internal {
 
 /// out[i - lo] = DotRowDouble(query, row i) for the rows i in [lo, hi) of a
@@ -387,6 +364,8 @@ class RowPanel {
 
   size_t rows() const { return rows_; }
   size_t dim() const { return dim_; }
+  /// Resident bytes of the packed copy, padding rows included.
+  size_t MemoryBytes() const { return data_.size() * sizeof(float); }
 
  private:
   friend void internal::DotPanelScalar(const float*, const RowPanel&, size_t,
@@ -399,39 +378,27 @@ class RowPanel {
   std::vector<float> data_;  // data_[(b * dim_ + j) * kLanes + r]
 };
 
-/// TopKDot over a packed panel: the same result as TopKDot over the matrix
-/// it was packed from, bit for bit, for any context. Both overloads share
-/// one chunk loop, bounded heap and block merge; only the scorer differs.
-/// On AVX2 hosts the panel scorer (internal::DotPanelAvx2) gives each
-/// double lane one row, which adds its columns in ascending order from 0.0
-/// with no FMA, so every score is DotRowDouble's.
-std::vector<std::pair<uint32_t, float>> TopKDot(const ExecutionContext& ctx,
-                                                const float* query,
+/// Top-k (row index, score) of score[i] = DotRowDouble(query, row i of the
+/// matrix `panel` was packed from), sorted under RanksBefore: descending
+/// score, ties by ascending index. k = 0 returns empty; k >= rows returns
+/// the full ranking. One serial pass: rows are scored a fixed chunk at a
+/// time into a stack buffer, then fed in ascending row order to a bounded
+/// k-element heap. On AVX2 hosts the panel scorer (internal::DotPanelAvx2)
+/// gives each double lane one row, which adds its columns in ascending
+/// order from 0.0 with no FMA; a float x float product is exact in double,
+/// so every score is DotRowDouble's bit for bit. This is the brute-force
+/// serving scan and the IVF coarse probe; serving::TopKInnerProduct is its
+/// independent full-sort oracle.
+std::vector<std::pair<uint32_t, float>> TopKDot(const float* query,
                                                 const RowPanel& panel,
                                                 size_t k);
-
-namespace internal {
-
-/// out[i] = DotRowDouble(query, rows + i * dim, dim) for i in [0, n), over
-/// n contiguous rows of `dim` floats. The portable scalar path.
-void DotRowsScalar(const float* query, const float* rows, size_t n,
-                   size_t dim, float* out);
-
-/// Same contract, lane-per-row AVX2 path: two 4-row groups in flight, each
-/// 4x4 column block widened to double and transposed so lane r holds row
-/// r; scalar tails for dim % 4 columns and n % 8 rows. Requires HasAvx2();
-/// off x86 it is the scalar path.
-void DotRowsAvx2(const float* query, const float* rows, size_t n, size_t dim,
-                 float* out);
-
-}  // namespace internal
 
 // ----- k-means assignment (the IVF build's coarse quantizer) -----
 //
 // One point's squared L2 distance to every centroid, for the serial Lloyd
 // sweeps of serving::IvfIndex::Build. The centroids are packed once per
 // sweep into a transposed double panel so that one AVX2 double lane owns
-// one centroid, as one lane owns one row in internal::DotRowsAvx2. Each
+// one centroid, as one lane owns one row in internal::DotPanelAvx2. Each
 // lane runs the scalar loop's subtract, multiply and add in ascending
 // column order from 0.0, and no FMA contracts the multiply and add, so
 // every distance is bit-identical to the scalar loop on every host.
@@ -488,11 +455,8 @@ void SquaredL2LanesAvx2(const float* point, const double* panel, size_t dim,
 // kDimBlock-coordinate blocks (64 * 32767 * 127 per quarter-block stays
 // far under INT32_MAX), each block total widened to double at the block
 // boundary — times the two scales. Integer accumulation is associative,
-// so the unrolled multi-accumulator inner loop is exact, every backend
-// agrees bit for bit, and sharding only ever splits over rows (disjoint
-// output slots, pure per-row function): thread-count-invariance is by
-// construction, the same discipline that makes TopKDot's ascending-order
-// merge unique under its total order.
+// so the unrolled multi-accumulator inner loop is exact and every backend
+// agrees bit for bit.
 //
 // Error band (what makes exact re-rank a GUARANTEE, not a heuristic — see
 // serving/ivf_index.h): with q' = qscale * qcodes the dequantized query,
@@ -544,18 +508,16 @@ using RowRanges = std::vector<std::pair<uint32_t, uint32_t>>;
 /// concatenated), where total is the integer dot summed in int32 per
 /// kDimBlock block and in double across blocks, from 0.0. `codes` /
 /// `scales` hold ALL rows (row r at codes + r * dim); ranges select which
-/// rows are scanned, in what output order. Sharded over flat slots, at
-/// least 256 per shard (int8 rows are cheap to score, so a shard has to
-/// cover many before forking pays); disjoint pure writes, so any backend
-/// is bit-identical. On AVX2 hosts a shard scores eight consecutive slots
-/// per pass, even across range boundaries: one vpmaddwd int32 accumulator
-/// per row, one transposed horizontal reduction per group and block, and
-/// the widening and scaling in double lanes. Integer addition is
-/// associative and the double operations are the scalar ones in the
-/// scalar order, with no FMA, so both paths give the same bits.
-void ScanDots(const ExecutionContext& ctx, const QueryCodes& query,
-              const int8_t* codes, const float* scales, size_t dim,
-              const RowRanges& row_ranges, float* out);
+/// rows are scanned, in what output order. One serial pass. On AVX2 hosts
+/// it scores eight consecutive slots per pass, even across range
+/// boundaries: one vpmaddwd int32 accumulator per row, one transposed
+/// horizontal reduction per group and block, and the widening and scaling
+/// in double lanes. Integer addition is associative and the double
+/// operations are the scalar ones in the scalar order, with no FMA, so
+/// both paths give the same bits.
+void ScanDots(const QueryCodes& query, const int8_t* codes,
+              const float* scales, size_t dim, const RowRanges& row_ranges,
+              float* out);
 
 /// The two paths behind ScanDots, visible so tests can pin them to a
 /// scalar integer model. Each scores slots [lo, hi) of the concatenated

@@ -173,6 +173,7 @@ IvfIndex IvfIndex::Build(const core::Matrix& catalog,
                                   &index.scales_[slot]);
   }
   index.RecomputeListScaleMax();
+  index.centroid_panel_ = core::kernels::RowPanel(index.centroids_);
   index.catalog_ = &catalog;
   return index;
 }
@@ -197,7 +198,7 @@ size_t IvfIndex::ListStorageBytes() const {
 }
 
 size_t IvfIndex::MemoryBytes() const {
-  return centroids_.size() * sizeof(float) +
+  return centroids_.size() * sizeof(float) + centroid_panel_.MemoryBytes() +
          list_offsets_.size() * sizeof(uint32_t) +
          ids_.size() * sizeof(uint32_t) +
          list_scale_max_.size() * sizeof(float) + ListStorageBytes();
@@ -205,19 +206,17 @@ size_t IvfIndex::MemoryBytes() const {
 
 // ------------------------------------------------------------------ query
 
-RankedList IvfIndex::Query(const core::ExecutionContext& ctx,
-                           const float* query, size_t k, size_t nprobe,
+RankedList IvfIndex::Query(const float* query, size_t k, size_t nprobe,
                            size_t rerank_k, QueryStats* stats) const {
   GARCIA_CHECK(!empty());
   nprobe = std::min(std::max<size_t>(nprobe, 1), nlist());
   if (k == 0) return {};
 
-  // Coarse stage: rank centroids by inner product through the shared
+  // Coarse stage: rank centroids by inner product through the serving
   // top-K kernel (score desc, id asc — the probe order is part of the
   // determinism contract and of the nprobe-monotonicity argument: probe
   // sets are nested as nprobe grows).
-  RankedList probes =
-      core::kernels::TopKDot(ctx, query, dim(), centroids_, nprobe);
+  RankedList probes = core::kernels::TopKDot(query, centroid_panel_, nprobe);
 
   auto list_len = [&](uint32_t list) {
     return static_cast<size_t>(list_offsets_[list + 1] - list_offsets_[list]);
@@ -234,7 +233,7 @@ RankedList IvfIndex::Query(const core::ExecutionContext& ctx,
   // (recall stays monotone) and nprobe >= nlist is unaffected.
   const size_t want = std::min(k, ids_.size());
   if (num_candidates < want && probes.size() < nlist()) {
-    probes = core::kernels::TopKDot(ctx, query, dim(), centroids_, nlist());
+    probes = core::kernels::TopKDot(query, centroid_panel_, nlist());
     size_t used = 0;
     num_candidates = 0;
     for (; used < probes.size() && (used < nprobe || num_candidates < want);
@@ -245,26 +244,16 @@ RankedList IvfIndex::Query(const core::ExecutionContext& ctx,
   }
   k = std::min(k, num_candidates);
   if (k == 0) return {};
-  return QuerySq8(ctx, query, k, probes, rerank_k, stats);
+  return QuerySq8(query, k, probes, rerank_k, stats);
 }
 
 RankedList IvfIndex::Query(const float* query, size_t k) const {
-  return Query(core::CurrentExecution(), query, k, default_nprobe_,
-               default_rerank_k_);
+  return Query(query, k, default_nprobe_, default_rerank_k_);
 }
 
 // -------------------------------------------------------------- SQ8 query
 
-namespace {
-
-/// The exact re-rank's smallest shard: fewer survivors than twice this are
-/// re-scored inline.
-constexpr size_t kMinRerankRowsPerShard = 64;
-
-}  // namespace
-
-RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
-                              const float* query, size_t k,
+RankedList IvfIndex::QuerySq8(const float* query, size_t k,
                               const RankedList& probes, size_t rerank_k,
                               QueryStats* stats) const {
   GARCIA_CHECK(catalog_ != nullptr)
@@ -274,7 +263,7 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
 
   // Stage 1: the asymmetric int8 scan scores every probed candidate into
   // one flat buffer (slot order = probe order, ascending row within a
-  // list — fixed, so the buffer is thread-count-invariant).
+  // list).
   core::kernels::sq8::RowRanges ranges;
   ranges.reserve(probes.size());
   size_t total = 0;
@@ -286,8 +275,8 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
   const core::kernels::sq8::QueryCodes qc =
       core::kernels::sq8::QuantizeQuery(query, d);
   std::vector<float> approx(total);
-  core::kernels::sq8::ScanDots(ctx, qc, codes_.data(), scales_.data(), d,
-                               ranges, approx.data());
+  core::kernels::sq8::ScanDots(qc, codes_.data(), scales_.data(), d, ranges,
+                               approx.data());
   if (stats != nullptr) stats->quantized_rows += total;
 
   // Stage 2a: the re-rank cutoff. T = the R-th best approximate score (a
@@ -329,9 +318,8 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
   // Stage 2b: exact re-rank. Survivors are collected in ascending slot
   // order, one pass per probed range (a deterministic set — the cutoff is
   // a pure function of the scan), re-scored against the original catalog
-  // rows with the exact TopKDot expression (disjoint writes, pure
-  // per-row), and the top k selected serially under the shared total
-  // order.
+  // rows with the exact TopKDot expression, and the top k selected under
+  // the shared total order.
   // The walk writes every row and advances past survivors only: with no
   // call inside the loop, its pointers stay in registers.
   std::vector<uint32_t> survivors(total);
@@ -348,18 +336,11 @@ RankedList IvfIndex::QuerySq8(const core::ExecutionContext& ctx,
   }
   GARCIA_CHECK_GE(survivors.size(), k);
   if (stats != nullptr) stats->rerank_rows += survivors.size();
-  std::vector<float> exact(survivors.size());
-  ctx.ShardedFor(0, survivors.size(), kMinRerankRowsPerShard,
-                 [&](size_t lo, size_t hi) {
-                   for (size_t i = lo; i < hi; ++i) {
-                     exact[i] = DotRowDouble(
-                         query, catalog_->row(ids_[survivors[i]]), d);
-                   }
-                 });
   RankedList result;
   result.reserve(k);
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    const ScoredId cand{ids_[survivors[i]], exact[i]};
+  for (const uint32_t slot : survivors) {
+    const uint32_t id = ids_[slot];
+    const ScoredId cand{id, DotRowDouble(query, catalog_->row(id), d)};
     if (result.size() < k) {
       result.push_back(cand);
       std::push_heap(result.begin(), result.end(), RanksBefore);
@@ -451,13 +432,16 @@ core::Result<IvfIndex> IvfIndex::Load(const std::string& path) {
     }
   }
   // Centroids are scored by TopKDot, whose total order needs non-NaN
-  // scores: an inf coordinate times a zero query coordinate is NaN.
+  // scores: an inf coordinate times a zero query coordinate is NaN. The
+  // probe panel CHECKs the same condition, so it is packed only once this
+  // check has turned a hostile dump into a Status.
   const float* first = index.centroids_.data();
   if (!std::all_of(first, first + index.centroids_.size(),
                    [](float v) { return std::isfinite(v); })) {
     return core::Status::InvalidArgument("corrupt IVF centroid table in " +
                                          path + " (non-finite value)");
   }
+  index.centroid_panel_ = core::kernels::RowPanel(index.centroids_);
 
   // Structural validation: offsets must be a monotone cover of [0, n] and
   // the stored ids a permutation of the catalog rows (a repeated id would

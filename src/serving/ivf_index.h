@@ -8,16 +8,19 @@
 // k-means over the exported service embeddings) partitions the catalog into
 // nlist inverted lists; a query scores the nlist centroids, probes the
 // nprobe best lists, and ranks the probed candidates under the same
-// (score desc, id asc) total order TopKDot uses.
+// (score desc, id asc) total order TopKDot uses. Every query runs serially
+// on its caller's thread; serving parallelizes across requests
+// (BatchRanker), never inside one.
 //
 // The probe scan is bandwidth-bound on the stored list rows, so the lists
 // are stored SQ8-quantized (DESIGN.md §5l): int8 codes with ONE float
 // scale per row (core::kernels::sq8 — symmetric range,
 // |v_j - s*c_j| <= s/2), ~4x below float32 rows. After the coarse probe
-// ranks the centroids (kernels::TopKDot), a query runs these stages:
+// ranks the centroids (kernels::TopKDot over a kernels::RowPanel of them,
+// packed at Build and Load), a query runs these stages:
 //   1. quantized scan: the asymmetric sq8::ScanDots kernel scores every
 //      probed candidate into one buffer (int32 block accumulation, eight
-//      rows per pass on AVX2 hosts, thread-count-invariant);
+//      rows per pass on AVX2 hosts);
 //   2. cutoff: T = the rerank_k-th best approximate score, found with a
 //      rerank_k-element heap over the buffer (no copy, no full
 //      selection), and the cutoff T - 2B, where B = max_probed_scale *
@@ -47,16 +50,18 @@
 //     seed always build the same index byte for byte. The assignment
 //     scores one centroid per AVX2 double lane with the scalar loop's
 //     sub/mul/add order and no FMA, so it matches the scalar loop bitwise.
-//   * Query is thread-count-invariant. Re-ranked scores are
-//     double-accumulated dots cast to float — the exact expression TopKDot
-//     evaluates — and selection under the (score desc, id asc) TOTAL order
-//     is unique, so any scan partitioning returns the identical list.
+//   * Query is a pure function of the index and its arguments, so any
+//     number of threads may probe one index at once and get the serial
+//     answer. Re-ranked scores are double-accumulated dots cast to float —
+//     the exact expression TopKDot evaluates — and selection under the
+//     (score desc, id asc) TOTAL order is unique.
 //   * At nprobe == nlist every candidate is probed, so the result is
 //     BYTE-IDENTICAL to TopKDot over the same catalog: the brute-force
 //     scan stays available as the recall oracle behind the
 //     RetrievalConfig::mode knob (serving/ranking_service.h), and the
 //     property harness (tests/serving_retrieval_test.cc) pins the
-//     equivalence per seed, catalog, K and thread count.
+//     equivalence to the full-sort serving::TopKInnerProduct per seed,
+//     catalog, K and rerank_k.
 //
 // Persistence: a "GIV2" core::SectionedFile container
 // (core/sectioned_file.h, the codec GCK1 checkpoints use too) — magic +
@@ -65,7 +70,9 @@
 // from the file buffer. A bit-flipped or truncated dump is rejected with
 // the failing section named, and so is a dump whose CRCs hold but whose
 // contents could break a query: non-finite centroids or scales, or an id
-// table that is not a permutation of [0, n). Serving then degrades to the
+// table that is not a permutation of [0, n). The centroid panel is packed
+// only after that check, so a hostile dump gets a Status, never the
+// panel's finiteness CHECK. Serving then degrades to the
 // brute-force scan (ResilientRanker counts the fallback in ServingHealth).
 // The retired float-list "GIV1" container is rejected with a named error:
 // indexes are rebuilt at every refresh, so nothing reads an old dump.
@@ -119,14 +126,22 @@ class IvfIndex {
   /// nested in nprobe, so recall stays monotone. The two-stage
   /// scan+re-rank runs with ResolveRerankK(rerank_k, k) candidates (the
   /// header's band guarantee makes the result the same for every
-  /// rerank_k).
-  RankedList Query(const core::ExecutionContext& ctx, const float* query,
-                   size_t k, size_t nprobe, size_t rerank_k = 0,
-                   QueryStats* stats = nullptr) const;
+  /// rerank_k). Serial on the calling thread.
+  RankedList Query(const float* query, size_t k, size_t nprobe,
+                   size_t rerank_k = 0, QueryStats* stats = nullptr) const;
 
-  /// Same, probing the index's default_nprobe() and default_rerank_k()
-  /// through the ambient core::CurrentExecution().
+  /// Same, probing the index's default_nprobe() and default_rerank_k().
   RankedList Query(const float* query, size_t k) const;
+
+  /// Forwards to the serial Query; the context is ignored. Kept only so
+  /// the lifecycle benchmark (perfbench/lifecycle_bench.cc), which passes
+  /// core::SerialExecution(), builds unchanged. Delete it together with
+  /// that argument at the next benchmark change.
+  RankedList Query(const core::ExecutionContext& /*ignored*/,
+                   const float* query, size_t k, size_t nprobe,
+                   size_t rerank_k = 0, QueryStats* stats = nullptr) const {
+    return Query(query, k, nprobe, rerank_k, stats);
+  }
 
   size_t size() const { return ids_.size(); }     // catalog rows indexed
   size_t dim() const { return centroids_.cols(); }
@@ -153,8 +168,9 @@ class IvfIndex {
   /// below float rows. The SQ8 headline memory number — excludes the
   /// shared centroids/offsets/ids.
   size_t ListStorageBytes() const;
-  /// Total resident index bytes: centroids + offsets + ids +
-  /// ListStorageBytes(). Surfaced on the ServingHealth dashboard.
+  /// Total resident index bytes: centroids and their probe panel +
+  /// offsets + ids + per-list scale bounds + ListStorageBytes(). Surfaced
+  /// on the ServingHealth dashboard.
   size_t MemoryBytes() const;
 
   const core::Matrix& centroids() const { return centroids_; }
@@ -190,12 +206,12 @@ class IvfIndex {
   static constexpr uint64_t kMaxIndexBytes = 1ull << 34;  // 16 GiB
 
  private:
-  RankedList QuerySq8(const core::ExecutionContext& ctx, const float* query,
-                      size_t k, const RankedList& probes, size_t rerank_k,
-                      QueryStats* stats) const;
+  RankedList QuerySq8(const float* query, size_t k, const RankedList& probes,
+                      size_t rerank_k, QueryStats* stats) const;
   void RecomputeListScaleMax();
 
   core::Matrix centroids_;             // nlist x dim coarse quantizer
+  core::kernels::RowPanel centroid_panel_;  // centroids_, packed to probe
   std::vector<uint32_t> list_offsets_; // nlist + 1 prefix offsets into ids_
   std::vector<uint32_t> ids_;          // original id of each stored row
   std::vector<int8_t> codes_;          // rows x dim SQ8 codes, by list

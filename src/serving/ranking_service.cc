@@ -18,8 +18,17 @@ const char* RetrievalModeName(RetrievalMode mode) {
 
 RankedList TopKInnerProduct(const float* query_vec, size_t dim,
                             const core::Matrix& candidates, size_t k) {
-  return core::kernels::TopKDot(core::CurrentExecution(), query_vec, dim,
-                                candidates, k);
+  GARCIA_CHECK_EQ(candidates.cols(), dim);
+  RankedList all(candidates.rows());
+  for (size_t i = 0; i < all.size(); ++i) {
+    all[i] = {static_cast<uint32_t>(i),
+              core::kernels::DotRowDouble(query_vec, candidates.row(i), dim)};
+  }
+  const size_t kept = std::min(k, all.size());
+  std::partial_sort(all.begin(), all.begin() + kept, all.end(),
+                    core::kernels::RanksBefore);
+  all.resize(kept);
+  return all;
 }
 
 EmbeddingRanker::EmbeddingRanker(EmbeddingStore queries,
@@ -47,13 +56,8 @@ EmbeddingRanker::EmbeddingRanker(EmbeddingStore queries,
 }
 
 RankedList EmbeddingRanker::Rank(uint32_t query, size_t k) const {
-  if (index_ != nullptr) {
-    return index_->Query(core::CurrentExecution(), queries_.vector(query), k,
-                         index_->default_nprobe(),
-                         index_->default_rerank_k());
-  }
-  return core::kernels::TopKDot(core::CurrentExecution(),
-                                queries_.vector(query), panel_, k);
+  if (index_ != nullptr) return index_->Query(queries_.vector(query), k);
+  return core::kernels::TopKDot(queries_.vector(query), panel_, k);
 }
 
 }  // namespace garcia::serving

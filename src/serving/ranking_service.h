@@ -49,14 +49,14 @@ struct RetrievalConfig {
   uint64_t seed = 13;  // k-means init stream
 };
 
-/// Exact inner-product top-K over a candidate matrix
-/// (core::kernels::TopKDot), sharded through the ambient
-/// core::CurrentExecution() — the serial reference unless a
-/// ScopedExecution is installed — and bit-identical to serial for any
-/// thread count. Ties break by ascending service id. This is the
-/// row-major oracle that serving answers and benchmarks are checked and
-/// timed against; the rankers' brute-force path scores a catalog packed
-/// once into a core::kernels::RowPanel instead, with the same bits.
+/// Exact inner-product top-K over a candidate matrix, the oracle serving
+/// answers are checked against: every row scored with
+/// core::kernels::DotRowDouble, then a std::partial_sort of min(k, rows)
+/// under core::kernels::RanksBefore (descending score, ties by ascending
+/// service id). Deliberately naive: it shares no scan driver, heap or
+/// vector scorer with the served paths (core::kernels::TopKDot over a
+/// RowPanel, IvfIndex), so a bug in them cannot hide in it. Scores must
+/// not be NaN.
 RankedList TopKInnerProduct(const float* query_vec, size_t dim,
                             const core::Matrix& candidates, size_t k);
 

@@ -311,13 +311,12 @@ RankedList ResilientRanker::RankAt(uint64_t request_index, uint32_t query,
     result = r.cache.answer.get();
   } else if (via_index) {
     result = index_->Query(
-        core::CurrentExecution(), r.embedding.data(), k,
+        r.embedding.data(), k,
         index_nprobe_ != 0 ? index_nprobe_ : index_->default_nprobe(),
         index_rerank_k_ != 0 ? index_rerank_k_ : index_->default_rerank_k(),
         &qstats);
   } else if (embedded) {
-    result = core::kernels::TopKDot(core::CurrentExecution(),
-                                    r.embedding.data(), services_panel_, k);
+    result = core::kernels::TopKDot(r.embedding.data(), services_panel_, k);
   } else if (tier == ServingTier::kText) {
     result = text_->Rank(query, k);
   } else {

@@ -3,11 +3,11 @@
 // Every EXPECT here is exact (EXPECT_EQ on floats, not near). The serial
 // kernels are checked against loops written in this file — the reductions
 // against destination-major loops, which add each destination's sources in
-// ascending order, the order the kernels promise. The sharded kernels
-// (Gemm, TopKDot, sq8::ScanDots) are also checked across thread counts:
-// an ExecutionContext with any thread count must reproduce the serial
-// backend bit for bit (see core/kernels.h). Shapes are randomized and
-// sized past the shard floors so the parallel paths genuinely shard.
+// ascending order, the order the kernels promise. The one sharded kernel,
+// Gemm, is also checked across thread counts: an ExecutionContext with any
+// thread count must reproduce the serial backend bit for bit (see
+// core/kernels.h). Shapes are randomized and sized past the shard floors
+// so the parallel paths genuinely shard.
 
 #include "core/kernels.h"
 
@@ -423,151 +423,6 @@ TEST_F(KernelsBitIdentityTest, CrossEntropyForwardBackward) {
   }
 }
 
-TEST_F(KernelsBitIdentityTest, TopKDotMatchesSerial) {
-  // 5000 rows > the 1024-row block size, so the parallel path merges
-  // several partial heaps; k sweeps the degenerate cases (0, 1, = n, > n).
-  const size_t n = 5000, dim = 24;
-  Matrix cands = RandMatrix(n, dim, &rng_);
-  Matrix query = RandMatrix(1, dim, &rng_);
-  for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n, n + 7}) {
-    const auto serial =
-        kernels::TopKDot(SerialExecution(), query.row(0), dim, cands, k);
-    ASSERT_EQ(serial.size(), std::min(k, n));
-    const auto par =
-        kernels::TopKDot(k % 2 ? par3_ : par4_, query.row(0), dim, cands, k);
-    ASSERT_EQ(par.size(), serial.size()) << "k=" << k;
-    for (size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(par[i].first, serial[i].first) << "k=" << k << " rank " << i;
-      ASSERT_EQ(par[i].second, serial[i].second) << "k=" << k << " rank " << i;
-    }
-  }
-
-  // k = n at dim 33 over 5003 rows, against a full ranking of test-local
-  // scalar scores: 33 leaves a one-column tail after the 4-column blocks
-  // and 5003 a 3-row tail after the 8-row groups (plus partial final
-  // chunks and blocks), so a lane, group or tail mix-up in the vector
-  // path moves some row's score and shows in the ranking, under both the
-  // serial and a parallel context.
-  const size_t tail_n = 5003, tail_dim = 33;
-  Matrix tail_cands = RandMatrix(tail_n, tail_dim, &rng_);
-  Matrix tail_query = RandMatrix(1, tail_dim, &rng_);
-  std::vector<std::pair<uint32_t, float>> expected(tail_n);
-  for (size_t i = 0; i < tail_n; ++i) {
-    expected[i] = {static_cast<uint32_t>(i),
-                   ScalarDot(tail_query.row(0), tail_cands.row(i), tail_dim)};
-  }
-  std::sort(expected.begin(), expected.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  for (const ExecutionContext* ctx :
-       {&SerialExecution(), static_cast<const ExecutionContext*>(&par3_)}) {
-    const auto got = kernels::TopKDot(*ctx, tail_query.row(0), tail_dim,
-                                      tail_cands, tail_n);
-    ASSERT_EQ(got.size(), tail_n);
-    for (size_t i = 0; i < tail_n; ++i) {
-      ASSERT_EQ(got[i].first, expected[i].first)
-          << "threads=" << ctx->num_threads() << " rank " << i;
-      ASSERT_EQ(
-          std::memcmp(&got[i].second, &expected[i].second, sizeof(float)), 0)
-          << "threads=" << ctx->num_threads() << " rank " << i;
-    }
-  }
-}
-
-TEST_F(KernelsBitIdentityTest, ExactDotRowsMatchScalarReference) {
-  // Every TopKDot scoring path against the test-local scalar expression,
-  // memcmp-equal. Row counts straddle the 8-row groups, dims straddle the
-  // 4-column blocks, and the rows are adversarial for a reordered or
-  // fused sum: magnitudes 1e-30..1e30 (some scores overflow to +-inf in
-  // the final cast), subnormals, near-total cancellation, zero rows, and
-  // duplicate rows (exact ties).
-  using RowsFn = void (*)(const float*, const float*, size_t, size_t, float*);
-  std::vector<std::pair<const char*, RowsFn>> paths = {
-      {"scalar", &kernels::internal::DotRowsScalar}};
-  if (kernels::internal::HasAvx2()) {
-    paths.push_back({"avx2", &kernels::internal::DotRowsAvx2});
-  }
-  const float denorm = std::numeric_limits<float>::denorm_min();
-  auto wide = [&] {  // normal draw scaled by 10^[-30, 30]
-    const double e = -30.0 + 60.0 * rng_.Uniform();
-    return static_cast<float>(rng_.Normal() * std::pow(10.0, e));
-  };
-  for (size_t dim : {1, 3, 4, 5, 31, 32, 33, 64}) {
-    // Queries: unit normal, wide-magnitude, and one with subnormal and
-    // zero coordinates.
-    std::vector<std::vector<float>> queries(3, std::vector<float>(dim));
-    for (size_t j = 0; j < dim; ++j) {
-      queries[0][j] = static_cast<float>(rng_.Normal());
-      queries[1][j] = wide();
-      queries[2][j] = j % 3 == 0   ? 0.0f
-                      : j % 3 == 1 ? denorm * static_cast<float>(1 + j)
-                                   : static_cast<float>(rng_.Normal());
-    }
-    for (size_t n : {0, 1, 7, 8, 9, 255, 257, 1025}) {
-      // Exactly n * dim floats, so ASan flags any read past the last row.
-      std::vector<float> rows(n * dim);
-      for (size_t i = 0; i < n; ++i) {
-        float* r = rows.data() + i * dim;
-        switch (i % 6) {
-          case 0:  // unit normal
-            for (size_t j = 0; j < dim; ++j) {
-              r[j] = static_cast<float>(rng_.Normal());
-            }
-            break;
-          case 1:  // wide magnitudes, mixed within the row
-            for (size_t j = 0; j < dim; ++j) r[j] = wide();
-            break;
-          case 2:  // subnormals
-            for (size_t j = 0; j < dim; ++j) {
-              r[j] = (j % 2 ? -1.0f : 1.0f) * denorm *
-                     static_cast<float>(1 + rng_.UniformInt(uint64_t{1000}));
-            }
-            break;
-          case 3: {  // huge term pairs that cancel against queries[0]
-            const std::vector<float>& q0 = queries[0];
-            for (size_t j = 0; j < dim; ++j) {
-              r[j] = static_cast<float>(rng_.Normal());
-            }
-            for (size_t j = 0; j + 1 < dim; j += 2) {
-              r[j] = 1e20f * static_cast<float>(rng_.Normal());
-              const double partner = -static_cast<double>(r[j]) * q0[j] /
-                                     static_cast<double>(q0[j + 1]);
-              if (std::isfinite(static_cast<float>(partner))) {
-                r[j + 1] = static_cast<float>(partner);
-              }
-            }
-            break;
-          }
-          case 4:  // zero row
-            break;
-          default:  // duplicate of an earlier row: an exact tie
-            std::copy(rows.data() + (i / 2) * dim,
-                      rows.data() + (i / 2 + 1) * dim, r);
-            break;
-        }
-      }
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        const float* q = queries[qi].data();
-        std::vector<float> expected(n);
-        for (size_t i = 0; i < n; ++i) {
-          expected[i] = ScalarDot(q, rows.data() + i * dim, dim);
-        }
-        for (const auto& [name, fn] : paths) {
-          std::vector<float> got(n, std::numeric_limits<float>::quiet_NaN());
-          fn(q, rows.data(), n, dim, got.data());
-          for (size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(std::memcmp(&got[i], &expected[i], sizeof(float)), 0)
-                << name << " dim=" << dim << " n=" << n << " query=" << qi
-                << " row " << i << ": " << got[i] << " vs " << expected[i];
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST_F(KernelsBitIdentityTest, PanelDotPathsMatchDotRowDouble) {
   // Both RowPanel scoring paths against DotRowDouble, memcmp-equal, over
   // the whole panel and over block-aligned slices. Row counts straddle the
@@ -680,19 +535,19 @@ TEST_F(KernelsBitIdentityTest, PanelDotPathsMatchDotRowDouble) {
   }
 }
 
-TEST_F(KernelsBitIdentityTest, TopKDotPanelMatchesMatrixAndFullSort) {
-  // TopKDot over a RowPanel against TopKDot over the matrix it was packed
-  // from, and both against a full sort of DotRowDouble scores, which
-  // shares no code with the chunk loop, heap or merge. Serial and 3- and
-  // 4-thread contexts; row counts below, at and past the 1024-row merge
-  // blocks with short last panel blocks. The tied catalogs repeat five
-  // base rows, so the k-th score is shared by many rows and the
+TEST_F(KernelsBitIdentityTest, TopKDotMatchesFullSort) {
+  // TopKDot over a RowPanel against a full sort of test-local scalar
+  // scores, which shares no code with the chunk loop or the heap. Row
+  // counts straddle the 256-row chunks and the 8-row panel blocks (5003
+  // leaves a 3-row short last block; dims 33 and 9 have no alignment); k
+  // sweeps the degenerate cases (0, 1, = n, > n). The tied catalogs repeat
+  // five base rows, so the k-th score is shared by many rows and the
   // equal-to-worst path decides by id; the zero query ties every row.
   auto full_sort = [](const float* q, const Matrix& rows, size_t k) {
     std::vector<std::pair<uint32_t, float>> all(rows.rows());
     for (size_t i = 0; i < rows.rows(); ++i) {
       all[i] = {static_cast<uint32_t>(i),
-                kernels::DotRowDouble(q, rows.row(i), rows.cols())};
+                ScalarDot(q, rows.row(i), rows.cols())};
     }
     std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
       if (a.second != b.second) return a.second > b.second;
@@ -712,15 +567,15 @@ TEST_F(KernelsBitIdentityTest, TopKDotPanelMatchesMatrixAndFullSort) {
     }
     return true;
   };
-  const ExecutionContext* contexts[] = {&SerialExecution(), &par3_, &par4_};
   struct Shape {
     size_t n, dim;
     bool tied;
   };
-  for (const Shape& shape : {Shape{1, 7, false}, Shape{9, 1, false},
-                             Shape{1000, 32, false}, Shape{2053, 33, false},
-                             Shape{5003, 32, false}, Shape{3001, 9, true},
-                             Shape{260, 32, true}}) {
+  for (const Shape& shape :
+       {Shape{1, 7, false}, Shape{9, 1, false}, Shape{1000, 32, false},
+        Shape{2053, 33, false}, Shape{5000, 24, false},
+        Shape{5003, 32, false}, Shape{5003, 33, false}, Shape{3001, 9, true},
+        Shape{260, 32, true}}) {
     const size_t n = shape.n, dim = shape.dim;
     Matrix rows = RandMatrix(n, dim, &rng_);
     if (shape.tied) {
@@ -733,17 +588,8 @@ TEST_F(KernelsBitIdentityTest, TopKDotPanelMatchesMatrixAndFullSort) {
     for (size_t qi = 0; qi < 2; ++qi) {
       const float* q = queries.row(qi);
       for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n, n + 5}) {
-        const auto expected = full_sort(q, rows, k);
-        for (const ExecutionContext* ctx : contexts) {
-          const auto from_panel = kernels::TopKDot(*ctx, q, panel, k);
-          const auto from_matrix = kernels::TopKDot(*ctx, q, dim, rows, k);
-          EXPECT_TRUE(same(from_panel, expected))
-              << "panel n=" << n << " dim=" << dim << " query=" << qi
-              << " k=" << k << " threads=" << ctx->num_threads();
-          EXPECT_TRUE(same(from_matrix, expected))
-              << "matrix n=" << n << " dim=" << dim << " query=" << qi
-              << " k=" << k << " threads=" << ctx->num_threads();
-        }
+        EXPECT_TRUE(same(kernels::TopKDot(q, panel, k), full_sort(q, rows, k)))
+            << "n=" << n << " dim=" << dim << " query=" << qi << " k=" << k;
       }
     }
   }
@@ -912,7 +758,7 @@ TEST_F(KernelsBitIdentityTest, Sq8EncodeRowBoundsError) {
   }
 }
 
-TEST_F(KernelsBitIdentityTest, Sq8ScanDotsMatchesSerialOverRanges) {
+TEST_F(KernelsBitIdentityTest, Sq8ScanDotsOverRangesMatchesModelAndBand) {
   const size_t rows = 700, dim = 280;  // > kDimBlock: exercises blocking
   Matrix src = RandMatrix(rows, dim, &rng_);
   std::vector<int8_t> codes(rows * dim);
@@ -924,15 +770,9 @@ TEST_F(KernelsBitIdentityTest, Sq8ScanDotsMatchesSerialOverRanges) {
   const std::vector<std::pair<uint32_t, uint32_t>> ranges = {
       {500, 700}, {40, 40}, {0, 260}, {300, 450}};
   const size_t total = 200 + 0 + 260 + 150;
-  std::vector<float> out0(total), out1(total), out2(total);
-  kernels::sq8::ScanDots(SerialExecution(), qc, codes.data(), scales.data(),
-                         dim, ranges, out0.data());
-  kernels::sq8::ScanDots(par3_, qc, codes.data(), scales.data(), dim, ranges,
-                         out1.data());
-  kernels::sq8::ScanDots(par4_, qc, codes.data(), scales.data(), dim, ranges,
-                         out2.data());
-  ASSERT_EQ(out0, out1);
-  ASSERT_EQ(out0, out2);
+  std::vector<float> out0(total);
+  kernels::sq8::ScanDots(qc, codes.data(), scales.data(), dim, ranges,
+                         out0.data());
   // Exact-value check against a scalar integer model of the contract:
   // int32 sums per 256-coordinate block, widened to double at boundaries,
   // scaled once. ScanDots may dispatch to a SIMD backend at runtime; its
@@ -995,7 +835,7 @@ float ScalarSq8Dot(const kernels::sq8::QueryCodes& qc, const int8_t* row,
 
 TEST_F(KernelsBitIdentityTest, Sq8ScanPathsMatchScalarIntegerModel) {
   // Both scan paths, over the whole slot range and over slices of it, and
-  // ScanDots at 1, 3 and 4 threads, against the test-local model,
+  // the dispatching ScanDots, against the test-local model,
   // memcmp-equal on every slot. Dims straddle the 16-column steps and the
   // 256-column blocks. Range lengths straddle the 8-row groups; ranges
   // start at odd rows and come out of order, so groups cross range
@@ -1030,8 +870,6 @@ TEST_F(KernelsBitIdentityTest, Sq8ScanPathsMatchScalarIntegerModel) {
     for (uint32_t r = lo; r < hi; ++r) slot_row.push_back(r);
   }
   const size_t total = slot_row.size();
-  const std::vector<const ExecutionContext*> ctxs = {&SerialExecution(),
-                                                     &par3_, &par4_};
   const std::vector<std::pair<size_t, size_t>> slices = {
       {0, total}, {1, total}, {5, 13}, {141, 400}, {total - 3, total}};
 
@@ -1097,16 +935,11 @@ TEST_F(KernelsBitIdentityTest, Sq8ScanPathsMatchScalarIntegerModel) {
           }
         }
       }
-      for (const ExecutionContext* ctx : ctxs) {
-        std::vector<float> got(total);
-        sq8::ScanDots(*ctx, qc, codes.data(), scales.data(), dim, ranges,
-                      got.data());
-        ASSERT_EQ(std::memcmp(got.data(), expected.data(),
-                              total * sizeof(float)),
-                  0)
-            << "ScanDots at " << ctx->num_threads() << " threads, dim="
-            << dim << " query " << qi;
-      }
+      std::vector<float> got(total);
+      sq8::ScanDots(qc, codes.data(), scales.data(), dim, ranges, got.data());
+      ASSERT_EQ(
+          std::memcmp(got.data(), expected.data(), total * sizeof(float)), 0)
+          << "ScanDots dim=" << dim << " query " << qi;
     }
   }
 }
@@ -1123,8 +956,8 @@ TEST_F(KernelsBitIdentityTest, Sq8ZeroQueryAndZeroRowsScanToExactZero) {
   EXPECT_EQ(qc.abs_code_sum, 0u);
   EXPECT_EQ(qc.ErrorBandPerUnitScale(dim), 0.0);
   std::vector<float> out(rows, -1.0f);
-  kernels::sq8::ScanDots(SerialExecution(), qc, codes.data(), scales.data(),
-                         dim, {{0, static_cast<uint32_t>(rows)}}, out.data());
+  kernels::sq8::ScanDots(qc, codes.data(), scales.data(), dim,
+                         {{0, static_cast<uint32_t>(rows)}}, out.data());
   for (float v : out) EXPECT_EQ(v, 0.0f);
 }
 

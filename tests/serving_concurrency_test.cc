@@ -401,8 +401,7 @@ TEST(AnswerCacheConcurrencyTest, ZipfProfileAnswersMatchOracleAtEveryWidth) {
                                : requests[i].query;
       const float* vec = emb.query_emb.row(row);
       const RankedList want =
-          use_index ? index->Query(core::SerialExecution(), vec,
-                                   requests[i].k, /*nprobe=*/2)
+          use_index ? index->Query(vec, requests[i].k, /*nprobe=*/2)
                     : TopKInnerProduct(vec, kDim, emb.service_emb,
                                        requests[i].k);
       ASSERT_EQ(ref.lists[i], want) << "index=" << use_index << " request "

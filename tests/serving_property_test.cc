@@ -1,10 +1,9 @@
 // Parameterized property tests for the retrieval path, run as a CONTRACT
-// SUITE against every retrieval backend: the brute-force scan
-// (TopKInnerProduct) and the IVF index probed at full nprobe
-// (serving/ivf_index.h) must both agree with an independent brute-force
-// reference for arbitrary sizes, K values (k = 0, k > n) and score
-// distributions, break exact ties by ascending id, and be bit-identical
-// across execution contexts.
+// SUITE against every retrieval backend: the brute-force serving scan
+// (core::kernels::TopKDot over a RowPanel) and the IVF index probed at full
+// nprobe (serving/ivf_index.h) must both agree with an independent
+// brute-force reference for arbitrary sizes, K values (k = 0, k > n) and
+// score distributions, and break exact ties by ascending id.
 
 #include <gtest/gtest.h>
 
@@ -26,20 +25,19 @@ const char* BackendName(Backend b) {
   return b == Backend::kBruteForce ? "BruteForce" : "IvfFullProbe";
 }
 
-/// Top-k through the chosen backend, scanning under `ctx`. The IVF backend
-/// builds an index over the candidates (serially; nlist from the catalog
-/// size) and probes EVERY list — the configuration the oracle-equivalence
-/// contract covers.
-RankedList BackendTopK(Backend b, const core::ExecutionContext& ctx,
-                       const float* query, size_t dim,
-                       const core::Matrix& cands, size_t k) {
+/// Top-k through the chosen backend. The brute-force backend packs the
+/// candidates into a RowPanel, as the rankers do; the IVF backend builds an
+/// index over them (nlist from the catalog size) and probes EVERY list —
+/// the configuration the oracle-equivalence contract covers.
+RankedList BackendTopK(Backend b, const float* query, const core::Matrix& cands,
+                       size_t k) {
   if (b == Backend::kBruteForce) {
-    return core::kernels::TopKDot(ctx, query, dim, cands, k);
+    return core::kernels::TopKDot(query, core::kernels::RowPanel(cands), k);
   }
   RetrievalConfig cfg;
   cfg.seed = 101;
   const IvfIndex index = IvfIndex::Build(cands, cfg);
-  return index.Query(ctx, query, k, index.nlist());
+  return index.Query(query, k, index.nlist());
 }
 
 struct RetrievalCase {
@@ -59,8 +57,7 @@ TEST_P(RetrievalPropertyTest, MatchesBruteForce) {
   core::Rng rng(c.seed);
   core::Matrix cands = core::Matrix::Randn(c.services, c.dim, &rng);
   core::Matrix q = core::Matrix::Randn(1, c.dim, &rng);
-  RankedList top = BackendTopK(backend(), core::SerialExecution(), q.row(0),
-                               c.dim, cands, c.k);
+  RankedList top = BackendTopK(backend(), q.row(0), cands, c.k);
 
   // Brute force with identical tie-breaking.
   RankedList all(c.services);
@@ -88,8 +85,7 @@ TEST_P(RetrievalPropertyTest, ScoresNonIncreasing) {
   core::Rng rng(c.seed + 1);
   core::Matrix cands = core::Matrix::Randn(c.services, c.dim, &rng);
   core::Matrix q = core::Matrix::Randn(1, c.dim, &rng);
-  RankedList top = BackendTopK(backend(), core::SerialExecution(), q.row(0),
-                               c.dim, cands, c.k);
+  RankedList top = BackendTopK(backend(), q.row(0), cands, c.k);
   for (size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(top[i - 1].second, top[i].second);
   }
@@ -100,8 +96,7 @@ TEST_P(RetrievalPropertyTest, ResultsAreDistinctServices) {
   core::Rng rng(c.seed + 2);
   core::Matrix cands = core::Matrix::Randn(c.services, c.dim, &rng);
   core::Matrix q = core::Matrix::Randn(1, c.dim, &rng);
-  RankedList top = BackendTopK(backend(), core::SerialExecution(), q.row(0),
-                               c.dim, cands, c.k);
+  RankedList top = BackendTopK(backend(), q.row(0), cands, c.k);
   std::set<uint32_t> seen;
   for (const auto& [svc, score] : top) {
     EXPECT_TRUE(seen.insert(svc).second);
@@ -118,7 +113,8 @@ INSTANTIATE_TEST_SUITE_P(
                           RetrievalCase{100, 16, 100, 4},
                           RetrievalCase{57, 3, 200, 5},  // k > n
                           RetrievalCase{100, 16, 0, 7},  // k = 0
-                          RetrievalCase{1000, 32, 5, 6}),
+                          RetrievalCase{1000, 32, 5, 6},
+                          RetrievalCase{5000, 24, 1500, 8}),
         ::testing::Values(Backend::kBruteForce, Backend::kIvfFullProbe)),
     [](const auto& info) {
       const RetrievalCase& c = std::get<0>(info.param);
@@ -127,38 +123,12 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(c.k);
     });
 
-/// Execution-context sweep, shared by both backends below.
-class RetrievalParallelTest : public ::testing::TestWithParam<Backend> {};
+/// Backend sweep for the tie-breaking case below.
+class RetrievalTieTest : public ::testing::TestWithParam<Backend> {};
 
-// The partial-heap path sharded over an ExecutionContext must agree bit for
-// bit with the serial scan for any thread count (core/kernels.h contract).
-// 5000 rows exceed the kernel's block size, so the parallel path genuinely
-// merges multiple partial heaps; the IVF backend shards its centroid
-// ranking, SQ8 scan and exact re-rank over the same contexts.
-TEST_P(RetrievalParallelTest, ShardedContextBitIdenticalToSerial) {
-  core::Rng rng(17);
-  const size_t n = 5000, dim = 24;
-  core::Matrix cands = core::Matrix::Randn(n, dim, &rng);
-  core::Matrix q = core::Matrix::Randn(1, dim, &rng);
-  core::ExecutionContext par3(3), par4(4);
-  for (size_t k : {size_t{0}, size_t{1}, size_t{10}, size_t{1500}, n, n + 9}) {
-    RankedList serial = BackendTopK(GetParam(), core::SerialExecution(),
-                                    q.row(0), dim, cands, k);
-    EXPECT_EQ(serial.size(), std::min(k, n));
-    for (const core::ExecutionContext* ctx : {&par3, &par4}) {
-      RankedList par = BackendTopK(GetParam(), *ctx, q.row(0), dim, cands, k);
-      ASSERT_EQ(par.size(), serial.size()) << "k=" << k;
-      for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(par[i].first, serial[i].first) << "k=" << k << " rank " << i;
-        EXPECT_EQ(par[i].second, serial[i].second);  // exact, not near
-      }
-    }
-  }
-}
-
-// Duplicate rows score identically; ties must break by ascending service id
-// in both the serial and the sharded path (total order => unique answer).
-TEST_P(RetrievalParallelTest, DuplicateRowTiesBreakByAscendingId) {
+// Duplicate rows score identically; ties must break by ascending service
+// id (total order => unique answer), as the full-sort oracle breaks them.
+TEST_P(RetrievalTieTest, DuplicateRowTiesBreakByAscendingId) {
   core::Rng rng(18);
   const size_t dim = 8, copies = 400, distinct = 5;
   core::Matrix base = core::Matrix::Randn(distinct, dim, &rng);
@@ -167,20 +137,17 @@ TEST_P(RetrievalParallelTest, DuplicateRowTiesBreakByAscendingId) {
     cands.CopyRowFrom(base, i % distinct, i);
   }
   core::Matrix q = core::Matrix::Randn(1, dim, &rng);
-  core::ExecutionContext par4(4);
   const size_t k = 3 * distinct;
-  RankedList serial =
-      BackendTopK(GetParam(), core::SerialExecution(), q.row(0), dim, cands, k);
-  RankedList par = BackendTopK(GetParam(), par4, q.row(0), dim, cands, k);
-  ASSERT_EQ(serial, par);
-  for (size_t i = 1; i < serial.size(); ++i) {
-    if (serial[i - 1].second == serial[i].second) {
-      EXPECT_LT(serial[i - 1].first, serial[i].first);
+  RankedList top = BackendTopK(GetParam(), q.row(0), cands, k);
+  ASSERT_EQ(top, TopKInnerProduct(q.row(0), dim, cands, k));
+  for (size_t i = 1; i < top.size(); ++i) {
+    if (top[i - 1].second == top[i].second) {
+      EXPECT_LT(top[i - 1].first, top[i].first);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, RetrievalParallelTest,
+INSTANTIATE_TEST_SUITE_P(Backends, RetrievalTieTest,
                          ::testing::Values(Backend::kBruteForce,
                                            Backend::kIvfFullProbe),
                          [](const auto& info) {

@@ -984,8 +984,7 @@ TEST(AnswerCacheTest, InstallingAnIndexOrPreparingARunInvalidates) {
   RankedList brute, probed;
   for (; q < queries.rows(); ++q) {
     brute = TopKInnerProduct(queries.row(q), 8, services, 10);
-    probed =
-        index->Query(core::SerialExecution(), queries.row(q), 10, /*nprobe=*/1);
+    probed = index->Query(queries.row(q), 10, /*nprobe=*/1);
     if (probed != brute) break;
   }
   ASSERT_LT(q, queries.rows());

@@ -110,9 +110,8 @@ TEST(IvfOracleTest, KZeroReturnsEmptyInEveryMode) {
   const Matrix catalog = AdversarialCatalog(3);
   const IvfIndex index = IvfIndex::Build(catalog, RetrievalConfig{});
   std::vector<float> q(catalog.cols(), 1.0f);
-  EXPECT_TRUE(index.Query(core::SerialExecution(), q.data(), 0, 1).empty());
-  EXPECT_TRUE(
-      index.Query(core::SerialExecution(), q.data(), 0, index.nlist()).empty());
+  EXPECT_TRUE(index.Query(q.data(), 0, 1).empty());
+  EXPECT_TRUE(index.Query(q.data(), 0, index.nlist()).empty());
   EXPECT_TRUE(index.Query(q.data(), 0).empty());
 }
 
@@ -129,13 +128,12 @@ TEST(IvfOracleTest, ReturnsMinKSizeEvenWithUnderpopulatedProbes) {
   Matrix q = Matrix::Randn(1, dim, &rng);
   for (size_t nprobe : {size_t{1}, size_t{2}, size_t{7}}) {
     for (size_t k : {size_t{1}, size_t{5}, size_t{20}, n, n + 3}) {
-      const RankedList got =
-          index.Query(core::SerialExecution(), q.row(0), k, nprobe);
+      const RankedList got = index.Query(q.row(0), k, nprobe);
       EXPECT_EQ(got.size(), std::min(k, n)) << "nprobe " << nprobe;
     }
   }
   // And the extended prefix still ranks exactly: k >= n probes everything.
-  const RankedList all = index.Query(core::SerialExecution(), q.row(0), n, 1);
+  const RankedList all = index.Query(q.row(0), n, 1);
   const RankedList truth = TopKInnerProduct(q.row(0), dim, catalog, n);
   EXPECT_EQ(all, truth);
 }
@@ -158,8 +156,7 @@ TEST(IvfRecallTest, RecallMonotoneInNprobePerQuery) {
           TopKInnerProduct(queries.row(qi), 12, catalog, 10);
       double prev = -1.0;
       for (size_t nprobe = 1; nprobe <= index.nlist(); ++nprobe) {
-        const RankedList got =
-            index.Query(core::SerialExecution(), queries.row(qi), 10, nprobe);
+        const RankedList got = index.Query(queries.row(qi), 10, nprobe);
         const double recall = RecallAgainst(truth, got);
         ASSERT_GE(recall, prev)
             << "seed " << seed << " query " << qi << " nprobe " << nprobe;
@@ -326,8 +323,8 @@ TEST(IvfPersistenceTest, TruncationAndTrailingGarbageRejected) {
 
 // ------------------------------------------------- concurrent serving
 
-// One index probed concurrently through raw threads with per-thread
-// ExecutionContexts — no facade, maximum overlap — must agree with serial.
+// One index probed concurrently through raw threads — no facade, maximum
+// overlap — must agree with serial.
 TEST(IvfConcurrencyTest, RawConcurrentProbesMatchSerial) {
   const Matrix catalog = ClusteredCatalog(79, 12, 40, 12);
   RetrievalConfig cfg;
@@ -338,18 +335,17 @@ TEST(IvfConcurrencyTest, RawConcurrentProbesMatchSerial) {
   Matrix queries = Matrix::Randn(kQ, 12, &qrng);
   std::vector<RankedList> ref(kQ);
   for (size_t i = 0; i < kQ; ++i) {
-    ref[i] = index.Query(core::SerialExecution(), queries.row(i), 10, 3);
+    ref[i] = index.Query(queries.row(i), 10, 3);
   }
   std::vector<RankedList> got(kQ);
   std::atomic<size_t> cursor{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < 8; ++t) {
     workers.emplace_back([&] {
-      core::ExecutionContext ctx(2);
       for (;;) {
         const size_t i = cursor.fetch_add(1);
         if (i >= kQ) return;
-        got[i] = index.Query(ctx, queries.row(i), 10, 3);
+        got[i] = index.Query(queries.row(i), 10, 3);
       }
     });
   }
@@ -381,12 +377,9 @@ RetrievalConfig Sq8Config(size_t nlist, uint64_t seed, size_t nprobe = 0,
 }
 
 // The acceptance criterion: full probe + rerank_k >= k is byte-identical
-// to the brute-force scan for 24 adversarial seeds, every K shape, both
-// rerank_k shapes, and thread counts 1/2/4/8.
-TEST(Sq8OracleTest, FullProbeBitIdenticalToBruteForceAcrossSeedsAndThreads) {
-  core::ExecutionContext par2(2), par4(4), par8(8);
-  const std::vector<const core::ExecutionContext*> ctxs = {
-      &core::SerialExecution(), &par2, &par4, &par8};
+// to the brute-force oracle for 24 adversarial seeds, every K shape and
+// both rerank_k shapes.
+TEST(Sq8OracleTest, FullProbeBitIdenticalToBruteForceAcrossSeeds) {
   for (uint64_t seed = 0; seed < 24; ++seed) {
     const Matrix catalog = AdversarialCatalog(seed);
     const size_t n = catalog.rows(), dim = catalog.cols();
@@ -408,19 +401,16 @@ TEST(Sq8OracleTest, FullProbeBitIdenticalToBruteForceAcrossSeedsAndThreads) {
         const RankedList truth =
             TopKInnerProduct(query.data(), dim, catalog, k);
         for (size_t rerank_k : {k, size_t{0}}) {  // exactly-k and auto
-          for (const core::ExecutionContext* ctx : ctxs) {
-            const RankedList got =
-                index.Query(*ctx, query.data(), k, index.nlist(), rerank_k);
-            ASSERT_EQ(got.size(), truth.size())
-                << "seed " << seed << " k " << k;
-            for (size_t i = 0; i < truth.size(); ++i) {
-              ASSERT_EQ(got[i].first, truth[i].first)
-                  << "seed " << seed << " k " << k << " rerank " << rerank_k
-                  << " rank " << i;
-              ASSERT_EQ(got[i].second, truth[i].second)  // float ==, not near
-                  << "seed " << seed << " k " << k << " rerank " << rerank_k
-                  << " rank " << i;
-            }
+          const RankedList got =
+              index.Query(query.data(), k, index.nlist(), rerank_k);
+          ASSERT_EQ(got.size(), truth.size()) << "seed " << seed << " k " << k;
+          for (size_t i = 0; i < truth.size(); ++i) {
+            ASSERT_EQ(got[i].first, truth[i].first)
+                << "seed " << seed << " k " << k << " rerank " << rerank_k
+                << " rank " << i;
+            ASSERT_EQ(got[i].second, truth[i].second)  // float ==, not near
+                << "seed " << seed << " k " << k << " rerank " << rerank_k
+                << " rank " << i;
           }
         }
       }
@@ -473,9 +463,7 @@ TEST(Sq8OracleTest, MatchesFloatIndexAtEveryNprobeAndRerankK) {
         const RankedList truth = FloatProbe(sq, catalog, q.row(qi), 10, nprobe);
         ASSERT_EQ(truth.size(), 10u);
         for (size_t rerank_k : {size_t{0}, size_t{10}, size_t{31}}) {
-          ASSERT_EQ(sq.Query(core::SerialExecution(), q.row(qi), 10, nprobe,
-                             rerank_k),
-                    truth)
+          ASSERT_EQ(sq.Query(q.row(qi), 10, nprobe, rerank_k), truth)
               << "seed " << seed << " nprobe " << nprobe << " rerank "
               << rerank_k;
         }
@@ -521,8 +509,7 @@ RankedList NthElementCutoffQuery(const IvfIndex& index, const Matrix& catalog,
   k = std::min(k, total);
   const sq8::QueryCodes qc = sq8::QuantizeQuery(query, dim);
   std::vector<float> approx(total);
-  sq8::ScanDots(core::SerialExecution(), qc, codes.data(), scales.data(), dim,
-                ranges, approx.data());
+  sq8::ScanDots(qc, codes.data(), scales.data(), dim, ranges, approx.data());
   const size_t r_depth = std::min(IvfIndex::ResolveRerankK(rerank_k, k), total);
   double cutoff = -std::numeric_limits<double>::infinity();
   if (r_depth < total) {
@@ -582,8 +569,7 @@ TEST(Sq8OracleTest, BoundedCutoffMatchesNthElementCutoff) {
                   &want_rows);
               IvfIndex::QueryStats stats;
               const RankedList got =
-                  index.Query(core::SerialExecution(), query.data(), k,
-                              nprobe, rerank_k, &stats);
+                  index.Query(query.data(), k, nprobe, rerank_k, &stats);
               ASSERT_EQ(stats.rerank_rows, want_rows)
                   << "seed " << seed << " magnitude " << magnitude << " k "
                   << k << " nprobe " << nprobe << " rerank " << rerank_k;
@@ -612,16 +598,13 @@ TEST(Sq8RecallTest, RecallMonotoneInNprobeAndInvariantInRerankK) {
           TopKInnerProduct(queries.row(qi), 12, catalog, 10);
       double prev = -1.0;
       for (size_t nprobe = 1; nprobe <= index.nlist(); ++nprobe) {
-        const RankedList got = index.Query(core::SerialExecution(),
-                                           queries.row(qi), 10, nprobe);
+        const RankedList got = index.Query(queries.row(qi), 10, nprobe);
         const double recall = RecallAgainst(truth, got);
         ASSERT_GE(recall, prev) << "seed " << seed << " nprobe " << nprobe;
         prev = recall;
         for (size_t rerank_k : {size_t{10}, size_t{20}, size_t{40},
                                 catalog.rows()}) {
-          ASSERT_EQ(index.Query(core::SerialExecution(), queries.row(qi), 10,
-                                nprobe, rerank_k),
-                    got)
+          ASSERT_EQ(index.Query(queries.row(qi), 10, nprobe, rerank_k), got)
               << "rerank_k must not change results (band guarantee)";
         }
       }
@@ -676,8 +659,8 @@ TEST(Sq8PersistenceTest, RoundTripRequiresCatalogAttachAndServesIdentically) {
   Matrix q = Matrix::Randn(4, catalog.cols(), &qrng);
   for (size_t qi = 0; qi < 4; ++qi) {
     for (size_t nprobe : {size_t{1}, size_t{3}, index.nlist()}) {
-      EXPECT_EQ(index.Query(core::SerialExecution(), q.row(qi), 10, nprobe),
-                back.Query(core::SerialExecution(), q.row(qi), 10, nprobe));
+      EXPECT_EQ(index.Query(q.row(qi), 10, nprobe),
+                back.Query(q.row(qi), 10, nprobe));
     }
   }
   std::remove(path.c_str());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/rng.h"
@@ -71,6 +72,38 @@ TEST(TopKInnerProductTest, DeterministicTieBreak) {
   EXPECT_EQ(top[0].first, 0u);
   EXPECT_EQ(top[1].first, 1u);
   EXPECT_EQ(top[2].first, 2u);
+}
+
+// The oracle against a sort written here: a tied catalog (five base rows
+// repeated, so most ranks are decided by id), the zero query (every score
+// ties), and k = 0, 1, 10, n and n + 5.
+TEST(TopKInnerProductTest, MatchesLocalSortOnTiesZeroQueryAndKZero) {
+  core::Rng rng(3);
+  const size_t n = 260, dim = 32;
+  const Matrix base = Matrix::Randn(5, dim, &rng);
+  Matrix cands(n, dim);
+  for (size_t i = 0; i < n; ++i) cands.CopyRowFrom(base, i % 5, i);
+  Matrix queries = Matrix::Randn(2, dim, &rng);
+  std::fill(queries.row(1), queries.row(1) + dim, 0.0f);
+  for (size_t qi = 0; qi < 2; ++qi) {
+    const float* q = queries.row(qi);
+    RankedList want(n);
+    for (size_t i = 0; i < n; ++i) {
+      double dot = 0.0;
+      for (size_t j = 0; j < dim; ++j) {
+        dot += static_cast<double>(q[j]) * static_cast<double>(cands.at(i, j));
+      }
+      want[i] = {static_cast<uint32_t>(i), static_cast<float>(dot)};
+    }
+    std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+      return a.second != b.second ? a.second > b.second : a.first < b.first;
+    });
+    for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n, n + 5}) {
+      RankedList prefix(want.begin(), want.begin() + std::min(k, n));
+      EXPECT_EQ(TopKInnerProduct(q, dim, cands, k), prefix)
+          << "query " << qi << " k " << k;
+    }
+  }
 }
 
 TEST(EmbeddingRankerTest, RanksByInnerProduct) {
