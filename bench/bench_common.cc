@@ -24,11 +24,6 @@ models::TrainConfig DefaultTrainConfig() {
   cfg.max_batches_per_epoch = 20;
   const char* env = std::getenv("GARCIA_BENCH_SEED");
   if (env != nullptr) cfg.seed = static_cast<uint64_t>(std::atoll(env));
-  const char* threads = std::getenv("GARCIA_BENCH_THREADS");
-  if (threads != nullptr) {
-    const long long v = std::atoll(threads);
-    if (v > 0) cfg.num_threads = static_cast<size_t>(v);
-  }
   return cfg;
 }
 

@@ -12,9 +12,6 @@
 // Environment knobs:
 //   GARCIA_BENCH_SCALE    dataset scale multiplier (default 0.4)
 //   GARCIA_BENCH_SEED     training seed (default 7)
-//   GARCIA_BENCH_THREADS  kernel execution threads (default 0 = serial);
-//                         parallel runs are bit-identical to serial, so this
-//                         only changes wall-clock
 
 #ifndef GARCIA_BENCH_BENCH_COMMON_H_
 #define GARCIA_BENCH_BENCH_COMMON_H_

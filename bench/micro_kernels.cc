@@ -1,35 +1,32 @@
-// Kernel thread sweep: times GEMM (all four transpose variants, at
-// GARCIA-shaped sizes) at 1, 2, 4 and hardware_concurrency threads and
-// prints a JSON speedup table (serial wall-clock / threaded wall-clock) to
-// stdout. Speedups are hardware-dependent: on a multi-core box GEMM at
-// 512^3 should clear 2x at 4 threads; a single-core container reports ~1x
-// and the serial wall-clock column is the meaningful axis.
-// GARCIA_BENCH_REPEATS overrides the median-of-5 repeat count (the ASan
-// smoke in scripts/check.sh uses 1). The table's `topk_dot` rows time
+// Kernel micro-benchmarks, printed as one JSON table on stdout. Every
+// kernel is serial. GARCIA_BENCH_REPEATS overrides the median-of-5 repeat
+// count (the ASan smoke in scripts/check.sh uses 1).
+//
+// The `gemm` rows time Gemm (all four transpose variants, at GARCIA-shaped
+// sizes) and the `gemm_garcia` rows GARCIA's three Eq. 2 attention-logit
+// GEMMs at E = 11,872 edges (forward E x 69 . 69 x 1, weight gradient
+// 69 x E . E x 1, input gradient E x 1 . 1 x 69), each through the
+// dispatched micro-kernels (`seconds`) and through the scalar micro-kernel
+// alone (`scalar_seconds`); the tool exits 1 if either result differs in
+// any bit from a naive triple loop. The `topk_dot` rows time
 // kernels::TopKDot, the serving scan, over a packed kernels::RowPanel
 // (20000 x 32, k = 10; and 20003 x 33 for a column tail and a short last
 // panel block; `pack_seconds` is the one-off pack, outside the scan
 // timer) against a plain reference (DotRowDouble per row, then a partial
 // sort; `scalar_seconds`); the tool exits 1 if the ranking differs from
-// the reference in any byte. The
-// `kmeans_assign` rows time one k-means assignment pass of the IVF build
-// (every point against 141 centroids, at 20000 x 32 and 20003 x 33)
-// through the lane-per-centroid kernel against the scalar per-centroid
-// loop, and the tool exits 1 if any nearest id or distance differs in any
-// byte. The `sq8_scan` rows time the SQ8 IVF probe scan (sq8::ScanDots,
-// serial, 35 of 141 lists of a 20000 x 32 catalog; and 5 of 7 lists of
-// 700 x 280 for the column and row tails) against a per-row scalar
-// reference loop; the tool exits 1 if any score differs in any bit. The
-// `gemm_garcia` rows time GARCIA's three Eq. 2 attention-logit GEMMs at
-// E = 11,872 edges (forward E x 69 . 69 x 1, weight gradient 69 x E .
-// E x 1, input gradient E x 1 . 1 x 69) serially through Gemm's dispatched
-// kernels (`seconds`) and through the scalar micro-kernel alone
-// (`scalar_seconds`), and the tool exits 1 if either result differs in any
-// bit from a naive triple loop. The `crc32` row reports Crc32's slice-by-8
-// throughput over a 16 MiB buffer (one GCK1 checkpoint generation) beside
-// a byte-at-a-time table loop, and the `adam_step` row one Adam update of
-// 2M floats through the AVX2 and scalar bodies; the tool exits 1 if the
-// CRCs, or the updated weights and moments, differ.
+// the reference in any byte. The `kmeans_assign` rows time one k-means
+// assignment pass of the IVF build (every point against 141 centroids, at
+// 20000 x 32 and 20003 x 33) through the lane-per-centroid kernel against
+// the scalar per-centroid loop, and the tool exits 1 if any nearest id or
+// distance differs in any byte. The `sq8_scan` rows time the SQ8 IVF probe
+// scan (sq8::ScanDots, 35 of 141 lists of a 20000 x 32 catalog; and 5 of 7
+// lists of 700 x 280 for the column and row tails) against a per-row
+// scalar reference loop; the tool exits 1 if any score differs in any
+// bit. The `crc32` row reports Crc32's slice-by-8 throughput over a 16 MiB
+// buffer (one GCK1 checkpoint generation) beside a byte-at-a-time table
+// loop, and the `adam_step` row one Adam update of 2M floats through the
+// AVX2 and scalar bodies; the tool exits 1 if the CRCs, or the updated
+// weights and moments, differ.
 //
 // Usage: micro_kernels [--speedup_json]; the sweep is the only mode.
 // Whole-lifecycle performance (Fit, export, serving) is measured by
@@ -54,16 +51,6 @@
 
 namespace garcia {
 namespace {
-
-/// Thread counts for the sweep: {1, 2, 4, hw}, deduped.
-std::vector<size_t> SweepThreadCounts() {
-  std::vector<size_t> counts = {1, 2, 4};
-  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  if (std::find(counts.begin(), counts.end(), hw) == counts.end()) {
-    counts.push_back(hw);
-  }
-  return counts;
-}
 
 /// The served embedding width (the TrainConfig::embedding_dim default).
 constexpr size_t kServeDim = 32;
@@ -94,51 +81,6 @@ double TimeMedianSeconds(int repeats, Fn fn) {
   }
   std::sort(secs.begin(), secs.end());
   return secs[secs.size() / 2];
-}
-
-struct SweepEntry {
-  size_t threads;
-  double seconds;
-};
-
-std::string SweepJsonLine(const char* kernel, const std::string& shape,
-                          const std::vector<SweepEntry>& entries, bool last) {
-  std::string line = core::StrFormat(
-      "    {\"kernel\": \"%s\", \"shape\": \"%s\", \"sweep\": [", kernel,
-      shape.c_str());
-  const double serial_secs = entries.front().seconds;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    line += core::StrFormat(
-        "%s{\"threads\": %zu, \"seconds\": %.6f, \"speedup\": %.2f}",
-        i == 0 ? "" : ", ", entries[i].threads, entries[i].seconds,
-        serial_secs / entries[i].seconds);
-  }
-  line += core::StrFormat("]}%s\n", last ? "" : ",");
-  return line;
-}
-
-/// Thread sweep of one GEMM variant: C(m x n) = op(A) @ op(B) with k as the
-/// contracted dimension. Operand matrices are allocated in their stored
-/// (pre-op) orientation.
-std::string GemmSweepLine(const char* kernel, size_t m, size_t k, size_t n,
-                          bool trans_a, bool trans_b,
-                          const std::vector<size_t>& counts, int repeats,
-                          core::Rng* rng, bool last) {
-  core::Matrix a = trans_a ? core::Matrix::Randn(k, m, rng)
-                           : core::Matrix::Randn(m, k, rng);
-  core::Matrix b = trans_b ? core::Matrix::Randn(n, k, rng)
-                           : core::Matrix::Randn(k, n, rng);
-  core::Matrix c(m, n);
-  std::vector<SweepEntry> entries;
-  for (size_t t : counts) {
-    core::ExecutionContext ctx(t);
-    entries.push_back({t, TimeMedianSeconds(repeats, [&] {
-                         core::kernels::Gemm(ctx, trans_a, trans_b, 1.0f, a,
-                                             b, 0.0f, &c);
-                       })});
-  }
-  const std::string shape = core::StrFormat("%zux%zux%zu", m, k, n);
-  return SweepJsonLine(kernel, shape, entries, last);
 }
 
 /// One `topk_dot` row: TopKDot over a services x dim catalog packed into a
@@ -309,16 +251,16 @@ std::string Sq8ScanLine(size_t rows, size_t dim, size_t lists, size_t probed,
       same ? "true" : "false", last ? "" : ",");
 }
 
-/// One `gemm_garcia` row: C(m x n) = alpha * op(A) @ op(B) + beta * C,
-/// serial, timed through Gemm (the dispatched AVX2 and single-column
-/// kernels) and through GemmBlocked on the scalar micro-kernel alone, each
-/// from the same C. Clears *identical if either result differs in any bit
-/// from the naive triple loop: beta pre-scaling, then fl(alpha * a) * b
-/// terms in ascending k.
-std::string GemmGarciaLine(const char* what, size_t m, size_t k, size_t n,
-                           bool trans_a, bool trans_b, float beta,
-                           int repeats, core::Rng* rng, bool last,
-                           bool* identical) {
+/// One `gemm` or `gemm_garcia` row: C(m x n) = op(A) @ op(B) + beta * C,
+/// timed through Gemm (the dispatched AVX2 and single-column kernels) and
+/// through GemmBlocked on the scalar micro-kernel alone, each from the same
+/// C. Operands are allocated in their stored (pre-op) orientation. Clears
+/// *identical if either result differs in any bit from the naive triple
+/// loop: beta pre-scaling, then fl(alpha * a) * b terms in ascending k.
+std::string GemmLine(const char* kernel, const char* what, size_t m,
+                     size_t k, size_t n, bool trans_a, bool trans_b,
+                     float beta, int repeats, core::Rng* rng, bool last,
+                     bool* identical) {
   namespace ki = core::kernels::internal;
   const core::Matrix a = trans_a ? core::Matrix::Randn(k, m, rng)
                                  : core::Matrix::Randn(m, k, rng);
@@ -328,14 +270,12 @@ std::string GemmGarciaLine(const char* what, size_t m, size_t k, size_t n,
   core::Matrix fast, scalar;
   const double fast_secs = TimeMedianSeconds(repeats, [&] {
     fast = c_init;
-    core::kernels::Gemm(core::SerialExecution(), trans_a, trans_b, 1.0f, a,
-                        b, beta, &fast);
+    core::kernels::Gemm(trans_a, trans_b, 1.0f, a, b, beta, &fast);
   });
   const double scalar_secs = TimeMedianSeconds(repeats, [&] {
     scalar = c_init;
-    ki::GemmBlocked(core::SerialExecution(), ki::kGemmBlocking, trans_a,
-                    trans_b, 1.0f, a, b, beta, &scalar,
-                    ki::GemmKernels::kScalar);
+    ki::GemmBlocked(ki::kGemmBlocking, trans_a, trans_b, 1.0f, a, b, beta,
+                    &scalar, ki::GemmKernels::kScalar);
   });
   core::Matrix reference = c_init;
   if (beta == 0.0f) {
@@ -359,10 +299,10 @@ std::string GemmGarciaLine(const char* what, size_t m, size_t k, size_t n,
       std::memcmp(scalar.data(), reference.data(), bytes) == 0;
   if (!same) *identical = false;
   return core::StrFormat(
-      "    {\"kernel\": \"gemm_garcia\", \"shape\": \"%s %zux%zux%zu\", "
+      "    {\"kernel\": \"%s\", \"shape\": \"%s %zux%zux%zu\", "
       "\"threads\": 1, \"avx2\": %s, \"scalar_seconds\": %.6f, "
       "\"seconds\": %.6f, \"speedup\": %.2f, \"bit_identical\": %s}%s\n",
-      what, m, k, n, ki::HasAvx2() ? "true" : "false", scalar_secs,
+      kernel, what, m, k, n, ki::HasAvx2() ? "true" : "false", scalar_secs,
       fast_secs, scalar_secs / fast_secs, same ? "true" : "false",
       last ? "" : ",");
 }
@@ -439,7 +379,6 @@ std::string AdamStepLine(size_t n, int repeats, core::Rng* rng, bool last,
 }
 
 int RunSpeedupJson() {
-  const std::vector<size_t> counts = SweepThreadCounts();
   const int repeats = BenchRepeats();
   core::Rng rng(12);
 
@@ -448,23 +387,22 @@ int RunSpeedupJson() {
                       std::thread::hardware_concurrency());
 
   // GEMM, all four transpose variants at GARCIA-shaped sizes:
-  //   gemm_nn  512^3            — square forward-pass reference point; the
-  //                               acceptance target (>= 2x at 4 threads on
-  //                               multicore).
-  //   gemm_nt  1024x64x1024     — InfoNCE logits A @ B^T (batch x batch from
-  //                               d-dim embeddings).
-  //   gemm_tn  64x32768x64      — backward dW = X^T @ dY: tiny output, huge
-  //                               contracted k; parallelizes only via the
-  //                               2-D tile grid.
-  //   gemm_tt  512^3            — square with both operands strided.
-  json += GemmSweepLine("gemm", 512, 512, 512, false, false, counts, repeats,
-                        &rng, false);
-  json += GemmSweepLine("gemm_nt", 1024, 64, 1024, false, true, counts,
-                        repeats, &rng, false);
-  json += GemmSweepLine("gemm_tn", 64, 32768, 64, true, false, counts,
-                        repeats, &rng, false);
-  json += GemmSweepLine("gemm_tt", 512, 512, 512, true, true, counts, repeats,
-                        &rng, false);
+  //   nn  512^3         — square forward-pass reference point, with more
+  //                       than one row block, column panel and k panel.
+  //   nt  1024x64x1024  — InfoNCE logits A @ B^T (batch x batch from d-dim
+  //                       embeddings).
+  //   tn  64x32768x64   — backward dW = X^T @ dY: tiny output, huge
+  //                       contracted k (128 k panels).
+  //   tt  512^3         — square with both operands strided.
+  bool gemm_identical = true;
+  json += GemmLine("gemm", "nn", 512, 512, 512, false, false, 0.0f, repeats,
+                   &rng, false, &gemm_identical);
+  json += GemmLine("gemm", "nt", 1024, 64, 1024, false, true, 0.0f, repeats,
+                   &rng, false, &gemm_identical);
+  json += GemmLine("gemm", "tn", 64, 32768, 64, true, false, 0.0f, repeats,
+                   &rng, false, &gemm_identical);
+  json += GemmLine("gemm", "tt", 512, 512, 512, true, true, 0.0f, repeats,
+                   &rng, false, &gemm_identical);
 
   // The panel scan against the plain reference: at the serving shape, and
   // one row and one column past it so the vector path's column tail and a
@@ -496,13 +434,12 @@ int RunSpeedupJson() {
   // [z_dst || z_src || e] input; the two n = 1 shapes run the
   // single-column path, the input gradient a k = 1 product.
   constexpr size_t kEdges = 11872, kAttIn = 69;
-  bool gemm_garcia_identical = true;
-  json += GemmGarciaLine("forward", kEdges, kAttIn, 1, false, false, 0.0f,
-                         repeats, &rng, false, &gemm_garcia_identical);
-  json += GemmGarciaLine("dW", kAttIn, kEdges, 1, true, false, 1.0f, repeats,
-                         &rng, false, &gemm_garcia_identical);
-  json += GemmGarciaLine("dX", kEdges, 1, kAttIn, false, true, 1.0f, repeats,
-                         &rng, false, &gemm_garcia_identical);
+  json += GemmLine("gemm_garcia", "forward", kEdges, kAttIn, 1, false, false,
+                   0.0f, repeats, &rng, false, &gemm_identical);
+  json += GemmLine("gemm_garcia", "dW", kAttIn, kEdges, 1, true, false, 1.0f,
+                   repeats, &rng, false, &gemm_identical);
+  json += GemmLine("gemm_garcia", "dX", kEdges, 1, kAttIn, false, true, 1.0f,
+                   repeats, &rng, false, &gemm_identical);
 
   // Fit's other two vector loops: the CRC over one GCK1 generation's worth
   // of bytes, and one Adam update.
@@ -526,9 +463,9 @@ int RunSpeedupJson() {
     std::fprintf(stderr,
                  "sq8_scan: ScanDots diverged from the per-row reference\n");
   }
-  if (!gemm_garcia_identical) {
+  if (!gemm_identical) {
     std::fprintf(stderr,
-                 "gemm_garcia: Gemm diverged from the naive triple loop\n");
+                 "gemm: Gemm diverged from the naive triple loop\n");
   }
   if (!crc_identical) {
     std::fprintf(stderr, "crc32: slice-by-8 diverged from the byte loop\n");
@@ -538,7 +475,7 @@ int RunSpeedupJson() {
                  "adam_step: the AVX2 body diverged from the scalar loop\n");
   }
   return topk_identical && kmeans_identical && sq8_identical &&
-                 gemm_garcia_identical && crc_identical && adam_identical
+                 gemm_identical && crc_identical && adam_identical
              ? 0
              : 1;
 }

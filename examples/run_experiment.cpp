@@ -4,8 +4,8 @@
 //
 //   ./build/examples/run_experiment [--model GARCIA] [--dataset "Sep. A"]
 //       [--scale 0.4] [--dim 32] [--epochs 10] [--pretrain 4] [--seed 7]
-//       [--fanout 0] [--threads 0] [--share] [--no-ktcl] [--no-secl]
-//       [--no-igcl] [--tree-levels 5] [--list]
+//       [--fanout 0] [--share] [--no-ktcl] [--no-secl] [--no-igcl]
+//       [--tree-levels 5] [--list]
 //
 // Examples:
 //   run_experiment --model LightGCN --dataset Music
@@ -28,7 +28,7 @@ void PrintUsageAndExit(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--model NAME] [--dataset NAME] [--scale F] "
                "[--dim N] [--epochs N] [--pretrain N] [--seed N] "
-               "[--fanout N] [--threads N] [--share] [--no-ktcl] "
+               "[--fanout N] [--share] [--no-ktcl] "
                "[--no-secl] [--no-igcl] [--tree-levels N] [--list]\n",
                argv0);
   std::exit(2);
@@ -72,9 +72,6 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--fanout")) {
       cfg.sample_fanout =
           static_cast<size_t>(std::atoi(need_value("--fanout")));
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      cfg.num_threads =
-          static_cast<size_t>(std::atoi(need_value("--threads")));
     } else if (!std::strcmp(argv[i], "--tree-levels")) {
       cfg.tree_levels =
           static_cast<size_t>(std::atoi(need_value("--tree-levels")));
@@ -126,11 +123,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("dataset=%s scale=%.2f model=%s dim=%zu pretrain=%zu "
-              "epochs=%zu seed=%llu fanout=%zu threads=%zu\n",
+              "epochs=%zu seed=%llu fanout=%zu\n",
               dataset_name.c_str(), scale, model_name.c_str(),
               cfg.embedding_dim, cfg.pretrain_epochs, cfg.finetune_epochs,
-              static_cast<unsigned long long>(cfg.seed), cfg.sample_fanout,
-              cfg.num_threads);
+              static_cast<unsigned long long>(cfg.seed), cfg.sample_fanout);
 
   data::Scenario s = data::GeneratePreset(dataset, scale);
   std::printf("generated: %zu queries / %zu services / %zu train examples / "

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full check: plain Release build + ctest, then an address+undefined
 # sanitizer build + ctest, then a thread-sanitizer build running the
-# concurrency-sensitive suites (kernel execution layer, thread pool, the
-# rewired tensor ops). The full-ctest lanes include the crash-safety
+# suites that start threads (the thread pool and concurrent serving).
+# Training is serial. The full-ctest lanes include the crash-safety
 # suites: train_checkpoint_test (kill-point sweep, checkpoint container
 # corruption matrix), the torn-write EmbeddingStore tests in
 # serving_resilience_test, and persistence_fuzz_test — seeded mutations
@@ -36,12 +36,12 @@ run_suite "$ROOT/build-asan" -DGARCIA_SANITIZE="address;undefined"
 
 echo "==> ASan smoke: micro_kernels --speedup_json"
 # Runs micro_kernels' whole sweep under ASan/UBSan at bench shapes the
-# unit tests don't reach: the packed GEMM (all four transpose variants,
-# serial and at 2, 4 and hw threads), the TopKDot serving scan over a
-# packed RowPanel (20000 x 32, plus 20003 x 33 for the column tail and a
-# short last panel block) against a plain DotRowDouble + sort reference,
-# and the kmeans_assign rows: one IVF k-means
-# assignment pass through the lane-per-centroid kernel (20000 x 32 and
+# unit tests don't reach: the packed GEMM (all four transpose variants at
+# up to 512^3, each checked against a naive triple loop), the TopKDot
+# serving scan over a packed RowPanel (20000 x 32, plus 20003 x 33 for
+# the column tail and a short last panel block) against a plain
+# DotRowDouble + sort reference, and the kmeans_assign rows: one IVF
+# k-means assignment pass through the lane-per-centroid kernel (20000 x 32 and
 # 20003 x 33, 141 centroids, so the 16-lane panel has padding lanes), and
 # the sq8_scan rows: the SQ8 IVF probe scan through the 8-row group kernel
 # (35 of 141 lists of a 20000 x 32 catalog, and 5 of 7 lists of 700 x 280
@@ -70,38 +70,25 @@ echo "==> ASan smoke: retrieval_recall --json"
   GARCIA_BENCH_REPEATS=1 ./retrieval_recall --json > /dev/null)
 
 echo "==> Sanitizer build (thread)"
-# TSan and ASan are mutually exclusive, so this is a third tree. Only the
-# threaded suites run here: they exercise the one sharded kernel (the GEMM
-# tile grid and shared-B packing) and its thread-count bit-parity
-# contract, the thread pool, the
-# thread-local nn::NoGradScope (nn_tensor_test), the block
-# sampler's thread-count-invariance contract, the ticket sequencer
-# (core_ticket_gate_test), the process-wide depth count of the allocator
-# retention scope entered from two threads (core_heap_retention_test), the
-# concurrent batched serving path (BatchRanker + ResilientRanker's
-# sequenced resolve phase, and its answer cache: the single-flight wait on
-# a pending entry's future and eviction decided in resolve order), and the
-# shared immutable SQ8 IvfIndex probed concurrently from many threads,
-# each query serial on its own thread (serving_retrieval_test), and
-# whole training runs: the threaded cases of models_garcia_test and
-# models_baselines_test (ThreadedTrainingMatchesSerialExactly, plus
-# GARCIA's SampledTrainingThreadInvariantAndAccurate) are the only tests
-# that run the sharded GEMM inside a full Fit (models::TrainLoop).
+# TSan and ASan are mutually exclusive, so this is a third tree. Training
+# and every kernel are serial, so only the suites that start threads run
+# here: the thread pool, the thread-local nn::NoGradScope (nn_tensor_test),
+# the ticket sequencer (core_ticket_gate_test), the process-wide depth
+# count of the allocator retention scope entered from two threads
+# (core_heap_retention_test), the concurrent batched serving path
+# (BatchRanker + ResilientRanker's sequenced resolve phase, and its answer
+# cache: the single-flight wait on a pending entry's future and eviction
+# decided in resolve order), and the shared immutable SQ8 IvfIndex probed
+# concurrently from many threads, each query serial on its own thread
+# (serving_retrieval_test).
 TSAN_DIR="$ROOT/build-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DGARCIA_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
-  --target core_kernels_test core_gemm_test core_threadpool_test nn_ops_test \
-  nn_tensor_test graph_sampler_test core_ticket_gate_test \
+  --target core_threadpool_test nn_tensor_test core_ticket_gate_test \
   core_heap_retention_test serving_concurrency_test serving_resilience_test \
-  serving_retrieval_test models_garcia_test models_baselines_test
+  serving_retrieval_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|nn_tensor_test|graph_sampler_test|core_ticket_gate_test|core_heap_retention_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
-# The training suites run only their threaded cases: the rest are serial,
-# and all of models_garcia_test takes ~8 min under TSan (the three
-# threaded cases ~100 s together).
-for suite in models_garcia_test models_baselines_test; do
-  "$TSAN_DIR/tests/$suite" --gtest_filter='*.ThreadedTrainingMatchesSerialExactly:*.SampledTrainingThreadInvariantAndAccurate'
-done
+  -R '^(core_threadpool_test|nn_tensor_test|core_ticket_gate_test|core_heap_retention_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
 
 echo "==> Lifecycle benchmark smoke: perfbench/test_bench.py"
 # The benchmark builds straight from src/ into .bench_build/, so a library

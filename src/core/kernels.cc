@@ -13,49 +13,6 @@
 
 namespace garcia::core {
 
-namespace {
-
-thread_local const ExecutionContext* tls_execution = nullptr;
-
-}  // namespace
-
-ExecutionContext::ExecutionContext(size_t num_threads) {
-  if (num_threads >= 2) pool_ = std::make_unique<ThreadPool>(num_threads);
-}
-
-ExecutionContext::~ExecutionContext() = default;
-
-size_t ExecutionContext::num_threads() const {
-  return pool_ != nullptr ? pool_->num_threads() : 1;
-}
-
-void ExecutionContext::ShardedFor(
-    size_t begin, size_t end, size_t min_shard,
-    const std::function<void(size_t, size_t)>& fn) const {
-  if (begin >= end) return;
-  if (pool_ == nullptr) {
-    fn(begin, end);
-    return;
-  }
-  pool_->ParallelForShards(begin, end, fn, min_shard);
-}
-
-const ExecutionContext& SerialExecution() {
-  static const ExecutionContext* serial = new ExecutionContext(0);
-  return *serial;
-}
-
-const ExecutionContext& CurrentExecution() {
-  return tls_execution != nullptr ? *tls_execution : SerialExecution();
-}
-
-ScopedExecution::ScopedExecution(const ExecutionContext* ctx)
-    : prev_(tls_execution) {
-  if (ctx != nullptr) tls_execution = ctx;
-}
-
-ScopedExecution::~ScopedExecution() { tls_execution = prev_; }
-
 namespace kernels {
 
 namespace internal {
@@ -78,22 +35,20 @@ using internal::kGemmNr;
 
 // ----- Packed GEMM -----
 //
-// C = beta*C + alpha*op(A)@op(B) as a BLIS-style packed kernel. The output
-// is tiled into (row block x column panel) cells; each cell walks the k
-// dimension in KC-deep panels, packing op(A) into MR-row panels and op(B)
-// into NR-column panels read STRIDED from their sources (so transposed
-// operands are packed in place, never materialized as whole matrices), and
-// a register-tiled MR x NR micro-kernel does the arithmetic.
+// C = beta*C + alpha*op(A)@op(B) as a BLIS-style packed kernel, one serial
+// loop nest in the classic order: column panel (NC) -> k panel (KC) -> pack
+// that op(B) panel once -> row block (MC) -> pack op(A) -> MR x NR
+// micro-kernels. Both operands are packed STRIDED from their sources (so
+// transposed operands are packed in place, never materialized as whole
+// matrices).
 //
 // Bit-identity argument: the value of C[i,j] is
 //   fl(beta*C[i,j]) then += fl(fl(alpha*a_op[i,l]) * b_op[l,j]),
 //   l = 0..k-1 ascending,
-// for EVERY tiling. k is never split across tiles; k-panels run in
-// ascending order within a tile; between panels the partial sum round-trips
-// through C (or stays in the micro-kernel accumulator), and a float
-// store/load is exact. Tile shapes therefore cannot change the result, so
-// serial, any thread count, any blocking and all four transpose flags
-// agree bit for bit.
+// for EVERY blocking. k panels run in ascending order for every output
+// element; between panels the partial sum round-trips through C, and a
+// float store/load is exact. Block shapes therefore cannot change the
+// result, so any blocking and all four transpose flags agree bit for bit.
 //
 // Zero operands are NOT skipped: a 0 in op(A) still contributes
 // fl(0 * b_op[l,j]), so IEEE non-finite values in B propagate (0*Inf = NaN)
@@ -108,16 +63,11 @@ using internal::kGemmNr;
 
 inline size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 
-// Per-thread packing scratch, reused across calls and k-panels. Workers
-// each see their own copy (thread_local), so packing is race-free without
-// synchronization.
+// Packing scratch, reused across calls and k-panels. thread_local, so
+// calls from different threads never share it.
 struct GemmPackBuffers {
   std::vector<float> a;  // ceil(mb/MR) panels of kc x MR
   std::vector<float> b;  // ceil(nb/NR) panels of kc x NR
-  /// Shared pre-packed op(B): every (column panel x k panel) group packed
-  /// once, reused by all row blocks. Owned by the thread that called Gemm
-  /// (workers only write disjoint groups into it during the pack phase).
-  std::vector<float> b_shared;
 };
 
 GemmPackBuffers& TlsGemmBuffers() {
@@ -345,17 +295,17 @@ inline void AddRow(float* dst, const float* src, size_t cols) {
 
 }  // namespace
 
-void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b, float alpha,
-          const Matrix& a, const Matrix& b, float beta, Matrix* c) {
-  internal::GemmBlocked(ctx, internal::kGemmBlocking, trans_a, trans_b, alpha,
-                        a, b, beta, c);
+void Gemm(bool trans_a, bool trans_b, float alpha, const Matrix& a,
+          const Matrix& b, float beta, Matrix* c) {
+  internal::GemmBlocked(internal::kGemmBlocking, trans_a, trans_b, alpha, a,
+                        b, beta, c);
 }
 
 namespace internal {
 
-void GemmBlocked(const ExecutionContext& ctx, const GemmBlocking& blocking,
-                 bool trans_a, bool trans_b, float alpha, const Matrix& a,
-                 const Matrix& b, float beta, Matrix* c, GemmKernels kernels) {
+void GemmBlocked(const GemmBlocking& blocking, bool trans_a, bool trans_b,
+                 float alpha, const Matrix& a, const Matrix& b, float beta,
+                 Matrix* c, GemmKernels kernels) {
   const size_t m = trans_a ? a.cols() : a.rows();
   const size_t k = trans_a ? a.rows() : a.cols();
   const size_t kb = trans_b ? b.cols() : b.rows();
@@ -372,121 +322,49 @@ void GemmBlocked(const ExecutionContext& ctx, const GemmBlocking& blocking,
   if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
 
   const size_t kc_max = std::max<size_t>(1, blocking.kc);
-  size_t mb = std::min(m, std::max<size_t>(1, blocking.mc));
-  size_t nb = std::min(n, std::max<size_t>(1, blocking.nc));
-  if (ctx.parallel()) {
-    // Refine the tile grid until every worker has a couple of tiles, never
-    // below the blocking floors. Small-m trans_a GEMMs (dW = X^T dY: m = n =
-    // hidden dim, k = node count) split over columns and finer row blocks
-    // here instead of collapsing onto a handful of row shards. The chosen
-    // grid cannot change the result (see the bit-identity argument above).
-    const size_t target = 2 * ctx.num_threads();
-    const size_t mb_floor = std::max<size_t>(1, blocking.min_rows_per_shard);
-    const size_t nb_floor = std::max<size_t>(1, blocking.min_cols_per_shard);
-    while (CeilDiv(m, mb) * CeilDiv(n, nb) < target) {
-      const bool can_m = mb / 2 >= mb_floor;
-      const bool can_n = nb / 2 >= nb_floor;
-      if (!can_m && !can_n) break;
-      if (can_m && (mb >= nb || !can_n)) {
-        mb /= 2;
-      } else {
-        nb /= 2;
-      }
-    }
-  }
-  const size_t row_blocks = CeilDiv(m, mb);
-  const size_t col_panels = CeilDiv(n, nb);
-
+  const size_t mb = std::min(m, std::max<size_t>(1, blocking.mc));
+  const size_t nb = std::min(n, std::max<size_t>(1, blocking.nc));
   const float* ad = a.data();
   const float* bd = b.data();
   float* cd = c->data();
   const size_t lda = a.cols(), ldb = b.cols(), ldc = c->cols();
+  GemmPackBuffers& bufs = TlsGemmBuffers();
   const size_t a_pack_floats = CeilDiv(mb, kGemmMr) * kGemmMr * kc_max;
   const size_t b_pack_floats = CeilDiv(nb, kGemmNr) * kGemmNr * kc_max;
-
-  // With more than one row block, every row block walks the same op(B)
-  // panels, so pack them ONCE into a shared buffer — one (column panel x
-  // k panel) group per slot, at a uniform stride — and let the tile loop
-  // read them instead of re-packing per row block. The pack phase shards
-  // over groups (disjoint writes); ShardedFor's completion barrier
-  // publishes the buffer to the compute phase. Each group's contents are
-  // byte-identical to what the per-tile PackB would produce, so sharing
-  // cannot change the result. Falls back to per-tile packing when the
-  // buffer would exceed the blocking cap.
-  const size_t kc_count = CeilDiv(k, kc_max);
-  const size_t b_group_stride = CeilDiv(nb, kGemmNr) * kGemmNr * kc_max;
-  const size_t b_shared_floats = b_group_stride * col_panels * kc_count;
-  const bool share_b =
-      row_blocks > 1 && b_shared_floats <= blocking.shared_b_max_floats;
-  GemmPackBuffers& caller_bufs = TlsGemmBuffers();
-  if (share_b) {
-    if (caller_bufs.b_shared.size() < b_shared_floats) {
-      caller_bufs.b_shared.resize(b_shared_floats);
-    }
-    float* shared = caller_bufs.b_shared.data();
-    ctx.ShardedFor(0, col_panels * kc_count, /*min_shard=*/1,
-                   [&](size_t g_begin, size_t g_end) {
-                     for (size_t g = g_begin; g < g_end; ++g) {
-                       const size_t jp = g / kc_count;
-                       const size_t lp = g % kc_count;
-                       const size_t j0 = jp * nb;
-                       const size_t l0 = lp * kc_max;
-                       PackB(trans_b, bd, ldb, l0, std::min(kc_max, k - l0),
-                             j0, std::min(nb, n - j0),
-                             shared + g * b_group_stride);
-                     }
-                   });
-  }
-  const float* b_shared = share_b ? caller_bufs.b_shared.data() : nullptr;
+  if (bufs.a.size() < a_pack_floats) bufs.a.resize(a_pack_floats);
+  if (bufs.b.size() < b_pack_floats) bufs.b.resize(b_pack_floats);
+  float* const apack = bufs.a.data();
+  float* const bpack = bufs.b.data();
   const bool dispatch = kernels == GemmKernels::kDispatch;
   const auto micro_kernel = dispatch && HasAvx2() ? &GemmMicroKernelAvx2
                                                   : &GemmMicroKernel;
 
-  // Shard the flattened 2-D tile grid. Tiles write disjoint C regions, so
-  // shards need no synchronization; each shard packs its own A panels (and,
-  // without sharing, B panels) into thread-local scratch.
-  ctx.ShardedFor(
-      0, row_blocks * col_panels, /*min_shard=*/1,
-      [&](size_t t_begin, size_t t_end) {
-        GemmPackBuffers& bufs = TlsGemmBuffers();
-        if (bufs.a.size() < a_pack_floats) bufs.a.resize(a_pack_floats);
-        if (!share_b && bufs.b.size() < b_pack_floats) {
-          bufs.b.resize(b_pack_floats);
-        }
-        for (size_t t = t_begin; t < t_end; ++t) {
-          const size_t i0 = (t / col_panels) * mb;
-          const size_t jp = t % col_panels;
-          const size_t j0 = jp * nb;
-          const size_t mbt = std::min(mb, m - i0);
-          const size_t nbt = std::min(nb, n - j0);
-          for (size_t l0 = 0; l0 < k; l0 += kc_max) {
-            const size_t kct = std::min(kc_max, k - l0);
-            PackA(trans_a, alpha, ad, lda, i0, mbt, l0, kct, bufs.a.data());
-            const float* b_panels;
-            if (share_b) {
-              b_panels = b_shared +
-                         (jp * kc_count + l0 / kc_max) * b_group_stride;
-            } else {
-              PackB(trans_b, bd, ldb, l0, kct, j0, nbt, bufs.b.data());
-              b_panels = bufs.b.data();
-            }
-            for (size_t jr = 0; jr < nbt; jr += kGemmNr) {
-              const float* bp = b_panels + (jr / kGemmNr) * kct * kGemmNr;
-              const size_t n_valid = std::min(kGemmNr, nbt - jr);
-              float* cj = cd + i0 * ldc + j0 + jr;
-              if (dispatch && n_valid == 1) {
-                GemmSingleColumn(bufs.a.data(), mbt, bp, kct, cj, ldc);
-                continue;
-              }
-              for (size_t ir = 0; ir < mbt; ir += kGemmMr) {
-                micro_kernel(bufs.a.data() + (ir / kGemmMr) * kct * kGemmMr,
-                             bp, kct, cj + ir * ldc, ldc,
-                             std::min(kGemmMr, mbt - ir), n_valid);
-              }
-            }
+  for (size_t j0 = 0; j0 < n; j0 += nb) {
+    const size_t nbt = std::min(nb, n - j0);
+    for (size_t l0 = 0; l0 < k; l0 += kc_max) {
+      const size_t kct = std::min(kc_max, k - l0);
+      // Every row block reads this op(B) panel, so it is packed once here.
+      PackB(trans_b, bd, ldb, l0, kct, j0, nbt, bpack);
+      for (size_t i0 = 0; i0 < m; i0 += mb) {
+        const size_t mbt = std::min(mb, m - i0);
+        PackA(trans_a, alpha, ad, lda, i0, mbt, l0, kct, apack);
+        for (size_t jr = 0; jr < nbt; jr += kGemmNr) {
+          const float* bp = bpack + (jr / kGemmNr) * kct * kGemmNr;
+          const size_t n_valid = std::min(kGemmNr, nbt - jr);
+          float* cj = cd + i0 * ldc + j0 + jr;
+          if (dispatch && n_valid == 1) {
+            GemmSingleColumn(apack, mbt, bp, kct, cj, ldc);
+            continue;
+          }
+          for (size_t ir = 0; ir < mbt; ir += kGemmMr) {
+            micro_kernel(apack + (ir / kGemmMr) * kct * kGemmMr, bp, kct,
+                         cj + ir * ldc, ldc, std::min(kGemmMr, mbt - ir),
+                         n_valid);
           }
         }
-      });
+      }
+    }
+  }
 }
 
 }  // namespace internal

@@ -7,121 +7,71 @@
 // softmax cross-entropy inside InfoNCE, and the serving scans — is a kernel
 // in this file.
 //
-// Only Gemm shards across an ExecutionContext's thread pool (its 2-D tile
-// grid). Every other kernel is one serial loop and takes no context:
-// sharding the training kernels was measured end to end on the full-graph
-// Fit and bought nothing (EXPERIMENTS.md, "Which kernels shard"), and the
-// serving scans (TopKDot, sq8::ScanDots) run one request each, serially,
-// because serving parallelizes across requests (serving::BatchRanker).
+// Every kernel is one serial loop and takes no execution context. Training
+// is serial by construction: sharding Gemm's tile grid across a thread pool
+// was measured end to end on the full-graph Fit and bought nothing
+// (EXPERIMENTS.md, "Which kernels shard"), so it was removed. The serving
+// scans (TopKDot, sq8::ScanDots) run one request each, because serving
+// parallelizes across requests (serving::BatchRanker).
 //
-// Determinism contract: Gemm is bit-identical to its serial path for ANY
-// ExecutionContext, not merely close: it accumulates every output element
-// in ascending k whatever the tiling. A model trained with num_threads=N
-// therefore reproduces the num_threads=0 loss trajectory to the last bit
-// (asserted by tests/core_gemm_test.cc and tests/models_garcia_test.cc).
+// Determinism contract: Gemm is bit-identical to the naive triple loop for
+// every blocking and transpose flag, not merely close: it accumulates every
+// output element in ascending k (asserted by tests/core_gemm_test.cc).
+// Every other kernel fixes its accumulation order in its doc comment.
 //
 // How to add a kernel: write the serial loop, with a test against a plain
-// loop in core_kernels_test. Shard it only when an end-to-end number (the
-// perfbench lifecycle benchmark) shows a gain beyond run-to-run noise; then
-// shard over an independent output coordinate with ShardedFor, keep each
-// output's accumulation order that of the serial loop, and add a
-// serial-vs-parallel bit-identity case.
+// loop in core_kernels_test. If an end-to-end number (the perfbench
+// lifecycle benchmark) later shows that training needs concurrency, add it
+// as fork-join across independent model pieces (the head and tail
+// encoders, the contrastive terms), not as a context threaded through the
+// kernels.
 
 #ifndef GARCIA_CORE_KERNELS_H_
 #define GARCIA_CORE_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/matrix.h"
-#include "core/threadpool.h"
 
 namespace garcia::core {
 
-/// Execution policy handed to the sharded kernel (Gemm): either serial (the
-/// reference backend) or sharded across a privately owned thread pool.
-class ExecutionContext {
- public:
-  /// num_threads <= 1 selects the serial backend (no pool is created);
-  /// num_threads >= 2 creates a pool of that many workers. The default
-  /// matches the historical single-threaded behavior by construction.
-  explicit ExecutionContext(size_t num_threads = 0);
-  ~ExecutionContext();
+/// An empty tag, kept only because perfbench/lifecycle_bench.cc passes
+/// SerialExecution() to IvfIndex::Query's forwarding overload. Nothing in
+/// the library reads it; delete both with that overload at the next
+/// benchmark change.
+struct ExecutionContext {};
 
-  ExecutionContext(const ExecutionContext&) = delete;
-  ExecutionContext& operator=(const ExecutionContext&) = delete;
-
-  /// 1 for the serial backend, the worker count otherwise.
-  size_t num_threads() const;
-  bool parallel() const { return pool_ != nullptr; }
-
-  /// Runs fn(lo, hi) over contiguous, non-overlapping shards covering
-  /// [begin, end): one inline call on the serial backend, pool-sharded
-  /// otherwise. min_shard bounds the smallest shard so tiny ranges stay
-  /// inline.
-  void ShardedFor(size_t begin, size_t end, size_t min_shard,
-                  const std::function<void(size_t, size_t)>& fn) const;
-
- private:
-  std::unique_ptr<ThreadPool> pool_;  // null = serial backend
-};
-
-/// The process-default serial context.
-const ExecutionContext& SerialExecution();
-
-/// The context Matrix::Gemm runs on, the caller passing none. Defaults to
-/// SerialExecution(); models install theirs via ScopedExecution around
-/// Fit/Predict/Export so every GEMM in an op or backward closure inside
-/// picks it up. Thread-local, so concurrent models on different threads do
-/// not interfere.
-const ExecutionContext& CurrentExecution();
-
-/// RAII installer for CurrentExecution(). Passing nullptr keeps the serial
-/// default. Nestable; the previous context is restored on destruction.
-class ScopedExecution {
- public:
-  explicit ScopedExecution(const ExecutionContext* ctx);
-  ~ScopedExecution();
-
-  ScopedExecution(const ScopedExecution&) = delete;
-  ScopedExecution& operator=(const ScopedExecution&) = delete;
-
- private:
-  const ExecutionContext* prev_;
-};
+inline const ExecutionContext& SerialExecution() {
+  static const ExecutionContext serial;
+  return serial;
+}
 
 namespace kernels {
 
 // ----- GEMM -----
 
 /// C = alpha * op(A) @ op(B) + beta * C (row-major, packed and
-/// cache-blocked). The output is tiled into MC-row x NC-column cells; each
-/// cell walks KC-deep k-panels in ascending order, packing op(A) and op(B)
-/// panels straight from their strided sources (transposed operands are
-/// never materialized whole) and running a register-tiled micro-kernel.
-/// Parallel contexts shard the 2-D tile grid — row blocks x column panels,
-/// refined down to fixed shard floors when the grid is too coarse for the
-/// pool — so trans_a GEMMs with small m (the dW = X^T dY backward shape)
-/// parallelize over columns too. Every tiling accumulates each output
-/// element in ascending-k order from fl(alpha * a) * b terms, so the result
-/// is bit-identical to the naive triple loop for every transpose flag,
-/// thread count and blocking (tests/core_gemm_test.cc). IEEE non-finite
+/// cache-blocked, serial). For each NC-column panel and each KC-deep k
+/// panel in ascending order, the op(B) panel is packed once, then every
+/// MC-row block packs its op(A) panel and runs register-tiled
+/// micro-kernels. Both operands are packed straight from their strided
+/// sources (transposed operands are never materialized whole). Every output
+/// element accumulates in ascending-k order from fl(alpha * a) * b terms,
+/// so the result is bit-identical to the naive triple loop for every
+/// transpose flag and blocking (tests/core_gemm_test.cc). IEEE non-finite
 /// values propagate: zero operands are not special-cased, so a 0 * Inf
 /// term poisons its output element with NaN exactly as the naive reference
 /// does. (Exactly-NaN outputs match the reference as a class, not bit for
 /// bit — IEEE-754 leaves NaN sign/payload selection to the implementation,
-/// so separately compiled code may keep a different NaN; across this
-/// kernel's own thread counts even NaN bits agree.)
-void Gemm(const ExecutionContext& ctx, bool trans_a, bool trans_b,
-          float alpha, const Matrix& a, const Matrix& b, float beta,
-          Matrix* c);
+/// so separately compiled code may keep a different NaN.)
+void Gemm(bool trans_a, bool trans_b, float alpha, const Matrix& a,
+          const Matrix& b, float beta, Matrix* c);
 
 /// Gemm's blocking and micro-kernels, visible so tests can drive the
-/// multi-tile, padding and shared-B paths at small shapes and check each
+/// multi-block, multi-panel and padding paths at small shapes and check each
 /// micro-kernel against the reference directly. Not a knob: Gemm always
 /// runs kGemmBlocking and dispatches its micro-kernels on the host.
 namespace internal {
@@ -134,15 +84,6 @@ struct GemmBlocking {
   size_t kc;
   /// Column-panel width NC of a packed B panel.
   size_t nc;
-  /// Floors of the 2-D shard grid refinement: when a parallel context's
-  /// grid is too coarse to feed every worker, blocks are halved but never
-  /// below these.
-  size_t min_rows_per_shard;
-  size_t min_cols_per_shard;
-  /// Grids with more than one row block pre-pack all op(B) panels once into
-  /// a shared buffer when it fits under this many floats; larger problems
-  /// pack per tile. Packing order per panel is the same either way.
-  size_t shared_b_max_floats;
 };
 
 /// The blocking Gemm runs with.
@@ -150,9 +91,6 @@ inline constexpr GemmBlocking kGemmBlocking = {
     /*mc=*/64,
     /*kc=*/256,
     /*nc=*/256,
-    /*min_rows_per_shard=*/8,
-    /*min_cols_per_shard=*/16,
-    /*shared_b_max_floats=*/size_t{1} << 24,
 };
 
 /// True when the host supports AVX2 (always false off x86).
@@ -165,10 +103,9 @@ bool HasAvx2();
 enum class GemmKernels { kDispatch, kScalar };
 
 /// Gemm under an explicit blocking; bit-identical to Gemm for any blocking.
-void GemmBlocked(const ExecutionContext& ctx, const GemmBlocking& blocking,
-                 bool trans_a, bool trans_b, float alpha, const Matrix& a,
-                 const Matrix& b, float beta, Matrix* c,
-                 GemmKernels kernels = GemmKernels::kDispatch);
+void GemmBlocked(const GemmBlocking& blocking, bool trans_a, bool trans_b,
+                 float alpha, const Matrix& a, const Matrix& b, float beta,
+                 Matrix* c, GemmKernels kernels = GemmKernels::kDispatch);
 
 /// The register tile: a packed op(A) panel holds kGemmMr rows and a packed
 /// op(B) panel kGemmNr columns, each kc deep, element (l, r) of a panel at

@@ -48,7 +48,7 @@ void Matrix::Gemm(bool trans_a, bool trans_b, float alpha, const Matrix& a,
                   const Matrix& b, float beta, Matrix* c) {
   // The packed kernel reads strided op(A)/op(B) during panel packing, so
   // transpose flags cost no extra materialization here.
-  kernels::Gemm(CurrentExecution(), trans_a, trans_b, alpha, a, b, beta, c);
+  kernels::Gemm(trans_a, trans_b, alpha, a, b, beta, c);
 }
 
 Matrix Matrix::Matmul(const Matrix& a, const Matrix& b) {

@@ -72,11 +72,9 @@ class Matrix {
   /// C = alpha * op(A) @ op(B) + beta * C. op(X) is X or X^T according to
   /// the transpose flags; transposed operands are packed panel-by-panel
   /// inside the kernel, never materialized whole. C must already have the
-  /// result shape. Dispatches through the packed, cache-blocked kernel in
-  /// the execution layer (core/kernels.h), so it runs thread-parallel
-  /// (2-D-sharded over row blocks x column panels) under a ScopedExecution
-  /// with a parallel context — bit-identical to the serial backend and to
-  /// the naive triple loop for every transpose flag.
+  /// result shape. Dispatches through the packed, cache-blocked serial
+  /// kernel in core/kernels.h, bit-identical to the naive triple loop for
+  /// every transpose flag.
   static void Gemm(bool trans_a, bool trans_b, float alpha, const Matrix& a,
                    const Matrix& b, float beta, Matrix* c);
 

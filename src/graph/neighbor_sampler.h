@@ -14,12 +14,11 @@
 // of every intermediate representation and of the readout.
 //
 // Determinism contract: sampling draws only from the caller's core::Rng,
-// in ascending destination order, and never touches the thread pool —
-// blocks are bit-identical across runs with equal seeds and across any
-// TrainConfig::num_threads. Within one destination the sampled edges keep
-// ascending global edge order (the full graph's CSR order), which makes a
-// fanout=0 block encode bit-identical, row for row, to the full-graph
-// encode restricted to the seed closure.
+// in ascending destination order, on the calling thread — blocks are
+// bit-identical across runs with equal seeds. Within one destination the
+// sampled edges keep ascending global edge order (the full graph's CSR
+// order), which makes a fanout=0 block encode bit-identical, row for row,
+// to the full-graph encode restricted to the seed closure.
 
 #ifndef GARCIA_GRAPH_NEIGHBOR_SAMPLER_H_
 #define GARCIA_GRAPH_NEIGHBOR_SAMPLER_H_

@@ -8,8 +8,7 @@ using nn::Tensor;
 GnnBaseline::GnnBaseline(const TrainConfig& config)
     : cfg_(config),
       rng_(config.seed),
-      sample_rng_(config.sample_seed),
-      exec_(config.num_threads) {}
+      sample_rng_(config.sample_seed) {}
 
 GnnBaseline::~GnnBaseline() = default;
 
@@ -37,7 +36,6 @@ Tensor GnnBaseline::LogitsFromRows(const Tensor& emb,
 }
 
 void GnnBaseline::Fit(const data::Scenario& s) {
-  core::ScopedExecution exec_scope(&exec_);
   scenario_ = &s;
   const size_t d = cfg_.embedding_dim;
   id_embedding_ =
@@ -113,7 +111,6 @@ std::vector<float> GnnBaseline::Predict(
   GARCIA_CHECK(fitted_) << "Fit must run before Predict";
   GARCIA_CHECK(scenario_ == &s);
   if (examples.empty()) return {};
-  core::ScopedExecution exec_scope(&exec_);
   nn::NoGradScope no_grad;
   Tensor emb = ComputeEmbeddings(full_block_);
   std::vector<uint32_t> q_rows, s_rows;
@@ -133,7 +130,6 @@ std::vector<float> GnnBaseline::Predict(
 
 core::Matrix GnnBaseline::ExportQueryEmbeddings(const data::Scenario& s) {
   GARCIA_CHECK(fitted_);
-  core::ScopedExecution exec_scope(&exec_);
   nn::NoGradScope no_grad;
   Tensor emb = ComputeEmbeddings(full_block_);
   Matrix out(s.num_queries(), cfg_.embedding_dim);
@@ -145,7 +141,6 @@ core::Matrix GnnBaseline::ExportQueryEmbeddings(const data::Scenario& s) {
 
 core::Matrix GnnBaseline::ExportServiceEmbeddings(const data::Scenario& s) {
   GARCIA_CHECK(fitted_);
-  core::ScopedExecution exec_scope(&exec_);
   nn::NoGradScope no_grad;
   Tensor emb = ComputeEmbeddings(full_block_);
   Matrix out(s.num_services(), cfg_.embedding_dim);

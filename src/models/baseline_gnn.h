@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/kernels.h"
 #include "graph/neighbor_sampler.h"
 #include "models/common.h"
 #include "models/gnn_encoder.h"
@@ -69,9 +68,6 @@ class GnnBaseline : public RankingModel {
   /// Dedicated sampler stream (cfg_.sample_seed); separate from rng_ so
   /// enabling sampling never shifts batch order or auxiliary-loss draws.
   core::Rng sample_rng_;
-  /// Compute backend (0 threads = serial); installed around Fit / Predict /
-  /// the export hooks with ScopedExecution.
-  core::ExecutionContext exec_;
   std::unique_ptr<nn::Embedding> id_embedding_;
   std::unique_ptr<nn::Linear> attr_proj_;
   std::unique_ptr<nn::Mlp> click_head_;

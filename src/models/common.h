@@ -39,10 +39,9 @@ struct TrainConfig {
   /// 0 = no cap.
   size_t max_batches_per_epoch = 24;
   uint64_t seed = 7;
-  /// Worker threads that shard the GEMMs (core/kernels.h); every other
-  /// kernel runs serially. 0 or 1 = serial (no thread pool is created).
-  /// The sharded GEMM is bit-identical to serial, so this changes
-  /// wall-clock only, never losses or embeddings.
+  /// Read by nothing: every Fit is serial. Kept only because
+  /// perfbench/lifecycle_bench.cc assigns it; delete it with that line at
+  /// the next benchmark change. Not part of TrainFingerprint.
   size_t num_threads = 0;
   /// Per-destination neighbor fanout for minibatch sampled-subgraph
   /// training (graph::NeighborSampler, DESIGN.md §5e). 0 = full-graph
@@ -93,20 +92,18 @@ struct TrainConfig {
   uint64_t checkpoint_every_steps = 0;
   /// Generations kept on disk; older ones are pruned after each write.
   uint64_t checkpoint_keep = 2;
-  /// Test-only simulated-crash plan; kNone in production. Like
-  /// num_threads, this never affects the training trajectory, so it is
-  /// excluded from TrainFingerprint.
+  /// Test-only simulated-crash plan; kNone in production. It never affects
+  /// the training trajectory, so it is excluded from TrainFingerprint.
   train::CheckpointFaultPlan checkpoint_fault;
 };
 
 /// FNV-1a fingerprint of every TrainConfig field that shapes the training
 /// trajectory, plus the model name and the scenario dimensions. Stored in
 /// each checkpoint; resume under a different fingerprint is refused
-/// because the replayed trajectory would silently diverge. Excludes
-/// num_threads (parallel execution is bit-identical to the serial
-/// reference) and the checkpoint/fault knobs themselves (cadence may
-/// change across restarts). The hash depends only on the values mixed in,
-/// not on TrainConfig's layout; any change to what is mixed in orphans
+/// because the replayed trajectory would silently diverge. Excludes the
+/// unread thread count and the checkpoint/fault knobs themselves (cadence
+/// may change across restarts). The hash depends only on the values mixed
+/// in, not on TrainConfig's layout; any change to what is mixed in orphans
 /// every checkpoint generation already on disk.
 uint64_t TrainFingerprint(const TrainConfig& cfg, const std::string& model_name,
                           const data::Scenario& scenario);

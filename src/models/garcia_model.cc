@@ -14,8 +14,7 @@ using nn::Tensor;
 GarciaModel::GarciaModel(const TrainConfig& config)
     : cfg_(config),
       rng_(config.seed),
-      sample_rng_(config.sample_seed),
-      exec_(config.num_threads) {}
+      sample_rng_(config.sample_seed) {}
 
 GarciaModel::~GarciaModel() = default;
 
@@ -437,7 +436,6 @@ Tensor GarciaModel::LogitsFromPlan(const LogitsPlan& plan,
 }
 
 void GarciaModel::Fit(const data::Scenario& s) {
-  core::ScopedExecution exec_scope(&exec_);
   Setup(s);
   // Resume, the optimizer step and snapshots live in TrainLoop (DESIGN.md
   // §5h). Every stochastic draw flows through rng_/sample_rng_, so a
@@ -503,7 +501,6 @@ std::vector<float> GarciaModel::Predict(
   GARCIA_CHECK(fitted_) << "Fit must run before Predict";
   GARCIA_CHECK(scenario_ == &s) << "Predict on a different scenario";
   if (examples.empty()) return {};
-  core::ScopedExecution exec_scope(&exec_);
   nn::NoGradScope no_grad;
   const Encoded& e = CachedEncoded();
   std::vector<uint32_t> batch(examples.size());
@@ -524,7 +521,6 @@ std::vector<float> GarciaModel::Predict(
 core::Matrix GarciaModel::ExportQueryEmbeddings(const data::Scenario& s) {
   GARCIA_CHECK(fitted_);
   GARCIA_CHECK(scenario_ == &s);
-  core::ScopedExecution exec_scope(&exec_);
   const Encoded& e = CachedEncoded();
   Matrix out(s.num_queries(), cfg_.embedding_dim);
   for (uint32_t q = 0; q < s.num_queries(); ++q) {
@@ -539,7 +535,6 @@ core::Matrix GarciaModel::ExportQueryEmbeddings(const data::Scenario& s) {
 core::Matrix GarciaModel::ExportServiceEmbeddings(const data::Scenario& s) {
   GARCIA_CHECK(fitted_);
   GARCIA_CHECK(scenario_ == &s);
-  core::ScopedExecution exec_scope(&exec_);
   const Encoded& e = CachedEncoded();
   Matrix out(s.num_services(), cfg_.embedding_dim);
   for (uint32_t svc = 0; svc < s.num_services(); ++svc) {

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/kernels.h"
 #include "graph/neighbor_sampler.h"
 #include "models/common.h"
 #include "models/contrastive.h"
@@ -144,9 +143,6 @@ class GarciaModel : public RankingModel {
   /// Dedicated sampler stream (cfg_.sample_seed); separate from rng_ so
   /// enabling sampling never shifts the batch/negative draw sequence.
   core::Rng sample_rng_;
-  /// Compute backend for every Fit / Predict / Export pass (0 threads =
-  /// serial). Installed around those entry points with ScopedExecution.
-  core::ExecutionContext exec_;
   bool fitted_ = false;
   bool sampling_ = false;  // cfg_.sample_fanout > 0
 

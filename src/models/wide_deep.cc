@@ -10,7 +10,7 @@ using core::Matrix;
 using nn::Tensor;
 
 WideDeep::WideDeep(const TrainConfig& config)
-    : cfg_(config), rng_(config.seed), exec_(config.num_threads) {}
+    : cfg_(config), rng_(config.seed) {}
 
 WideDeep::~WideDeep() = default;
 
@@ -52,7 +52,6 @@ Tensor WideDeep::BatchLogits(const std::vector<data::Example>& examples,
 }
 
 void WideDeep::Fit(const data::Scenario& s) {
-  core::ScopedExecution exec_scope(&exec_);
   scenario_ = &s;
   const size_t d = cfg_.embedding_dim;
   const size_t a = s.graph.attr_dim();
@@ -94,7 +93,6 @@ std::vector<float> WideDeep::Predict(
   GARCIA_CHECK(fitted_) << "Fit must run before Predict";
   GARCIA_CHECK(scenario_ == &s);
   if (examples.empty()) return {};
-  core::ScopedExecution exec_scope(&exec_);
   nn::NoGradScope no_grad;
   std::vector<uint32_t> batch(examples.size());
   for (size_t i = 0; i < batch.size(); ++i) batch[i] = static_cast<uint32_t>(i);

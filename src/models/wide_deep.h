@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/kernels.h"
 #include "models/common.h"
 #include "nn/loss.h"
 #include "nn/module.h"
@@ -38,8 +37,6 @@ class WideDeep : public RankingModel {
 
   TrainConfig cfg_;
   core::Rng rng_;
-  /// Compute backend (0 threads = serial), installed around Fit / Predict.
-  core::ExecutionContext exec_;
   const data::Scenario* scenario_ = nullptr;
   bool fitted_ = false;
 

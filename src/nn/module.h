@@ -6,10 +6,8 @@
 // training steps (the tape is rebuilt every forward pass but leaves are
 // shared).
 //
-// Module forwards are built from nn::ops and run eagerly on the autograd
-// tape. Only the GEMMs shard across the caller's ExecutionContext, and they
-// are bit-identical at any thread count, so a module trained at any thread
-// count sees bit-identical gradients.
+// Module forwards are built from nn::ops and run eagerly and serially on
+// the autograd tape, so equal seeds give bit-identical gradients.
 
 #ifndef GARCIA_NN_MODULE_H_
 #define GARCIA_NN_MODULE_H_

@@ -11,49 +11,9 @@
 
 namespace garcia::nn {
 
-Optimizer::Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {
-  for (const Tensor& p : params_) {
-    GARCIA_CHECK(p.requires_grad()) << "optimizer given a non-trainable tensor";
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (Tensor& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const Tensor& p : params_) {
-      velocity_.emplace_back(p.rows(), p.cols());
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    if (!p.has_grad()) continue;
-    const core::Matrix& g = p.grad();
-    core::Matrix& w = p.mutable_value();
-    if (momentum_ != 0.0f) {
-      core::Matrix& v = velocity_[i];
-      for (size_t k = 0; k < w.size(); ++k) {
-        v.data()[k] = momentum_ * v.data()[k] + g.data()[k];
-        w.data()[k] -= lr_ * v.data()[k];
-      }
-    } else {
-      for (size_t k = 0; k < w.size(); ++k) {
-        w.data()[k] -= lr_ * g.data()[k];
-      }
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -62,9 +22,14 @@ Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Tensor& p : params_) {
+    GARCIA_CHECK(p.requires_grad()) << "optimizer given a non-trainable tensor";
     m_.emplace_back(p.rows(), p.cols());
     v_.emplace_back(p.rows(), p.cols());
   }
+}
+
+void Adam::ZeroGrad() {
+  for (Tensor& p : params_) p.ZeroGrad();
 }
 
 namespace internal {

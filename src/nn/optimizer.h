@@ -1,5 +1,5 @@
 // Copyright (c) 2026 GARCIA reproduction authors.
-// First-order optimizers over leaf parameter tensors.
+// The Adam optimizer over leaf parameter tensors, and gradient clipping.
 
 #ifndef GARCIA_NN_OPTIMIZER_H_
 #define GARCIA_NN_OPTIMIZER_H_
@@ -9,37 +9,6 @@
 #include "nn/tensor.h"
 
 namespace garcia::nn {
-
-/// Base optimizer; owns the parameter list and the zero-grad step.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Tensor> params);
-  virtual ~Optimizer() = default;
-
-  /// Applies one update from the currently accumulated gradients.
-  /// Parameters without an accumulated gradient are skipped.
-  virtual void Step() = 0;
-
-  /// Zeroes accumulated gradients (keeps allocations).
-  void ZeroGrad();
-
-  const std::vector<Tensor>& params() const { return params_; }
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-  void Step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<core::Matrix> velocity_;
-};
 
 /// The complete mutable state of an Adam instance: the step count driving
 /// bias correction plus both moment estimates, in parameter order.
@@ -51,13 +20,21 @@ struct AdamState {
   std::vector<core::Matrix> v;
 };
 
-/// Adam (Kingma & Ba) with optional decoupled weight decay. The paper trains
-/// every model with Adam.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba) with optional decoupled weight decay over a list of
+/// leaf parameter tensors. The paper trains every model with Adam.
+class Adam {
  public:
   Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
-  void Step() override;
+
+  /// Applies one update from the currently accumulated gradients.
+  /// Parameters without an accumulated gradient are skipped.
+  void Step();
+
+  /// Zeroes accumulated gradients (keeps allocations).
+  void ZeroGrad();
+
+  const std::vector<Tensor>& params() const { return params_; }
 
   /// Snapshot of t and both moment vectors (checkpointing).
   AdamState ExportState() const;
@@ -68,6 +45,7 @@ class Adam : public Optimizer {
   void RestoreState(const AdamState& state);
 
  private:
+  std::vector<Tensor> params_;
   float lr_, beta1_, beta2_, eps_, weight_decay_;
   int64_t t_ = 0;
   std::vector<core::Matrix> m_;

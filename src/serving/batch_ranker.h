@@ -1,12 +1,12 @@
 // Copyright (c) 2026 GARCIA reproduction authors.
-// Concurrent batched serving on the kernel execution layer.
+// Concurrent batched serving.
 //
-// BatchRanker is the serving-side analogue of core::ExecutionContext: one
-// facade that accepts a batch of requests and runs them through a Ranker
-// either serially or on a private thread pool, with the same determinism
-// contract the kernel layer has — the results (and, for ResilientRanker,
-// the per-request tier decisions and health counters) are bit-identical to
-// a serial pass for any thread count and batch size.
+// BatchRanker is one facade that accepts a batch of requests and runs them
+// through a Ranker either serially or on a private thread pool (one
+// request per task; every kernel inside a request is serial). The results
+// (and, for ResilientRanker, the per-request tier decisions and health
+// counters) are bit-identical to a serial pass for any thread count and
+// batch size.
 //
 // How that works: every request gets a monotonically increasing index from
 // the facade's stream. Stateless rankers ignore it; ResilientRanker keys

@@ -1,10 +1,10 @@
 // Packed GEMM vs a naive triple-loop reference.
 //
 // The packed, cache-blocked kernel (core/kernels.cc) promises bit-identity
-// with the naive reference for every transpose-flag combination, thread
-// count, alpha/beta and blocking — not merely closeness — because every
-// tiling accumulates each output element's fl(alpha*a)*b terms in ascending
-// k order (see the bit-identity argument in kernels.cc). Every comparison
+// with the naive reference for every transpose-flag combination,
+// alpha/beta and blocking — not merely closeness — because every blocking
+// accumulates each output element's fl(alpha*a)*b terms in ascending k
+// order (see the bit-identity argument in kernels.cc). Every comparison
 // here is on raw bit patterns for non-NaN values; NaNs compare as a class
 // (IEEE-754 leaves NaN sign/payload selection to the implementation — see
 // ExpectBitEqual), and the kernel must propagate them (0 * Inf = NaN)
@@ -87,12 +87,10 @@ Matrix RandMatrix(size_t rows, size_t cols, Rng* rng) {
 
 class GemmPackedTest : public ::testing::Test {
  protected:
-  ExecutionContext par2_{2};
-  ExecutionContext par4_{4};
   Rng rng_{20260805};
 
-  // Runs one (shape, flags, alpha, beta) instance on every context and
-  // checks each against the naive reference.
+  // Runs one (shape, flags, alpha, beta) instance through Gemm and checks
+  // it against the naive reference.
   void CheckAgainstNaive(size_t m, size_t k, size_t n, bool ta, bool tb,
                          float alpha, float beta, const char* what) {
     const Matrix a = RandMatrix(ta ? k : m, ta ? m : k, &rng_);
@@ -100,19 +98,13 @@ class GemmPackedTest : public ::testing::Test {
     const Matrix c_init = RandMatrix(m, n, &rng_);
     Matrix want = c_init;
     NaiveGemm(ta, tb, alpha, a, b, beta, &want);
-    const ExecutionContext serial1(1);
-    const ExecutionContext* ctxs[] = {&SerialExecution(), &serial1, &par2_,
-                                      &par4_};
-    for (const ExecutionContext* ctx : ctxs) {
-      Matrix got = c_init;
-      kernels::Gemm(*ctx, ta, tb, alpha, a, b, beta, &got);
-      SCOPED_TRACE(::testing::Message()
-                   << what << " m=" << m << " k=" << k << " n=" << n
-                   << " ta=" << ta << " tb=" << tb << " alpha=" << alpha
-                   << " beta=" << beta
-                   << " threads=" << ctx->num_threads());
-      ExpectBitEqual(want, got, what);
-    }
+    Matrix got = c_init;
+    kernels::Gemm(ta, tb, alpha, a, b, beta, &got);
+    SCOPED_TRACE(::testing::Message()
+                 << what << " m=" << m << " k=" << k << " n=" << n
+                 << " ta=" << ta << " tb=" << tb << " alpha=" << alpha
+                 << " beta=" << beta);
+    ExpectBitEqual(want, got, what);
   }
 };
 
@@ -152,10 +144,9 @@ TEST_F(GemmPackedTest, PanelBoundaryShapes) {
   }
 }
 
-TEST_F(GemmPackedTest, BackwardDwShapeParallelizes) {
-  // dW = X^T dY: m = n = hidden dim (small), k = node count (large). Before
-  // 2-D sharding this collapsed onto row-only shards; now it must split and
-  // still match the reference exactly.
+TEST_F(GemmPackedTest, BackwardDwShape) {
+  // dW = X^T dY: m = n = hidden dim (small), k = node count (large), so a
+  // single output block walks many k panels.
   CheckAgainstNaive(32, 4096, 32, /*ta=*/true, /*tb=*/false, 1.0f, 1.0f,
                     "dW");
   CheckAgainstNaive(16, 8192, 48, /*ta=*/true, /*tb=*/true, -0.7f, 0.0f,
@@ -178,19 +169,9 @@ TEST_F(GemmPackedTest, NonFinitePropagation) {
   NaiveGemm(false, false, 1.0f, a, b, 0.0f, &want);
   // The zero row meets Inf and NaN B rows, so its outputs must be NaN.
   for (size_t j = 0; j < n; ++j) ASSERT_TRUE(std::isnan(want.at(3, j)));
-  Matrix got_serial(m, n);
-  kernels::Gemm(SerialExecution(), false, false, 1.0f, a, b, 0.0f,
-                &got_serial);
-  ExpectBitEqual(want, got_serial, "non-finite");
-  // Across the kernel's own backends the SAME code runs in the same order,
-  // so even the NaN bits must agree exactly.
-  Matrix got_par(m, n);
-  kernels::Gemm(par4_, false, false, 1.0f, a, b, 0.0f, &got_par);
-  for (size_t i = 0; i < got_serial.size(); ++i) {
-    ASSERT_EQ(Bits(got_serial.data()[i]), Bits(got_par.data()[i]))
-        << "serial vs parallel kernel diverge at flat index " << i;
-  }
-  ExpectBitEqual(want, got_par, "non-finite-par");
+  Matrix got(m, n);
+  kernels::Gemm(false, false, 1.0f, a, b, 0.0f, &got);
+  ExpectBitEqual(want, got, "non-finite");
   // Transposed operands run through the strided packing paths; non-finites
   // must survive those too.
   Matrix at(k, m);
@@ -198,23 +179,18 @@ TEST_F(GemmPackedTest, NonFinitePropagation) {
     for (size_t l = 0; l < k; ++l) at.at(l, i) = a.at(i, l);
   }
   Matrix got_t(m, n);
-  kernels::Gemm(par4_, true, false, 1.0f, at, b, 0.0f, &got_t);
+  kernels::Gemm(true, false, 1.0f, at, b, 0.0f, &got_t);
   ExpectBitEqual(want, got_t, "non-finite-ta");
 }
 
 TEST_F(GemmPackedTest, CustomBlockingIsBitIdentical) {
   // Pathologically small and unaligned panels exercise every padding path;
-  // results must not move. Floors of 1 let the parallel grid refine all the
-  // way down to single rows/columns.
+  // results must not move.
   const kernels::internal::GemmBlocking tiny = {
       /*mc=*/7,
       /*kc=*/3,
       /*nc=*/5,
-      /*min_rows_per_shard=*/1,
-      /*min_cols_per_shard=*/1,
-      /*shared_b_max_floats=*/size_t{1} << 24,
   };
-  const ExecutionContext par3(3);
   for (bool ta : {false, true}) {
     for (bool tb : {false, true}) {
       const size_t m = 33, k = 29, n = 31;
@@ -225,48 +201,46 @@ TEST_F(GemmPackedTest, CustomBlockingIsBitIdentical) {
       NaiveGemm(ta, tb, 1.6f, a, b, 0.3f, &want);
       // nc = 5 leaves column panels of one valid column, so kDispatch
       // runs the single-column path where kScalar runs the 8-wide kernel.
-      for (const ExecutionContext* ctx : {&SerialExecution(), &par3}) {
-        for (auto kernel_set : {kernels::internal::GemmKernels::kDispatch,
-                                kernels::internal::GemmKernels::kScalar}) {
-          Matrix got = c_init;
-          kernels::internal::GemmBlocked(*ctx, tiny, ta, tb, 1.6f, a, b,
-                                         0.3f, &got, kernel_set);
-          ExpectBitEqual(want, got, "custom-blocking");
-        }
+      for (auto kernel_set : {kernels::internal::GemmKernels::kDispatch,
+                              kernels::internal::GemmKernels::kScalar}) {
+        Matrix got = c_init;
+        kernels::internal::GemmBlocked(tiny, ta, tb, 1.6f, a, b, 0.3f, &got,
+                                       kernel_set);
+        ExpectBitEqual(want, got, "custom-blocking");
       }
     }
   }
 }
 
-TEST_F(GemmPackedTest, SharedBPanelCapIsBitIdentical) {
-  // The shared packed-B path pre-packs all B panels once when the parallel
-  // grid has more than one row block and packed B fits under
-  // shared_b_max_floats; over the cap each shard packs its own
-  // panels. Both regimes must agree with the naive reference bit for bit —
-  // the cap only trades memory for repacking work. Shapes are chosen so a
-  // 4-thread grid has several row blocks (m >> n), making the shared path
-  // actually engage below the cap.
-  const size_t m = 96, k = 40, n = 24;
-  for (bool tb : {false, true}) {
-    const Matrix a = RandMatrix(m, k, &rng_);
-    const Matrix b = RandMatrix(tb ? n : k, tb ? k : n, &rng_);
-    const Matrix c_init = RandMatrix(m, n, &rng_);
-    Matrix want = c_init;
-    NaiveGemm(false, tb, 1.0f, a, b, 0.0f, &want);
-    for (size_t cap : {size_t{0}, size_t{1}, k * n, size_t{1} << 24}) {
-      const kernels::internal::GemmBlocking blocking = {
-          /*mc=*/64,
-          /*kc=*/256,
-          /*nc=*/256,
-          /*min_rows_per_shard=*/8,
-          /*min_cols_per_shard=*/16,
-          /*shared_b_max_floats=*/cap,
-      };
-      Matrix got = c_init;
-      kernels::internal::GemmBlocked(par4_, blocking, false, tb, 1.0f, a, b,
-                                     0.0f, &got);
-      SCOPED_TRACE(::testing::Message() << "cap=" << cap << " tb=" << tb);
-      ExpectBitEqual(want, got, "shared-b-cap");
+TEST_F(GemmPackedTest, LoopNestCrossesEveryBlockEdge) {
+  // The loop nest packs each op(B) panel once per (column panel, k panel)
+  // and reuses it for every row block. With mc = 10, kc = 16 and nc = 20,
+  // the 47 x 37 x 53 shape has five row blocks, three k panels and three
+  // column panels at once, each with a partial last one, and every block
+  // and panel ends in a partial MR x NR tile. Every output element must
+  // still take its k panels in ascending order, so the result is the naive
+  // loop's bits.
+  const kernels::internal::GemmBlocking small = {
+      /*mc=*/10,
+      /*kc=*/16,
+      /*nc=*/20,
+  };
+  const size_t m = 47, k = 37, n = 53;
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      const Matrix a = RandMatrix(ta ? k : m, ta ? m : k, &rng_);
+      const Matrix b = RandMatrix(tb ? n : k, tb ? k : n, &rng_);
+      const Matrix c_init = RandMatrix(m, n, &rng_);
+      Matrix want = c_init;
+      NaiveGemm(ta, tb, -0.9f, a, b, 0.6f, &want);
+      for (auto kernel_set : {kernels::internal::GemmKernels::kDispatch,
+                              kernels::internal::GemmKernels::kScalar}) {
+        Matrix got = c_init;
+        kernels::internal::GemmBlocked(small, ta, tb, -0.9f, a, b, 0.6f, &got,
+                                       kernel_set);
+        SCOPED_TRACE(::testing::Message() << "ta=" << ta << " tb=" << tb);
+        ExpectBitEqual(want, got, "loop-nest");
+      }
     }
   }
 }
@@ -415,8 +389,7 @@ TEST_F(GemmMicroKernelTest, SingleColumnPropagatesNonFinite) {
                                       got.data(), 1);
   ExpectBitEqual(want, got, "single-column non-finite");
   Matrix via_gemm(m, 1);
-  kernels::Gemm(SerialExecution(), false, false, 1.0f, a, b, 0.0f,
-                &via_gemm);
+  kernels::Gemm(false, false, 1.0f, a, b, 0.0f, &via_gemm);
   ExpectBitEqual(want, via_gemm, "gemm non-finite n=1");
 }
 

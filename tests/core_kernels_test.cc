@@ -3,11 +3,8 @@
 // Every EXPECT here is exact (EXPECT_EQ on floats, not near). The serial
 // kernels are checked against loops written in this file — the reductions
 // against destination-major loops, which add each destination's sources in
-// ascending order, the order the kernels promise. The one sharded kernel,
-// Gemm, is also checked across thread counts: an ExecutionContext with any
-// thread count must reproduce the serial backend bit for bit (see
-// core/kernels.h). Shapes are randomized and sized past the shard floors
-// so the parallel paths genuinely shard.
+// ascending order, the order the kernels promise. Gemm has its own suite,
+// core_gemm_test.
 
 #include "core/kernels.h"
 
@@ -75,37 +72,8 @@ void ExpectBitIdentical(const Matrix& want, const Matrix& got,
 
 class KernelsBitIdentityTest : public ::testing::Test {
  protected:
-  // 3 and 4 workers: both an even and an uneven divisor of typical shapes.
-  ExecutionContext par3_{3};
-  ExecutionContext par4_{4};
   Rng rng_{1234};
 };
-
-TEST_F(KernelsBitIdentityTest, GemmRandomizedShapes) {
-  for (int trial = 0; trial < 8; ++trial) {
-    const size_t m = 1 + rng_.UniformInt(96);
-    const size_t k = 1 + rng_.UniformInt(48);
-    const size_t n = 1 + rng_.UniformInt(64);
-    const bool ta = rng_.Bernoulli(0.5), tb = rng_.Bernoulli(0.5);
-    Matrix a = RandMatrix(ta ? k : m, ta ? m : k, &rng_);
-    Matrix b = RandMatrix(tb ? n : k, tb ? k : n, &rng_);
-    Matrix c0 = RandMatrix(m, n, &rng_);
-    Matrix c1 = c0;
-    const float alpha = 1.7f, beta = trial % 2 ? 0.3f : 0.0f;
-    kernels::Gemm(SerialExecution(), ta, tb, alpha, a, b, beta, &c0);
-    kernels::Gemm(trial % 2 ? par3_ : par4_, ta, tb, alpha, a, b, beta, &c1);
-    ExpectBitIdentical(c0, c1, "Gemm");
-  }
-}
-
-TEST_F(KernelsBitIdentityTest, GemmLargeSquare) {
-  Matrix a = RandMatrix(128, 128, &rng_);
-  Matrix b = RandMatrix(128, 128, &rng_);
-  Matrix c0(128, 128), c1(128, 128);
-  kernels::Gemm(SerialExecution(), false, false, 1.0f, a, b, 0.0f, &c0);
-  kernels::Gemm(par4_, false, false, 1.0f, a, b, 0.0f, &c1);
-  ExpectBitIdentical(c0, c1, "Gemm 128^3");
-}
 
 TEST_F(KernelsBitIdentityTest, UnaryForwardAndBackward) {
   const kernels::UnaryOp ops[] = {
@@ -694,33 +662,6 @@ TEST_F(KernelsBitIdentityTest, SquaredL2LanesMatchScalarReference) {
       }
     }
   }
-}
-
-TEST_F(KernelsBitIdentityTest, ScopedExecutionInstallsAndRestores) {
-  EXPECT_FALSE(CurrentExecution().parallel());
-  {
-    ScopedExecution outer(&par4_);
-    EXPECT_TRUE(CurrentExecution().parallel());
-    EXPECT_EQ(CurrentExecution().num_threads(), 4u);
-    {
-      ScopedExecution inner(nullptr);  // nullptr keeps the current default
-      EXPECT_TRUE(CurrentExecution().parallel());
-    }
-    {
-      ScopedExecution inner(&par3_);
-      EXPECT_EQ(CurrentExecution().num_threads(), 3u);
-    }
-    EXPECT_EQ(CurrentExecution().num_threads(), 4u);
-  }
-  EXPECT_FALSE(CurrentExecution().parallel());
-}
-
-TEST_F(KernelsBitIdentityTest, SerialContextNeverCreatesPool) {
-  ExecutionContext serial0(0), serial1(1);
-  EXPECT_FALSE(serial0.parallel());
-  EXPECT_FALSE(serial1.parallel());
-  EXPECT_EQ(serial0.num_threads(), 1u);
-  EXPECT_EQ(serial1.num_threads(), 1u);
 }
 
 // ----------------------------------------------------------- sq8 kernels

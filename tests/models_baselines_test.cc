@@ -104,36 +104,6 @@ TEST(BaselineEmbeddingsTest, WideDeepHasNoEmbeddingSpace) {
   EXPECT_TRUE(model->ExportQueryEmbeddings(Tiny()).empty());
 }
 
-TEST(BaselineThreadingTest, ThreadedTrainingMatchesSerialExactly) {
-  // The kernel layer's thread-count invariance holds for the baselines too:
-  // LightGCN exercises the GNN propagate + normalize path (full graph and
-  // sampled blocks), Wide&Deep the pure MLP/BCE path. Predictions at 4
-  // threads must match serial bit for bit.
-  const struct {
-    std::string name;
-    size_t sample_fanout;
-  } cases[] = {{"LightGCN", 0}, {"LightGCN", 8}, {"Wide&Deep", 0}};
-  for (const auto& c : cases) {
-    const std::string label =
-        c.name + " fanout=" + std::to_string(c.sample_fanout);
-    TrainConfig serial_cfg = FastTrainConfig();
-    serial_cfg.sample_fanout = c.sample_fanout;
-    TrainConfig threaded_cfg = serial_cfg;
-    threaded_cfg.num_threads = 4;
-
-    auto serial = CreateModel(c.name, serial_cfg);
-    auto threaded = CreateModel(c.name, threaded_cfg);
-    serial->Fit(Tiny());
-    threaded->Fit(Tiny());
-    auto ss = serial->Predict(Tiny(), Tiny().test);
-    auto st = threaded->Predict(Tiny(), Tiny().test);
-    ASSERT_EQ(ss.size(), st.size()) << label;
-    for (size_t i = 0; i < ss.size(); ++i) {
-      ASSERT_EQ(ss[i], st[i]) << label << " prediction " << i;
-    }
-  }
-}
-
 TEST(BaselineSamplingTest, GnnBaselinesTrainOnSampledBlocks) {
   // Each GNN baseline's shared propagate path must also run over sampled
   // blocks (DESIGN.md §5e) and keep producing valid probabilities.

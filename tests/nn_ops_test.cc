@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/kernels.h"
 #include "core/rng.h"
 #include "nn/gradcheck.h"
 #include "nn/loss.h"
@@ -311,60 +310,6 @@ TEST_F(OpGradTest, GnnLayerComposite) {
     return SumAll(Tanh(m));
   };
   ExpectGradOk(loss, {emb, w_att, w_agg});
-}
-
-// ----- execution-backend parity -----
-
-// Runs a composite graph (every rewired op: gather, broadcast, segment
-// softmax/sum, activations, GEMM, normalize + cross-entropy) forward and
-// backward under a given execution context; returns (loss, dEmb, dW).
-struct ParityResult {
-  float loss;
-  Matrix d_emb;
-  Matrix d_w;
-};
-
-ParityResult RunCompositeGraph(const core::ExecutionContext* ctx) {
-  core::ScopedExecution scope(ctx);
-  Rng rng(99);
-  const size_t nodes = 40, d = 8, edges = 160;
-  Tensor emb = RandLeaf(nodes, d, &rng);
-  Tensor w = RandLeaf(d, d, &rng);
-  std::vector<uint32_t> src(edges), dst(edges), targets;
-  for (size_t e = 0; e < edges; ++e) {
-    src[e] = static_cast<uint32_t>(rng.UniformInt(nodes));
-    dst[e] = static_cast<uint32_t>(rng.UniformInt(nodes));
-  }
-  Tensor h = LeakyRelu(MatMul(emb, w), 0.1f);
-  Tensor msg = GatherRows(h, src);
-  Tensor scores = Sigmoid(RowDot(msg, GatherRows(h, dst)));
-  Tensor alpha = SegmentSoftmax(scores, dst, nodes);
-  Tensor agg = SegmentSum(MulColBroadcast(msg, alpha), dst, nodes);
-  Tensor z = Tanh(Add(agg, h));
-  for (size_t i = 0; i < nodes; ++i) {
-    targets.push_back(static_cast<uint32_t>((i * 7) % nodes));
-  }
-  Tensor loss = InfoNce(z, Relu(z), targets, 0.2f);
-  loss.Backward();
-  return {loss.scalar(), emb.grad(), w.grad()};
-}
-
-TEST(ExecutionParityTest, ParallelBackendBitIdenticalThroughOps) {
-  ParityResult serial = RunCompositeGraph(nullptr);
-  for (size_t threads : {2u, 3u, 4u}) {
-    core::ExecutionContext ctx(threads);
-    ParityResult par = RunCompositeGraph(&ctx);
-    EXPECT_EQ(serial.loss, par.loss) << threads << " threads";
-    ASSERT_EQ(serial.d_emb.size(), par.d_emb.size());
-    for (size_t i = 0; i < serial.d_emb.size(); ++i) {
-      ASSERT_EQ(serial.d_emb.data()[i], par.d_emb.data()[i])
-          << threads << " threads, dEmb flat index " << i;
-    }
-    for (size_t i = 0; i < serial.d_w.size(); ++i) {
-      ASSERT_EQ(serial.d_w.data()[i], par.d_w.data()[i])
-          << threads << " threads, dW flat index " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -24,37 +24,6 @@ Tensor QuadraticLoss(const Tensor& w, const Matrix& target) {
   return SumAll(Mul(diff, diff));
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Rng rng(1);
-  Tensor w = Tensor::Leaf(Matrix::Randn(3, 3, &rng), true);
-  Matrix target = Matrix::Randn(3, 3, &rng);
-  Sgd opt({w}, 0.1f);
-  for (int i = 0; i < 200; ++i) {
-    opt.ZeroGrad();
-    QuadraticLoss(w, target).Backward();
-    opt.Step();
-  }
-  Matrix diff = w.value();
-  diff.Sub(target);
-  EXPECT_LT(diff.FrobeniusNorm(), 1e-3);
-}
-
-TEST(SgdTest, MomentumAcceleratesOnIllConditioned) {
-  // f(w) = 100 w0^2 + w1^2: plain SGD with a safe lr crawls along w1.
-  auto run = [](float momentum) {
-    Tensor w = Tensor::Leaf(Matrix({{1.0, 1.0}}), true);
-    Tensor scale = Tensor::Constant(Matrix({{100.0, 1.0}}));
-    Sgd opt({w}, 0.004f, momentum);
-    for (int i = 0; i < 100; ++i) {
-      opt.ZeroGrad();
-      SumAll(Mul(Mul(w, w), scale)).Backward();
-      opt.Step();
-    }
-    return std::fabs(w.value().at(0, 1));
-  };
-  EXPECT_LT(run(0.9f), run(0.0f));
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   Rng rng(2);
   Tensor w = Tensor::Leaf(Matrix::Randn(4, 2, &rng), true);

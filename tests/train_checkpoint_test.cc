@@ -764,9 +764,9 @@ TEST(CrashResumeTest, BaselineSnapshotContract) {
             ExpectedTable({{9, 10, true}}, 1, 0));
 }
 
-TEST(CrashResumeTest, CheckpointBytesThreadInvariant) {
+TEST(CrashResumeTest, CheckpointBytesRepeatable) {
   // Every generation of a sampled GARCIA run (both phases) must carry the
-  // same bytes whether the kernels run serially or on a thread pool.
+  // same bytes when the run is repeated.
   models::TrainConfig cfg = FastTrainConfig();
   cfg.pretrain_epochs = 2;
   cfg.finetune_epochs = 3;
@@ -775,19 +775,17 @@ TEST(CrashResumeTest, CheckpointBytesThreadInvariant) {
   cfg.checkpoint_every_steps = 4;
   cfg.checkpoint_keep = 0;  // keep every generation
 
-  models::TrainConfig serial = cfg;
-  serial.num_threads = 0;
-  serial.checkpoint_dir = TempDir("threads_serial");
-  models::GarciaModel(serial).Fit(Tiny());
+  models::TrainConfig first = cfg;
+  first.checkpoint_dir = TempDir("repeat_first");
+  models::GarciaModel(first).Fit(Tiny());
 
-  models::TrainConfig threaded = cfg;
-  threaded.num_threads = 2;
-  threaded.checkpoint_dir = TempDir("threads_two");
-  models::GarciaModel(threaded).Fit(Tiny());
+  models::TrainConfig second = cfg;
+  second.checkpoint_dir = TempDir("repeat_second");
+  models::GarciaModel(second).Fit(Tiny());
 
-  ExpectSameGenerations(serial.checkpoint_dir, threaded.checkpoint_dir);
-  fs::remove_all(serial.checkpoint_dir);
-  fs::remove_all(threaded.checkpoint_dir);
+  ExpectSameGenerations(first.checkpoint_dir, second.checkpoint_dir);
+  fs::remove_all(first.checkpoint_dir);
+  fs::remove_all(second.checkpoint_dir);
 }
 
 TEST(CrashResumeTest, SecondFitOnDirtyHeapMatchesLoneFit) {
@@ -797,7 +795,6 @@ TEST(CrashResumeTest, SecondFitOnDirtyHeapMatchesLoneFit) {
   // diverge here. The second Fit runs inside an outer retention scope, so
   // nothing is trimmed after the dirtying Fit and the NaN scribbles.
   models::TrainConfig cfg = FastTrainConfig();
-  cfg.num_threads = 2;
   cfg.checkpoint_every_steps = 5;
   cfg.checkpoint_keep = 0;  // keep every generation
 
@@ -973,13 +970,12 @@ TEST(CrashResumeTest, FingerprintSeparatesModelsAndConfigs) {
   models::TrainConfig other = cfg;
   other.seed += 1;
   EXPECT_NE(garcia, models::TrainFingerprint(other, "GARCIA", Tiny()));
-  // num_threads and the checkpoint knobs never change the trajectory, so
-  // they must not change the fingerprint (resume across them is legal).
-  models::TrainConfig threads = cfg;
-  threads.num_threads = 4;
-  threads.checkpoint_every_steps = 17;
-  threads.checkpoint_dir = "/elsewhere";
-  EXPECT_EQ(garcia, models::TrainFingerprint(threads, "GARCIA", Tiny()));
+  // The checkpoint knobs never change the trajectory, so they must not
+  // change the fingerprint (resume across them is legal).
+  models::TrainConfig knobs = cfg;
+  knobs.checkpoint_every_steps = 17;
+  knobs.checkpoint_dir = "/elsewhere";
+  EXPECT_EQ(garcia, models::TrainFingerprint(knobs, "GARCIA", Tiny()));
   // Pinned value: GCK1 generations already on disk carry this hash, so
   // adding, removing or reordering TrainConfig fields must not change it.
   EXPECT_EQ(garcia, 0x862ff92a40f36be2ULL);
